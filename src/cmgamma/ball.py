@@ -29,8 +29,15 @@ _RAD_BITS = 16  # mantissa bits kept for radii
 _MID_GUARD = 16  # extra mantissa bits kept for midpoints beyond prec
 
 
-def _pow2(e: int) -> Fraction:
-    return Fraction(2) ** e
+def _dyadic(m: int, e: int) -> Fraction:
+    """m * 2^e as an exact Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _scaled(q: Fraction, e: int) -> tuple[int, int]:
+    """(N, D) with N/D = q * 2^-e, by shifting without gcd reduction."""
+    n, d = q.numerator, q.denominator
+    return (n << -e, d) if e <= 0 else (n, d << e)
 
 
 def _ilog2(q: Fraction) -> int:
@@ -54,11 +61,13 @@ def round_nearest(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     if q == 0:
         return Fraction(0), Fraction(0)
     e = _ilog2(abs(q)) - bits + 1
-    t = q * _pow2(-e)
-    if t.denominator == 1:
+    n, d = _scaled(q, e)
+    m, r = divmod(n, d)
+    if r == 0:
         return q, Fraction(0)
-    m = round(t)
-    return m * _pow2(e), _pow2(e - 1)
+    if 2 * r > d or (2 * r == d and m & 1):  # ties to even
+        m += 1
+    return _dyadic(m, e), _dyadic(1, e - 1)
 
 
 def round_up(q: Fraction, bits: int = _RAD_BITS) -> Fraction:
@@ -66,11 +75,8 @@ def round_up(q: Fraction, bits: int = _RAD_BITS) -> Fraction:
     if q == 0:
         return Fraction(0)
     e = _ilog2(q) - bits + 1
-    t = q * _pow2(-e)
-    m = t.numerator // t.denominator
-    if m * t.denominator != t.numerator:
-        m += 1
-    return m * _pow2(e)
+    n, d = _scaled(q, e)
+    return _dyadic(-(-n // d), e)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -79,10 +85,7 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
         if exp == 0:
             return Fraction(0)
         raise ValueError("non-finite interval endpoint")
-    v = Fraction(int(man))
-    if sign:
-        v = -v
-    return v * _pow2(int(exp))
+    return _dyadic(-int(man) if sign else int(man), int(exp))
 
 
 class Ball:

@@ -29,8 +29,11 @@ FAIL_EXIT = 1
 
 
 def _default_prec(args, fallback: int) -> int:
-    if getattr(args, "prec", None):
-        return args.prec
+    prec = getattr(args, "prec", None)
+    if prec is not None:
+        if prec < 8:
+            raise CmGammaError(f"--prec {prec}: precision must be at least 8 bits")
+        return prec
     env = os.environ.get("CMGAMMA_PREC")
     if env:
         try:
@@ -146,18 +149,17 @@ def cmd_replay_proof(args) -> int:
 def _parse_grid(text: str | None) -> scan.GridSpec:
     if not text:
         return scan.default_grid()
-    if text.startswith("geometric:"):
-        parts = text.split(":")[1:]
-        if len(parts) != 3:
-            raise CmGammaError("expected geometric:START:RATIO:COUNT")
-        return scan.GridSpec.geometric(Fraction(parts[0]), Fraction(parts[1]),
-                                       int(parts[2]))
-    if text.startswith("span:"):
-        parts = text.split(":")[1:]
-        if len(parts) != 3:
-            raise CmGammaError("expected span:START:STOP:COUNT")
-        return scan.GridSpec.geometric_span(Fraction(parts[0]), Fraction(parts[1]),
-                                            int(parts[2]))
+    for prefix, make, form in (("geometric:", scan.GridSpec.geometric, "START:RATIO:COUNT"),
+                               ("span:", scan.GridSpec.geometric_span, "START:STOP:COUNT")):
+        if text.startswith(prefix):
+            parts = text[len(prefix):].split(":")
+            if len(parts) != 3:
+                raise CmGammaError(f"expected {prefix}{form}")
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise CmGammaError(f"grid count {parts[2]!r} is not an integer")
+            return make(_parse_x(parts[0]), _parse_x(parts[1]), count)
     return scan.GridSpec.explicit([_parse_x(tok) for tok in text.split(",")])
 
 

@@ -62,6 +62,13 @@ def _parse_rational(tok: str, path, lineno: int) -> Fraction:
         raise ConstantsFormatError(f"{path}:{lineno}: bad rational {tok!r}") from exc
 
 
+def _parse_int(tok: str, where: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise ConstantsFormatError(f"{where}: bad integer {tok!r}") from exc
+
+
 def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
     """Parse the documented grammar into {'poly NAME': Poly, 'pf NAME': ...}."""
     sections: dict[str, object] = {}
@@ -112,7 +119,7 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
                 continue
             if len(toks) != 2:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<power> <rational>'")
-            power = int(toks[0])
+            power = _parse_int(toks[0], f"{path}:{lineno}")
             if power < 0 or power in poly_coeffs:
                 raise ConstantsFormatError(f"{path}:{lineno}: bad or repeated power {power}")
             poly_coeffs[power] = _parse_rational(toks[1], path, lineno)
@@ -120,13 +127,14 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             if len(toks) != 3:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<coeff> <shift> <order>'")
             pf_terms.append(PartialFractionTerm(
-                _parse_rational(toks[0], path, lineno), int(toks[1]), int(toks[2])))
+                _parse_rational(toks[0], path, lineno),
+                _parse_int(toks[1], f"{path}:{lineno}"), _parse_int(toks[2], f"{path}:{lineno}")))
         else:
             if len(toks) != 2:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<label> <integer>'")
             if toks[0] in values:
                 raise ConstantsFormatError(f"{path}:{lineno}: repeated label {toks[0]!r}")
-            values[toks[0]] = int(toks[1])
+            values[toks[0]] = _parse_int(toks[1], f"{path}:{lineno}")
     flush()
     return sections
 
@@ -136,7 +144,7 @@ def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
     prefix = f"poly {base}.e"
     for key, val in sections.items():
         if key.startswith(prefix):
-            blocks[int(key[len(prefix):])] = val
+            blocks[_parse_int(key[len(prefix):], f"{path}: [{key}]")] = val
     if not blocks:
         raise ConstantsFormatError(f"{path}: no blocks found for {base!r}")
     return ExpPoly(blocks)
@@ -156,7 +164,8 @@ def load_constants(path: str | Path | None = None) -> SourceConstants:
     init: dict[str, dict[int, int]] = {}
     for stage in CHAIN_LENGTHS:
         raw = _get(sections, f"values {stage}_init", path)
-        init[stage] = {int(k): v for k, v in raw.items()}
+        init[stage] = {_parse_int(k, f"{path}: [values {stage}_init]"): v
+                       for k, v in raw.items()}
         want = set(range(1, CHAIN_LENGTHS[stage] + 1))
         if set(init[stage]) != want:
             raise ConstantsFormatError(

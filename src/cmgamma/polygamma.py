@@ -4,22 +4,27 @@ With s = m + 1 and f(t) = (x + t)^(-s),
 
     psi^(m)(x) = (-1)^(m+1) * m! * sum_{i >= 0} f(i).
 
-The head sum_{i < N} is summed exactly (each term is a rational).  The tail
-sum_{i >= N} is enclosed by Euler-Maclaurin around a = x + N:
+The series is summed in fixed point: with x = n/d, every term is a floor
+division of integers scaled by 2^F, where F is chosen so that one unit 2^-F
+is at most 2^-(w+40) of the sum (w = working bits).  The head sum_{i < N}
+is sum floor(d^s 2^F / (n + i d)^s).  The tail sum_{i >= N} is enclosed by
+Euler-Maclaurin around a = x + N = A/d:
 
     T = a^(-m)/m + f(N)/2
         + sum_{k=1..K} B_{2k}/(2k)! * rising(s, 2k-1) * a^(-s-2k+1)  +  R_K,
 
-where a^(-m)/m is the integral comparison term and the remainder satisfies
+where a^(-m)/m is the integral comparison term, a^(-j) = d^j / A^j is
+updated by d^2 and A^2 per step, and the remainder satisfies
 
     |R_K| <= max|periodized B_{2K+1}| / (2K+1)! * integral of |f^(2K+1)|
            = 2*zeta(2K+1)/(2pi)^(2K+1) * rising(s, 2K+1)/(s+2K) * a^(-s-2K).
 
-We weaken that rationally with 2*pi > 25/4 and zeta(2K+1) <= 5/4 (K >= 1),
-so the whole enclosure is exact rational arithmetic end to end: the radius
-is the exact remainder bound plus the (power-of-two) dyadic rounding slop.
-N is chosen so the Euler-Maclaurin terms can reach ~2^-w before diverging;
-small x needs no special handling because the head terms are exact.
+We weaken that rationally with 2*pi > 25/4 and zeta(2K+1) <= 5/4 (K >= 1)
+and round it up to whole units.  Each floor division is short by less than
+one unit, so the radius is (number of divisions + remainder units) * 2^-F,
+counted exactly.  N is chosen so the Euler-Maclaurin terms can reach ~2^-w
+before diverging; small x needs no special handling because F is set from
+the size of the leading term x^(-s).
 
 The integral-representation quadrature (`polygamma_quadrature_crosscheck`)
 is a heuristic cross-check only: its radius is an error *estimate* from the
@@ -37,7 +42,7 @@ import mpmath
 from mpmath import mp
 
 from .algebra import as_fraction
-from .ball import Ball, round_nearest
+from .ball import Ball, _mpf_tuple_to_fraction
 from .errors import DomainError, PrecisionError, QuadratureFailure
 
 MAX_ORDER = 32
@@ -68,42 +73,39 @@ def _bernoulli(n: int) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _floor_frac(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
 @lru_cache(maxsize=8192)
 def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure (mid, rad) of sum_{i>=0} (x+i)^(-s), exact rational fields."""
+    """Enclosure (mid, rad) of sum_{i>=0} (x+i)^(-s), in integer units of 2^-F."""
+    n, d = x.numerator, x.denominator
     round_bits = wbits + 24
+    # x < 2^e, so the sum exceeds 2^(-s*e) and one unit is at most
+    # 2^-(round_bits+16) of it
+    e = n.bit_length() - d.bit_length() + 1
+    fbits = max(0, round_bits + s * e + 16)
     for attempt in range(4):
-        n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - _floor_frac(x))
-        head = Fraction(0)
-        slop = Fraction(0)
-        for i in range(n_terms):
-            t, e = round_nearest((x + i) ** -s, round_bits)
-            head += t
-            slop += e
-        a = x + n_terms
-        integral = a ** -(s - 1) / (s - 1)
-        tail = integral + a ** -s / 2
-        scale = head - slop + integral  # true value exceeds this
-        target = scale * Fraction(1, 2 ** (wbits + 8))
-        rising = Fraction(s)  # rising(s, 1)
+        n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
+        ds = d ** s << fbits
+        head = sum(ds // (n + i * d) ** s for i in range(n_terms))
+        big_a = n + n_terms * d  # a = x + N = big_a / d
+        integral = (d ** (s - 1) << fbits) // ((s - 1) * big_a ** (s - 1))
+        total = head + integral + ds // (2 * big_a ** s)
+        floors = n_terms + 2  # each floor division is short by < 1 unit
+        target = (head + integral) >> (wbits + 8)  # the sum exceeds head + integral
+        rising = s  # rising(s, 2k-1)
+        dj, aj = d ** (s + 1), big_a ** (s + 1)  # d^j and A^j, j = s+2k-1
         remainder = None
         prev_bound = None
-        k = 0
-        while k < 100000:
-            k += 1
-            # rising(s, 2k-1) = rising(s, 2k-3) * (s+2k-3)(s+2k-2)
+        for k in range(1, 100001):
             if k > 1:
                 rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-            term = _bernoulli(2 * k) / math.factorial(2 * k) * rising * a ** -(s + 2 * k - 1)
-            t, e = round_nearest(term, round_bits)
-            tail += t
-            slop += e
-            bound = (Fraction(5, 2) * Fraction(4, 25) ** (2 * k + 1)
-                     * rising * (s + 2 * k - 1) * a ** -(s + 2 * k))
+                dj *= d * d
+                aj *= big_a * big_a
+            b = _bernoulli(2 * k)
+            total += ((b.numerator * rising * dj << fbits)
+                      // (b.denominator * math.factorial(2 * k) * aj))
+            floors += 1
+            bound = -(-(5 * 4 ** (2 * k + 1) * rising * (s + 2 * k - 1) * dj * d << fbits)
+                      // (2 * 25 ** (2 * k + 1) * aj * big_a))
             if bound <= target:
                 remainder = bound
                 break
@@ -111,8 +113,8 @@ def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[Fraction, Fraction]
                 break  # the asymptotic terms started diverging; need larger N
             prev_bound = bound
         if remainder is not None:
-            mid, e = round_nearest(head + tail, round_bits)
-            return mid, slop + e + remainder
+            one = 1 << fbits
+            return Fraction(total, one), Fraction(floors + remainder, one)
     raise PrecisionError(
         f"series tail for s={s}, x={x} not certifiable at {wbits} working bits")
 
@@ -211,14 +213,5 @@ def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
             raise QuadratureFailure(
                 f"estimated error {err} too large for {prec}-bit request")
     sign = 1 if m % 2 == 1 else -1
-    return Ball._make(sign * _mpf_to_fraction(val),
-                      abs(_mpf_to_fraction(err)), prec)
-
-
-def _mpf_to_fraction(v) -> Fraction:
-    # read the raw (sign, mantissa, exponent) triple: exact at any precision
-    sign, man, exp, _ = v._mpf_
-    if man == 0:
-        return Fraction(0)
-    out = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -out if sign else out
+    return Ball._make(sign * _mpf_tuple_to_fraction(val._mpf_),
+                      abs(_mpf_tuple_to_fraction(err._mpf_)), prec)

@@ -18,7 +18,7 @@ from mpmath import mp
 
 from . import bounds
 from .algebra import as_fraction
-from .ball import Ball, round_nearest
+from .ball import Ball, _mpf_tuple_to_fraction, round_nearest
 from .constants import SourceConstants
 from .errors import DomainError
 from .polygamma import PrecisionPolicy
@@ -67,6 +67,8 @@ class GridSpec:
         """
         start = as_fraction(start)
         stop = as_fraction(stop)
+        if start <= 0 or stop <= 0:
+            raise DomainError("grid points must be positive")
         if count < 2:
             return cls.explicit([start])
         pts = [start]
@@ -75,9 +77,7 @@ class GridSpec:
             lb = mp.log(mp.mpf(stop.numerator)) - mp.log(mp.mpf(stop.denominator))
             for j in range(1, count - 1):
                 v = mp.e ** (la + (lb - la) * j / (count - 1))
-                sign, man, exp, _ = v._mpf_
-                q = Fraction(int(man)) * Fraction(2) ** int(exp)
-                pts.append(round_nearest(q, 24)[0])
+                pts.append(round_nearest(_mpf_tuple_to_fraction(v._mpf_), 24)[0])
         pts.append(stop)
         return cls.explicit(pts)
 

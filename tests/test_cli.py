@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cmgamma.cli import main
 
 
@@ -56,6 +58,12 @@ class TestEval:
         monkeypatch.setenv("CMGAMMA_PREC", "96")
         code, out, _ = run(capsys, "eval", "psi1", "1")
         assert code == 0 and "[96-bit target]" in out
+
+    @pytest.mark.parametrize("prec", ["4", "0", "-3"])
+    def test_precision_below_minimum_exit_two(self, capsys, prec):
+        code, out, err = run(capsys, "eval", "g", "1", "--prec", prec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_crosscheck_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "psi1", "1", "--prec", "64",
@@ -167,6 +175,13 @@ class TestCmScan:
     def test_bad_grid_usage_error(self, capsys):
         code, _, err = run(capsys, "cm-scan", "g", "--grid", "geometric:1:2")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["span:1:2:x", "geometric:1:abc:3",
+                                      "span:1/0:2:3", "span:0:2:3", "span:-1:2:3"])
+    def test_malformed_grid_exit_two(self, capsys, grid):
+        code, out, err = run(capsys, "cm-scan", "g", "--kmax", "0", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_no_command_is_usage_error(capsys):

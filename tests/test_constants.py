@@ -67,14 +67,28 @@ def test_parse_pf_section():
     "0 450\n",                      # entry before section
     "[poly a]\n0 1\n0 2\n",         # repeated power
     "[poly a]\nx 1\n",              # non-integer power
+    "[poly a]\n1/2 1\n",            # fractional power
+    "[pf f]\n1/2 x 1\n",            # non-integer shift
+    "[pf f]\n1/2 0 1.5\n",          # non-integer order
+    "[values v]\na 1/2\n",          # non-integer value
     "[weird a]\n",                  # unknown section kind
     "[poly a\n",                    # unterminated header
     "[values v]\na 1\na 2\n",       # repeated label
     "[poly a]\n0 1 2\n",            # wrong arity
 ])
 def test_grammar_errors(text):
-    with pytest.raises((ConstantsFormatError, ValueError)):
+    with pytest.raises(ConstantsFormatError):
         parse_constants_text(text)
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (r"1 31830835680000", "one 31830835680000"),  # non-integer table key
+    (r"\[poly theta\.e0\]", "[poly theta.ex]"),    # non-integer block exponent
+])
+def test_non_integer_keys_raise_format_error(mutate_constants, pattern, replacement):
+    path = mutate_constants(pattern, replacement)
+    with pytest.raises(ConstantsFormatError):
+        load_constants(path)
 
 
 def test_mutated_file_loads_but_differs(mutate_constants):
