@@ -176,12 +176,9 @@ class Poly:
 
     def shift(self, c: Rat) -> "Poly":
         """Taylor shift: returns the polynomial q with q(x) = self(x + c)."""
-        c = as_fraction(c)
-        res = Poly.zero()
-        xpc = Poly((c, 1))
-        for a in reversed(self.coeffs):
-            res = res * xpc + Poly.const(a)
-        return res
+        cs = list(self.coeffs)
+        _taylor_shift(cs, as_fraction(c))
+        return Poly(cs)
 
     # -- division ------------------------------------------------------------
 
@@ -214,6 +211,18 @@ class Poly:
         if self.is_zero():
             return self
         return self * (1 / self.coeffs[-1])
+
+
+def _taylor_shift(cs: list, c) -> None:
+    """In place: cs[i] becomes the x^i coefficient of sum_j cs[j] (x + c)^j.
+
+    Horner's scheme run n - 1 times; after pass i, cs[i] is final.  Works on
+    ints and Fractions alike.
+    """
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] += c * cs[j + 1]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -321,7 +330,7 @@ class ExpPoly:
 
     def eval_exact_at_zero(self) -> Fraction:
         """Exact value at t = 0 (every e^(k*0) is 1)."""
-        return sum((p(_ZERO) for p in self._blocks.values()), _ZERO)
+        return sum((p.coeff(0) for p in self._blocks.values()), _ZERO)
 
     def shift_exp(self, k: int) -> "ExpPoly":
         """Multiply by e^(k*t): all exponents move up by k."""
@@ -511,26 +520,44 @@ def pfd_decompose(num: Poly,
     if num.degree >= total:
         raise DegreeError(
             f"numerator degree {num.degree} >= denominator degree {total}")
+    # Work on integers: num = N / L with N integral, and around x = -a
+    # (u = x + a) expand N(u - a) / rest(u) = sum_j s_j u^j, where
+    # rest(u) = prod_{b != a} (u + b - a)^m_b.  The u^j coefficient feeds
+    # order m - j.  With r = rest(0) != 0 the scaled S_j = s_j r^(j+1) obey
+    #     S_j = N_j r^j - sum_{i<j} S_i rest_(j-i) r^(j-i-1),
+    # so the only Fraction made per term is S_j / (L r^(j+1)).
+    lcm_den = math.lcm(*(c.denominator for c in num.coeffs))
+    int_num = [c.numerator * (lcm_den // c.denominator) for c in num.coeffs]
     terms: list[PartialFractionTerm] = []
     for a, m in den_factors:
-        # Local series around x = -a (u = x + a):  num(u-a) / rest(u-a)
-        # = s_0 + s_1 u + ... ; the u^j coefficient feeds order m - j.
-        num_u = num.shift(-a)
-        rest = Poly.const(1)
+        num_u = list(int_num)
+        _taylor_shift(num_u, -a)
+        num_u += [0] * (m - len(num_u))
+        rest = [1] + [0] * (m - 1)  # first m coefficients only
         for b, mb in den_factors:
             if b == a:
                 continue
-            rest = rest * Poly((b - a, 1)) ** mb
-        d0 = rest.coeff(0)
-        series: list[Fraction] = []
+            factor = [math.comb(mb, k) * (b - a) ** (mb - k)
+                      for k in range(min(mb, m - 1) + 1)]
+            prod = [0] * m
+            for i, ri in enumerate(rest):
+                if ri:
+                    for k, fk in enumerate(factor[:m - i]):
+                        prod[i + k] += ri * fk
+            rest = prod
+        r0 = rest[0]
+        r_pow = [1]
+        for _ in range(m):
+            r_pow.append(r_pow[-1] * r0)
+        scaled: list[int] = []
         for j in range(m):
-            s = num_u.coeff(j)
+            s = num_u[j] * r_pow[j]
             for i in range(j):
-                s -= series[i] * rest.coeff(j - i)
-            series.append(s / d0)
-        for j, s in enumerate(series):
-            if s != 0:
-                terms.append(PartialFractionTerm(s, a, m - j))
+                s -= scaled[i] * rest[j - i] * r_pow[j - i - 1]
+            scaled.append(s)
+            if s:
+                coeff = Fraction(s, lcm_den * r_pow[j + 1])
+                terms.append(PartialFractionTerm(coeff, a, m - j))
     return PartialFractionForm(Poly.zero(), terms)
 
 
@@ -572,8 +599,3 @@ def pfd_recompose(form: PartialFractionForm) -> tuple[Poly, Poly]:
         gcd_num = math.gcd(gcd_num, c.numerator * (lcm_den // c.denominator))
     factor = Fraction(lcm_den, gcd_num or 1)
     return num * factor, den * factor
-
-
-def rational_functions_equal(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> bool:
-    """Exact equality of n1/d1 and n2/d2 by cross-multiplication."""
-    return n1 * d2 == n2 * d1

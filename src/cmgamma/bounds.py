@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (PartialFractionForm, PartialFractionTerm, Poly,
-                      as_fraction, pfd_decompose, pfd_recompose,
-                      rational_functions_equal)
+                      as_fraction, pfd_decompose)
 from .ball import Ball
-from .constants import (BOUND_DEN_FACTORS, SCALE_P, SCALE_Q,
-                        SourceConstants, load_constants)
+from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
+                        SCALE_Q, SourceConstants, load_constants)
 from .errors import DomainError
 from .polygamma import PrecisionPolicy, polygamma
 
@@ -180,10 +179,14 @@ def pf_expansion_identity_check(
 
     (a) 1/(2x^2) + 1/x + p(x)/(1800 x^2 (x+1)^10)
         - x^2 p(x+1)/(1800 (x+1)^4 (x+2)^10)  ==  the 22-term expansion;
-    (b) the expansion recomposes to q(x)/(1800 x^2 (1+x)^10 (2+x)^10).
+    (b) the expansion equals q(x)/(1800 x^2 (1+x)^10 (2+x)^10).
 
-    Both sides are put over common denominators with exact arithmetic; on
-    failure the report carries the coefficient-level difference.
+    Both are compared as exact partial-fraction forms.  For (a) the two
+    rational terms are decomposed and added to the polar terms; on failure
+    the report carries the coefficient-level difference.  For (b) the right
+    side is decomposed (deg q = 21 < 22, so it is proper): a rational
+    function has exactly one canonical partial-fraction form, so the forms
+    are equal exactly when the functions are.
     """
     c = _consts(constants)
     lhs = PartialFractionForm(Poly.zero(), [
@@ -196,9 +199,8 @@ def pf_expansion_identity_check(
     expansion_equal = lhs == c.remainder_expansion
     diff = () if expansion_equal else _pf_diff(lhs, c.remainder_expansion)
 
-    num, den = pfd_recompose(c.remainder_expansion)
-    target_den = Poly.monomial(SCALE_Q, 2) * Poly((1, 1)) ** 10 * Poly((2, 1)) ** 10
-    remark_equal = rational_functions_equal(num, den, c.q, target_den)
+    remark_equal = (pfd_decompose(c.q * Fraction(1, SCALE_Q), REMAINDER_DEN_FACTORS)
+                    == c.remainder_expansion)
 
     lines = [f"expansion identity: {'equal' if expansion_equal else 'UNEQUAL'}"]
     for s, o, ca, cb in diff:

@@ -7,12 +7,16 @@ import pytest
 
 from cmgamma.algebra import (ExpPoly, KernelTerm, PartialFractionForm,
                              PartialFractionTerm, Poly, laplace_kernel_of,
-                             pfd_decompose, pfd_recompose, poly_gcd,
-                             rational_functions_equal)
+                             pfd_decompose, pfd_recompose, poly_gcd)
 from cmgamma.errors import DegreeError, NotDivisible
 
 # Coefficients of the degree-10 bound numerator, used repeatedly below.
 P_COEFFS = (450, 3600, 13290, 29700, 44101, 45050, 31865, 15370, 4840, 900, 75)
+
+
+def rational_functions_equal(n1, d1, n2, d2):
+    """Exact equality of n1/d1 and n2/d2 by cross-multiplication."""
+    return n1 * d2 == n2 * d1
 
 
 def rand_poly(rng, max_deg=6, span=30):

@@ -6,10 +6,16 @@ import pytest
 from mpmath import mp
 
 from cmgamma import bounds
+from cmgamma.algebra import Poly, pfd_recompose
+from cmgamma.cli import main
 from cmgamma.constants import load_constants
 from cmgamma.errors import DomainError
 
 GRID = (F(1, 20), F(1, 10), F(1, 4), F(1, 2), F(1), F(2), F(5), F(10), F(50))
+
+# (line pattern, replacement) of the constants file; None keeps it as shipped
+PERTURBED_Q = (r"4 2645782983", "4 2645782984")
+PERTURBED_EXPANSION = (r"-251/120 1 2", "-131/120 1 2")
 
 
 def test_p_and_q_values(consts):
@@ -95,9 +101,35 @@ class TestExpansionIdentity:
         assert "UNEQUAL" in rep.detail
 
     def test_detects_perturbed_q(self, mutate_constants):
-        path = mutate_constants(r"4 2645782983", "4 2645782984")
+        path = mutate_constants(*PERTURBED_Q)
         rep = bounds.pf_expansion_identity_check(load_constants(path))
         assert rep.expansion_equal and not rep.remark_equal
+
+    @pytest.mark.parametrize("mutation, codes, out", [
+        (None, (0, 0),
+         "expansion identity: equal\nremainder recomposition: equal\n"),
+        (PERTURBED_Q, (0, 1),
+         "expansion identity: equal\nremainder recomposition: UNEQUAL\n"),
+        (PERTURBED_EXPANSION, (1, 1),
+         "expansion identity: UNEQUAL\n"
+         "  (x+1)^-2: telescoped side -251/120, transcribed side -131/120\n"
+         "remainder recomposition: UNEQUAL\n"),
+    ])
+    def test_remark_matches_recomposition_and_cli(self, mutation, codes, out,
+                                                  mutate_constants, capsys):
+        path = str(mutate_constants(*mutation)) if mutation else None
+        c = load_constants(path)  # the same loader call as --constants
+        # oracle: recompose the expansion and cross-multiply with q/denominator
+        num, den = pfd_recompose(c.remainder_expansion)
+        target_den = Poly.monomial(1800, 2) * Poly([1, 1]) ** 10 * Poly([2, 1]) ** 10
+        recomposed = num * target_den == c.q * den
+        assert bounds.pf_expansion_identity_check(c).remark_equal == recomposed
+        assert recomposed == (mutation is None)
+        # both CLI checks print the whole report; only the exit codes differ
+        extra = ["--constants", path] if path else []
+        for which, code in zip(("expansion", "remark2"), codes):
+            assert main(["identity-check", which, *extra]) == code
+            assert capsys.readouterr().out == out
 
 
 class TestTelescoping:

@@ -1,17 +1,24 @@
-"""Property tests of the integer rounding and fixed-point series paths.
+"""Property tests of the integer rounding, series and partial-fraction paths.
 
 The rounding functions are checked bit for bit against the plain-Fraction
 reference below; polygamma and its fixed-point series are checked for
-containment of mpmath's psi and Hurwitz zeta at four times the precision.
+containment of mpmath's psi and Hurwitz zeta at four times the precision;
+the integer partial-fraction decomposition is checked against sympy's
+``apart`` and by recomposing it.
 """
 
 from fractions import Fraction as F
 
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from cmgamma.algebra import (PartialFractionForm, PartialFractionTerm, Poly,
+                             pfd_decompose, pfd_recompose)
 from cmgamma.ball import _mpf_tuple_to_fraction, round_nearest, round_up
+from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
+                               load_constants)
 from cmgamma.polygamma import _zeta_like_sum, polygamma
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -96,3 +103,57 @@ def test_series_radius_covers_hurwitz_zeta(s, x, wbits):
     with mp.workprec(4 * wbits):
         ref = _mpf_tuple_to_fraction(mp.zeta(s, mp.mpf(x.numerator) / x.denominator)._mpf_)
     assert abs(ref - mid) <= rad
+
+
+SX = sympy.Symbol("x")
+
+
+def sympy_partial_fractions(num: Poly, factors) -> PartialFractionForm:
+    """The same decomposition by sympy's ``apart``, read back term by term."""
+    expr = sum((sympy.Rational(c.numerator, c.denominator) * SX ** i
+                for i, c in enumerate(num.coeffs)), sympy.Integer(0))
+    for a, m in factors:
+        expr /= (SX + a) ** m
+    terms = []
+    for term in sympy.Add.make_args(sympy.apart(expr, SX)):
+        if term == 0:
+            continue
+        top, bottom = term.as_numer_denom()
+        assert top.is_Rational
+        bottom = sympy.Poly(bottom, SX)
+        m, lead = bottom.degree(), bottom.LC()
+        a = bottom.coeff_monomial(SX ** (m - 1)) / (m * lead)
+        assert bottom == sympy.Poly(lead * (SX + a) ** m, SX)  # one pole per term
+        c = top / lead
+        terms.append(PartialFractionTerm(F(int(c.p), int(c.q)), int(a), m))
+    return PartialFractionForm(Poly.zero(), terms)
+
+
+@st.composite
+def proper_fractions(draw):
+    shifts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+    factors = [(a, draw(st.integers(1, 10))) for a in shifts]
+    total = sum(m for _, m in factors)
+    size = draw(st.integers(0, total))  # zero numerator included
+    coeffs = draw(st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
+                           min_size=size, max_size=size))
+    return Poly(coeffs), factors
+
+
+_SHIPPED = load_constants()
+
+
+@settings(SETTINGS, max_examples=10)
+@given(proper_fractions())
+@example((Poly(()), [(0, 3), (4, 2)]))
+@example((_SHIPPED.p * F(1, 900), list(BOUND_DEN_FACTORS)))
+@example((_SHIPPED.q * F(1, 1800), list(REMAINDER_DEN_FACTORS)))
+def test_pfd_decompose_matches_sympy_apart(case):
+    num, factors = case
+    form = pfd_decompose(num, factors)
+    assert form == sympy_partial_fractions(num, factors)
+    got_num, got_den = pfd_recompose(form)
+    den = Poly([1])
+    for a, m in factors:
+        den = den * Poly([a, 1]) ** m
+    assert got_num * den == num * got_den
