@@ -410,7 +410,7 @@ class PartialFractionForm:
     structurally.
     """
 
-    __slots__ = ("poly_part", "terms")
+    __slots__ = ("poly_part", "terms", "_shift_groups")
 
     def __init__(self, poly_part: Poly = Poly.zero(),
                  terms: Iterable[PartialFractionTerm] = ()):
@@ -425,6 +425,7 @@ class PartialFractionForm:
             for (s, o), c in sorted(merged.items()) if c != 0)
         object.__setattr__(self, "poly_part", poly_part)
         object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_shift_groups", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PartialFractionForm is immutable")
@@ -479,15 +480,46 @@ class PartialFractionForm:
         return f
 
     def eval_exact(self, x: Rat) -> Fraction:
-        """Exact rational value at rational x (x must avoid the poles)."""
+        """Exact rational value at rational x (x must avoid the poles).
+
+        With x = n/d, the terms of one shift a with orders lo..hi sum to
+        d^lo P / (L u^hi), u = n + a d, where P is a Horner sum over the
+        integer coefficients c*L (L clears their denominators); the shifts
+        are combined as integer ratios and one Fraction is made at the end.
+        """
         x = as_fraction(x)
-        for t in self.terms:
-            if x + t.shift == 0:
+        n, d = x.numerator, x.denominator
+        groups = self._groups()
+        for a, _, _, _, _ in groups:
+            if n + a * d == 0:
                 raise DomainError(f"evaluation at pole x = {x}")
-        acc = self.poly_part(x)
-        for c, a, m in self.terms:
-            acc += c / (x + a) ** m
-        return acc
+        value = self.poly_part(x)
+        num, den = value.numerator, value.denominator
+        for a, lo, hi, lcm, coeffs in groups:
+            u = n + a * d
+            acc, dpow = 0, 1
+            for c in coeffs:  # sum of C_m d^(m-lo) u^(hi-m), m = lo..hi
+                acc = acc * u + c * dpow
+                dpow *= d
+            term_den = lcm * u ** hi
+            num, den = num * term_den + d ** lo * acc * den, den * term_den
+        return Fraction(num, den)
+
+    def _groups(self) -> tuple[tuple[int, int, int, int, tuple[int, ...]], ...]:
+        """(shift, lowest order, highest order, L, integer coefficients c*L
+        for every order in between), computed once per form."""
+        if self._shift_groups is None:
+            by_shift: dict[int, dict[int, Fraction]] = {}
+            for c, a, m in self.terms:
+                by_shift.setdefault(a, {})[m] = c
+            groups = []
+            for a, cs in by_shift.items():
+                lo, hi = min(cs), max(cs)
+                lcm = math.lcm(*(c.denominator for c in cs.values()))
+                groups.append((a, lo, hi, lcm, tuple(
+                    int(cs.get(m, 0) * lcm) for m in range(lo, hi + 1))))
+            object.__setattr__(self, "_shift_groups", tuple(groups))
+        return self._shift_groups
 
     def kernel_terms(self) -> tuple[KernelTerm, ...]:
         """Laplace kernel image of every term, in term order."""

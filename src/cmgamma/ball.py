@@ -2,11 +2,12 @@
 
 A Ball stores an exact Fraction midpoint and an exact nonnegative Fraction
 radius; the contract is that the true real value lies in
-[mid - rad, mid + rad].  Arithmetic (+, -, *) is performed exactly on the
-rationals and therefore never loses containment; to keep numerators and
-denominators from growing without bound, results with a nonzero radius are
-renormalized to a dyadic midpoint of ~prec significant bits, with the
-rounding error pushed into the radius (rounded up).
+[mid - rad, mid + rad].  Arithmetic (+, -, *) builds the exact result as
+unreduced integer ratios (numerator and denominator products, no gcd) and
+therefore never loses containment; a result with a nonzero radius is then
+rounded once, to a dyadic midpoint of ~prec significant bits, with the
+rounding error pushed into the radius (rounded up).  Exact (radius-0)
+results keep their exact rational midpoint.
 
 The only transcendental entry point is exp_of(), which encloses e^q for
 rational q via mpmath's outward-rounded interval context and converts the
@@ -28,55 +29,57 @@ Rat = Union[int, Fraction]
 _RAD_BITS = 16  # mantissa bits kept for radii
 _MID_GUARD = 16  # extra mantissa bits kept for midpoints beyond prec
 
+_ZERO = Fraction(0)
+
 
 def _dyadic(m: int, e: int) -> Fraction:
     """m * 2^e as an exact Fraction."""
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _scaled(q: Fraction, e: int) -> tuple[int, int]:
-    """(N, D) with N/D = q * 2^-e, by shifting without gcd reduction."""
-    n, d = q.numerator, q.denominator
-    return (n << -e, d) if e <= 0 else (n, d << e)
+def _scale(n: int, d: int, bits: int) -> tuple[int, int, int]:
+    """(e, N, D) with 2^(bits-1) <= |N/D| < 2^bits and N/D = (n/d) * 2^-e.
+
+    n != 0 and d > 0; the ratio need not be reduced.  e is found by integer
+    comparisons and applied by shifting, without gcd reduction.
+    """
+    a = abs(n)
+    k = a.bit_length() - d.bit_length()  # floor(log2(a/d)) is k or k - 1
+    if not ((a >= d << k) if k >= 0 else (a << -k >= d)):
+        k -= 1
+    e = k - bits + 1
+    return (e, n << -e, d) if e <= 0 else (e, n, d << e)
 
 
-def _ilog2(q: Fraction) -> int:
-    """floor(log2(q)) for q > 0, by integer comparisons."""
-    n, d = q.numerator, q.denominator
-    k = n.bit_length() - d.bit_length()
-    # 2^k <= q  <=>  n >= d * 2^k
-    if (n >= d << k) if k >= 0 else (n << -k >= d):
-        if (n >= d << (k + 1)) if k + 1 >= 0 else (n << -(k + 1) >= d):
-            return k + 1
-        return k
-    return k - 1
+def round_nearest(q: Rat, bits: int, den: int = 1) -> tuple[Fraction, Fraction]:
+    """Round q/den to a dyadic with <= bits mantissa bits, ties to even.
 
-
-def round_nearest(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Round q to a dyadic with <= bits mantissa bits.
-
-    Returns (value, error_bound); the bound is 0 when the rounding was exact,
-    else the half-ulp power of two.
+    q may be an int or a Fraction and den a positive int; the ratio need not
+    be reduced.  Returns (value, error_bound); the bound is 0 when the
+    rounding was exact, else the half-ulp power of two.
     """
     if q == 0:
-        return Fraction(0), Fraction(0)
-    e = _ilog2(abs(q)) - bits + 1
-    n, d = _scaled(q, e)
+        return _ZERO, _ZERO
+    e, n, d = _scale(q.numerator, q.denominator * den, bits)
     m, r = divmod(n, d)
     if r == 0:
-        return q, Fraction(0)
+        return _dyadic(m, e), _ZERO
     if 2 * r > d or (2 * r == d and m & 1):  # ties to even
         m += 1
     return _dyadic(m, e), _dyadic(1, e - 1)
 
 
-def round_up(q: Fraction, bits: int = _RAD_BITS) -> Fraction:
-    """Smallest dyadic with <= bits mantissa bits that is >= q (q >= 0)."""
+def round_up(q: Rat, bits: int = _RAD_BITS, den: int = 1) -> Fraction:
+    """Smallest dyadic with <= bits mantissa bits that is >= q/den (q >= 0)."""
     if q == 0:
-        return Fraction(0)
-    e = _ilog2(q) - bits + 1
-    n, d = _scaled(q, e)
+        return _ZERO
+    e, n, d = _scale(q.numerator, q.denominator * den, bits)
     return _dyadic(-(-n // d), e)
+
+
+def _add_ratios(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as an unreduced ratio."""
+    return (a + c, b) if b == d else (a * d + c * b, b * d)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -126,7 +129,8 @@ class Ball:
         hi = as_fraction(hi)
         if hi < lo:
             raise ValueError("endpoints out of order")
-        return cls._make((lo + hi) / 2, (hi - lo) / 2, prec)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        return cls._make(a * d + c * b, 2 * b * d, c * b - a * d, 2 * b * d, prec)
 
     @classmethod
     def hull(cls, *balls: "Ball") -> "Ball":
@@ -151,12 +155,18 @@ class Ball:
                                   _mpf_tuple_to_fraction(hi_t), prec)
 
     @classmethod
-    def _make(cls, mid: Fraction, rad: Fraction, prec: int) -> "Ball":
-        """Normalize: exact balls stay exact, others get dyadic compression."""
-        if rad == 0:
-            return cls(mid, 0, prec)
-        mid2, err = round_nearest(mid, prec + _MID_GUARD)
-        return cls(mid2, round_up(rad + err), prec)
+    def _make(cls, mid_num: int, mid_den: int, rad_num: int, rad_den: int,
+              prec: int) -> "Ball":
+        """Ball of the unreduced ratios mid_num/mid_den and rad_num/rad_den
+        (positive denominators, rad_num >= 0): exact balls stay exact, others
+        get one dyadic rounding of the midpoint and an upward-rounded radius."""
+        if rad_num == 0:
+            return cls(Fraction(mid_num, mid_den), 0, prec)
+        mid, err = round_nearest(mid_num, prec + _MID_GUARD, mid_den)
+        if err:
+            rad_num, rad_den = _add_ratios(rad_num, rad_den,
+                                           err.numerator, err.denominator)
+        return cls(mid, round_up(rad_num, _RAD_BITS, rad_den), prec)
 
     # -- interval views ------------------------------------------------------
 
@@ -174,11 +184,15 @@ class Ball:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Ball":
+        a, b = self.mid.numerator, self.mid.denominator
+        r, s = self.rad.numerator, self.rad.denominator
         if isinstance(other, Ball):
-            return Ball._make(self.mid + other.mid, self.rad + other.rad,
+            return Ball._make(*_add_ratios(a, b, other.mid.numerator, other.mid.denominator),
+                              *_add_ratios(r, s, other.rad.numerator, other.rad.denominator),
                               min(self.prec, other.prec))
         if isinstance(other, (int, Fraction)):
-            return Ball._make(self.mid + as_fraction(other), self.rad, self.prec)
+            return Ball._make(*_add_ratios(a, b, other.numerator, other.denominator),
+                              r, s, self.prec)
         return NotImplemented
 
     __radd__ = __add__
@@ -197,14 +211,18 @@ class Ball:
         return (-self) + other
 
     def __mul__(self, other) -> "Ball":
+        a, b = self.mid.numerator, self.mid.denominator
+        r, s = self.rad.numerator, self.rad.denominator
         if isinstance(other, Ball):
-            mid = self.mid * other.mid
-            rad = (abs(self.mid) * other.rad + abs(other.mid) * self.rad
-                   + self.rad * other.rad)
-            return Ball._make(mid, rad, min(self.prec, other.prec))
+            c, d = other.mid.numerator, other.mid.denominator
+            u, v = other.rad.numerator, other.rad.denominator
+            # |a/b| u/v + |c/d| r/s + (r/s)(u/v)
+            rad = _add_ratios(*_add_ratios(abs(a) * u, b * v, abs(c) * r, d * s),
+                              r * u, s * v)
+            return Ball._make(a * c, b * d, *rad, min(self.prec, other.prec))
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return Ball._make(self.mid * c, self.rad * abs(c), self.prec)
+            c, d = other.numerator, other.denominator
+            return Ball._make(a * c, b * d, r * abs(c), s * d, self.prec)
         return NotImplemented
 
     __rmul__ = __mul__

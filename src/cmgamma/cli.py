@@ -5,7 +5,9 @@ Exit-code contract (stable for CI): 0 = pass, 1 = verification failure,
 no timestamps, sorted JSON keys, fixed decimal formatting.
 
 The default precision comes from --prec, else the CMGAMMA_PREC environment
-variable, else 128 bits (256 for scans).
+variable, else 128 bits (256 for scans).  To keep the cost of a run bounded,
+a precision above scan.ESCALATION_CAP_BITS and a grid of more than
+scan.MAX_GRID_POINTS points are usage errors.
 """
 
 from __future__ import annotations
@@ -30,17 +32,23 @@ FAIL_EXIT = 1
 
 def _default_prec(args, fallback: int) -> int:
     prec = getattr(args, "prec", None)
+    source = f"--prec {prec}"
     if prec is not None:
         if prec < 8:
-            raise CmGammaError(f"--prec {prec}: precision must be at least 8 bits")
-        return prec
-    env = os.environ.get("CMGAMMA_PREC")
-    if env:
+            raise CmGammaError(f"{source}: precision must be at least 8 bits")
+    else:
+        env = os.environ.get("CMGAMMA_PREC")
+        if not env:
+            return fallback
         try:
-            return max(8, int(env))
+            prec = max(8, int(env))
         except ValueError:
             raise CmGammaError(f"CMGAMMA_PREC={env!r} is not an integer")
-    return fallback
+        source = f"CMGAMMA_PREC={env!r}"
+    if prec > scan.ESCALATION_CAP_BITS:
+        raise CmGammaError(f"{source}: precision above the limit of "
+                           f"{scan.ESCALATION_CAP_BITS} bits")
+    return prec
 
 
 def _parse_x(text: str) -> Fraction:

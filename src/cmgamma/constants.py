@@ -156,10 +156,31 @@ def _get(sections, key: str, path):
     return sections[key]
 
 
-@lru_cache(maxsize=8)
 def load_constants(path: str | Path | None = None) -> SourceConstants:
-    """Load and assemble the constants file (default: the packaged one)."""
-    path = Path(path) if path is not None else DEFAULT_CONSTANTS_PATH
+    """Load and assemble a constants file (default: the packaged one).
+
+    Results are cached on the resolved path, so every spelling of one file
+    gives the same object.  The packaged file stays cached for the life of
+    the process; other files share a small LRU cache.
+    """
+    if path is not None:
+        resolved = Path(path).resolve()
+        if resolved != DEFAULT_CONSTANTS_PATH.resolve():
+            return _load_other(resolved)
+    return _load_default()
+
+
+@lru_cache(maxsize=1)
+def _load_default() -> SourceConstants:
+    return _load_file(DEFAULT_CONSTANTS_PATH)
+
+
+@lru_cache(maxsize=8)
+def _load_other(path: Path) -> SourceConstants:
+    return _load_file(path)
+
+
+def _load_file(path: Path) -> SourceConstants:
     sections = parse_constants_text(path.read_text(), path)
     init: dict[str, dict[int, int]] = {}
     for stage in CHAIN_LENGTHS:

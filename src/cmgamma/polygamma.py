@@ -26,6 +26,19 @@ counted exactly.  N is chosen so the Euler-Maclaurin terms can reach ~2^-w
 before diverging; small x needs no special handling because F is set from
 the size of the leading term x^(-s).
 
+The Bernoulli numbers B_2k come exactly from the tangent numbers T_k, by
+the O(k^2) integer recurrence of Brent & Harvey ("Fast computation of
+Bernoulli, Tangent and Secant numbers"), in a table that grows on demand.
+The sum stops at the first K whose rounded-up remainder bound is at most
+the target 2^-(w+8) of the sum, and gives up on this N when the bound grows
+from one K to the next.  The exact bound is a division of numbers thousands
+of bits long, so it is computed only at steps where a float estimate of its
+log2 is within 2 bits of the target, or at most 2 bits below the previous
+step's estimate (the bounds may have stopped decreasing).  Float error in
+the estimate is far below 2 bits, so a skipped step is one where the exact
+comparison could not have stopped or diverged: N, K, the sum and the radius
+are the same as when the bound is computed at every step.
+
 The integral-representation quadrature (`polygamma_quadrature_crosscheck`)
 is a heuristic cross-check only: its radius is an error *estimate* from the
 adaptive scheme, not a proof.
@@ -38,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 from mpmath import mp
 
 from .algebra import as_fraction
@@ -68,14 +80,36 @@ class PrecisionPolicy:
 
 
 @lru_cache(maxsize=None)
+def _tangent_numbers(count: int) -> tuple[int, ...]:
+    """T_1..T_count by the in-place recurrence of Brent & Harvey."""
+    t = [0, 1] + [0] * (count - 1)
+    for j in range(2, count + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
+@lru_cache(maxsize=None)
 def _bernoulli(n: int) -> Fraction:
-    p, q = mpmath.bernfrac(n)
-    return Fraction(int(p), int(q))
+    """B_n for even n >= 2: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
+    The tangent numbers come from a table whose size doubles on demand.
+    """
+    k = n // 2
+    t = _tangent_numbers(max(32, 1 << (k - 1).bit_length()))[k - 1]
+    return Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1))
+
+
+_LOG2_4_OVER_25 = 2 - math.log2(25)
+_SKIP_MARGIN_BITS = 2  # far more than the float error of the log2 estimates
 
 
 @lru_cache(maxsize=8192)
-def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure (mid, rad) of sum_{i>=0} (x+i)^(-s), in integer units of 2^-F."""
+def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[int, int, int]:
+    """Enclosure of sum_{i>=0} (x+i)^(-s) as (total, radius, F): the sum is
+    within radius of total, both integers in units of 2^-F."""
     n, d = x.numerator, x.denominator
     round_bits = wbits + 24
     # x < 2^e, so the sum exceeds 2^(-s*e) and one unit is at most
@@ -91,30 +125,51 @@ def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[Fraction, Fraction]
         total = head + integral + ds // (2 * big_a ** s)
         floors = n_terms + 2  # each floor division is short by < 1 unit
         target = (head + integral) >> (wbits + 8)  # the sum exceeds head + integral
+        log_target = math.log2(target) if target else -math.inf
+        log_d_over_a = math.log2(d) - math.log2(big_a)
+        log_base = math.log2(5 / 2) + fbits + log_d_over_a
+
+        def exact_bound(k: int, rising: int, dj: int, aj: int) -> int:
+            """ceil of the remainder bound after k terms, in units."""
+            return -(-(5 * rising * (s + 2 * k - 1) * dj * d << (fbits + 4 * k + 2))
+                     // (2 * 25 ** (2 * k + 1) * aj * big_a))
+
         rising = s  # rising(s, 2k-1)
+        fact = 2  # (2k)!
         dj, aj = d ** (s + 1), big_a ** (s + 1)  # d^j and A^j, j = s+2k-1
         remainder = None
-        prev_bound = None
+        # step k-1's (k, rising, dj, aj), log2 estimate and exact bound if computed
+        prev_state = prev_est = prev_bound = None
         for k in range(1, 100001):
             if k > 1:
                 rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
+                fact *= (2 * k - 1) * (2 * k)
                 dj *= d * d
                 aj *= big_a * big_a
             b = _bernoulli(2 * k)
-            total += ((b.numerator * rising * dj << fbits)
-                      // (b.denominator * math.factorial(2 * k) * aj))
+            total += (b.numerator * rising * dj << fbits) // (b.denominator * fact * aj)
             floors += 1
-            bound = -(-(5 * 4 ** (2 * k + 1) * rising * (s + 2 * k - 1) * dj * d << fbits)
-                      // (2 * 25 ** (2 * k + 1) * aj * big_a))
-            if bound <= target:
-                remainder = bound
-                break
-            if prev_bound is not None and bound > prev_bound:
-                break  # the asymptotic terms started diverging; need larger N
-            prev_bound = bound
+            # log2 of the remainder bound before its ceiling; the exact bound
+            # is needed only where it may reach target or stop decreasing
+            j = s + 2 * k - 1
+            est = (log_base + (2 * k + 1) * _LOG2_4_OVER_25
+                   + math.log2(rising * j) + j * log_d_over_a)
+            bound = None
+            if est <= log_target + _SKIP_MARGIN_BITS:
+                bound = exact_bound(k, rising, dj, aj)
+                if bound <= target:
+                    remainder = bound
+                    break
+            if prev_state is not None and est >= prev_est - _SKIP_MARGIN_BITS:
+                if bound is None:
+                    bound = exact_bound(k, rising, dj, aj)
+                if prev_bound is None:
+                    prev_bound = exact_bound(*prev_state)
+                if bound > prev_bound:
+                    break  # the asymptotic terms started diverging; need larger N
+            prev_state, prev_est, prev_bound = (k, rising, dj, aj), est, bound
         if remainder is not None:
-            one = 1 << fbits
-            return Fraction(total, one), Fraction(floors + remainder, one)
+            return total, floors + remainder, fbits
     raise PrecisionError(
         f"series tail for s={s}, x={x} not certifiable at {wbits} working bits")
 
@@ -122,11 +177,14 @@ def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[Fraction, Fraction]
 def _polygamma_rational(m: int, x: Fraction, prec: int,
                         policy: PrecisionPolicy) -> Ball:
     wbits = policy.working_bits(m)
-    mid, rad = _zeta_like_sum(m + 1, x, wbits)
+    total, radius, fbits = _zeta_like_sum(m + 1, x, wbits)
     fac = math.factorial(m)
     sign = 1 if m % 2 == 1 else -1
-    ball = Ball._make(sign * fac * mid, fac * rad, prec)
-    if ball.mid != 0 and ball.rad > abs(ball.mid) * Fraction(1, 2 ** prec):
+    one = 1 << fbits
+    ball = Ball._make(sign * fac * total, one, fac * radius, one, prec)
+    mid, rad = ball.mid, ball.rad
+    # rad > |mid| 2^-prec, cross-multiplied
+    if mid and rad.numerator * mid.denominator << prec > abs(mid.numerator) * rad.denominator:
         raise PrecisionError(
             f"polygamma({m}, {x}) enclosure wider than 2^-{prec} relative")
     return ball
@@ -213,5 +271,6 @@ def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
             raise QuadratureFailure(
                 f"estimated error {err} too large for {prec}-bit request")
     sign = 1 if m % 2 == 1 else -1
-    return Ball._make(sign * _mpf_tuple_to_fraction(val._mpf_),
-                      abs(_mpf_tuple_to_fraction(err._mpf_)), prec)
+    mid = sign * _mpf_tuple_to_fraction(val._mpf_)
+    rad = abs(_mpf_tuple_to_fraction(err._mpf_))
+    return Ball._make(mid.numerator, mid.denominator, rad.numerator, rad.denominator, prec)

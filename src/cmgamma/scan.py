@@ -26,6 +26,10 @@ from .reporting import frac_str, stable_json_dumps
 
 ESCALATION_CAP_BITS = 4096
 
+#: Largest grid a scan accepts: at k <= 8 and 256 bits this is already
+#: about 10^5 cells, minutes of work.
+MAX_GRID_POINTS = 10_000
+
 _KINDS: dict[str, Callable] = {
     "g": bounds.g_derivative,
     "H": bounds.h_derivative,
@@ -41,6 +45,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.points:
             raise DomainError("grid must be nonempty")
+        _check_grid_size(len(self.points))
         if any(p <= 0 for p in self.points):
             raise DomainError("grid points must be positive")
 
@@ -55,6 +60,7 @@ class GridSpec:
         ratio = as_fraction(ratio)
         if count < 1 or ratio <= 0:
             raise DomainError("need count >= 1 and ratio > 0")
+        _check_grid_size(count)
         pts = [start * ratio ** j for j in range(count)]
         return cls.explicit(pts)
 
@@ -69,6 +75,7 @@ class GridSpec:
         stop = as_fraction(stop)
         if start <= 0 or stop <= 0:
             raise DomainError("grid points must be positive")
+        _check_grid_size(count)
         if count < 2:
             return cls.explicit([start])
         pts = [start]
@@ -80,6 +87,12 @@ class GridSpec:
                 pts.append(round_nearest(_mpf_tuple_to_fraction(v._mpf_), 24)[0])
         pts.append(stop)
         return cls.explicit(pts)
+
+
+def _check_grid_size(count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"grid of {count} points exceeds the limit of "
+                          f"{MAX_GRID_POINTS} points")
 
 
 def default_grid() -> GridSpec:

@@ -65,6 +65,23 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "g", "1", "--prec", "100000"],
+        ["eval", "psi1", "1", "--prec", "4097"],
+        ["identity-check", "telescoping", "--x", "1", "--prec", "8192"],
+        ["cm-scan", "g", "--kmax", "0", "--grid", "1", "--prec", "5000"],
+    ])
+    def test_precision_above_cap_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_env_precision_above_cap_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("CMGAMMA_PREC", "100000")
+        code, out, err = run(capsys, "eval", "g", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_crosscheck_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "psi1", "1", "--prec", "64",
                            "--crosscheck")
@@ -179,6 +196,16 @@ class TestCmScan:
     @pytest.mark.parametrize("grid", ["span:1:2:x", "geometric:1:abc:3",
                                       "span:1/0:2:3", "span:0:2:3", "span:-1:2:3"])
     def test_malformed_grid_exit_two(self, capsys, grid):
+        code, out, err = run(capsys, "cm-scan", "g", "--kmax", "0", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("grid", [
+        "span:1/16:64:100000000", "geometric:1:2:100000000",
+        ",".join(str(i) for i in range(1, 10_002)),
+    ])
+    def test_grid_above_point_limit_exit_two(self, capsys, grid):
         code, out, err = run(capsys, "cm-scan", "g", "--kmax", "0", "--grid", grid)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

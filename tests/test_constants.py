@@ -1,6 +1,7 @@
 """Constants file: grammar, structure, and the frozen checksum."""
 
 import hashlib
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +49,19 @@ def test_theta2_at_zero_oracle(consts):
 
 def test_loader_caches_default(consts):
     assert load_constants() is consts
+
+
+def test_loader_caches_on_resolved_path(consts, tmp_path):
+    for spelling in (None, DEFAULT_CONSTANTS_PATH, str(DEFAULT_CONSTANTS_PATH),
+                     os.path.relpath(DEFAULT_CONSTANTS_PATH)):
+        assert load_constants(spelling) is consts
+    copies = []
+    for i in range(9):  # more other files than the LRU cache holds
+        copies.append(tmp_path / f"copy{i}.txt")
+        copies[-1].write_text(DEFAULT_CONSTANTS_PATH.read_text())
+        assert load_constants(copies[-1]) is load_constants(str(tmp_path / "." / copies[-1].name))
+        assert load_constants(copies[-1]) is not consts
+    assert load_constants() is consts  # the packaged file is never evicted
 
 
 def test_parse_scale_and_powers():

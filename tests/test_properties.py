@@ -1,14 +1,18 @@
-"""Property tests of the integer rounding, series and partial-fraction paths.
+"""Property tests of the integer rounding, ball, series and partial-fraction paths.
 
-The rounding functions are checked bit for bit against the plain-Fraction
-reference below; polygamma and its fixed-point series are checked for
-containment of mpmath's psi and Hurwitz zeta at four times the precision;
-the integer partial-fraction decomposition is checked against sympy's
-``apart`` and by recomposing it.
+The rounding functions and the Ball operations are checked bit for bit
+against the plain-Fraction references below; the fixed-point series is
+checked bit for bit against a reference copy of the loop that recomputes
+every remainder bound, and with polygamma for containment of mpmath's psi
+and Hurwitz zeta at four times the precision; the Bernoulli numbers are
+checked against mpmath's; the integer partial-fraction decomposition is
+checked against sympy's ``apart`` and by recomposing it.
 """
 
+import math
 from fractions import Fraction as F
 
+import mpmath
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,10 +20,11 @@ from mpmath import mp
 
 from cmgamma.algebra import (PartialFractionForm, PartialFractionTerm, Poly,
                              pfd_decompose, pfd_recompose)
-from cmgamma.ball import _mpf_tuple_to_fraction, round_nearest, round_up
+from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                load_constants)
-from cmgamma.polygamma import _zeta_like_sum, polygamma
+from cmgamma.errors import PrecisionError
+from cmgamma.polygamma import _bernoulli, _zeta_like_sum, polygamma
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -57,9 +62,11 @@ dyadic_ties = st.builds(lambda m, e, neg: F(-(2 * m + 1) if neg else 2 * m + 1) 
 
 
 @SETTINGS
-@given(rationals, st.integers(1, 120))
-def test_round_nearest_matches_fraction_reference(q, bits):
-    assert round_nearest(q, bits) == ref_round_nearest(q, bits)
+@given(rationals, st.integers(1, 120), st.integers(1, 2 ** 70))
+def test_round_nearest_matches_fraction_reference(q, bits, k):
+    want = ref_round_nearest(q, bits)
+    assert round_nearest(q, bits) == want
+    assert round_nearest(q.numerator * k, bits, q.denominator * k) == want  # unreduced
 
 
 @SETTINGS
@@ -71,9 +78,69 @@ def test_round_nearest_ties_to_even(q):
 
 
 @SETTINGS
-@given(rationals.map(abs), st.integers(1, 120))
-def test_round_up_matches_fraction_reference(q, bits):
-    assert round_up(q, bits) == ref_round_up(q, bits)
+@given(rationals.map(abs), st.integers(1, 120), st.integers(1, 2 ** 70))
+def test_round_up_matches_fraction_reference(q, bits, k):
+    want = ref_round_up(q, bits)
+    assert round_up(q, bits) == want
+    assert round_up(q.numerator * k, bits, q.denominator * k) == want  # unreduced
+
+
+# Ball operations as plain Fraction formulas: the exact result, then one
+# rounding of the midpoint to prec + 16 bits and of the radius to 16 bits.
+
+def ref_make(mid: F, rad: F, prec: int) -> tuple[F, F]:
+    if rad == 0:
+        return mid, F(0)
+    mid2, err = ref_round_nearest(mid, prec + 16)
+    return mid2, ref_round_up(rad + err, 16)
+
+
+def ref_op(op: str, x, y) -> tuple[F, F]:
+    """x op y for Balls and exact rationals, one of them a Ball."""
+    if not isinstance(x, Ball):  # q - ball is (-ball) + q; q + ball, q * ball commute
+        return ref_op("+", Ball(-y.mid, y.rad, y.prec), x) if op == "-" else ref_op(op, y, x)
+    if isinstance(y, Ball):
+        prec = min(x.prec, y.prec)
+        if op == "*":
+            return ref_make(x.mid * y.mid, abs(x.mid) * y.rad + abs(y.mid) * x.rad
+                            + x.rad * y.rad, prec)
+        sign = 1 if op == "+" else -1
+        return ref_make(x.mid + sign * y.mid, x.rad + y.rad, prec)
+    if op == "*":
+        return ref_make(x.mid * y, x.rad * abs(y), x.prec)
+    return ref_make(x.mid + (y if op == "+" else -y), x.rad, x.prec)
+
+
+small = st.one_of(st.just(F(0)), st.integers(-10 ** 6, 10 ** 6).map(F),
+                  st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6))  # non-dyadic
+dyadic = st.builds(lambda m, e: F(m) * F(2) ** e, st.integers(-2 ** 300, 2 ** 300),
+                   st.integers(-400, 100))
+radii = st.one_of(st.just(F(0)), st.builds(lambda m, e: F(m) * F(2) ** e,
+                                           st.integers(1, 2 ** 16), st.integers(-420, 0)))
+balls = st.builds(Ball, st.one_of(small, dyadic), radii, st.integers(8, 300))
+operands = st.one_of(balls, small, st.integers(-10 ** 20, 10 ** 20))
+
+
+@SETTINGS
+@given(st.sampled_from("+-*"), balls, operands, st.booleans())
+@example("*", Ball(F(1, 3), 0, 53), F(-2, 7), False)  # exact, non-dyadic
+@example("-", Ball(F(1, 3), F(1, 2 ** 60), 53), 0, True)
+@example("+", Ball(0, F(1, 2 ** 30), 64), Ball(F(-5, 3), 0, 128), False)
+def test_ball_ops_match_fraction_reference(op, x, y, swap):
+    if swap:
+        x, y = y, x
+    got = {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y}[op]()
+    assert (got.mid, got.rad) == ref_op(op, x, y)
+    assert got.prec == min(b.prec for b in (x, y) if isinstance(b, Ball))
+
+
+@SETTINGS
+@given(st.one_of(small, dyadic), radii, st.integers(8, 300), st.integers(1, 2 ** 40),
+       st.integers(1, 2 ** 40))
+def test_make_of_unreduced_ratios_matches_fraction_reference(mid, rad, prec, k, j):
+    ball = Ball._make(mid.numerator * k, mid.denominator * k,
+                      rad.numerator * j, rad.denominator * j, prec)
+    assert (ball.mid, ball.rad) == ref_make(mid, rad, prec)
 
 
 positive_x = st.builds(lambda frac, k: frac * F(2) ** k,
@@ -94,11 +161,73 @@ def test_polygamma_contains_mpmath(m, x, prec):
         assert ball.contains(mp.psi(m, mp.mpf(x.numerator) / x.denominator))
 
 
+def test_bernoulli_matches_mpmath():
+    for n in range(2, 401, 2):
+        p, q = mpmath.bernfrac(n)
+        assert _bernoulli(n) == F(int(p), int(q))
+
+
+def ref_zeta_like_sum(s: int, x: F, wbits: int) -> tuple[F, F]:
+    """The series with the exact remainder bound recomputed at every step."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length() + 1
+    fbits = max(0, wbits + 24 + s * e + 16)
+    for attempt in range(4):
+        n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
+        ds = d ** s << fbits
+        head = sum(ds // (n + i * d) ** s for i in range(n_terms))
+        big_a = n + n_terms * d
+        integral = (d ** (s - 1) << fbits) // ((s - 1) * big_a ** (s - 1))
+        total = head + integral + ds // (2 * big_a ** s)
+        floors = n_terms + 2
+        target = (head + integral) >> (wbits + 8)
+        rising = s
+        dj, aj = d ** (s + 1), big_a ** (s + 1)
+        remainder = None
+        prev_bound = None
+        for k in range(1, 100001):
+            if k > 1:
+                rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
+                dj *= d * d
+                aj *= big_a * big_a
+            p, q = mpmath.bernfrac(2 * k)
+            total += ((int(p) * rising * dj << fbits)
+                      // (int(q) * math.factorial(2 * k) * aj))
+            floors += 1
+            bound = -(-(5 * 4 ** (2 * k + 1) * rising * (s + 2 * k - 1) * dj * d << fbits)
+                      // (2 * 25 ** (2 * k + 1) * aj * big_a))
+            if bound <= target:
+                remainder = bound
+                break
+            if prev_bound is not None and bound > prev_bound:
+                break
+            prev_bound = bound
+        if remainder is not None:
+            one = 1 << fbits
+            return F(total, one), F(floors + remainder, one)
+    raise PrecisionError("not certifiable")
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.integers(2, 16), positive_x, st.integers(64, 1100))
+@example(16, F(1, 2 ** 20), 1100)
+@example(2, F(2 ** 20), 1100)
+@example(7, F(999983, 1000003), 64)
+@example(30, F(9), 8)  # the first N diverges: the loop retries with a larger N
+@example(33, F(12), 19)
+@example(33, F(22), 49)  # the bounds decrease by less than 2 bits a step before the stop
+@example(18, F(17, 2), 7)
+def test_series_matches_reference_loop(s, x, wbits):
+    total, radius, fbits = _zeta_like_sum(s, x, wbits)
+    assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+
+
 @settings(SETTINGS, max_examples=12)
 @given(st.integers(2, 14), positive_x, st.sampled_from([64, 256, 1024]))
 def test_series_radius_covers_hurwitz_zeta(s, x, wbits):
     # the raw series enclosure, before Ball renormalization widens it
-    mid, rad = _zeta_like_sum(s, x, wbits)
+    total, radius, fbits = _zeta_like_sum(s, x, wbits)
+    mid, rad = F(total, 2 ** fbits), F(radius, 2 ** fbits)
     assert rad <= mid / 2 ** (wbits + 4)
     with mp.workprec(4 * wbits):
         ref = _mpf_tuple_to_fraction(mp.zeta(s, mp.mpf(x.numerator) / x.denominator)._mpf_)
