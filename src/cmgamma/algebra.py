@@ -1,8 +1,10 @@
 """Exact rational algebra: polynomials, exponential polynomials, partial fractions.
 
-Everything in this module is exact.  Coefficients are ``fractions.Fraction``
-throughout, polynomials are dense coefficient tuples (index = power), and an
-exponential polynomial is a finite sum
+Everything in this module is exact.  A polynomial is dense (index = power)
+and stores integer numerators over one positive common denominator in lowest
+terms, so sums, products, derivatives, evaluation and shifts run on integers
+and a ``fractions.Fraction`` is made only where a coefficient or a value is
+handed out.  An exponential polynomial is a finite sum
 
     sum_k  p_k(t) * e^(k*t),   k a nonnegative integer, p_k a rational Poly.
 
@@ -43,17 +45,43 @@ def as_fraction(v) -> Fraction:
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs[i] is the coefficient of the i-th power; the zero polynomial is
-    the empty tuple.  Instances are immutable.
+    Stored as integer numerators over one positive common denominator in
+    lowest terms: coefficient i is ``Fraction(num[i], den)``, the numerators
+    carry no trailing zeros, gcd(den, *num) == 1, and the zero polynomial is
+    ((), 1).  The form is canonical, so ``==`` and ``hash`` are structural.
+    ``coeffs`` is the tuple of Fraction coefficients (index = power), built
+    on first use.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        # reduced Fractions over their lcm already have gcd(den, *num) == 1
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list, den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _make(cls, num: list, den: int = 1) -> "Poly":
+        """Poly with coefficients num[i]/den (den != 0), brought to canonical form."""
+        if den != 1:
+            if den < 0:
+                num, den = [-c for c in num], -den
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [c // g for c in num], den // g
+        self = object.__new__(cls)
+        self._set(num, den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -77,26 +105,34 @@ class Poly:
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            den = self._den
+            object.__setattr__(self, "_coeffs",
+                               tuple(Fraction(c, den) for c in self._num))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return "Poly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -106,8 +142,8 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return _ZERO
 
     # -- arithmetic ----------------------------------------------------------
@@ -115,16 +151,19 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._num, other._num, self._den
+        if den != other._den:
+            a, b = [c * other._den for c in a], [c * den for c in b]
+            den *= other._den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._make(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._make([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -133,19 +172,18 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
+            a, b = self._num, other._num
             if not a or not b:
                 return Poly.zero()
-            out = [_ZERO] * (len(a) + len(b) - 1)
+            out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return Poly(out)
+                if ca:
+                    for j, cb in enumerate(b):
+                        out[i + j] += ca * cb
+            return Poly._make(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return Poly(tuple(c * a for a in self.coeffs))
+            return Poly._make([other.numerator * a for a in self._num],
+                              other.denominator * self._den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -164,42 +202,63 @@ class Poly:
 
     def deriv(self) -> "Poly":
         """Formal derivative."""
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Poly._make([i * c for i, c in enumerate(self._num) if i], self._den)
 
     def __call__(self, x: Rat) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation: with x = n/d, one integer Horner sum
+        over the numerators and one Fraction at the end."""
         x = as_fraction(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        n, d = x.numerator, x.denominator
+        acc, dpow = 0, 1
+        for c in reversed(self._num):  # sum of num[i] n^i d^(deg-i)
+            acc = acc * n + c * dpow
+            dpow *= d
+        return Fraction(acc * d, self._den * dpow)  # dpow = d^(deg+1)
 
     def shift(self, c: Rat) -> "Poly":
-        """Taylor shift: returns the polynomial q with q(x) = self(x + c)."""
-        cs = list(self.coeffs)
-        _taylor_shift(cs, as_fraction(c))
-        return Poly(cs)
+        """Taylor shift: returns the polynomial q with q(x) = self(x + c).
+
+        With c = u/v, self(x + c) = sum_i num[i] v^(deg-i) (v x + u)^i
+        / (den v^deg): an integer Taylor shift by u, then x^j scaled by v^j.
+        """
+        if not self._num:
+            return self
+        c = as_fraction(c)
+        u, v = c.numerator, c.denominator
+        deg = self.degree
+        cs = [a * v ** (deg - i) for i, a in enumerate(self._num)]
+        _taylor_shift(cs, u)
+        return Poly._make([a * v ** j for j, a in enumerate(cs)], self._den * v ** deg)
 
     # -- division ------------------------------------------------------------
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder."""
+        """Exact polynomial division with remainder.
+
+        Integer pseudo-division: lead^s * num_a = Q * num_b + R after s
+        steps (lead = leading numerator of other), so with a = num_a/da and
+        b = num_b/db the quotient is Q db / (lead^s da) and the remainder
+        R / (lead^s da).
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
+        den = other._num
         dd = len(den) - 1
-        lead = den[-1]
-        if len(rem) - 1 < dd:
+        if len(self._num) - 1 < dd:
             return Poly.zero(), self
-        quot = [_ZERO] * (len(rem) - dd)
+        rem = list(self._num)
+        lead = den[-1]
+        quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            f = rem[i] / lead
-            if f != 0:
-                quot[i - dd] = f
-                for j, dc in enumerate(den):
-                    rem[i - dd + j] -= f * dc
-        return Poly(quot), Poly(rem[:dd] if dd else ())
+            f = rem[i]
+            rem = [r * lead for r in rem]
+            quot = [q * lead for q in quot]
+            quot[i - dd] = f
+            for j, dc in enumerate(den):
+                rem[i - dd + j] -= f * dc
+        scale = lead ** len(quot) * self._den
+        return (Poly._make([q * other._den for q in quot], scale),
+                Poly._make(rem[:dd], scale))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
@@ -210,14 +269,14 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * (1 / self.coeffs[-1])
+        return Poly._make(list(self._num), self._num[-1])
 
 
-def _taylor_shift(cs: list, c) -> None:
+def _taylor_shift(cs: list, c: int) -> None:
     """In place: cs[i] becomes the x^i coefficient of sum_j cs[j] (x + c)^j.
 
-    Horner's scheme run n - 1 times; after pass i, cs[i] is final.  Works on
-    ints and Fractions alike.
+    Horner's scheme run n - 1 times on integers; after pass i, cs[i] is
+    final.
     """
     n = len(cs)
     for i in range(n - 1):
@@ -319,8 +378,18 @@ class ExpPoly:
     __rmul__ = __mul__
 
     def deriv(self) -> "ExpPoly":
-        """Exact derivative: d/dt [p(t) e^(kt)] = (p'(t) + k p(t)) e^(kt)."""
-        return ExpPoly({k: p.deriv() + k * p for k, p in self._blocks.items()})
+        """Exact derivative: d/dt [p(t) e^(kt)] = (p'(t) + k p(t)) e^(kt).
+
+        Block by block on the integer numerators: the t^i coefficient of
+        p' + k p is (i+1) a[i+1] + k a[i] over the block's denominator.
+        """
+        out = {}
+        for k, p in self._blocks.items():
+            a = p._num
+            num = [(i + 1) * a[i + 1] + k * a[i] for i in range(len(a) - 1)]
+            num.append(k * a[-1])
+            out[k] = Poly._make(num, p._den)
+        return ExpPoly(out)
 
     def deriv_n(self, n: int) -> "ExpPoly":
         e = self
@@ -329,8 +398,12 @@ class ExpPoly:
         return e
 
     def eval_exact_at_zero(self) -> Fraction:
-        """Exact value at t = 0 (every e^(k*0) is 1)."""
-        return sum((p.coeff(0) for p in self._blocks.values()), _ZERO)
+        """Exact value at t = 0 (every e^(k*0) is 1): the sum of the blocks'
+        constant numerators over their denominators."""
+        num, den = 0, 1
+        for p in self._blocks.values():
+            num, den = num * p._den + p._num[0] * den, den * p._den
+        return Fraction(num, den)
 
     def shift_exp(self, k: int) -> "ExpPoly":
         """Multiply by e^(k*t): all exponents move up by k."""
@@ -552,14 +625,13 @@ def pfd_decompose(num: Poly,
     if num.degree >= total:
         raise DegreeError(
             f"numerator degree {num.degree} >= denominator degree {total}")
-    # Work on integers: num = N / L with N integral, and around x = -a
+    # Work on integers: num = N / L with N its numerators, and around x = -a
     # (u = x + a) expand N(u - a) / rest(u) = sum_j s_j u^j, where
     # rest(u) = prod_{b != a} (u + b - a)^m_b.  The u^j coefficient feeds
     # order m - j.  With r = rest(0) != 0 the scaled S_j = s_j r^(j+1) obey
     #     S_j = N_j r^j - sum_{i<j} S_i rest_(j-i) r^(j-i-1),
     # so the only Fraction made per term is S_j / (L r^(j+1)).
-    lcm_den = math.lcm(*(c.denominator for c in num.coeffs))
-    int_num = [c.numerator * (lcm_den // c.denominator) for c in num.coeffs]
+    lcm_den, int_num = num._den, num._num
     terms: list[PartialFractionTerm] = []
     for a, m in den_factors:
         num_u = list(int_num)

@@ -33,18 +33,17 @@ FAIL_EXIT = 1
 def _default_prec(args, fallback: int) -> int:
     prec = getattr(args, "prec", None)
     source = f"--prec {prec}"
-    if prec is not None:
-        if prec < 8:
-            raise CmGammaError(f"{source}: precision must be at least 8 bits")
-    else:
+    if prec is None:
         env = os.environ.get("CMGAMMA_PREC")
         if not env:
             return fallback
         try:
-            prec = max(8, int(env))
+            prec = int(env)
         except ValueError:
             raise CmGammaError(f"CMGAMMA_PREC={env!r} is not an integer")
         source = f"CMGAMMA_PREC={env!r}"
+    if prec < 8:
+        raise CmGammaError(f"{source}: precision must be at least 8 bits")
     if prec > scan.ESCALATION_CAP_BITS:
         raise CmGammaError(f"{source}: precision above the limit of "
                            f"{scan.ESCALATION_CAP_BITS} bits")

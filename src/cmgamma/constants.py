@@ -55,7 +55,12 @@ class SourceConstants:
     source_path: Path
 
 
-def _parse_rational(tok: str, path, lineno: int) -> Fraction:
+def _parse_rational(tok: str, path, lineno: int) -> int | Fraction:
+    """An int for an integer token, else a Fraction."""
+    try:
+        return int(tok)
+    except ValueError:
+        pass
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
@@ -73,8 +78,8 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
     """Parse the documented grammar into {'poly NAME': Poly, 'pf NAME': ...}."""
     sections: dict[str, object] = {}
     kind = name = None
-    poly_coeffs: dict[int, Fraction] = {}
-    poly_scale = Fraction(1)
+    poly_coeffs: dict[int, int | Fraction] = {}
+    poly_scale: int | Fraction = 1
     pf_terms: list[PartialFractionTerm] = []
     values: dict[str, int] = {}
 
@@ -87,13 +92,13 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             raise ConstantsFormatError(f"{path}: duplicate section [{key}]")
         if kind == "poly":
             top = max(poly_coeffs, default=-1)
-            sections[key] = Poly(
-                [poly_scale * poly_coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+            poly = Poly([poly_coeffs.get(i, 0) for i in range(top + 1)])
+            sections[key] = poly * poly_scale if poly_scale != 1 else poly
         elif kind == "pf":
             sections[key] = PartialFractionForm(Poly.zero(), pf_terms)
         else:
             sections[key] = dict(values)
-        poly_coeffs, poly_scale, pf_terms, values = {}, Fraction(1), [], {}
+        poly_coeffs, poly_scale, pf_terms, values = {}, 1, [], {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,27 +166,28 @@ def load_constants(path: str | Path | None = None) -> SourceConstants:
 
     Results are cached on the resolved path, so every spelling of one file
     gives the same object.  The packaged file stays cached for the life of
-    the process; other files share a small LRU cache.
+    the process; other files share a small LRU cache keyed on the path and
+    the file's text, so a file rewritten in place is parsed again.
     """
     if path is not None:
         resolved = Path(path).resolve()
         if resolved != DEFAULT_CONSTANTS_PATH.resolve():
-            return _load_other(resolved)
+            return _load_other(resolved, resolved.read_text())
     return _load_default()
 
 
 @lru_cache(maxsize=1)
 def _load_default() -> SourceConstants:
-    return _load_file(DEFAULT_CONSTANTS_PATH)
+    return _load_file(DEFAULT_CONSTANTS_PATH, DEFAULT_CONSTANTS_PATH.read_text())
 
 
 @lru_cache(maxsize=8)
-def _load_other(path: Path) -> SourceConstants:
-    return _load_file(path)
+def _load_other(path: Path, text: str) -> SourceConstants:
+    return _load_file(path, text)
 
 
-def _load_file(path: Path) -> SourceConstants:
-    sections = parse_constants_text(path.read_text(), path)
+def _load_file(path: Path, text: str) -> SourceConstants:
+    sections = parse_constants_text(text, path)
     init: dict[str, dict[int, int]] = {}
     for stage in CHAIN_LENGTHS:
         raw = _get(sections, f"values {stage}_init", path)

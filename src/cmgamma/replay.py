@@ -26,6 +26,7 @@ from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
 from .errors import CertificateFailure, FixtureMismatch, IndeterminateSign
 from .reporting import frac_str, stable_json_dumps
 
+# theta^(10) = 1 * e^t * theta1 and theta1^(10) = 512 * e^t * theta2
 _STAGE_FIXTURE_FACTOR = {"theta1": 1, "theta2": 512}
 
 
@@ -165,28 +166,24 @@ def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly
 
 
 def build_chain(constants: SourceConstants | None = None) -> ThetaChain:
-    """Differentiate the fixture theta through all three stages exactly."""
+    """Differentiate the fixture theta through all three stages exactly.
+
+    Each stage after the first is the previous stage's last derivative
+    with factor * e^t divided out.
+    """
     constants = constants if constants is not None else load_constants()
-    theta_derivs = []
+    fields = {}
     cur = constants.theta
-    for _ in range(10):
-        cur = cur.deriv()
-        theta_derivs.append(cur)
-    theta1 = theta_derivs[-1].factor_exp(1, 1)
-    theta1_derivs = []
-    cur = theta1
-    for _ in range(10):
-        cur = cur.deriv()
-        theta1_derivs.append(cur)
-    theta2 = theta1_derivs[-1].factor_exp(1, 512)
-    theta2_derivs = []
-    cur = theta2
-    for _ in range(9):
-        cur = cur.deriv()
-        theta2_derivs.append(cur)
-    return ThetaChain(constants.theta, tuple(theta_derivs),
-                      theta1, tuple(theta1_derivs),
-                      theta2, tuple(theta2_derivs))
+    for stage, length in CHAIN_LENGTHS.items():
+        if stage in _STAGE_FIXTURE_FACTOR:
+            cur = cur.factor_exp(1, _STAGE_FIXTURE_FACTOR[stage])
+        fields[stage] = cur
+        derivs = []
+        for _ in range(length):
+            cur = cur.deriv()
+            derivs.append(cur)
+        fields[f"{stage}_derivs"] = tuple(derivs)
+    return ThetaChain(**fields)
 
 
 def _step(idx: int, name: str, claim: str, method: str, values, ok: bool,
@@ -227,7 +224,7 @@ def verify_derivative_fixtures(chain: ThetaChain,
         ("theta-10th", chain.stage("theta", 10), constants.theta1.shift_exp(1)),
         ("theta1-prime", chain.stage("theta1", 1), constants.theta1_prime),
         ("theta1-10th", chain.stage("theta1", 10),
-         512 * constants.theta2.shift_exp(1)),
+         _STAGE_FIXTURE_FACTOR["theta2"] * constants.theta2.shift_exp(1)),
         ("theta2-9th", chain.stage("theta2", 9), constants.theta2_d9),
     ]
     out = []

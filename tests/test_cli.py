@@ -76,6 +76,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("prec", ["0", "-5", "3"])
+    def test_env_precision_below_minimum_exit_two(self, capsys, monkeypatch, prec):
+        monkeypatch.setenv("CMGAMMA_PREC", prec)
+        code, out, err = run(capsys, "eval", "psi1", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_env_precision_above_cap_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("CMGAMMA_PREC", "100000")
         code, out, err = run(capsys, "eval", "g", "1")

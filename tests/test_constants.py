@@ -64,6 +64,23 @@ def test_loader_caches_on_resolved_path(consts, tmp_path):
     assert load_constants() is consts  # the packaged file is never evicted
 
 
+def test_loader_rereads_a_file_rewritten_in_place(mutate_constants):
+    # one token changed in place: same path, same size
+    first = load_constants(mutate_constants(r"-251/120 1 2", "-131/120 1 2"))
+    second = load_constants(mutate_constants(r"-251/120 1 2", "-137/120 1 2"))
+    assert first.source_path == second.source_path
+    assert PartialFractionTerm(F(-131, 120), 1, 2) in first.remainder_expansion.terms
+    assert PartialFractionTerm(F(-137, 120), 1, 2) in second.remainder_expansion.terms
+    assert load_constants(second.source_path) is second
+
+
+def test_parse_integer_and_rational_tokens():
+    sections = parse_constants_text("[poly a]\nscale 3/2\n0 4\n1 1/3\n3 -0\n"
+                                    "[poly b]\n0 7\n2 -5\n")
+    assert sections["poly a"].coeffs == (F(6), F(1, 2))
+    assert sections["poly b"].coeffs == (F(7), F(0), F(-5))
+
+
 def test_parse_scale_and_powers():
     sections = parse_constants_text("[poly a]\nscale -4\n0 2\n2 1/2\n")
     poly = sections["poly a"]
@@ -89,6 +106,9 @@ def test_parse_pf_section():
     "[poly a\n",                    # unterminated header
     "[values v]\na 1\na 2\n",       # repeated label
     "[poly a]\n0 1 2\n",            # wrong arity
+    "[poly a]\n0 1/0\n",            # zero denominator
+    "[poly a]\nscale 2/0\n0 1\n",  # zero denominator in the scale
+    "[poly a]\n0 1.5.2\n",          # not a rational
 ])
 def test_grammar_errors(text):
     with pytest.raises(ConstantsFormatError):

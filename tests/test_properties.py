@@ -6,20 +6,23 @@ checked bit for bit against a reference copy of the loop that recomputes
 every remainder bound, and with polygamma for containment of mpmath's psi
 and Hurwitz zeta at four times the precision; the Bernoulli numbers are
 checked against mpmath's; the integer partial-fraction decomposition is
-checked against sympy's ``apart`` and by recomposing it.
+checked against sympy's ``apart`` and by recomposing it; the integer-numerator
+``Poly`` and ``ExpPoly.deriv`` are checked against plain Fraction-tuple
+formulas.
 """
 
 import math
 from fractions import Fraction as F
 
 import mpmath
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from cmgamma.algebra import (PartialFractionForm, PartialFractionTerm, Poly,
-                             pfd_decompose, pfd_recompose)
+from cmgamma.algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm,
+                             Poly, pfd_decompose, pfd_recompose)
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                load_constants)
@@ -286,3 +289,153 @@ def test_pfd_decompose_matches_sympy_apart(case):
     for a, m in factors:
         den = den * Poly([a, 1]) ** m
     assert got_num * den == num * got_den
+
+
+# Poly against the Fraction-tuple formulas it replaced: every result must
+# equal the reference coefficients, structurally and in hash.
+
+def ref_norm(cs) -> tuple:
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return ref_norm(out)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref_norm(out)
+
+
+def ref_scale(a, c):
+    return ref_norm(c * x for x in a)
+
+
+def ref_deriv(a):
+    return ref_norm(i * c for i, c in enumerate(a) if i > 0)
+
+
+def ref_call(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_shift(a, c):
+    cs = list(a)
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] += c * cs[j + 1]
+    return ref_norm(cs)
+
+
+def ref_divmod(a, b):
+    rem, dd, lead = list(a), len(b) - 1, b[-1]
+    if len(rem) - 1 < dd:
+        return (), a
+    quot = [F(0)] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        f = rem[i] / lead
+        quot[i - dd] = f
+        for j, dc in enumerate(b):
+            rem[i - dd + j] -= f * dc
+    return ref_norm(quot), ref_norm(rem[:dd])
+
+
+def assert_poly(p: Poly, ref: tuple):
+    assert p.coeffs == ref
+    assert p == Poly(ref) and hash(p) == hash(Poly(ref))
+    assert p.degree == len(ref) - 1 and bool(p) == bool(ref)
+    # canonical form: positive lowest-terms denominator, no trailing zero
+    assert p._den > 0 and math.gcd(p._den, *p._num) == 1
+    if ref:
+        assert p._num[-1] != 0
+    else:
+        assert (p._num, p._den) == ((), 1)
+
+
+coeff_values = st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                         st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4),
+                         st.builds(F, st.integers(-99, 99), st.integers(-50, -1)))  # negative den
+coeff_inputs = st.one_of(coeff_values, coeff_values.map(str))
+poly_inputs = st.builds(lambda cs, zeros: cs + zeros,
+                        st.lists(coeff_inputs, max_size=7),
+                        st.lists(st.sampled_from([0, F(0), "0", "0/5", "-0"]), max_size=2))
+scalars = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6), coeff_values.map(F))
+
+
+@SETTINGS
+@given(poly_inputs, poly_inputs, scalars, st.integers(0, 3))
+@example([], [0, F(0), "0"], 0, 0)
+@example(["1/2", F(-3, 4)], [F(2, -3)], F(-6, 5), 2)
+@example([1, 2], ["1/2", 1], 3, 1)  # equal numerators, different denominators
+def test_poly_matches_fraction_reference(ca, cb, c, n):
+    a, b = ref_norm(map(F, ca)), ref_norm(map(F, cb))
+    pa, pb = Poly(ca), Poly(cb)
+    assert_poly(pa, a)
+    for i in range(-1, len(a) + 2):
+        assert pa.coeff(i) == (a[i] if 0 <= i < len(a) else 0)
+    assert_poly(pa + pb, ref_add(a, b))
+    assert_poly(pa - pb, ref_add(a, ref_scale(b, -1)))
+    assert_poly(-pa, ref_scale(a, -1))
+    assert_poly(pa * pb, ref_mul(a, b))
+    assert_poly(pa * c, ref_scale(a, F(c)))
+    assert_poly(c * pa, ref_scale(a, F(c)))
+    want = (F(1),)
+    for _ in range(n):
+        want = ref_mul(want, a)
+    assert_poly(pa ** n, want)
+    assert_poly(pa.deriv(), ref_deriv(a))
+    assert pa(c) == pa(str(c)) == ref_call(a, F(c))
+    assert_poly(pa.shift(c), ref_shift(a, F(c)))
+    if b:
+        q, r = pa.divmod(pb)
+        want_q, want_r = ref_divmod(a, b)
+        assert_poly(q, want_q)
+        assert_poly(r, want_r)
+        assert_poly(pb.monic(), ref_scale(b, 1 / b[-1]))
+    assert (pa == pb) == (a == b)
+    # equal values reached by different routes are equal and hash alike
+    for same in ((pa + pb) - pb, pa * 1, Poly(a), Poly(map(str, a)), Poly(list(a) + [0])):
+        assert same == pa and hash(same) == hash(pa)
+
+
+def test_poly_rejects_floats():
+    p = Poly([1, F(1, 2)])
+    for bad in (lambda: Poly([1, 0.5]), lambda: Poly([0.0]), lambda: p(0.5),
+                lambda: p.shift(0.5), lambda: p * 0.5, lambda: Poly.const(2.0),
+                lambda: p + 1.5):
+        with pytest.raises(TypeError):
+            bad()
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(0, 4), poly_inputs, max_size=4))
+@example({0: [5], 1: ["1/2", 0, F(-3, 7)], 3: [0, 0]})
+def test_exppoly_deriv_matches_reference(blocks):
+    e = ExpPoly({k: Poly(cs) for k, cs in blocks.items()})
+    want = {}
+    for k, cs in blocks.items():
+        a = ref_norm(map(F, cs))
+        block = ref_add(ref_deriv(a), ref_scale(a, F(k)))
+        if block:
+            want[k] = block
+    d = e.deriv()
+    assert {k: p.coeffs for k, p in d.blocks()} == want
+    assert d == ExpPoly({k: Poly(cs) for k, cs in want.items()})
+    assert d.eval_exact_at_zero() == sum((cs[0] for cs in want.values()), F(0))

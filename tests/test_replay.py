@@ -1,12 +1,17 @@
 """Proof replay: kernel build, derivative chain, certificate, mutations."""
 
+import importlib
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from cmgamma.algebra import Poly
-from cmgamma.constants import load_constants
+import cmgamma
+from cmgamma.algebra import ExpPoly, Poly
+from cmgamma.bounds import pf_expansion_identity_check
+from cmgamma.constants import DEFAULT_CONSTANTS_PATH, load_constants
 from cmgamma.errors import FixtureMismatch, IndeterminateSign
 from cmgamma.replay import (build_chain, build_theta_from_kernel,
                             chain_positivity_certificate,
@@ -70,6 +75,55 @@ class TestChain:
         for _, poly in t110.blocks():
             for c in poly.coeffs:
                 assert c.denominator == 1 and c.numerator % 512 == 0
+
+
+T = sympy.Symbol("t")
+
+
+def to_sympy(e: ExpPoly):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * T ** i * sympy.exp(k * T)
+                       for k, p in e.blocks() for i, c in enumerate(p.coeffs)])
+
+
+def test_chain_matches_sympy_differentiation(chain, consts):
+    # independent oracle: sympy differentiates the fixture theta itself and
+    # divides out e^t and 512 e^t; every stage and derivative must agree
+    cur = to_sympy(consts.theta)
+    for stage, length, factor in (("theta", 10, None), ("theta1", 10, 1), ("theta2", 9, 512)):
+        if factor is not None:
+            cur = sympy.expand(cur * sympy.exp(-T) / factor)
+            assert cur == to_sympy(chain.stage(stage)), stage
+        for order in range(1, length + 1):
+            cur = sympy.expand(sympy.diff(cur, T))
+            assert cur == to_sympy(chain.stage(stage, order)), (stage, order)
+    assert cur == sympy.expand(725760 * (8857350 * (46 + 3 * T) * sympy.exp(T) - 1))
+
+
+def test_sweep_calls_the_traced_entry_points(monkeypatch):
+    # the benchmark's traced proof sweep wraps these names where they are
+    # bound; a replay that bypassed one would leave that layer blank
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    replay_module = importlib.import_module("cmgamma.replay")
+    bounds_module = importlib.import_module("cmgamma.bounds")
+    monkeypatch.setattr(cmgamma, "load_constants",
+                        counted("load_constants", cmgamma.load_constants))
+    monkeypatch.setattr(replay_module, "build_chain",
+                        counted("build_chain", replay_module.build_chain))
+    monkeypatch.setattr(ExpPoly, "deriv", counted("deriv", ExpPoly.deriv))
+    monkeypatch.setattr(bounds_module, "pfd_decompose",
+                        counted("pfd_decompose", bounds_module.pfd_decompose))
+    consts = cmgamma.load_constants(DEFAULT_CONSTANTS_PATH)
+    assert cmgamma.replay_proof(consts).overall
+    assert cmgamma.pf_expansion_identity_check(consts).passed
+    assert calls == {"load_constants": 1, "build_chain": 1, "deriv": 29,
+                     "pfd_decompose": 3}
 
 
 class TestVerificationFragments:
