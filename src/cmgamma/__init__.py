@@ -16,7 +16,7 @@ Layers, bottom up:
 
 from .algebra import (ExpPoly, KernelTerm, PartialFractionForm,
                       PartialFractionTerm, Poly, laplace_kernel_of,
-                      pfd_decompose, pfd_recompose)
+                      pfd_decompose)
 from .ball import Ball
 from .bounds import (bound_eval, bound_exact, g_derivative, g_eval,
                      h_derivative, h_eval, p_eval,
@@ -24,35 +24,28 @@ from .bounds import (bound_eval, bound_exact, g_derivative, g_eval,
                      telescoping_identity_check)
 from .constants import SourceConstants, load_constants
 from .errors import (CertificateFailure, CmGammaError, ConstantsFormatError,
-                     DegreeError, DomainError, FixtureMismatch,
-                     IndeterminateSign, NotDivisible, PrecisionError,
-                     QuadratureFailure)
-from .polygamma import (PrecisionPolicy, polygamma,
-                        polygamma_quadrature_crosscheck,
-                        polygamma_recurrence_shift)
+                     DegreeError, DomainError, FixtureMismatch, NotDivisible,
+                     PrecisionError, QuadratureFailure)
+from .polygamma import polygamma, polygamma_quadrature_crosscheck
 from .replay import (CertificateReport, ThetaChain, build_chain,
                      build_theta_from_kernel, chain_positivity_certificate,
-                     grid_positivity_spotcheck, replay_proof,
-                     verify_derivative_fixtures, verify_initial_values)
-from .scan import (CmScanReport, GridSpec, cm_scan, decay_check,
-                   default_grid, inequality_scan)
+                     replay_proof, verify_derivative_fixtures,
+                     verify_initial_values)
+from .scan import CmScanReport, GridSpec, cm_scan, default_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "CertificateFailure", "CertificateReport", "CmGammaError",
     "CmScanReport", "ConstantsFormatError", "DegreeError", "DomainError",
-    "ExpPoly", "FixtureMismatch", "GridSpec", "IndeterminateSign",
-    "KernelTerm", "NotDivisible", "SourceConstants", "PartialFractionForm",
-    "PartialFractionTerm", "Poly", "PrecisionError", "PrecisionPolicy",
-    "QuadratureFailure", "ThetaChain", "bound_eval", "bound_exact",
-    "build_chain", "build_theta_from_kernel", "chain_positivity_certificate",
-    "cm_scan", "decay_check", "default_grid", "g_derivative", "g_eval",
-    "grid_positivity_spotcheck", "h_derivative", "h_eval",
-    "inequality_scan", "laplace_kernel_of", "load_constants", "p_eval",
-    "pf_expansion_identity_check", "pfd_decompose", "pfd_recompose",
-    "polygamma", "polygamma_quadrature_crosscheck",
-    "polygamma_recurrence_shift", "q_eval", "replay_proof",
-    "telescoping_identity_check", "verify_derivative_fixtures",
-    "verify_initial_values",
+    "ExpPoly", "FixtureMismatch", "GridSpec", "KernelTerm", "NotDivisible",
+    "SourceConstants", "PartialFractionForm", "PartialFractionTerm", "Poly",
+    "PrecisionError", "QuadratureFailure", "ThetaChain", "bound_eval",
+    "bound_exact", "build_chain", "build_theta_from_kernel",
+    "chain_positivity_certificate", "cm_scan", "default_grid",
+    "g_derivative", "g_eval", "h_derivative", "h_eval", "laplace_kernel_of",
+    "load_constants", "p_eval", "pf_expansion_identity_check",
+    "pfd_decompose", "polygamma", "polygamma_quadrature_crosscheck",
+    "q_eval", "replay_proof", "telescoping_identity_check",
+    "verify_derivative_fixtures", "verify_initial_values",
 ]

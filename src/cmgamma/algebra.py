@@ -427,30 +427,6 @@ class ExpPoly:
         inv = 1 / s
         return ExpPoly({j - k: p * inv for j, p in self._blocks.items()})
 
-    def eval_ball(self, t0: Rat, prec: int):
-        """Enclosure of the value at rational t0 (exact when t0 == 0).
-
-        e^(k*t0) is enclosed once per distinct exponent; the polynomial
-        factors are evaluated exactly by Horner.
-        """
-        from .ball import Ball  # local import avoids a hard module cycle
-
-        t0 = as_fraction(t0)
-        exact_part = _ZERO
-        ball_part = None
-        for k, p in self.blocks():
-            pv = p(t0)
-            if pv == 0:
-                continue
-            if k == 0 or t0 == 0:
-                exact_part += pv
-                continue
-            term = Ball.exp_of(k * t0, prec) * pv
-            ball_part = term if ball_part is None else ball_part + term
-        if ball_part is None:
-            return Ball.exact(exact_part, prec)
-        return ball_part + exact_part
-
 
 class PartialFractionTerm(NamedTuple):
     """One term coeff / (x + shift)^order with integer shift >= 0, order >= 1."""

@@ -9,9 +9,8 @@ rounded once, to a dyadic midpoint of ~prec significant bits, with the
 rounding error pushed into the radius (rounded up).  Exact (radius-0)
 results keep their exact rational midpoint.
 
-The only transcendental entry point is exp_of(), which encloses e^q for
-rational q via mpmath's outward-rounded interval context and converts the
-binary endpoints back to exact Fractions.
+A Ball has no transcendental functions of its own: the polygamma module
+builds its enclosures from integer series sums through Ball._make.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import mp
 
 from .algebra import as_fraction
 
@@ -87,7 +86,7 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     if man == 0:
         if exp == 0:
             return Fraction(0)
-        raise ValueError("non-finite interval endpoint")
+        raise ValueError("non-finite mpf value")
     return _dyadic(-int(man) if sign else int(man), int(exp))
 
 
@@ -137,22 +136,6 @@ class Ball:
         lo = min(b.lower for b in balls)
         hi = max(b.upper for b in balls)
         return cls.from_endpoints(lo, hi, min(b.prec for b in balls))
-
-    @classmethod
-    def exp_of(cls, q: Rat, prec: int) -> "Ball":
-        """Certified enclosure of e^q for rational q."""
-        q = as_fraction(q)
-        if q == 0:
-            return cls.exact(1, prec)
-        saved = iv.prec
-        try:
-            iv.prec = prec + _MID_GUARD + 8
-            val = iv.exp(iv.mpf(q.numerator) / iv.mpf(q.denominator))
-            lo_t, hi_t = val._mpi_
-        finally:
-            iv.prec = saved
-        return cls.from_endpoints(_mpf_tuple_to_fraction(lo_t),
-                                  _mpf_tuple_to_fraction(hi_t), prec)
 
     @classmethod
     def _make(cls, mid_num: int, mid_den: int, rad_num: int, rad_den: int,
@@ -227,9 +210,6 @@ class Ball:
 
     __rmul__ = __mul__
 
-    def square(self) -> "Ball":
-        return self * self
-
     # -- predicates ----------------------------------------------------------
 
     def sign(self) -> int:
@@ -257,10 +237,6 @@ class Ball:
         return abs(self.mid - other.mid) <= self.rad + other.rad
 
     # -- output --------------------------------------------------------------
-
-    def to_mpf(self):
-        with mp.workprec(self.prec + _MID_GUARD):
-            return mp.mpf(self.mid.numerator) / mp.mpf(self.mid.denominator)
 
     def decimal_str(self, digits: int | None = None) -> str:
         if digits is None:

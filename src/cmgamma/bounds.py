@@ -24,7 +24,7 @@ from .ball import Ball
 from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
                         SCALE_Q, SourceConstants, load_constants)
 from .errors import DomainError
-from .polygamma import PrecisionPolicy, polygamma
+from .polygamma import polygamma
 
 #: g has competing ~x^-4 terms; far below this the cancellation outgrows any
 #: reasonable precision, so reject by default.
@@ -90,23 +90,19 @@ def remainder_exact(x, constants: SourceConstants | None = None) -> Fraction:
     return _consts(constants).remainder_expansion.eval_exact(x)
 
 
-def g_eval(x, prec: int = 128, policy: PrecisionPolicy | None = None,
-           constants: SourceConstants | None = None, min_x: Fraction = MIN_X) -> Ball:
+def g_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
     """Enclosure of g(x) = trigamma(x)^2 + tetragamma(x) - B(x)."""
-    return g_derivative(0, x, prec, policy, constants, min_x)
+    return g_derivative(0, x, prec, constants)
 
 
-def h_eval(x, prec: int = 128, policy: PrecisionPolicy | None = None,
-           constants: SourceConstants | None = None) -> Ball:
+def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
     """Enclosure of H(x) = trigamma(x) - R(x)."""
-    return h_derivative(0, x, prec, policy, constants)
+    return h_derivative(0, x, prec, constants)
 
 
 def g_derivative(k: int, x, prec: int = 128,
-                 policy: PrecisionPolicy | None = None,
-                 constants: SourceConstants | None = None,
-                 min_x: Fraction = MIN_X) -> Ball:
-    """Enclosure of the k-th derivative of g at rational x > 0.
+                 constants: SourceConstants | None = None) -> Ball:
+    """Enclosure of the k-th derivative of g at rational x >= MIN_X.
 
     d^k[trigamma^2] expands by Leibniz into sum_j C(k,j) psi^(1+j) psi^(1+k-j),
     d^k[tetragamma] is psi^(k+2), and the rational part differentiates exactly
@@ -115,37 +111,26 @@ def g_derivative(k: int, x, prec: int = 128,
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = _check_x(x)
-    if x < min_x:
-        raise DomainError(f"x below cutoff {min_x} rejected (cancellation blow-up)")
-    if policy is None:
-        policy = PrecisionPolicy(target_bits=prec)
-    cache: dict[int, Ball] = {}
-
-    def psi(m: int) -> Ball:
-        if m not in cache:
-            cache[m] = polygamma(m, x, prec, policy)
-        return cache[m]
-
+    if x < MIN_X:
+        raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
+    psi = {m: polygamma(m, x, prec) for m in range(1, k + 3)}
     acc = None
     for j in range(k + 1):
-        term = math.comb(k, j) * (psi(1 + j) * psi(1 + k - j))
+        term = math.comb(k, j) * (psi[1 + j] * psi[1 + k - j])
         acc = term if acc is None else acc + term
-    acc = acc + psi(k + 2)
+    acc = acc + psi[k + 2]
     rational_part = _bound_pf_deriv(k, constants).eval_exact(x)
     return acc - rational_part
 
 
 def h_derivative(k: int, x, prec: int = 128,
-                 policy: PrecisionPolicy | None = None,
                  constants: SourceConstants | None = None) -> Ball:
     """Enclosure of the k-th derivative of H at rational x > 0."""
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = _check_x(x)
-    if policy is None:
-        policy = PrecisionPolicy(target_bits=prec)
     rational_part = _remainder_pf_deriv(k, constants).eval_exact(x)
-    return polygamma(k + 1, x, prec, policy) - rational_part
+    return polygamma(k + 1, x, prec) - rational_part
 
 
 @dataclass(frozen=True)
@@ -233,11 +218,10 @@ class TelescopingReport:
 
 
 def telescoping_identity_check(x, prec: int = 192,
-                               policy: PrecisionPolicy | None = None,
                                constants: SourceConstants | None = None) -> TelescopingReport:
     """Check g(x) - g(x+1) against (2/x^2) H(x) as overlapping enclosures."""
     x = _check_x(x)
-    lhs = g_eval(x, prec, policy, constants) - g_eval(x + 1, prec, policy, constants)
-    rhs = h_eval(x, prec, policy, constants) * (2 / x ** 2)
+    lhs = g_eval(x, prec, constants) - g_eval(x + 1, prec, constants)
+    rhs = h_eval(x, prec, constants) * (2 / x ** 2)
     return TelescopingReport(x, lhs, rhs, abs(lhs.mid - rhs.mid),
                              lhs.rad + rhs.rad)

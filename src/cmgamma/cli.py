@@ -20,8 +20,7 @@ from fractions import Fraction
 from . import bounds, replay, scan
 from .constants import SCALE_P, SCALE_Q, load_constants
 from .errors import CmGammaError, ConstantsFormatError
-from .polygamma import (PrecisionPolicy, polygamma,
-                        polygamma_quadrature_crosscheck)
+from .polygamma import polygamma, polygamma_quadrature_crosscheck
 from .reporting import frac_str
 
 _EVAL_FUNCTIONS = ("psi1", "psi2", "polygamma", "p", "Q", "B", "g", "H")
@@ -174,8 +173,7 @@ def cmd_cm_scan(args) -> int:
     prec = _default_prec(args, 256)
     consts = _load(args)
     grid = _parse_grid(args.grid)
-    policy = PrecisionPolicy(target_bits=prec)
-    report = scan.cm_scan(args.kind, args.kmax, grid, policy, consts)
+    report = scan.cm_scan(args.kind, args.kmax, grid, prec, consts)
     if args.format == "json":
         out = report.to_json()
     elif args.format == "csv":

@@ -36,9 +36,5 @@ class CertificateFailure(CmGammaError):
     """A positivity-certificate step failed; the message names the step."""
 
 
-class IndeterminateSign(CmGammaError):
-    """An enclosure still straddles zero after precision escalation."""
-
-
 class ConstantsFormatError(CmGammaError):
     """The constants file does not follow the documented grammar."""

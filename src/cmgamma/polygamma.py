@@ -6,7 +6,8 @@ With s = m + 1 and f(t) = (x + t)^(-s),
 
 The series is summed in fixed point: with x = n/d, every term is a floor
 division of integers scaled by 2^F, where F is chosen so that one unit 2^-F
-is at most 2^-(w+40) of the sum (w = working bits).  The head sum_{i < N}
+is at most 2^-(w+40) of the sum, and the working precision is
+w = prec + 32 + 16 m bits for a prec-bit result.  The head sum_{i < N}
 is sum floor(d^s 2^F / (n + i d)^s).  The tail sum_{i >= N} is enclosed by
 Euler-Maclaurin around a = x + N = A/d:
 
@@ -47,7 +48,6 @@ adaptive scheme, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,23 +60,7 @@ from .errors import DomainError, PrecisionError, QuadratureFailure
 MAX_ORDER = 32
 
 _BASE_GUARD_BITS = 32
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Target precision plus per-derivative-order working-precision guard."""
-
-    target_bits: int = 128
-    guard_bits_per_order: int = 16
-
-    def __post_init__(self):
-        if self.target_bits < 8:
-            raise ValueError("target_bits must be >= 8")
-        if self.guard_bits_per_order < 0:
-            raise ValueError("guard_bits_per_order must be >= 0")
-
-    def working_bits(self, order: int) -> int:
-        return self.target_bits + _BASE_GUARD_BITS + self.guard_bits_per_order * order
+_GUARD_BITS_PER_ORDER = 16
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +158,8 @@ def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[int, int, int]:
         f"series tail for s={s}, x={x} not certifiable at {wbits} working bits")
 
 
-def _polygamma_rational(m: int, x: Fraction, prec: int,
-                        policy: PrecisionPolicy) -> Ball:
-    wbits = policy.working_bits(m)
+def _polygamma_rational(m: int, x: Fraction, prec: int) -> Ball:
+    wbits = prec + _BASE_GUARD_BITS + _GUARD_BITS_PER_ORDER * m
     total, radius, fbits = _zeta_like_sum(m + 1, x, wbits)
     fac = math.factorial(m)
     sign = 1 if m % 2 == 1 else -1
@@ -190,9 +173,9 @@ def _polygamma_rational(m: int, x: Fraction, prec: int,
     return ball
 
 
-def polygamma(m: int, x, prec: int = 128,
-              policy: PrecisionPolicy | None = None) -> Ball:
-    """Certified enclosure of psi^(m)(x) for integer m >= 1 and x > 0.
+def polygamma(m: int, x, prec: int = 128) -> Ball:
+    """Certified enclosure of psi^(m)(x) for integer m >= 1 and x > 0 whose
+    relative radius is at most 2^-prec (prec >= 8 bits), else PrecisionError.
 
     x may be an exact rational or a Ball; Ball arguments are handled through
     the strict monotonicity of psi^(m) (its derivative psi^(m+1) is
@@ -202,42 +185,20 @@ def polygamma(m: int, x, prec: int = 128,
         raise DomainError("derivative order m must be an integer >= 1")
     if m > MAX_ORDER:
         raise DomainError(f"m > {MAX_ORDER} unsupported")
-    if policy is None:
-        policy = PrecisionPolicy(target_bits=prec)
+    if prec < 8:
+        raise ValueError("prec must be at least 8 bits")
     if isinstance(x, Ball):
         if x.lower <= 0:
             raise DomainError("x must be strictly positive")
         if x.is_exact():
-            return _polygamma_rational(m, x.mid, prec, policy)
-        lo = _polygamma_rational(m, x.lower, prec, policy)
-        hi = _polygamma_rational(m, x.upper, prec, policy)
+            return _polygamma_rational(m, x.mid, prec)
+        lo = _polygamma_rational(m, x.lower, prec)
+        hi = _polygamma_rational(m, x.upper, prec)
         return Ball.hull(lo, hi)
     x = as_fraction(x)
     if x <= 0:
         raise DomainError("x must be strictly positive")
-    return _polygamma_rational(m, x, prec, policy)
-
-
-def polygamma_recurrence_shift(m: int, x, k: int, prec: int = 128,
-                               policy: PrecisionPolicy | None = None) -> Ball:
-    """psi^(m)(x) computed as psi^(m)(x+k) minus the exact telescoped shift.
-
-    Uses psi^(m)(x) = psi^(m)(x+k) - sum_{j=0}^{k-1} (-1)^m m!/(x+j)^(m+1);
-    k = 0 is the identity.  Must agree (overlapping enclosures) with the
-    direct series path.
-    """
-    if k < 0:
-        raise DomainError("shift count k must be >= 0")
-    x = as_fraction(x)
-    if x <= 0:
-        raise DomainError("x must be strictly positive")
-    shifted = polygamma(m, x + k, prec, policy)
-    sign = 1 if m % 2 == 0 else -1
-    fac = math.factorial(m)
-    correction = Fraction(0)
-    for j in range(k):
-        correction += sign * fac * (x + j) ** -(m + 1)
-    return shifted - correction
+    return _polygamma_rational(m, x, prec)
 
 
 def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:

@@ -10,24 +10,47 @@ the 22-term expansion, differentiate exactly through the three stages
 and certify positivity bottom-up: the bottom stage is positive by an exact
 coefficient comparison (using only e^t >= 1 and t >= 0), and each lower
 derivative follows by integration from 0 with a nonnegative initial value.
-Everything numeric in the certificate is an exact integer or rational; the
-grid spot-check exists only as independent numerical corroboration.
+Everything numeric in the certificate is an exact integer or rational; no
+floating-point or interval evaluation enters it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .algebra import ExpPoly, Poly, as_fraction
+from .algebra import ExpPoly, Poly
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
                         SourceConstants, load_constants)
-from .errors import CertificateFailure, FixtureMismatch, IndeterminateSign
+from .errors import CertificateFailure, FixtureMismatch
 from .reporting import frac_str, stable_json_dumps
 
 # theta^(10) = 1 * e^t * theta1 and theta1^(10) = 512 * e^t * theta2
 _STAGE_FIXTURE_FACTOR = {"theta1": 1, "theta2": 512}
+
+_LIFTS_POSITIVITY = ("initial values nonnegative; integration from 0 lifts "
+                     "positivity down the chain")
+
+# Certificate steps 2-4, bottom stage upward: (stage, step name, claim,
+# whether the stage must vanish at 0 rather than be >= 0 there, detail on a
+# pass, detail when an initial value is negative, detail otherwise).  Each
+# step covers derivative orders 1 .. CHAIN_LENGTHS[stage] - 1.
+_INDUCTION_STEPS = (
+    ("theta2", "theta2-chain-positive",
+     "theta2^(i) > 0 on (0, inf) for i = 8..0", False,
+     _LIFTS_POSITIVITY, "negative initial value at orders {bad}",
+     "precondition above failed"),
+    ("theta1", "theta1-chain-positive",
+     "theta1^(10) = 512 e^t theta2 > 0, hence "
+     "theta1^(i) > 0 on (0, inf) for i = 9..0", False,
+     _LIFTS_POSITIVITY, "negative initial value at orders {bad}",
+     "precondition above failed"),
+    ("theta", "theta-chain-positive",
+     "theta^(10) = e^t theta1 > 0, hence theta^(i) > 0 on "
+     "(0, inf) for i = 9..1 and theta >= 0 with theta(0) = 0", True,
+     "theta increases from theta(0) = 0", "precondition failed",
+     "precondition failed"),
+)
 
 
 @dataclass(frozen=True)
@@ -346,51 +369,22 @@ def chain_positivity_certificate(chain: ThetaChain,
                        "coefficient-sign-check", vals1, ok1, det1))
     idx += 1
 
-    def induction(stage: str, top_order: int, ok_above: bool,
-                  base_value: Fraction, name: str, claim: str) -> StepRecord:
+    ok = ok1
+    for (stage, name, claim, vanishes, on_pass, on_negative,
+         on_other) in _INDUCTION_STEPS:
         table = constants.initial_values[stage]
-        bad = [o for o in range(1, top_order + 1) if table[o] < 0]
-        vals = [(f"{stage}({0})", frac_str(base_value))]
-        vals += [(f"{stage}^({o})(0)", str(table[o])) for o in range(1, top_order + 1)]
-        ok = ok_above and not bad and base_value >= 0
-        detail = ("initial values nonnegative; integration from 0 lifts "
-                  "positivity down the chain" if ok else
-                  f"negative initial value at orders {bad}" if bad else
-                  "precondition above failed")
-        return _step(idx, name, claim, "integration-from-zero-induction", vals,
-                     ok, detail)
+        orders = range(1, CHAIN_LENGTHS[stage])
+        base = chain.stage(stage).eval_exact_at_zero()
+        bad = [o for o in orders if table[o] < 0]
+        ok = ok and not bad and (base == 0 if vanishes else base >= 0)
+        vals = [(f"{stage}(0)", frac_str(base))]
+        vals += [(f"{stage}^({o})(0)", str(table[o])) for o in orders]
+        detail = (on_pass if ok else on_negative.format(bad=bad) if bad
+                  else on_other)
+        steps.append(_step(idx, name, claim, "integration-from-zero-induction",
+                           vals, ok, detail))
+        idx += 1
 
-    steps.append(induction("theta2", 8, ok1,
-                           chain.theta2.eval_exact_at_zero(),
-                           "theta2-chain-positive",
-                           "theta2^(i) > 0 on (0, inf) for i = 8..0"))
-    idx += 1
-
-    ok2 = steps[-1].passed
-    steps.append(induction("theta1", 9, ok2,
-                           chain.theta1.eval_exact_at_zero(),
-                           "theta1-chain-positive",
-                           "theta1^(10) = 512 e^t theta2 > 0, hence "
-                           "theta1^(i) > 0 on (0, inf) for i = 9..0"))
-    idx += 1
-
-    ok3 = steps[-1].passed
-    theta0 = chain.theta.eval_exact_at_zero()
-    table = constants.initial_values["theta"]
-    bad = [o for o in range(1, 10) if table[o] < 0]
-    ok4 = ok3 and not bad and theta0 == 0
-    steps.append(_step(idx, "theta-chain-positive",
-                       "theta^(10) = e^t theta1 > 0, hence theta^(i) > 0 on "
-                       "(0, inf) for i = 9..1 and theta >= 0 with theta(0) = 0",
-                       "integration-from-zero-induction",
-                       [("theta(0)", frac_str(theta0))]
-                       + [(f"theta^({o})(0)", str(table[o])) for o in range(1, 10)],
-                       ok4,
-                       "theta increases from theta(0) = 0" if ok4 else
-                       "precondition failed"))
-    idx += 1
-
-    ok5 = ok4
     steps.append(_step(idx, "cm-conclusion",
                        "the kernel integrand theta(t) e^(-(x+2)t)/(e^t - 1) is "
                        "nonnegative, so H is completely monotonic; so is "
@@ -399,8 +393,8 @@ def chain_positivity_certificate(chain: ThetaChain,
                        "derivatives vanishing at infinity) extends this to g "
                        "for every derivative order k >= 0",
                        "cm-closure-inference",
-                       [("kernel_scale", str(KERNEL_SCALE))], ok5,
-                       "sign conditions established by steps 1-4" if ok5 else
+                       [("kernel_scale", str(KERNEL_SCALE))], ok,
+                       "sign conditions established by steps 1-4" if ok else
                        "positivity chain incomplete"))
     return CertificateReport(tuple(steps))
 
@@ -418,68 +412,3 @@ def replay_proof(constants: SourceConstants | None = None) -> CertificateReport:
     steps += verify_divisibility(chain, start=9)
     cert = chain_positivity_certificate(chain, constants, start=11)
     return CertificateReport(tuple(steps) + cert.steps)
-
-
-@dataclass(frozen=True)
-class SpotcheckEntry:
-    stage: str
-    order: int
-    t: Fraction
-    verdict: str
-    enclosure: str
-
-
-@dataclass(frozen=True)
-class SpotcheckReport:
-    entries: tuple[SpotcheckEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.verdict in ("positive", "boundary-zero") for e in self.entries)
-
-    def to_json(self) -> str:
-        payload = {
-            "overall": "pass" if self.passed else "fail",
-            "entries": [
-                {"stage": e.stage, "order": e.order, "t": frac_str(e.t),
-                 "verdict": e.verdict, "enclosure": e.enclosure}
-                for e in self.entries
-            ],
-        }
-        return stable_json_dumps(payload, "spotcheck")
-
-
-def grid_positivity_spotcheck(chain: ThetaChain,
-                              stages: Sequence[tuple[str, int]],
-                              grid: Iterable,
-                              prec: int = 128) -> SpotcheckReport:
-    """Numerically corroborate stage positivity on a grid of t values.
-
-    t = 0 with an exactly zero value is reported as a boundary case, not a
-    failure.  A straddling enclosure escalates precision (x2, x4) and then
-    raises IndeterminateSign.
-    """
-    entries = []
-    for stage, order in stages:
-        e = chain.stage(stage, order)
-        for t in grid:
-            t = as_fraction(t)
-            if t < 0:
-                raise IndeterminateSign("grid points must be t >= 0")
-            verdict = None
-            for mult in (1, 2, 4):
-                ball = e.eval_ball(t, prec * mult)
-                s = ball.sign()
-                if s > 0:
-                    verdict = "positive"
-                elif ball.is_exact() and ball.mid == 0:
-                    verdict = "boundary-zero" if t == 0 else "negative"
-                elif s < 0:
-                    verdict = "negative"
-                if verdict:
-                    break
-            if verdict is None:
-                raise IndeterminateSign(
-                    f"{stage}^({order}) at t={t} straddles 0 after escalation")
-            entries.append(SpotcheckEntry(stage, order, t, verdict, str(ball)))
-    return SpotcheckReport(tuple(entries))

@@ -10,18 +10,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .ball import Ball
-
 SCHEMA = "cmgamma.report/1"
 
 
 def frac_str(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def ball_fields(b: Ball) -> dict[str, str]:
-    return {"mid": b.decimal_str(), "rad": b.radius_str()}
 
 
 def stable_json_dumps(payload: dict, kind: str) -> str:

@@ -1,11 +1,12 @@
-"""Grid-based complete-monotonicity and inequality scans.
+"""Grid-based complete-monotonicity scans.
 
 Each cell (derivative order k, grid point x) gets a three-valued verdict for
 the sign of (-1)^k f^(k)(x): "positive", "negative", or "indeterminate".  An
 enclosure that straddles zero is retried up the precision ladder (target,
 2x, 4x, ... up to a cap) and only then reported indeterminate; a sign is
 never coerced.  A single negative verdict marks the whole scan failed: this
-is the desk-scale falsification surface for the monotonicity claims.
+is the desk-scale falsification surface for the monotonicity claims.  The
+k = 0 cells of the g scan are the inequality psi'(x)^2 + psi''(x) > B(x).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .algebra import as_fraction
 from .ball import Ball, _mpf_tuple_to_fraction, round_nearest
 from .constants import SourceConstants
 from .errors import DomainError
-from .polygamma import PrecisionPolicy
 from .reporting import frac_str, stable_json_dumps
 
 ESCALATION_CAP_BITS = 4096
@@ -119,7 +119,7 @@ class ScanEntry:
 class CmScanReport:
     kind: str
     k_max: int
-    target_bits: int
+    prec: int
     entries: tuple[ScanEntry, ...]
 
     @property
@@ -148,7 +148,7 @@ class CmScanReport:
 
     def summary(self) -> dict:
         return {"kind": self.kind, "k_max": self.k_max,
-                "target_bits": self.target_bits,
+                "target_bits": self.prec,
                 "cells": len(self.entries),
                 "negative": self.negative_count,
                 "indeterminate": self.indeterminate_count,
@@ -180,160 +180,37 @@ class CmScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _certified_sign(evaluate: Callable[[int], Ball], policy: PrecisionPolicy,
-                    cap_bits: int = ESCALATION_CAP_BITS) -> tuple[int, Ball, int]:
-    """Evaluate at target precision, escalating 2x per retry until the sign
-    is determined or the cap is passed.  Returns (sign, ball, prec_used)."""
-    prec = policy.target_bits
+def _certified_sign(evaluate: Callable[[int], Ball],
+                    prec: int) -> tuple[int, Ball, int]:
+    """Evaluate at prec bits, escalating 2x per retry until the sign is
+    determined or ESCALATION_CAP_BITS is passed.  Returns (sign, ball,
+    prec_used)."""
     ball = evaluate(prec)
-    while ball.sign() == 0 and prec * 2 <= cap_bits:
+    while ball.sign() == 0 and prec * 2 <= ESCALATION_CAP_BITS:
         prec *= 2
         ball = evaluate(prec)
     return ball.sign(), ball, prec
 
 
 def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
-            policy: PrecisionPolicy | None = None,
-            constants: SourceConstants | None = None,
-            cap_bits: int = ESCALATION_CAP_BITS) -> CmScanReport:
-    """Sign-check (-1)^k f^(k)(x) for f in {g, H} over all k <= k_max and x."""
+            prec: int = 256,
+            constants: SourceConstants | None = None) -> CmScanReport:
+    """Sign-check (-1)^k f^(k)(x) for f in {g, H} over all k <= k_max and x,
+    starting each cell at prec bits."""
     if kind not in _KINDS:
         raise DomainError(f"unknown scan kind {kind!r}; expected one of {sorted(_KINDS)}")
     if not 0 <= k_max <= bounds.MAX_DERIVATIVE_ORDER:
         raise DomainError(f"k_max must be in 0..{bounds.MAX_DERIVATIVE_ORDER}")
     grid = grid if grid is not None else default_grid()
-    policy = policy if policy is not None else PrecisionPolicy(target_bits=256)
     deriv = _KINDS[kind]
     entries = []
     for k in range(k_max + 1):
         flip = -1 if k % 2 else 1
         for x in grid.points:
-            sign, ball, prec = _certified_sign(
-                lambda p, k=k, x=x: deriv(k, x, p, PrecisionPolicy(p, policy.guard_bits_per_order), constants),
-                policy, cap_bits)
+            sign, ball, used = _certified_sign(
+                lambda p, k=k, x=x: deriv(k, x, p, constants), prec)
             signed = sign * flip
             verdict = ("positive" if signed > 0
                        else "negative" if signed < 0 else "indeterminate")
-            entries.append(ScanEntry(k, x, ball, verdict, prec))
-    return CmScanReport(kind, k_max, policy.target_bits, tuple(entries))
-
-
-@dataclass(frozen=True)
-class InequalityEntry:
-    x: Fraction
-    ball: Ball
-    strict: bool
-    margin: Fraction  # certified lower bound of g(x)
-    prec_used: int
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    target_bits: int
-    entries: tuple[InequalityEntry, ...]
-
-    @property
-    def failures(self) -> int:
-        return sum(not e.strict for e in self.entries)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def to_json(self) -> str:
-        payload = {
-            "summary": {"target_bits": self.target_bits,
-                        "points": len(self.entries),
-                        "failures": self.failures,
-                        "passed": self.passed},
-            "entries": [{"x": frac_str(e.x), "mid": e.ball.decimal_str(),
-                         "rad": e.ball.radius_str(), "strict": e.strict,
-                         "margin": float(e.margin), "prec_used": e.prec_used}
-                        for e in self.entries],
-        }
-        return stable_json_dumps(payload, "inequality_scan")
-
-    def to_text(self) -> str:
-        lines = [f"inequality scan: {len(self.entries)} points, "
-                 f"target {self.target_bits} bits"]
-        for e in self.entries:
-            mark = "strict" if e.strict else "NOT STRICT"
-            lines.append(f"  x={frac_str(e.x)}: {e.ball} [{mark}]")
-        lines.append("result: " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines) + "\n"
-
-
-def inequality_scan(grid: GridSpec | None = None,
-                    policy: PrecisionPolicy | None = None,
-                    constants: SourceConstants | None = None,
-                    cap_bits: int = ESCALATION_CAP_BITS) -> InequalityReport:
-    """Strict positivity of trigamma^2 + tetragamma - B on the grid.
-
-    Identical computation to cm_scan('g', 0, ...), so verdicts must agree,
-    but reported in the inequality's own terms, with the certified margin.
-    """
-    grid = grid if grid is not None else default_grid()
-    policy = policy if policy is not None else PrecisionPolicy(target_bits=256)
-    entries = []
-    for x in grid.points:
-        sign, ball, prec = _certified_sign(
-            lambda p, x=x: bounds.g_eval(x, p, PrecisionPolicy(p, policy.guard_bits_per_order), constants),
-            policy, cap_bits)
-        entries.append(InequalityEntry(x, ball, sign > 0, ball.lower, prec))
-    return InequalityReport(policy.target_bits, tuple(entries))
-
-
-@dataclass(frozen=True)
-class DecayEntry:
-    j: int
-    x: Fraction
-    ball: Ball
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    kind: str
-    threshold: Fraction
-    entries: tuple[DecayEntry, ...]
-    strictly_decreasing: bool
-    final_below_threshold: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.strictly_decreasing and self.final_below_threshold
-
-    def to_text(self) -> str:
-        lines = [f"decay check {self.kind}: x = 2^j, j = 0..{self.entries[-1].j}"]
-        for e in self.entries:
-            lines.append(f"  j={e.j:2d} x={frac_str(e.x):>6}: {e.ball}")
-        lines.append(f"strictly decreasing: {self.strictly_decreasing}; "
-                     f"final < {float(self.threshold):g}: {self.final_below_threshold}")
-        lines.append("result: " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines) + "\n"
-
-
-def decay_check(kind: str, j_max: int = 10,
-                policy: PrecisionPolicy | None = None,
-                constants: SourceConstants | None = None,
-                threshold: Fraction = Fraction(1, 10 ** 6)) -> DecayReport:
-    """Values at x = 2^j must strictly decrease (certified: interval-disjoint)
-    and the final one must sit below the threshold.
-
-    j_max = 0 passes the monotonicity check vacuously and reports the single
-    value.  The threshold is a configuration choice, not a claim from the
-    source material.
-    """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown decay kind {kind!r}")
-    if not 0 <= j_max <= 16:
-        raise DomainError("j_max must be in 0..16")
-    policy = policy if policy is not None else PrecisionPolicy(target_bits=256)
-    fn = bounds.g_eval if kind == "g" else bounds.h_eval
-    entries = []
-    for j in range(j_max + 1):
-        x = Fraction(2 ** j)
-        entries.append(DecayEntry(j, x, fn(x, policy.target_bits, policy, constants)))
-    decreasing = all(entries[i + 1].ball.upper < entries[i].ball.lower
-                     for i in range(len(entries) - 1))
-    final_ok = entries[-1].ball.upper < threshold
-    return DecayReport(kind, threshold, tuple(entries), decreasing, final_ok)
+            entries.append(ScanEntry(k, x, ball, verdict, used))
+    return CmScanReport(kind, k_max, prec, tuple(entries))

@@ -14,9 +14,9 @@ from mpmath import mp
 
 from cmgamma import bounds, replay, scan
 from cmgamma.constants import load_constants
-from cmgamma.polygamma import (PrecisionPolicy, _zeta_like_sum, polygamma,
-                               polygamma_quadrature_crosscheck,
-                               polygamma_recurrence_shift)
+from cmgamma.polygamma import (_zeta_like_sum, polygamma,
+                               polygamma_quadrature_crosscheck)
+from oracles import polygamma_recurrence_shift
 
 
 def report(n: int, elapsed: float, text: str) -> None:
@@ -27,7 +27,7 @@ def report(n: int, elapsed: float, text: str) -> None:
 def g_scan():
     _zeta_like_sum.cache_clear()  # report a cold time, not one warmed by another scan
     t0 = time.monotonic()
-    rep = scan.cm_scan("g", 8, scan.default_grid(), PrecisionPolicy(256))
+    rep = scan.cm_scan("g", 8, scan.default_grid(), 256)
     return rep, time.monotonic() - t0
 
 
@@ -35,7 +35,7 @@ def g_scan():
 def h_scan():
     _zeta_like_sum.cache_clear()  # report a cold time, not one warmed by another scan
     t0 = time.monotonic()
-    rep = scan.cm_scan("H", 8, scan.default_grid(), PrecisionPolicy(256))
+    rep = scan.cm_scan("H", 8, scan.default_grid(), 256)
     return rep, time.monotonic() - t0
 
 
@@ -95,11 +95,12 @@ def test_criterion_5_inequality_down_to_2_pow_minus_10():
     extended = scan.GridSpec.explicit(
         set(scan.default_grid().points)
         | set(scan.GridSpec.geometric(F(1, 1024), F(2), 7).points))
-    rep = scan.inequality_scan(extended, PrecisionPolicy(256))
+    # the inequality psi'^2 + psi'' > B is the k = 0 row of the g scan
+    rep = scan.cm_scan("g", 0, extended, 256)
     elapsed = time.monotonic() - t0
     assert rep.entries[0].x == F(1, 1024)
-    assert rep.failures == 0
-    assert all(e.margin > 0 for e in rep.entries)
+    assert all(e.verdict == "positive" for e in rep.entries)
+    assert all(e.ball.lower > 0 for e in rep.entries)
     report(5, elapsed, f"inequality strict on {len(rep.entries)} points down "
                        f"to x = 2^-10, zero failures")
 

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp
 
 from cmgamma.ball import Ball, round_nearest, round_up
 
@@ -62,23 +61,6 @@ def test_product_containment_with_wide_radii():
         for a in (ma - ra, ma, ma + ra):
             for b in (mb - rb, mb, mb + rb):
                 assert prod.contains(a * b)
-
-
-def test_exp_enclosure_contains_truth():
-    for q in (F(1, 3), F(-7, 2), F(5), F(0), F(191, 13)):
-        ball = Ball.exp_of(q, 128)
-        with mp.workprec(300):
-            truth = mp.exp(mp.mpf(q.numerator) / q.denominator)
-        assert ball.contains(truth)
-        if q == 0:
-            assert ball.is_exact() and ball.mid == 1
-
-
-def test_exp_tightens_with_precision():
-    lo = Ball.exp_of(F(2, 3), 64)
-    hi = Ball.exp_of(F(2, 3), 256)
-    assert hi.rad < lo.rad
-    assert lo.contains(hi)
 
 
 def test_sign():

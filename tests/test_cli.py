@@ -1,10 +1,17 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmgamma
 from cmgamma.cli import main
+from cmgamma.constants import DEFAULT_CONSTANTS_PATH
 
 
 def run(capsys, *argv):
@@ -178,6 +185,8 @@ class TestCmScan:
         assert code == 0
         doc = json.loads(out)
         assert doc["payload"]["summary"]["kind"] == "H"
+        assert doc["payload"]["summary"]["target_bits"] == 96
+        assert [e["prec_used"] for e in doc["payload"]["entries"]] == [96]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
@@ -222,3 +231,104 @@ def test_no_command_is_usage_error(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+
+# Fuzz draws for the exit-code contract, as (valid tokens, invalid tokens).
+# Grids of <= 3 points, k <= 3 and prec <= 512 keep the fuzz to about a second.
+X = (("1", "1/3", "7/5", "64", "1/1024", "1e3"),
+     ("1/1073741824", "0", "-1", "1/0", "abc", "", "3/-4"))
+PREC = (("8", "64", "128", "512"), ("7", "0", "-5", "4097", "x", "1.5"))
+ORDER = (("1", "2", "32"), ("33", "0", "-1", "y"))
+KMAX = (("0", "1", "2", "3"), ("-1", "13", "z"))
+GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
+             ("span:1:2", "geometric:1:0:3", "span:1:2:0", "span:1:2:100000000",
+              "1,,2", ",", ""))
+
+
+def _constants_files(tmp_path):
+    """A malformed file, a missing one, and one whose p breaks the bound."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("[poly p]\n0 1 2 3\n")
+    mutated = tmp_path / "mutated.txt"
+    text = DEFAULT_CONSTANTS_PATH.read_text()
+    mutated.write_text(text.replace("\n0 450\n", "\n0 45000\n", 1))
+    return str(bad), str(tmp_path / "missing.txt"), str(mutated)
+
+
+def _fuzz_argv(rng, files, tmp_path):
+    def pick(tokens):
+        return rng.choice(tokens[1] if rng.random() < 0.15 else tokens[0])
+
+    def maybe(flag, tokens):
+        return [flag, pick(tokens)] if rng.random() < 0.5 else []
+
+    command = pick((("eval", "identity-check", "replay-proof", "cm-scan"),
+                    ("frobnicate", "-h")))
+    if command == "eval":
+        argv = [command, pick((("psi1", "psi2", "polygamma", "p", "Q", "B", "g", "H"),
+                               ("zeta",))), pick(X)]
+        argv += maybe("--order", ORDER)
+        argv += ["--crosscheck"] if rng.random() < 0.1 else maybe("--prec", PREC)
+    elif command == "identity-check":
+        argv = [command, pick((("expansion", "remark2", "telescoping"), ("other",)))]
+        argv += ["--x", pick(X)] if rng.random() < 0.8 else []
+        argv += maybe("--prec", PREC)
+    elif command == "replay-proof":
+        argv = [command] + maybe("--emit", (("-", str(tmp_path / "c.json")),
+                                            (str(tmp_path / "no" / "c.json"),)))
+    elif command == "cm-scan":
+        points = ",".join(pick(X) for _ in range(rng.randint(1, 3)))
+        grid = points if rng.random() < 0.7 else pick(GRID_SPEC)
+        argv = [command, pick((("g", "H"), ("h",))), "--grid", grid]
+        argv += maybe("--kmax", KMAX) + maybe("--prec", PREC)
+        argv += maybe("--format", (("text", "json", "csv"), ("xml",)))
+        argv += maybe("--output", (("-", str(tmp_path / "scan.out")),
+                                   (str(tmp_path / "no" / "scan.out"),)))
+    else:
+        argv = [command]
+    if command not in ("frobnicate", "-h") and rng.random() < 0.2:
+        argv += ["--constants", rng.choice(files)]
+    if rng.random() < 0.05:
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), "--bogus")
+    return argv
+
+
+def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
+    rng = random.Random(20261018)
+    files = _constants_files(tmp_path)
+    for _ in range(200):
+        argv = _fuzz_argv(rng, files, tmp_path)
+        if rng.random() < 0.1:
+            monkeypatch.setenv("CMGAMMA_PREC", rng.choice(PREC[0] + PREC[1]))
+        else:
+            monkeypatch.delenv("CMGAMMA_PREC", raising=False)
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # main must return a code
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 1:  # a verification failure, never a crash
+            assert argv[0] in ("replay-proof", "identity-check", "cm-scan"), argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "g", "1/3"], 0),
+    (["replay-proof", "--constants", None], 1),  # None: a mutated constants file
+    (["cm-scan", "g", "--kmax", "13"], 2),
+    (["eval", "psi1", "1/0"], 2),
+], ids=["pass", "verification-failure", "usage-error", "domain-error"])
+def test_exit_code_contract_subprocess(argv, code, mutate_constants):
+    argv = [str(mutate_constants(r"1 435456000", "1 435456001")) if a is None
+            else a for a in argv]
+    src = str(Path(cmgamma.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "CMGAMMA_PREC"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "cmgamma.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+

@@ -1,5 +1,6 @@
 """Certified polygamma enclosures and the quadrature cross-check."""
 
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -9,9 +10,15 @@ from mpmath import mp
 
 from cmgamma.ball import Ball
 from cmgamma.errors import DomainError
-from cmgamma.polygamma import (PrecisionPolicy, polygamma,
-                               polygamma_quadrature_crosscheck,
-                               polygamma_recurrence_shift)
+from cmgamma.polygamma import polygamma, polygamma_quadrature_crosscheck
+from oracles import polygamma_recurrence_shift
+
+# the package attribute `cmgamma.polygamma` is the function, not the module
+polygamma_module = importlib.import_module("cmgamma.polygamma")
+
+
+def mid_mpf(ball):
+    return mp.mpf(ball.mid.numerator) / ball.mid.denominator
 
 
 def mp_psi(m, x, prec=400):
@@ -112,11 +119,22 @@ def test_domain_errors():
         polygamma(33, 1)
 
 
-def test_policy_guard_bits():
-    pol = PrecisionPolicy(target_bits=64, guard_bits_per_order=10)
-    assert pol.working_bits(3) == 64 + 32 + 30
-    with pytest.raises(ValueError):
-        PrecisionPolicy(target_bits=4)
+def test_policy_guard_bits(monkeypatch):
+    # the series for psi^(m) runs at prec + 32 + 16 m working bits; the
+    # benchmark's mpmath oracle sizes its own precision from this rule
+    seen = []
+    series = polygamma_module._zeta_like_sum
+
+    def recording(s, x, wbits):
+        seen.append((s, wbits))
+        return series(s, x, wbits)
+
+    monkeypatch.setattr(polygamma_module, "_zeta_like_sum", recording)
+    for m in (1, 3, 12):
+        polygamma(m, F(7, 5), 64)
+    assert seen == [(m + 1, 64 + 32 + 16 * m) for m in (1, 3, 12)]
+    with pytest.raises(ValueError, match="prec must be at least 8 bits"):
+        polygamma(1, 1, 4)
 
 
 class TestRecurrenceShift:
@@ -143,10 +161,10 @@ class TestQuadratureCrosscheck:
     def test_classical_values(self):
         q1 = polygamma_quadrature_crosscheck(1, 1, 64)
         with mp.workprec(200):
-            assert abs(q1.to_mpf() - mp.pi ** 2 / 6) < mp.mpf(10) ** -10
+            assert abs(mid_mpf(q1) - mp.pi ** 2 / 6) < mp.mpf(10) ** -10
         q2 = polygamma_quadrature_crosscheck(2, 1, 64)
         with mp.workprec(200):
-            assert abs(q2.to_mpf() - (-2 * mp.zeta(3))) < mp.mpf(10) ** -10
+            assert abs(mid_mpf(q2) - (-2 * mp.zeta(3))) < mp.mpf(10) ** -10
 
     def test_matches_series_path(self):
         series = polygamma(1, 10, 128)

@@ -1,5 +1,6 @@
 """Proof replay: kernel build, derivative chain, certificate, mutations."""
 
+import hashlib
 import importlib
 import json
 from collections import Counter
@@ -11,13 +12,16 @@ import sympy
 import cmgamma
 from cmgamma.algebra import ExpPoly, Poly
 from cmgamma.bounds import pf_expansion_identity_check
-from cmgamma.constants import DEFAULT_CONSTANTS_PATH, load_constants
-from cmgamma.errors import FixtureMismatch, IndeterminateSign
+from cmgamma.constants import CHAIN_LENGTHS, DEFAULT_CONSTANTS_PATH, load_constants
+from cmgamma.errors import FixtureMismatch
 from cmgamma.replay import (build_chain, build_theta_from_kernel,
-                            chain_positivity_certificate,
-                            grid_positivity_spotcheck, replay_proof,
+                            chain_positivity_certificate, replay_proof,
                             verify_derivative_fixtures, verify_initial_values,
                             verify_divisibility, verify_kernel_build)
+from oracles import exppoly_interval
+
+
+CERTIFICATE_SHA256 = "ea4a9750679def5c44e5b6d21829761fa124dffb40fa9af67fe4c834604916e9"
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +192,26 @@ class TestCertificate:
         assert cert.steps[0].passed and cert.steps[1].passed
         assert not cert.steps[2].passed
         assert cert.first_failure().step == 3
+        assert [s.detail for s in cert.steps[2:]] == [
+            "negative initial value at orders [4]", "precondition failed",
+            "positivity chain incomplete"]
+
+    def test_theta_must_vanish_at_zero(self, mutate_constants):
+        # theta(0) = 4 > 0: the derivatives, hence theta1 and theta2, are
+        # unchanged, but the theta step needs theta(0) = 0 exactly
+        consts = load_constants(mutate_constants(r"0 832809600", "0 832809599"))
+        cert = chain_positivity_certificate(build_chain(consts), consts)
+        assert [s.passed for s in cert.steps] == [True, True, True, False, False]
+        assert dict(cert.steps[3].exact_values_used)["theta(0)"] == "4"
+        assert cert.steps[3].detail == "precondition failed"
+
+    def test_induction_steps_cover_all_but_the_top_order(self, chain, consts):
+        # step i+1 integrates down from stage^(CHAIN_LENGTHS - 1)
+        cert = chain_positivity_certificate(chain, consts)
+        for step, stage in zip(cert.steps[1:4], ("theta2", "theta1", "theta")):
+            labels = [label for label, _ in step.exact_values_used]
+            assert labels == [f"{stage}(0)"] + [
+                f"{stage}^({o})(0)" for o in range(1, CHAIN_LENGTHS[stage])]
 
 
 class TestFullReplay:
@@ -197,7 +221,10 @@ class TestFullReplay:
         assert report.overall
 
     def test_deterministic_bytes(self):
-        assert replay_proof().to_json() == replay_proof().to_json()
+        doc = replay_proof().to_json()
+        assert doc == replay_proof().to_json()
+        # the same pin as the benchmark's certificate check
+        assert hashlib.sha256(doc.encode()).hexdigest() == CERTIFICATE_SHA256
 
     def test_json_schema(self):
         doc = json.loads(replay_proof().to_json())
@@ -217,23 +244,14 @@ class TestFullReplay:
 
 
 class TestSpotcheck:
+    """Interval corroboration of the stage positivity the certificate proves."""
+
     def test_positive_stages(self, chain):
-        rep = grid_positivity_spotcheck(
-            chain, [("theta2", 9), ("theta", 0)], [F(1, 10), F(1), F(10)], 128)
-        assert rep.passed
-        assert all(e.verdict == "positive" for e in rep.entries)
+        for stage, order in (("theta2", 9), ("theta", 0)):
+            for t in (F(1, 10), F(1), F(10)):
+                value = exppoly_interval(chain.stage(stage, order), t, 128)
+                assert value.a > 0, (stage, order, t)
 
     def test_zero_is_boundary_case(self, chain):
-        rep = grid_positivity_spotcheck(chain, [("theta", 0)], [F(0)], 64)
-        assert rep.entries[0].verdict == "boundary-zero"
-        assert rep.passed
-
-    def test_negative_grid_rejected(self, chain):
-        with pytest.raises(IndeterminateSign):
-            grid_positivity_spotcheck(chain, [("theta", 0)], [F(-1)], 64)
-
-    def test_json_deterministic(self, chain):
-        grid = [F(0), F(1)]
-        a = grid_positivity_spotcheck(chain, [("theta", 1)], grid, 64).to_json()
-        b = grid_positivity_spotcheck(chain, [("theta", 1)], grid, 64).to_json()
-        assert a == b and json.loads(a)["kind"] == "spotcheck"
+        value = exppoly_interval(chain.theta, 0, 64)
+        assert value.a == value.b == 0
