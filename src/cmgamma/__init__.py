@@ -18,9 +18,8 @@ from .algebra import (ExpPoly, KernelTerm, PartialFractionForm,
                       PartialFractionTerm, Poly, laplace_kernel_of,
                       pfd_decompose)
 from .ball import Ball
-from .bounds import (bound_eval, bound_exact, g_derivative, g_eval,
-                     h_derivative, h_eval, p_eval,
-                     pf_expansion_identity_check, q_eval,
+from .bounds import (bound_exact, g_derivative, g_eval, h_derivative,
+                     h_eval, p_eval, pf_expansion_identity_check, q_eval,
                      telescoping_identity_check)
 from .constants import SourceConstants, load_constants
 from .errors import (CertificateFailure, CmGammaError, ConstantsFormatError,
@@ -40,8 +39,8 @@ __all__ = [
     "CmScanReport", "ConstantsFormatError", "DegreeError", "DomainError",
     "ExpPoly", "FixtureMismatch", "GridSpec", "KernelTerm", "NotDivisible",
     "SourceConstants", "PartialFractionForm", "PartialFractionTerm", "Poly",
-    "PrecisionError", "QuadratureFailure", "ThetaChain", "bound_eval",
-    "bound_exact", "build_chain", "build_theta_from_kernel",
+    "PrecisionError", "QuadratureFailure", "ThetaChain", "bound_exact",
+    "build_chain", "build_theta_from_kernel",
     "chain_positivity_certificate", "cm_scan", "default_grid",
     "g_derivative", "g_eval", "h_derivative", "h_eval", "laplace_kernel_of",
     "load_constants", "p_eval", "pf_expansion_identity_check",

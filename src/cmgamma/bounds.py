@@ -6,14 +6,17 @@
     H(x) = trigamma(x) - R(x)                 satisfies g(x) - g(x+1) = (2/x^2) H(x)
 
 All rational parts are differentiated and evaluated through their exact
-partial-fraction forms, so every enclosure radius here comes from the
-polygamma evaluations alone.  Derivatives of the transcendental part use the
-exact Leibniz expansion of d^k[trigamma^2].
+partial-fraction forms.  Derivatives of the transcendental part use the
+exact Leibniz expansion of d^k[trigamma^2]: its sum, the propagated radius
+and the exact rational part are formed in integers at one dyadic scale, so
+an enclosure radius is the polygamma balls' radii carried exactly through
+the expansion, plus one final rounding.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,11 +82,6 @@ def bound_exact(x, constants: SourceConstants | None = None) -> Fraction:
     return c.p(x) / (SCALE_P * x ** 4 * (x + 1) ** 10)
 
 
-def bound_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
-    """B(x) as a Ball; the radius is dyadic rounding only."""
-    return Ball.from_fraction(bound_exact(x, constants), prec)
-
-
 def remainder_exact(x, constants: SourceConstants | None = None) -> Fraction:
     """R(x), evaluated through its exact 22-term partial-fraction form."""
     x = _check_x(x)
@@ -100,37 +98,66 @@ def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball
     return h_derivative(0, x, prec, constants)
 
 
+def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
+    """(D, mids, rads): every midpoint and radius as an exact integer over the
+    common denominator D (a power of two 2^S for polygamma's dyadic balls)."""
+    den = math.lcm(*(b.mid.denominator for b in balls), *(b.rad.denominator for b in balls))
+    return (den, [b.mid.numerator * (den // b.mid.denominator) for b in balls],
+            [b.rad.numerator * (den // b.rad.denominator) for b in balls])
+
+
 def g_derivative(k: int, x, prec: int = 128,
-                 constants: SourceConstants | None = None) -> Ball:
+                 constants: SourceConstants | None = None,
+                 psi: Mapping[int, Ball] | None = None) -> Ball:
     """Enclosure of the k-th derivative of g at rational x >= MIN_X.
 
     d^k[trigamma^2] expands by Leibniz into sum_j C(k,j) psi^(1+j) psi^(1+k-j),
     d^k[tetragamma] is psi^(k+2), and the rational part differentiates exactly
-    through its partial-fraction form.
+    through its partial-fraction form.  psi, if given, maps each order
+    m = 1..k+2 to polygamma(m, x, prec) (a scan passes one jet per grid
+    point); otherwise the orders are computed here.
+
+    With every psi^(m) ball written as (P_m +/- R_m)/D over one common
+    denominator D = 2^S, the sum and its radius
+    sum_j C(k,j) (|P_a| R_b + R_a |P_b| + R_a R_b) are exact integers over
+    D^2 (the j and k-j terms are equal, so each pair is formed once);
+    psi^(k+2) and the exact rational part join them and the cell is rounded
+    once.
     """
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = _check_x(x)
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
-    psi = {m: polygamma(m, x, prec) for m in range(1, k + 3)}
-    acc = None
-    for j in range(k + 1):
-        term = math.comb(k, j) * (psi[1 + j] * psi[1 + k - j])
-        acc = term if acc is None else acc + term
-    acc = acc + psi[k + 2]
+    if psi is None:
+        psi = {m: polygamma(m, x, prec) for m in range(1, k + 3)}
+    den, mids, rads = _common_scale([psi[m] for m in range(1, k + 3)])
+    total = rad = 0
+    for j in range(k // 2 + 1):
+        a, b = j, k - j  # list indices of the orders 1+j and 1+k-j
+        c = math.comb(k, j) if a == b else 2 * math.comb(k, j)
+        pa, pb, ra, rb = mids[a], mids[b], rads[a], rads[b]
+        total += c * pa * pb
+        rad += c * (abs(pa) * rb + ra * abs(pb) + ra * rb)
+    total += mids[k + 1] * den
+    rad += rads[k + 1] * den
     rational_part = _bound_pf_deriv(k, constants).eval_exact(x)
-    return acc - rational_part
+    u, v = rational_part.numerator, rational_part.denominator
+    den2 = den * den
+    return Ball._make(total * v - u * den2, v * den2, rad, den2, prec)
 
 
 def h_derivative(k: int, x, prec: int = 128,
-                 constants: SourceConstants | None = None) -> Ball:
-    """Enclosure of the k-th derivative of H at rational x > 0."""
+                 constants: SourceConstants | None = None,
+                 psi: Mapping[int, Ball] | None = None) -> Ball:
+    """Enclosure of the k-th derivative of H at rational x > 0; psi, if
+    given, maps the order k+1 to polygamma(k+1, x, prec)."""
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = _check_x(x)
+    trigamma_k = psi[k + 1] if psi is not None else polygamma(k + 1, x, prec)
     rational_part = _remainder_pf_deriv(k, constants).eval_exact(x)
-    return polygamma(k + 1, x, prec) - rational_part
+    return trigamma_k - rational_part
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ _LOG2_4_OVER_25 = 2 - math.log2(25)
 _SKIP_MARGIN_BITS = 2  # far more than the float error of the log2 estimates
 
 
-@lru_cache(maxsize=8192)
 def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[int, int, int]:
     """Enclosure of sum_{i>=0} (x+i)^(-s) as (total, radius, F): the sum is
     within radius of total, both integers in units of 2^-F."""

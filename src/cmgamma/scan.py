@@ -7,6 +7,11 @@ enclosure that straddles zero is retried up the precision ladder (target,
 never coerced.  A single negative verdict marks the whole scan failed: this
 is the desk-scale falsification surface for the monotonicity claims.  The
 k = 0 cells of the g scan are the inequality psi'(x)^2 + psi''(x) > B(x).
+
+The scan runs with x as the outer loop.  Each grid point gets one polygamma
+jet per precision it uses: psi^(m)(x) is computed once per order and shared
+by every cell of that point, and an escalated cell fills the jet of its
+higher precision.  The report still lists its entries k-major.
 """
 
 from __future__ import annotations
@@ -192,6 +197,18 @@ def _certified_sign(evaluate: Callable[[int], Ball],
     return ball.sign(), ball, prec
 
 
+class _Jet(dict):
+    """psi^(m)(x) at prec bits by order m, each order computed on first use."""
+
+    def __init__(self, x: Fraction, prec: int):
+        super().__init__()
+        self.x, self.prec = x, prec
+
+    def __missing__(self, m: int) -> Ball:
+        ball = self[m] = bounds.polygamma(m, self.x, self.prec)
+        return ball
+
+
 def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
             prec: int = 256,
             constants: SourceConstants | None = None) -> CmScanReport:
@@ -203,14 +220,19 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
         raise DomainError(f"k_max must be in 0..{bounds.MAX_DERIVATIVE_ORDER}")
     grid = grid if grid is not None else default_grid()
     deriv = _KINDS[kind]
-    entries = []
-    for k in range(k_max + 1):
-        flip = -1 if k % 2 else 1
-        for x in grid.points:
+    columns = []
+    for x in grid.points:
+        jets: dict[int, _Jet] = {}  # precision -> jet at x
+        column = []
+        for k in range(k_max + 1):
+            flip = -1 if k % 2 else 1
             sign, ball, used = _certified_sign(
-                lambda p, k=k, x=x: deriv(k, x, p, constants), prec)
+                lambda p, k=k, x=x, jets=jets: deriv(
+                    k, x, p, constants, psi=jets.setdefault(p, _Jet(x, p))), prec)
             signed = sign * flip
             verdict = ("positive" if signed > 0
                        else "negative" if signed < 0 else "indeterminate")
-            entries.append(ScanEntry(k, x, ball, verdict, used))
-    return CmScanReport(kind, k_max, prec, tuple(entries))
+            column.append(ScanEntry(k, x, ball, verdict, used))
+        columns.append(column)
+    entries = tuple(e for row in zip(*columns) for e in row)  # k-major
+    return CmScanReport(kind, k_max, prec, entries)

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from mpmath import iv
 
+from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
+                               SCALE_P, SCALE_Q, load_constants)
 from cmgamma.polygamma import polygamma
 
 
@@ -43,3 +45,50 @@ def exppoly_interval(e, t, prec=128):
             acc += (ctx.mpf(v.numerator) / v.denominator
                     * ctx.exp(k * ctx.mpf(t.numerator) / t.denominator))
     return acc
+
+
+def rational_part_derivatives(kind, x, n, constants=None):
+    """[f(x), f'(x), ..., f^(n)(x)] exactly, for the rational part f of g or H,
+
+        B(x) = p(x)/900 * x^-4 (x+1)^-10          (kind "g"),
+        R(x) = q(x)/1800 * x^-2 (x+1)^-10 (x+2)^-10  (kind "H"),
+
+    by the Leibniz rule over the factors: the polynomial is differentiated
+    from its coefficients and d^i (x+s)^-e = (-e)(-e-1)...(-e-i+1) (x+s)^(-e-i).
+    No partial fractions are involved.
+    """
+    c = constants if constants is not None else load_constants()
+    poly, scale, factors = {"g": (c.p, SCALE_P, BOUND_DEN_FACTORS),
+                            "H": (c.q, SCALE_Q, REMAINDER_DEN_FACTORS)}[kind]
+    x = Fraction(x)
+    coeffs = list(poly.coeffs)
+    derivs = []
+    for _ in range(n + 1):
+        derivs.append(sum((a * x ** i for i, a in enumerate(coeffs)), Fraction(0)) / scale)
+        coeffs = [i * a for i, a in enumerate(coeffs)][1:]
+    for s, e in factors:
+        factor, falling = [], 1
+        for i in range(n + 1):
+            factor.append(falling * (x + s) ** (-e - i))
+            falling *= -e - i
+        derivs = [sum(math.comb(m, i) * derivs[i] * factor[m - i] for i in range(m + 1))
+                  for m in range(n + 1)]
+    return derivs
+
+
+def g_derivative_ball_chain(k, x, psi, rational_part):
+    """g^(k)(x) as a chain of Ball operations, each rounded on its own:
+
+        sum_j C(k,j) psi^(1+j) psi^(1+k-j) + psi^(k+2) - B^(k)(x),
+
+    with psi mapping each order m to the ball of psi^(m)(x) and
+    rational_part the exact B^(k)(x).  This is how cmgamma formed the cell
+    before the Leibniz sum was taken in integers and rounded once; the
+    integer cell must overlap it and be no wider.
+    """
+    acc = None
+    for j in range(k + 1):
+        term = math.comb(k, j) * (psi[1 + j] * psi[1 + k - j])
+        acc = term if acc is None else acc + term
+    acc = acc + psi[k + 2]
+    return acc - rational_part

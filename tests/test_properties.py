@@ -4,7 +4,9 @@ The rounding functions and the Ball operations are checked bit for bit
 against the plain-Fraction references below; the fixed-point series is
 checked bit for bit against a reference copy of the loop that recomputes
 every remainder bound, and with polygamma for containment of mpmath's psi
-and Hurwitz zeta at four times the precision; the Bernoulli numbers are
+and Hurwitz zeta at four times the precision; the derivatives of g and H
+are checked for containment of mpmath's psi plus the exact rational part at
+four times the precision; the Bernoulli numbers are
 checked against mpmath's; the integer partial-fraction decomposition is
 checked against sympy's ``apart`` and by recomposing it; the integer-numerator
 ``Poly`` and ``ExpPoly.deriv`` are checked against plain Fraction-tuple
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from cmgamma import bounds
 from cmgamma.algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm,
                              Poly, pfd_decompose, pfd_recompose)
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
@@ -28,6 +31,7 @@ from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                load_constants)
 from cmgamma.errors import PrecisionError
 from cmgamma.polygamma import _bernoulli, _zeta_like_sum, polygamma
+from oracles import rational_part_derivatives
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -162,6 +166,38 @@ def test_polygamma_contains_mpmath(m, x, prec):
     assert ball.rad <= abs(ball.mid) * F(1, 2 ** prec)
     with mp.workprec(4 * prec):
         assert ball.contains(mp.psi(m, mp.mpf(x.numerator) / x.denominator))
+
+
+moderate_x = st.one_of(
+    st.builds(lambda m, e: F(m, 2 ** 12) * F(2) ** e,  # dyadic
+              st.integers(2 ** 12, 2 ** 13), st.integers(-10, 9)),
+    st.builds(lambda frac, e: frac * F(2) ** e,
+              st.fractions(min_value=1, max_value=2, max_denominator=10 ** 4),
+              st.integers(-10, 9)))
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.sampled_from("gH"), st.integers(0, 12), moderate_x, st.integers(64, 512))
+@example("g", 12, F(1, 2 ** 10), 512)
+@example("g", 12, F(2 ** 10), 512)
+@example("H", 12, F(1, 2 ** 10), 512)
+@example("g", 0, F(1), 64)
+def test_derivatives_contain_mpmath(kind, k, x, prec):
+    # oracle: mpmath's psi at 4x precision plus the exact rational part,
+    # differentiated without partial fractions
+    if kind == "g":
+        ball = bounds.g_derivative(k, x, prec)
+    else:
+        ball = bounds.h_derivative(k, x, prec)
+    rational = rational_part_derivatives(kind, x, k)[k]
+    with mp.workprec(4 * prec):
+        xm = mp.mpf(x.numerator) / x.denominator
+        if kind == "g":
+            psi_part = mp.fsum(math.comb(k, j) * mp.psi(1 + j, xm) * mp.psi(1 + k - j, xm)
+                               for j in range(k + 1)) + mp.psi(k + 2, xm)
+        else:
+            psi_part = mp.psi(k + 1, xm)
+        assert ball.contains(psi_part - mp.mpf(rational.numerator) / rational.denominator)
 
 
 def test_bernoulli_matches_mpmath():

@@ -16,6 +16,7 @@ from cmgamma.ball import Ball
 from cmgamma.errors import DomainError
 from cmgamma.scan import (ESCALATION_CAP_BITS, GridSpec, _certified_sign,
                           cm_scan, default_grid)
+from oracles import g_derivative_ball_chain, rational_part_derivatives
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -122,7 +123,7 @@ class TestCmScan:
         assert mid.startswith("0.09635")
 
     @pytest.mark.parametrize("kind, sha256", [
-        ("g", "1cec0a3fcebb0b892def4caeb8aafe5e448fecf18470927a38d0d4f735ef14c7"),
+        ("g", "6a2d9d4cb9ac927d140c24eaaf532856c5e1c3aa2d89476c27c6b0187c79a203"),
         ("H", "2b2e0c349178c83ea5af63cec3e73f9e692150e5000ebe0239b455889f6d2027"),
     ])
     def test_report_bytes_pinned(self, kind, sha256):
@@ -139,6 +140,68 @@ class TestCmScan:
         assert len(doc["payload"]["entries"]) == 4
         assert rep.to_json() == cm_scan("g", 1, GridSpec.explicit([F(1), F(2)]),
                                         96).to_json()
+
+
+class TestIntegerCells:
+    """Each g cell is the Leibniz sum taken in integers and rounded once; the
+    Ball chain that rounds every product and sum on its own is the reference."""
+
+    GRIDS = {"default": default_grid(),
+             "small-x": GridSpec.geometric(F(1, 1024), F(4), 6)}
+
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_cells_match_the_ball_chain(self, monkeypatch, grid, prec):
+        k_max = bounds.MAX_DERIVATIVE_ORDER
+        points = self.GRIDS[grid].points
+        # polygamma is a pure function; one memo serves the scan, the
+        # reference and the standalone evaluations alike
+        memo = {}
+        direct = bounds.polygamma
+
+        def polygamma(m, x, p):
+            if (m, x, p) not in memo:
+                memo[m, x, p] = direct(m, x, p)
+            return memo[m, x, p]
+
+        monkeypatch.setattr(bounds, "polygamma", polygamma)
+        rep = cm_scan("g", k_max, self.GRIDS[grid], prec)
+        assert [(e.k, e.x) for e in rep.entries] == [(k, x) for k in range(k_max + 1)
+                                                     for x in points]
+        rational = {x: rational_part_derivatives("g", x, k_max) for x in points}
+        for e in rep.entries:
+            def reference(p, k=e.k, x=e.x):
+                psi = {m: polygamma(m, x, p) for m in range(1, k + 3)}
+                return g_derivative_ball_chain(k, x, psi, rational[x][k])
+
+            sign, ref, used = _certified_sign(reference, prec)
+            flip = -1 if e.k % 2 else 1
+            assert e.verdict == {1: "positive", -1: "negative", 0: "indeterminate"}[sign * flip]
+            assert e.prec_used == used
+            assert e.ball.rad <= ref.rad and e.ball.overlaps(ref)
+            alone = bounds.g_derivative(e.k, e.x, used)  # the jet built inside
+            assert (alone.mid, alone.rad, alone.prec) == (e.ball.mid, e.ball.rad, e.ball.prec)
+
+    @pytest.mark.parametrize("kind", ["g", "H"])
+    def test_escalated_cells_use_a_jet_at_their_precision(self, monkeypatch, kind):
+        # at 8 bits the cells at x = 64 and x = 1000 resolve only at 16 or
+        # 32 bits; each escalation fills the jet of its own precision, and
+        # no order is computed twice at one point and precision
+        seen = Counter()
+        direct = bounds.polygamma
+
+        def polygamma(m, x, p):
+            seen[m, x, p] += 1
+            return direct(m, x, p)
+
+        monkeypatch.setattr(bounds, "polygamma", polygamma)
+        rep = cm_scan(kind, 12, GridSpec.explicit([F(1), F(64), F(1000)]), 8)
+        assert {e.prec_used for e in rep.entries} == {8, 16, 32}
+        assert max(seen.values()) == 1
+        deriv = bounds.g_derivative if kind == "g" else bounds.h_derivative
+        for e in rep.entries:
+            alone = deriv(e.k, e.x, e.prec_used)
+            assert (alone.mid, alone.rad) == (e.ball.mid, e.ball.rad)
 
 
 class TestInequalityScan:
@@ -176,7 +239,9 @@ class TestDecay:
 @pytest.mark.parametrize("kind", ["g", "H"])
 def test_scan_calls_the_traced_entry_points(monkeypatch, kind):
     # the benchmark's traced mode wraps these names where they are bound; a
-    # scan that bypassed one would leave that layer blank
+    # scan that bypassed one would leave that layer blank.  Each grid point
+    # gets one polygamma jet: every order is computed once per point, never
+    # once per cell (no cell of this grid escalates)
     calls = Counter()
 
     def counted(name, fn):
@@ -193,8 +258,12 @@ def test_scan_calls_the_traced_entry_points(monkeypatch, kind):
                         counted("eval_exact", PartialFractionForm.eval_exact))
     monkeypatch.setattr(bounds_module, "polygamma",
                         counted("polygamma", bounds_module.polygamma))
-    cm_scan(kind, 2, GridSpec.explicit([F(1, 3), F(5)]), 64)
+    grid = GridSpec.explicit([F(1, 3), F(5)])
+    k_max = 2  # g needs psi orders 1..k_max+2, H orders 1..k_max+1
+    rep = cm_scan(kind, k_max, grid, 64)
     assert set(calls) == {"round_nearest", "eval_exact", "polygamma"}
+    assert all(e.prec_used == 64 for e in rep.entries)
+    assert calls["polygamma"] == (k_max + (2 if kind == "g" else 1)) * len(grid.points)
 
 
 def test_traced_entry_points_resolve():
