@@ -107,15 +107,16 @@ def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
 
 
 def g_derivative(k: int, x, prec: int = 128,
-                 constants: SourceConstants | None = None,
-                 psi: Mapping[int, Ball] | None = None) -> Ball:
+                 constants: SourceConstants | None = None, *,
+                 _psi: Mapping[int, Ball] | None = None) -> Ball:
     """Enclosure of the k-th derivative of g at rational x >= MIN_X.
 
     d^k[trigamma^2] expands by Leibniz into sum_j C(k,j) psi^(1+j) psi^(1+k-j),
     d^k[tetragamma] is psi^(k+2), and the rational part differentiates exactly
-    through its partial-fraction form.  psi, if given, maps each order
-    m = 1..k+2 to polygamma(m, x, prec) (a scan passes one jet per grid
-    point); otherwise the orders are computed here.
+    through its partial-fraction form.  _psi is internal to `cm_scan`, which
+    passes its jet for this x and prec: a mapping from each order
+    m = 1..k+2 to polygamma(m, x, prec), trusted as given.  Without it the
+    orders are computed here.
 
     With every psi^(m) ball written as (P_m +/- R_m)/D over one common
     denominator D = 2^S, the sum and its radius
@@ -129,6 +130,7 @@ def g_derivative(k: int, x, prec: int = 128,
     x = _check_x(x)
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
+    psi = _psi
     if psi is None:
         psi = {m: polygamma(m, x, prec) for m in range(1, k + 3)}
     den, mids, rads = _common_scale([psi[m] for m in range(1, k + 3)])
@@ -148,14 +150,15 @@ def g_derivative(k: int, x, prec: int = 128,
 
 
 def h_derivative(k: int, x, prec: int = 128,
-                 constants: SourceConstants | None = None,
-                 psi: Mapping[int, Ball] | None = None) -> Ball:
-    """Enclosure of the k-th derivative of H at rational x > 0; psi, if
-    given, maps the order k+1 to polygamma(k+1, x, prec)."""
+                 constants: SourceConstants | None = None, *,
+                 _psi: Mapping[int, Ball] | None = None) -> Ball:
+    """Enclosure of the k-th derivative of H at rational x > 0.  _psi is
+    internal to `cm_scan` (see `g_derivative`); it maps the order k+1 to
+    polygamma(k+1, x, prec)."""
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = _check_x(x)
-    trigamma_k = psi[k + 1] if psi is not None else polygamma(k + 1, x, prec)
+    trigamma_k = _psi[k + 1] if _psi is not None else polygamma(k + 1, x, prec)
     rational_part = _remainder_pf_deriv(k, constants).eval_exact(x)
     return trigamma_k - rational_part
 

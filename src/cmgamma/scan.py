@@ -228,7 +228,8 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
             flip = -1 if k % 2 else 1
             sign, ball, used = _certified_sign(
                 lambda p, k=k, x=x, jets=jets: deriv(
-                    k, x, p, constants, psi=jets.setdefault(p, _Jet(x, p))), prec)
+                    k, x, p, constants,
+                    _psi=jets.setdefault(p, _Jet(x, p))), prec)
             signed = sign * flip
             verdict = ("positive" if signed > 0
                        else "negative" if signed < 0 else "indeterminate")

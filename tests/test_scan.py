@@ -13,6 +13,7 @@ import pytest
 from cmgamma import bounds
 from cmgamma.algebra import PartialFractionForm
 from cmgamma.ball import Ball
+from cmgamma.cli import main
 from cmgamma.errors import DomainError
 from cmgamma.scan import (ESCALATION_CAP_BITS, GridSpec, _certified_sign,
                           cm_scan, default_grid)
@@ -125,11 +126,19 @@ class TestCmScan:
     @pytest.mark.parametrize("kind, sha256", [
         ("g", "6a2d9d4cb9ac927d140c24eaaf532856c5e1c3aa2d89476c27c6b0187c79a203"),
         ("H", "2b2e0c349178c83ea5af63cec3e73f9e692150e5000ebe0239b455889f6d2027"),
+        ("telescoping", "3649ffb227f79f4d8341328aa3f36c0ec8573bd8f5092710eceb7129ded92328"),
     ])
-    def test_report_bytes_pinned(self, kind, sha256):
+    def test_report_bytes_pinned(self, kind, sha256, capsys):
         # byte-stable reports: any change to a midpoint, radius or the
         # format shows here and has to be re-pinned on purpose
-        doc = cm_scan(kind, 2, GridSpec.explicit([F(1, 3), F(5)]), 64).to_json()
+        if kind == "telescoping":
+            # the g enclosures that `identity-check telescoping` and `eval g` print
+            for x in ("1/3", "5"):
+                assert main(["identity-check", "telescoping", "--x", x, "--prec", "64"]) == 0
+                assert main(["eval", "g", x, "--prec", "64"]) == 0
+            doc = capsys.readouterr().out
+        else:
+            doc = cm_scan(kind, 2, GridSpec.explicit([F(1, 3), F(5)]), 64).to_json()
         assert hashlib.sha256(doc.encode()).hexdigest() == sha256
 
     def test_json_round_trip(self):
