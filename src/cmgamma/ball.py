@@ -10,7 +10,10 @@ rounding error pushed into the radius (rounded up).  Exact (radius-0)
 results keep their exact rational midpoint.
 
 A Ball has no transcendental functions of its own: the polygamma module
-builds its enclosures from integer series sums through Ball._make.
+builds its enclosures from integer series sums through Ball._make.  Its
+decimal output (`decimal_str`, `radius_str`, `str`) comes from the integer
+port of mpmath.nstr in `reporting.decimal_str`, so it prints the digits
+mpmath printed without importing mpmath.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-from mpmath import mp
-
 from .algebra import as_fraction
+from .reporting import decimal_str
 
 Rat = Union[int, Fraction]
 
@@ -110,17 +111,6 @@ class Ball:
         raise AttributeError("Ball is immutable")
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def exact(cls, q: Rat, prec: int = 53) -> "Ball":
-        """Radius-zero ball around an exact rational (midpoint kept exact)."""
-        return cls(as_fraction(q), 0, prec)
-
-    @classmethod
-    def from_fraction(cls, q: Rat, prec: int) -> "Ball":
-        """Dyadic rounding of q with the rounding error in the radius."""
-        mid, err = round_nearest(as_fraction(q), prec + _MID_GUARD)
-        return cls(mid, err, prec)
 
     @classmethod
     def from_endpoints(cls, lo: Rat, hi: Rat, prec: int) -> "Ball":
@@ -238,19 +228,18 @@ class Ball:
 
     # -- output --------------------------------------------------------------
 
-    def decimal_str(self, digits: int | None = None) -> str:
-        if digits is None:
-            digits = max(6, min(40, int(self.prec * 0.30103)))
-        with mp.workprec(max(self.prec, 64) + _MID_GUARD):
-            m = mp.mpf(self.mid.numerator) / mp.mpf(self.mid.denominator)
-            return mpmath.nstr(m, digits)
+    def decimal_str(self) -> str:
+        """The midpoint to about prec decimal bits (6 to 40 digits), as
+        mpmath.nstr prints it at max(prec, 64) + 16 working bits."""
+        digits = max(6, min(40, int(self.prec * 0.30103)))
+        return decimal_str(self.mid.numerator, self.mid.denominator,
+                           max(self.prec, 64) + _MID_GUARD, digits)
 
     def radius_str(self) -> str:
+        """The radius to 3 digits, as mpmath.nstr prints it at 64 bits."""
         if self.rad == 0:
             return "0"
-        with mp.workprec(64):
-            r = mp.mpf(self.rad.numerator) / mp.mpf(self.rad.denominator)
-            return mpmath.nstr(r, 3)
+        return decimal_str(self.rad.numerator, self.rad.denominator, 64, 3)
 
     def __str__(self) -> str:
         return f"{self.decimal_str()} +/- {self.radius_str()}"

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import (PartialFractionForm, PartialFractionTerm, Poly,
                       as_fraction, pfd_decompose)
@@ -163,8 +163,7 @@ def h_derivative(k: int, x, prec: int = 128,
     return trigamma_k - rational_part
 
 
-@dataclass(frozen=True)
-class ExpansionIdentityReport:
+class ExpansionIdentityReport(NamedTuple):
     """Verdict of the exact partial-fraction identity checks."""
 
     expansion_equal: bool
@@ -226,8 +225,7 @@ def pf_expansion_identity_check(
                                    "\n".join(lines))
 
 
-@dataclass(frozen=True)
-class TelescopingReport:
+class TelescopingReport(NamedTuple):
     """Numerical verdict of g(x) - g(x+1) == (2/x^2) H(x) at one point."""
 
     x: Fraction

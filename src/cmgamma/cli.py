@@ -6,14 +6,21 @@ no timestamps, sorted JSON keys, fixed decimal formatting.
 
 The default precision comes from --prec, else the CMGAMMA_PREC environment
 variable, else 128 bits (256 for scans).  To keep the cost of a run bounded,
-a precision above scan.ESCALATION_CAP_BITS and a grid of more than
-scan.MAX_GRID_POINTS points are usage errors.
+a precision above scan.ESCALATION_CAP_BITS, a grid of more than
+scan.MAX_GRID_POINTS points and an exact argument or geometric grid point
+whose numerator or denominator has more than scan.MAX_POINT_BITS bits are
+usage errors.  At that size every exact value the commands print (up to
+Q(x) and the rational part of H, of degree 22) stays far below Python's
+4300-digit limit on int-to-str conversion.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
+import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -49,11 +56,26 @@ def _default_prec(args, fallback: int) -> int:
     return prec
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def _parse_x(text: str) -> Fraction:
+    too_large = CmGammaError(
+        f"{text!r} is too large: an exact argument may have at most "
+        f"{scan.MAX_POINT_BITS} bits in its numerator and denominator")
     try:
-        return Fraction(text)
+        # Fraction expands 10^exponent before anything could check it; an
+        # exponent beyond the digits of the text plus MAX_POINT_BITS leaves
+        # more than MAX_POINT_BITS bits in the numerator or denominator
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > len(text) + scan.MAX_POINT_BITS:
+            raise too_large
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CmGammaError(f"cannot parse {text!r} as an exact rational")
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > scan.MAX_POINT_BITS:
+        raise too_large
+    return x
 
 
 def _load(args):
@@ -61,9 +83,22 @@ def _load(args):
     return load_constants(path)
 
 
+def _approx(q: Fraction) -> str:
+    """q as '%.12g' prints it.  A nonzero value outside the normal float
+    range is rounded from the exact rational instead (ties to even), to the
+    same 12 significant digits and exponent shape."""
+    try:
+        f = float(q)
+    except OverflowError:
+        f = math.inf
+    if q == 0 or sys.float_info.min <= abs(f) < math.inf:
+        return f"{f:.12g}"
+    ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return format(ctx.divide(q.numerator, q.denominator).normalize(ctx), ".12g")
+
+
 def _print_exact(label: str, value: Fraction) -> None:
-    approx = float(value)
-    print(f"{label} = {frac_str(value)} (~ {approx:.12g})")
+    print(f"{label} = {frac_str(value)} (~ {_approx(value)})")
 
 
 def cmd_eval(args) -> int:

@@ -10,7 +10,6 @@ identity tests instead of propagating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -38,9 +37,16 @@ KERNEL_LIFT = 2
 CHAIN_LENGTHS = {"theta": 10, "theta1": 10, "theta2": 9}
 
 
-@dataclass(frozen=True, eq=False)  # identity hash: instances are cached singletons
 class SourceConstants:
-    """All transcribed exact fixtures, parsed and assembled."""
+    """All transcribed exact fixtures, parsed and assembled.
+
+    Immutable; equality and hash are by identity, because the loader caches
+    one instance per file and the bounds caches key on it.
+    """
+
+    __slots__ = ("p", "q", "remainder_expansion", "theta", "theta_prime",
+                 "theta1", "theta1_prime", "theta2", "theta2_d9",
+                 "initial_values", "source_path")
 
     p: Poly
     q: Poly
@@ -53,6 +59,18 @@ class SourceConstants:
     theta2_d9: ExpPoly
     initial_values: dict[str, dict[int, int]]
     source_path: Path
+
+    def __init__(self, **fields):
+        if set(fields) != set(self.__slots__):
+            raise TypeError(f"SourceConstants needs exactly the fields {self.__slots__}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SourceConstants is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SourceConstants is immutable")
 
 
 def _parse_rational(tok: str, path, lineno: int) -> int | Fraction:

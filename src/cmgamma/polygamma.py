@@ -42,7 +42,9 @@ are the same as when the bound is computed at every step.
 
 The integral-representation quadrature (`polygamma_quadrature_crosscheck`)
 is a heuristic cross-check only: its radius is an error *estimate* from the
-adaptive scheme, not a proof.
+adaptive scheme, not a proof.  It is the one mpmath user in the package and
+imports mpmath when it is called, so the certified path and every command
+except `eval --crosscheck` run without it.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp
-
 from .algebra import as_fraction
 from .ball import Ball, _mpf_tuple_to_fraction
-from .errors import DomainError, PrecisionError, QuadratureFailure
+from .errors import CmGammaError, DomainError, PrecisionError, QuadratureFailure
 
 MAX_ORDER = 32
 
@@ -206,12 +206,19 @@ def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
     Integrates (-1)^(m+1) * t^m e^(-x t) / (1 - e^(-t)) over (0, inf) with
     tanh-sinh quadrature.  The returned radius is the scheme's own error
     estimate, NOT a rigorous bound; use only to cross-validate the series.
+    It needs mpmath, which only the `crosscheck` and `test` extras install.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError("derivative order m must be an integer >= 1")
     x = as_fraction(x)
     if x <= 0:
         raise DomainError("x must be strictly positive")
+    try:
+        from mpmath import mp
+    except ImportError:
+        raise CmGammaError("the quadrature cross-check needs mpmath: install "
+                           "the 'crosscheck' extra (pip install cmgamma[crosscheck])"
+                           ) from None
     with mp.workprec(prec + 48):
         xf = mp.mpf(x.numerator) / mp.mpf(x.denominator)
 

@@ -16,8 +16,8 @@ floating-point or interval evaluation enters it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import ExpPoly, Poly
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
@@ -53,8 +53,7 @@ _INDUCTION_STEPS = (
 )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One certificate line: a claim, how it was checked, and the verdict."""
 
     step: int
@@ -81,8 +80,7 @@ class StepRecord:
         }
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Ordered step records plus the overall verdict and a readable trace."""
 
     steps: tuple[StepRecord, ...]
@@ -120,8 +118,7 @@ class CertificateReport:
             raise CertificateFailure(f"step {bad.step} ({bad.name}) failed: {bad.detail}")
 
 
-@dataclass(frozen=True)
-class ThetaChain:
+class ThetaChain(NamedTuple):
     """theta, theta1, theta2 and every derivative, all exact ExpPolys."""
 
     theta: ExpPoly

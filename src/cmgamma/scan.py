@@ -12,19 +12,22 @@ The scan runs with x as the outer loop.  Each grid point gets one polygamma
 jet per precision it uses: psi^(m)(x) is computed once per order and shared
 by every cell of that point, and an escalated cell fills the jet of its
 higher precision.  The report still lists its entries k-major.
+
+Grids are explicit point lists, exact geometric progressions, or log-spaced
+spans whose interior points are rounded to 24-bit dyadics; the span points
+are computed in decimal arithmetic with an exact integer check near a
+rounding midpoint, so building a grid needs no mpmath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import decimal
 from fractions import Fraction
-from typing import Callable, Iterable
-
-from mpmath import mp
+from typing import Callable, Iterable, NamedTuple
 
 from . import bounds
 from .algebra import as_fraction
-from .ball import Ball, _mpf_tuple_to_fraction, round_nearest
+from .ball import Ball, _dyadic
 from .constants import SourceConstants
 from .errors import DomainError
 from .reporting import frac_str, stable_json_dumps
@@ -35,24 +38,48 @@ ESCALATION_CAP_BITS = 4096
 #: about 10^5 cells, minutes of work.
 MAX_GRID_POINTS = 10_000
 
+#: Largest numerator or denominator, in bits, of a grid point built from
+#: a geometric progression (and of an exact argument on the command line).
+MAX_POINT_BITS = 512
+
+_SPAN_BITS = 24  # mantissa bits of an interior span point
+_SPAN_DIGITS = 50  # decimal digits of the log-space estimate of a span point
+
 _KINDS: dict[str, Callable] = {
     "g": bounds.g_derivative,
     "H": bounds.h_derivative,
 }
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    """A finite list of positive rational evaluation points."""
+    """A finite list of positive rational evaluation points (immutable)."""
 
-    points: tuple[Fraction, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[Fraction, ...]):
+        if not points:
             raise DomainError("grid must be nonempty")
-        _check_grid_size(len(self.points))
-        if any(p <= 0 for p in self.points):
+        _check_grid_size(len(points))
+        if any(p <= 0 for p in points):
             raise DomainError("grid points must be positive")
+        object.__setattr__(self, "points", points)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GridSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GridSpec is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not GridSpec:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+    def __repr__(self) -> str:
+        return f"GridSpec(points={self.points!r})"
 
     @classmethod
     def explicit(cls, points: Iterable) -> "GridSpec":
@@ -60,12 +87,25 @@ class GridSpec:
 
     @classmethod
     def geometric(cls, start, ratio, count: int) -> "GridSpec":
-        """start * ratio^j for j = 0..count-1, exact rationals."""
+        """start * ratio^j for j = 0..count-1, exact rationals.
+
+        The numerator and denominator sizes of the points are convex in j,
+        so the first and last points are the largest; both must stay within
+        MAX_POINT_BITS, which is checked before any point is built.
+        """
         start = as_fraction(start)
         ratio = as_fraction(ratio)
         if count < 1 or ratio <= 0:
             raise DomainError("need count >= 1 and ratio > 0")
         _check_grid_size(count)
+        _check_point_size(start)
+        # the last point's numerator is at least rn^(count-1) / sd, and its
+        # denominator at least rd^(count-1) / sn: reject before the power
+        for r, s in ((ratio.numerator, start.denominator),
+                     (ratio.denominator, start.numerator)):
+            if (count - 1) * (r.bit_length() - 1) >= MAX_POINT_BITS + s.bit_length():
+                raise _point_too_large()
+        _check_point_size(start * ratio ** (count - 1))
         pts = [start * ratio ** j for j in range(count)]
         return cls.explicit(pts)
 
@@ -73,8 +113,9 @@ class GridSpec:
     def geometric_span(cls, start, stop, count: int) -> "GridSpec":
         """count log-spaced points from start to stop, inclusive.
 
-        Interior points are rounded to 24-bit dyadic rationals (the exact
-        common ratio is usually irrational); the endpoints stay exact.
+        Interior point j is start * (stop/start)^(j/(count-1)) rounded to
+        the nearest 24-bit dyadic rational, ties to even (the exact value is
+        usually irrational); the endpoints stay exact.
         """
         start = as_fraction(start)
         stop = as_fraction(stop)
@@ -83,15 +124,7 @@ class GridSpec:
         _check_grid_size(count)
         if count < 2:
             return cls.explicit([start])
-        pts = [start]
-        with mp.workprec(96):
-            la = mp.log(mp.mpf(start.numerator)) - mp.log(mp.mpf(start.denominator))
-            lb = mp.log(mp.mpf(stop.numerator)) - mp.log(mp.mpf(stop.denominator))
-            for j in range(1, count - 1):
-                v = mp.e ** (la + (lb - la) * j / (count - 1))
-                pts.append(round_nearest(_mpf_tuple_to_fraction(v._mpf_), 24)[0])
-        pts.append(stop)
-        return cls.explicit(pts)
+        return cls.explicit([start] + _span_interior(start, stop, count) + [stop])
 
 
 def _check_grid_size(count: int) -> None:
@@ -100,14 +133,69 @@ def _check_grid_size(count: int) -> None:
                           f"{MAX_GRID_POINTS} points")
 
 
+def _point_too_large() -> DomainError:
+    return DomainError(f"grid point with a numerator or denominator above "
+                       f"{MAX_POINT_BITS} bits")
+
+
+def _check_point_size(q: Fraction) -> None:
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) > MAX_POINT_BITS:
+        raise _point_too_large()
+
+
+def _span_interior(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
+    """The 24-bit roundings of a * (b/a)^(j/(count-1)), j = 1..count-2.
+
+    Each point is estimated as exp(ln a + (ln b - ln a) j/(count-1)) in
+    50-digit decimal arithmetic, whose ln and exp are correctly rounded.
+    With M the largest |ln| of the four integers, the roundings move the
+    exponent by at most 15M 10^-49 in all and exp adds half a unit, so the
+    estimate is within a relative 20(M + 1) 10^-49 of the exact point.
+    That decides the rounding unless the estimate is that close to a
+    midpoint between two 24-bit dyadics; the midpoint c is then compared
+    with the exact point through integer powers: with j/(count-1) = p/q in
+    lowest terms, the point exceeds c exactly when a^(q-p) b^p > c^q.
+    """
+    ctx = decimal.Context(prec=_SPAN_DIGITS, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    logs = [ctx.ln(n) for n in (a.numerator, a.denominator,
+                                 b.numerator, b.denominator)]
+    la = ctx.subtract(logs[0], logs[1])
+    span = ctx.subtract(ctx.subtract(logs[2], logs[3]), la)
+    # relative error of an estimate <= slack / scale
+    slack = 20 * (int(max(abs(v) for v in logs)) + 1)
+    scale = 10 ** (_SPAN_DIGITS - 1)
+    points = []
+    for j in range(1, count - 1):
+        est = ctx.exp(ctx.add(la, ctx.divide(ctx.multiply(span, j), count - 1)))
+        n, d = est.as_integer_ratio()
+        e = n.bit_length() - d.bit_length()  # 2^e <= est < 2^(e+1)
+        if (n < d << e) if e >= 0 else (n << -e < d):
+            e -= 1
+        shift = _SPAN_BITS - 1 - e  # est * 2^shift is in [2^23, 2^24)
+        num, den = (n << shift, d) if shift >= 0 else (n, d << -shift)
+        m, r = divmod(num, den)
+        # the estimate is within num/den * slack/scale < 2^24 slack/scale of
+        # the exact scaled point; the midpoint m + 1/2 lies |2r - den|/(2 den) away
+        if abs(2 * r - den) * scale > 2 * den * (slack << _SPAN_BITS):
+            up = 2 * r > den
+        else:
+            p, q = Fraction(j, count - 1).as_integer_ratio()
+            c = Fraction(2 * m + 1, 2) / Fraction(2) ** shift
+            lhs = a.numerator ** (q - p) * b.numerator ** p * c.denominator ** q
+            rhs = c.numerator ** q * a.denominator ** (q - p) * b.denominator ** p
+            up = lhs > rhs or (lhs == rhs and m % 2 == 1)  # ties to even
+        points.append(_dyadic(m + up, -shift))
+    return points
+
+
 def default_grid() -> GridSpec:
     """25 log-spaced points from 1/16 to 64: spans the cancellation-hard
     small-x region and the tiny-margin large-x region in seconds."""
     return GridSpec.geometric_span(Fraction(1, 16), Fraction(64), 25)
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     k: int
     x: Fraction
     ball: Ball
@@ -120,8 +208,7 @@ class ScanEntry:
                 "prec_used": self.prec_used}
 
 
-@dataclass(frozen=True)
-class CmScanReport:
+class CmScanReport(NamedTuple):
     kind: str
     k_max: int
     prec: int

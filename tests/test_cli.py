@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import cmgamma
-from cmgamma.cli import main
+from cmgamma.cli import _approx, main
 from cmgamma.constants import DEFAULT_CONSTANTS_PATH
+from cmgamma.scan import MAX_POINT_BITS
 
 
 def run(capsys, *argv):
@@ -100,6 +102,57 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "psi1", "1", "--prec", "64",
                            "--crosscheck")
         assert code == 0 and "non-certified" in out
+
+    def test_crosscheck_without_mpmath(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "mpmath", None)  # import mpmath fails
+        code, _, err = run(capsys, "eval", "psi1", "1", "--crosscheck")
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'crosscheck' extra" in err
+
+    @pytest.mark.parametrize("fn, x, approx", [
+        ("Q", "1e100", "~ 1.8e+2103"),
+        ("p", "1e150", "~ 7.5e+1501"),
+        ("B", "1e-100", "~ 5e+399"),
+        ("B", "1e100", "~ 8.33333333333e-402"),
+        ("B", "1/2", "~ 4.34319188772"),  # inside the float range: float's %.12g
+        ("p", "0", "~ 450"),
+    ])
+    def test_approximation_inside_and_outside_float_range(self, capsys, fn, x, approx):
+        code, out, err = run(capsys, "eval", fn, x)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0].endswith(f"({approx})")
+
+    @staticmethod
+    def approx_ref(q):
+        """q rounded to 12 significant digits, ties to even, in integers."""
+        n, d = abs(q.numerator), q.denominator
+        e = 0  # the decimal exponent: 10^e <= n/d < 10^(e+1)
+        while n >= d * 10 ** (e + 1):
+            e += 1
+        while n * 10 ** -e < d if e < 0 else n < d * 10 ** e:
+            e -= 1
+        num, den = (n * 10 ** (11 - e), d) if e <= 11 else (n, d * 10 ** (e - 11))
+        digits, r = divmod(num, den)
+        digits += 2 * r > den or (2 * r == den and digits % 2 == 1)
+        if digits == 10 ** 12:
+            digits, e = 10 ** 11, e + 1
+        mantissa = f"{str(digits)[0]}.{str(digits)[1:]}".rstrip("0").rstrip(".")
+        return f"{'-' if q < 0 else ''}{mantissa}e{'+' if e >= 0 else '-'}{abs(e):02d}"
+
+    def test_approximation_rounds_from_the_exact_value(self):
+        rng = random.Random(9)
+        # nines that carry, and exact ties at the 13th digit
+        draws = [F(10) ** 400 - 1, F(5, 10 ** 400), F(1000000000005, 10 ** 412),
+                 F(1000000000015, 10 ** 412), F(9999999999995 * 10 ** 400)]
+        for _ in range(300):
+            q = F(rng.getrandbits(rng.randint(1, 300)) + 1,
+                  rng.getrandbits(rng.randint(1, 300)) + 1)
+            draws.append(q * F(10) ** rng.choice([rng.randint(400, 1000),
+                                                  -rng.randint(400, 1000)]))
+        for q in draws:
+            assert _approx(q) == self.approx_ref(q)
+            assert _approx(-q) == self.approx_ref(-q)
 
 
 class TestIdentityCheck:
@@ -227,6 +280,39 @@ class TestCmScan:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestOversizedArguments:
+    """Exact arguments are limited to MAX_POINT_BITS bits in the numerator
+    and the denominator, checked before anything large is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "psi1", "1e5000"],
+        ["eval", "Q", "1e100000000"],
+        ["eval", "p", "1e-100000000"],
+        ["eval", "B", "1/" + "9" * 200],
+        ["eval", "g", str(2 ** MAX_POINT_BITS)],
+        ["cm-scan", "H", "--grid", "1e5000"],
+        ["cm-scan", "g", "--kmax", "0", "--grid", "span:1e-100000000:1:3"],
+        ["cm-scan", "g", "--kmax", "0", "--grid", "geometric:1:1e100:10000"],
+        ["cm-scan", "g", "--kmax", "0", "--grid", "geometric:1:3/2:1000"],
+        ["identity-check", "telescoping", "--x", "1e5000"],
+    ], ids=lambda argv: " ".join(argv)[:48])
+    def test_rejected_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_POINT_BITS) in err
+
+    @pytest.mark.parametrize("x", [str(2 ** MAX_POINT_BITS - 1),
+                                   f"1/{2 ** MAX_POINT_BITS - 1}", "1e154", "1e-154"])
+    def test_at_the_cap(self, capsys, x):
+        # Q(x) and the rational part of H have the most digits of any
+        # exact value printed
+        code, out, _ = run(capsys, "eval", "Q", x)
+        assert code == 0 and out.startswith("Q(")
+        code, out, _ = run(capsys, "eval", "H", x, "--prec", "64")
+        assert code == 0 and "rational part" in out
+
+
 def test_no_command_is_usage_error(capsys):
     code = main([])
     capsys.readouterr()
@@ -235,8 +321,9 @@ def test_no_command_is_usage_error(capsys):
 
 # Fuzz draws for the exit-code contract, as (valid tokens, invalid tokens).
 # Grids of <= 3 points, k <= 3 and prec <= 512 keep the fuzz to about a second.
-X = (("1", "1/3", "7/5", "64", "1/1024", "1e3"),
-     ("1/1073741824", "0", "-1", "1/0", "abc", "", "3/-4"))
+X = (("1", "1/3", "7/5", "64", "1/1024", "1e3", "2.5e-2"),
+     ("1/1073741824", "0", "-1", "1/0", "abc", "", "3/-4", "1e5000",
+      "1e-100000000"))
 PREC = (("8", "64", "128", "512"), ("7", "0", "-5", "4097", "x", "1.5"))
 ORDER = (("1", "2", "32"), ("33", "0", "-1", "y"))
 KMAX = (("0", "1", "2", "3"), ("-1", "13", "z"))
@@ -332,3 +419,41 @@ def test_exit_code_contract_subprocess(argv, code, mutate_constants):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
 
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+loaded = {}
+def probe(label):
+    loaded[label] = sorted(m for m in ("mpmath", "dataclasses") if m in sys.modules)
+import cmgamma
+probe("import cmgamma")
+from cmgamma import cli
+for argv in (["replay-proof"], ["cm-scan", "g", "--kmax", "1"], ["eval", "g", "1/3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    probe(" ".join(argv))
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_neither_mpmath_nor_dataclasses():
+    src = str(Path(cmgamma.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "CMGAMMA_PREC"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert list(loaded) == ["import cmgamma", "replay-proof", "cm-scan g --kmax 1",
+                            "eval g 1/3"]
+    assert all(mods == [] for mods in loaded.values()), loaded
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cmgamma.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == []
+    extras = project["optional-dependencies"]
+    assert any(d.startswith("mpmath") for d in extras["crosscheck"])
+    assert any(d.startswith("mpmath") for d in extras["test"])

@@ -4,19 +4,21 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import random
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from cmgamma import bounds
 from cmgamma.algebra import PartialFractionForm
-from cmgamma.ball import Ball
+from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest
 from cmgamma.cli import main
 from cmgamma.errors import DomainError
-from cmgamma.scan import (ESCALATION_CAP_BITS, GridSpec, _certified_sign,
-                          cm_scan, default_grid)
+from cmgamma.scan import (ESCALATION_CAP_BITS, MAX_POINT_BITS, GridSpec,
+                          _certified_sign, cm_scan, default_grid)
 from oracles import g_derivative_ball_chain, rational_part_derivatives
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -49,6 +51,62 @@ class TestGridSpec:
     def test_default_grid(self):
         g = default_grid()
         assert g.points[0] == F(1, 16) and g.points[-1] == 64 and len(g.points) == 25
+
+    def test_immutable_with_value_equality(self):
+        g = GridSpec.explicit([F(2), F(1, 2)])
+        with pytest.raises(AttributeError):
+            g.points = (F(1),)
+        with pytest.raises(AttributeError):
+            del g.points
+        assert g == GridSpec.explicit([F(1, 2), F(2)])
+        assert hash(g) == hash(GridSpec.explicit([F(1, 2), F(2)]))
+        assert g != GridSpec.explicit([F(1, 2)]) and g != g.points
+
+    @staticmethod
+    def span_mpmath(start, stop, count):
+        """The span grid as it was computed with mpmath: 96-bit logarithms
+        and exponential, then the 24-bit rounding."""
+        pts = [start, stop]
+        with mp.workprec(96):
+            la = mp.log(mp.mpf(start.numerator)) - mp.log(mp.mpf(start.denominator))
+            lb = mp.log(mp.mpf(stop.numerator)) - mp.log(mp.mpf(stop.denominator))
+            for j in range(1, count - 1):
+                v = mp.e ** (la + (lb - la) * j / (count - 1))
+                pts.append(round_nearest(_mpf_tuple_to_fraction(v._mpf_), 24)[0])
+        return tuple(sorted(pts))
+
+    def test_span_matches_mpmath(self):
+        specs = [(F(1, 16), F(64), 25), (F(1, 16), F(64), 1000)]
+        rng = random.Random(8)
+        for _ in range(300):
+            a, b = (F(rng.randint(1, 10 ** rng.randint(1, 40)),
+                      rng.randint(1, 10 ** rng.randint(1, 40))) for _ in range(2))
+            specs.append((a, b, rng.randint(2, 80)))
+        for a, b, n in specs:
+            assert GridSpec.geometric_span(a, b, n).points == self.span_mpmath(a, b, n)
+
+    def test_span_exact_ties_round_to_even(self):
+        # the middle point is exactly halfway between two 24-bit dyadics
+        for tail, even in ((1, F(1)), (3, F(2 ** 22 + 1, 2 ** 22))):
+            mid = F(2 ** 24 + tail, 2 ** 24)
+            assert GridSpec.geometric_span(1, mid * mid, 3).points[1] == even
+
+    def test_span_at_the_size_limits(self):
+        big = F(2 ** MAX_POINT_BITS - 1)
+        g = GridSpec.geometric_span(1 / big, big, 10_000)
+        assert len(g.points) == 10_000 and g.points[0] == 1 / big
+
+    def test_geometric_point_size_limit(self):
+        assert GridSpec.geometric(1, 2, MAX_POINT_BITS).points[-1] == 2 ** (MAX_POINT_BITS - 1)
+        # only the ends are large; the middle points reduce
+        g = GridSpec.geometric(F(1, 2 ** (MAX_POINT_BITS - 1)), 2, 2 * MAX_POINT_BITS - 1)
+        assert g.points[-1] == 2 ** (MAX_POINT_BITS - 1)
+        for start, ratio, count in ((1, 2, MAX_POINT_BITS + 2),
+                                    (F(1, 2 ** MAX_POINT_BITS), 2, 3),
+                                    (1, F(10) ** 100, 10_000),
+                                    (1, F(2 ** 511 + 1, 2 ** 511), 10_000)):
+            with pytest.raises(DomainError, match="bits"):
+                GridSpec.geometric(start, ratio, count)
 
 
 class TestCertifiedSign:
