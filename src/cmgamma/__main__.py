@@ -1,0 +1,6 @@
+"""`python -m cmgamma`: the command-line front end."""
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -16,7 +16,7 @@ the expansion, plus one final rounding.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,7 +26,7 @@ from .algebra import (PartialFractionForm, PartialFractionTerm, Poly,
 from .ball import Ball
 from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
                         SCALE_Q, SourceConstants, load_constants)
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .polygamma import polygamma
 
 #: g has competing ~x^-4 terms; far below this the cancellation outgrows any
@@ -35,6 +35,9 @@ MIN_X = Fraction(1, 2 ** 20)
 
 #: Leibniz needs polygamma orders up to k+2; keep within the supported range.
 MAX_DERIVATIVE_ORDER = 12
+
+#: Highest precision a retry may double up to (scan cells and g/H values).
+ESCALATION_CAP_BITS = 4096
 
 
 def _consts(constants: SourceConstants | None) -> SourceConstants:
@@ -88,14 +91,43 @@ def remainder_exact(x, constants: SourceConstants | None = None) -> Fraction:
     return _consts(constants).remainder_expansion.eval_exact(x)
 
 
+def _escalate(evaluate: Callable[[int], Ball], prec: int,
+              done: Callable[[Ball], object]) -> tuple[Ball, int]:
+    """evaluate(prec), retried at 2x the precision until done(ball) holds
+    or the next step would pass ESCALATION_CAP_BITS.  Returns (ball,
+    prec_used)."""
+    ball = evaluate(prec)
+    while not done(ball) and prec * 2 <= ESCALATION_CAP_BITS:
+        prec *= 2
+        ball = evaluate(prec)
+    return ball, prec
+
+
+def _value(name: str, derivative, x, prec: int,
+           constants: SourceConstants | None) -> Ball:
+    """f(x) whose radius is at most |mid| 2^-prec.  The terms of g and H
+    cancel, so the terms' precision is escalated until the sum meets the
+    target; PrecisionError if it does not at ESCALATION_CAP_BITS."""
+    def met(ball: Ball) -> bool:
+        return ball.rad * 2 ** prec <= abs(ball.mid)
+
+    ball, used = _escalate(lambda p: derivative(0, x, p, constants), prec, met)
+    if not met(ball):
+        raise PrecisionError(f"{name}({x}) not within 2^-{prec} relative "
+                             f"at {used} bits")
+    return ball
+
+
 def g_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
-    """Enclosure of g(x) = trigamma(x)^2 + tetragamma(x) - B(x)."""
-    return g_derivative(0, x, prec, constants)
+    """Enclosure of g(x) = trigamma(x)^2 + tetragamma(x) - B(x) with a
+    relative radius of at most 2^-prec."""
+    return _value("g", g_derivative, x, prec, constants)
 
 
 def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
-    """Enclosure of H(x) = trigamma(x) - R(x)."""
-    return h_derivative(0, x, prec, constants)
+    """Enclosure of H(x) = trigamma(x) - R(x) with a relative radius of at
+    most 2^-prec."""
+    return _value("H", h_derivative, x, prec, constants)
 
 
 def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:

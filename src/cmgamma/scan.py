@@ -32,7 +32,7 @@ from .constants import SourceConstants
 from .errors import DomainError
 from .reporting import frac_str, stable_json_dumps
 
-ESCALATION_CAP_BITS = 4096
+ESCALATION_CAP_BITS = bounds.ESCALATION_CAP_BITS
 
 #: Largest grid a scan accepts: at k <= 8 and 256 bits this is already
 #: about 10^5 cells, minutes of work.
@@ -277,10 +277,7 @@ def _certified_sign(evaluate: Callable[[int], Ball],
     """Evaluate at prec bits, escalating 2x per retry until the sign is
     determined or ESCALATION_CAP_BITS is passed.  Returns (sign, ball,
     prec_used)."""
-    ball = evaluate(prec)
-    while ball.sign() == 0 and prec * 2 <= ESCALATION_CAP_BITS:
-        prec *= 2
-        ball = evaluate(prec)
+    ball, prec = bounds._escalate(evaluate, prec, Ball.sign)
     return ball.sign(), ball, prec
 
 

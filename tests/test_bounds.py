@@ -9,7 +9,7 @@ from cmgamma import bounds
 from cmgamma.algebra import Poly, pfd_recompose
 from cmgamma.cli import main
 from cmgamma.constants import load_constants
-from cmgamma.errors import DomainError
+from cmgamma.errors import DomainError, PrecisionError
 
 GRID = (F(1, 20), F(1, 10), F(1, 4), F(1, 2), F(1), F(2), F(5), F(10), F(50))
 
@@ -56,6 +56,26 @@ def test_g_at_one_against_closed_form():
 def test_g_positive_on_grid():
     for x in GRID:
         assert bounds.g_eval(x, 128).sign() == 1, x
+
+
+@pytest.mark.parametrize("x, used", [(F(10 ** 12), 512), (F(10 ** 20), 512),
+                                     (F(2 ** 500), 4096)],
+                         ids=["1e12", "1e20", "2^500"])
+@pytest.mark.parametrize("kind", ["g", "H"])
+def test_large_x_values_meet_their_target(kind, x, used):
+    # g ~ 1/(6 x^6) and H ~ 1/(2 x^5) are left after terms near x^-2 and
+    # x^-1 cancel, so the psi terms need several times the target precision
+    evaluate = bounds.g_eval if kind == "g" else bounds.h_eval
+    lead = F(1, 6 * x ** 6) if kind == "g" else F(1, 2 * x ** 5)
+    ball = evaluate(x, 128)
+    assert ball.prec == used
+    assert ball.mid > 0 and ball.rad <= ball.mid / 2 ** 128
+    assert abs(ball.mid / lead - 1) < F(1, 10 ** 6)
+
+
+def test_value_beyond_the_escalation_cap_raises():
+    with pytest.raises(PrecisionError, match="2\\^-4096 relative at 4096 bits"):
+        bounds.g_eval(F(2 ** 500), 4096)
 
 
 def test_g_decay_spot():

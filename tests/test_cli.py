@@ -85,6 +85,15 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("function", ["g", "H"])
+    def test_value_beyond_escalation_cap_exit_two(self, capsys, function):
+        # the cancelling sum cannot reach a 4096-bit target at 4096 bits
+        code, out, err = run(capsys, "eval", function, str(2 ** 500),
+                             "--prec", "4096")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {function}(") and err.count("\n") == 1
+        assert "not within 2^-4096 relative at 4096 bits" in err
+
     @pytest.mark.parametrize("prec", ["0", "-5", "3"])
     def test_env_precision_below_minimum_exit_two(self, capsys, monkeypatch, prec):
         monkeypatch.setenv("CMGAMMA_PREC", prec)
@@ -402,19 +411,25 @@ def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
             assert argv[0] in ("replay-proof", "identity-check", "cm-scan"), argv
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["eval", "g", "1/3"], 0),
-    (["replay-proof", "--constants", None], 1),  # None: a mutated constants file
-    (["cm-scan", "g", "--kmax", "13"], 2),
-    (["eval", "psi1", "1/0"], 2),
-], ids=["pass", "verification-failure", "usage-error", "domain-error"])
-def test_exit_code_contract_subprocess(argv, code, mutate_constants):
+@pytest.mark.parametrize("module, argv, code", [
+    pytest.param(module, argv, code, id=name + suffix)
+    # `python -m cmgamma` runs the package's __main__
+    for module, suffix in (("cmgamma.cli", ""), ("cmgamma", "-package"))
+    for argv, code, name in [
+        (["eval", "g", "1/3"], 0, "pass"),
+        # None: a mutated constants file
+        (["replay-proof", "--constants", None], 1, "verification-failure"),
+        (["cm-scan", "g", "--kmax", "13"], 2, "usage-error"),
+        (["eval", "psi1", "1/0"], 2, "domain-error"),
+    ]
+])
+def test_exit_code_contract_subprocess(module, argv, code, mutate_constants):
     argv = [str(mutate_constants(r"1 435456000", "1 435456001")) if a is None
             else a for a in argv]
     src = str(Path(cmgamma.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "CMGAMMA_PREC"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "cmgamma.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

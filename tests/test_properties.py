@@ -3,17 +3,19 @@
 The rounding functions and the Ball operations are checked bit for bit
 against the plain-Fraction references below; the fixed-point series is
 checked bit for bit against a reference copy of the loop that recomputes
-every remainder bound, and with polygamma for containment of mpmath's psi
-and Hurwitz zeta at four times the precision; the derivatives of g and H
-are checked for containment of mpmath's psi plus the exact rational part at
-four times the precision; the Bernoulli numbers are
-checked against mpmath's; the integer partial-fraction decomposition is
-checked against sympy's ``apart`` and by recomposing it; the integer-numerator
-``Poly`` and ``ExpPoly.deriv`` are checked against plain Fraction-tuple
-formulas.
+every remainder bound and every term exactly, also with the tail's guard
+bits cut to 0-2 so that its exact in-doubt branch runs, and with polygamma
+for containment of mpmath's psi and Hurwitz zeta at four times the
+precision; the derivatives of g and H are checked for containment of
+mpmath's psi plus the exact rational part at four times the precision; the
+Bernoulli numbers are checked against mpmath's; the integer
+partial-fraction decomposition is checked against sympy's ``apart`` and by
+recomposing it; the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are
+checked against plain Fraction-tuple formulas.
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -259,6 +261,38 @@ def ref_zeta_like_sum(s: int, x: F, wbits: int) -> tuple[F, F]:
 def test_series_matches_reference_loop(s, x, wbits):
     total, radius, fbits = _zeta_like_sum(s, x, wbits)
     assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(2, 33), positive_x, st.integers(8, 1100), st.integers(0, 2),
+       st.just(0))
+# the scan workloads' largest orders and working precisions: psi^(13) at
+# 752 bits (H, k <= 12, 512 bits) and psi^(10) at 448 bits (g, k <= 8,
+# 256 bits); and the largest order at 4200 bits
+@example(14, F(1, 16), 752, 0, 10)
+@example(11, F(64), 448, 1, 10)
+@example(33, F(3, 7), 4200, 2, 10)
+def test_series_in_doubt_branch_matches_reference_loop(s, x, wbits, guard,
+                                                       min_exact):
+    # with 0-2 guard bits the mantissa often cannot decide a term's floor,
+    # so the loop forms those terms exactly: one math.factorial call each
+    exact = 0
+
+    def count(frame, event, arg):
+        nonlocal exact
+        exact += event == "c_call" and arg is math.factorial
+
+    module = sys.modules["cmgamma.polygamma"]  # cmgamma.polygamma is the function
+    outer = sys.getprofile()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_TAIL_GUARD_BITS", guard)
+        sys.setprofile(count)
+        try:
+            total, radius, fbits = _zeta_like_sum(s, x, wbits)
+        finally:
+            sys.setprofile(outer)
+    assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+    assert exact >= min_exact
 
 
 @settings(SETTINGS, max_examples=12)

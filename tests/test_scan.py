@@ -181,22 +181,37 @@ class TestCmScan:
         assert (k, x, verdict) == ("0", "1", "positive")
         assert mid.startswith("0.09635")
 
-    @pytest.mark.parametrize("kind, sha256", [
-        ("g", "6a2d9d4cb9ac927d140c24eaaf532856c5e1c3aa2d89476c27c6b0187c79a203"),
-        ("H", "2b2e0c349178c83ea5af63cec3e73f9e692150e5000ebe0239b455889f6d2027"),
-        ("telescoping", "3649ffb227f79f4d8341328aa3f36c0ec8573bd8f5092710eceb7129ded92328"),
+    @pytest.mark.parametrize("kind, k_max, prec, points, sha256", [
+        pytest.param(kind, k_max, prec, points, sha256,
+                     id=f"{kind}-{sha256}" if prec == 64
+                     else f"{kind}-k{k_max}-{prec}bit-{sha256}")
+        for kind, k_max, prec, points, sha256 in [
+            ("g", 2, 64, (F(1, 3), F(5)),
+             "6a2d9d4cb9ac927d140c24eaaf532856c5e1c3aa2d89476c27c6b0187c79a203"),
+            ("H", 2, 64, (F(1, 3), F(5)),
+             "2b2e0c349178c83ea5af63cec3e73f9e692150e5000ebe0239b455889f6d2027"),
+            ("telescoping", 0, 64, (F(1, 3), F(5)),
+             "3649ffb227f79f4d8341328aa3f36c0ec8573bd8f5092710eceb7129ded92328"),
+            # the benchmark's scale: the scan_H_deep and scan_g settings
+            ("H", 12, 512, (F(1, 16), F(1), F(64)),
+             "52b7b99b056eb3ca824f9b139f72f94fc99715647195e525804087d143f1e13d"),
+            ("g", 8, 256, (F(1, 16), F(1), F(64)),
+             "258b67d6cb72174bf499f310ae5087765d8d50dc2650fa5717465ac797906e8a"),
+        ]
     ])
-    def test_report_bytes_pinned(self, kind, sha256, capsys):
+    def test_report_bytes_pinned(self, kind, k_max, prec, points, sha256, capsys):
         # byte-stable reports: any change to a midpoint, radius or the
         # format shows here and has to be re-pinned on purpose
         if kind == "telescoping":
             # the g enclosures that `identity-check telescoping` and `eval g` print
-            for x in ("1/3", "5"):
-                assert main(["identity-check", "telescoping", "--x", x, "--prec", "64"]) == 0
-                assert main(["eval", "g", x, "--prec", "64"]) == 0
+            for x in points:
+                x = str(x)
+                assert main(["identity-check", "telescoping", "--x", x,
+                             "--prec", str(prec)]) == 0
+                assert main(["eval", "g", x, "--prec", str(prec)]) == 0
             doc = capsys.readouterr().out
         else:
-            doc = cm_scan(kind, 2, GridSpec.explicit([F(1, 3), F(5)]), 64).to_json()
+            doc = cm_scan(kind, k_max, GridSpec.explicit(points), prec).to_json()
         assert hashlib.sha256(doc.encode()).hexdigest() == sha256
 
     def test_json_round_trip(self):
@@ -275,10 +290,18 @@ class TestInequalityScan:
     """The inequality psi'^2 + psi'' > B is the k = 0 row of the g scan."""
 
     def test_agrees_with_cm_scan_order_zero(self):
+        # g_eval is the k = 0 cell wherever that cell meets the 160-bit
+        # target; at x = 8 the cancelling sum misses it, so g_eval is the
+        # same cell at 320 bits
         grid = GridSpec.explicit([F(1, 16), F(1), F(8)])
         for entry in cm_scan("g", 0, grid, 160).entries:
             ball = bounds.g_eval(entry.x, 160)
-            assert (entry.ball.mid, entry.ball.rad) == (ball.mid, ball.rad)
+            assert ball.prec == (320 if entry.x == 8 else 160)
+            cell = bounds.g_derivative(0, entry.x, ball.prec)
+            assert (cell.mid, cell.rad) == (ball.mid, ball.rad)
+            if ball.prec == 160:
+                assert (entry.ball.mid, entry.ball.rad) == (ball.mid, ball.rad)
+            assert entry.ball.overlaps(ball)
             assert entry.verdict == "positive" and ball.lower > 0
 
     def test_small_x_with_escalation(self):
