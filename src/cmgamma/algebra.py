@@ -11,6 +11,11 @@ handed out.  An exponential polynomial is a finite sum
 The partial-fraction machinery is restricted to denominators that are products
 of (x+a)^m with nonnegative integer shifts a, which is all the downstream
 code ever needs; this keeps every decomposition exact over the rationals.
+A partial-fraction form is canonical and proper: merged terms c/(x+a)^m
+with c != 0 and no polynomial part.  It is differentiated in closed form
+when it is evaluated (the k-th derivative of c/(x+a)^m is
+(-1)^k (m)_k c/(x+a)^(m+k)), and it recomposes over prod (x+a)^M_a in
+lowest terms without a polynomial gcd.
 
 The Laplace kernel map sends c/(x+a)^m to (c/(m-1)!) * t^(m-1) * e^(-a*t),
 the unique integrand term with that Laplace transform.
@@ -230,47 +235,6 @@ class Poly:
         _taylor_shift(cs, u)
         return Poly._make([a * v ** j for j, a in enumerate(cs)], self._den * v ** deg)
 
-    # -- division ------------------------------------------------------------
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder.
-
-        Integer pseudo-division: lead^s * num_a = Q * num_b + R after s
-        steps (lead = leading numerator of other), so with a = num_a/da and
-        b = num_b/db the quotient is Q db / (lead^s da) and the remainder
-        R / (lead^s da).
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        den = other._num
-        dd = len(den) - 1
-        if len(self._num) - 1 < dd:
-            return Poly.zero(), self
-        rem = list(self._num)
-        lead = den[-1]
-        quot = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            f = rem[i]
-            rem = [r * lead for r in rem]
-            quot = [q * lead for q in quot]
-            quot[i - dd] = f
-            for j, dc in enumerate(den):
-                rem[i - dd + j] -= f * dc
-        scale = lead ** len(quot) * self._den
-        return (Poly._make([q * other._den for q in quot], scale),
-                Poly._make(rem[:dd], scale))
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("polynomial division not exact")
-        return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly._make(list(self._num), self._num[-1])
-
 
 def _taylor_shift(cs: list, c: int) -> None:
     """In place: cs[i] becomes the x^i coefficient of sum_j cs[j] (x + c)^j.
@@ -282,14 +246,6 @@ def _taylor_shift(cs: list, c: int) -> None:
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             cs[j] += c * cs[j + 1]
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals (Euclid)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic()
-    return a.monic()
 
 
 class ExpPoly:
@@ -391,12 +347,6 @@ class ExpPoly:
             out[k] = Poly._make(num, p._den)
         return ExpPoly(out)
 
-    def deriv_n(self, n: int) -> "ExpPoly":
-        e = self
-        for _ in range(n):
-            e = e.deriv()
-        return e
-
     def eval_exact_at_zero(self) -> Fraction:
         """Exact value at t = 0 (every e^(k*0) is 1): the sum of the blocks'
         constant numerators over their denominators."""
@@ -452,17 +402,17 @@ def _check_term(t: PartialFractionTerm) -> None:
 
 
 class PartialFractionForm:
-    """poly_part(x) + sum of coeff/(x+shift)^order terms.
+    """A canonical proper rational function: a sum of coeff/(x+shift)^order
+    terms and no polynomial part.
 
     Terms are merged on (shift, order), zero coefficients dropped, and the
     tuple kept sorted by (shift, order), so equal forms compare equal
     structurally.
     """
 
-    __slots__ = ("poly_part", "terms", "_shift_groups")
+    __slots__ = ("terms", "_shift_groups")
 
-    def __init__(self, poly_part: Poly = Poly.zero(),
-                 terms: Iterable[PartialFractionTerm] = ()):
+    def __init__(self, terms: Iterable[PartialFractionTerm]):
         merged: dict[tuple[int, int], Fraction] = {}
         for t in terms:
             t = PartialFractionTerm(as_fraction(t[0]), int(t[1]), int(t[2]))
@@ -472,7 +422,6 @@ class PartialFractionForm:
         canon = tuple(
             PartialFractionTerm(c, s, o)
             for (s, o), c in sorted(merged.items()) if c != 0)
-        object.__setattr__(self, "poly_part", poly_part)
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "_shift_groups", None)
 
@@ -481,16 +430,14 @@ class PartialFractionForm:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PartialFractionForm):
-            return self.poly_part == other.poly_part and self.terms == other.terms
+            return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.poly_part, self.terms))
+        return hash(self.terms)
 
     def __repr__(self) -> str:
         bits = []
-        if not self.poly_part.is_zero():
-            bits.append(repr(self.poly_part))
         for c, a, m in self.terms:
             base = "x" if a == 0 else f"(x+{a})"
             bits.append(f"{c}/{base}^{m}" if m > 1 else f"{c}/{base}")
@@ -499,42 +446,18 @@ class PartialFractionForm:
     def __add__(self, other: "PartialFractionForm") -> "PartialFractionForm":
         if not isinstance(other, PartialFractionForm):
             return NotImplemented
-        return PartialFractionForm(self.poly_part + other.poly_part,
-                                   self.terms + other.terms)
+        return PartialFractionForm(self.terms + other.terms)
 
-    def __neg__(self) -> "PartialFractionForm":
-        return self.scale(-1)
+    def eval_exact(self, x: Rat, k: int = 0) -> Fraction:
+        """Exact k-th derivative at rational x (x must avoid the poles).
 
-    def __sub__(self, other: "PartialFractionForm") -> "PartialFractionForm":
-        return self + (-other)
-
-    def scale(self, c: Rat) -> "PartialFractionForm":
-        c = as_fraction(c)
-        return PartialFractionForm(
-            self.poly_part * c,
-            tuple(PartialFractionTerm(t.coeff * c, t.shift, t.order)
-                  for t in self.terms))
-
-    def deriv(self) -> "PartialFractionForm":
-        """Exact derivative: c/(x+a)^m -> -m*c/(x+a)^(m+1)."""
-        return PartialFractionForm(
-            self.poly_part.deriv(),
-            tuple(PartialFractionTerm(-t.order * t.coeff, t.shift, t.order + 1)
-                  for t in self.terms))
-
-    def deriv_n(self, n: int) -> "PartialFractionForm":
-        f = self
-        for _ in range(n):
-            f = f.deriv()
-        return f
-
-    def eval_exact(self, x: Rat) -> Fraction:
-        """Exact rational value at rational x (x must avoid the poles).
-
-        With x = n/d, the terms of one shift a with orders lo..hi sum to
-        d^lo P / (L u^hi), u = n + a d, where P is a Horner sum over the
-        integer coefficients c*L (L clears their denominators); the shifts
-        are combined as integer ratios and one Fraction is made at the end.
+        Term by term, d^k/dx^k c/(x+a)^m = (-1)^k (m)_k c/(x+a)^(m+k), with
+        the rising factorial (m)_k = m (m+1) ... (m+k-1).  With x = n/d, the
+        terms of one shift a with orders lo..hi sum to
+        (-1)^k d^(lo+k) P / (L u^(hi+k)), u = n + a d, where P is a Horner
+        sum over the integer coefficients c*L*(m)_k (L clears the
+        denominators of c); the shifts are combined as integer ratios and
+        one Fraction is made at the end.
         """
         x = as_fraction(x)
         n, d = x.numerator, x.denominator
@@ -542,17 +465,16 @@ class PartialFractionForm:
         for a, _, _, _, _ in groups:
             if n + a * d == 0:
                 raise DomainError(f"evaluation at pole x = {x}")
-        value = self.poly_part(x)
-        num, den = value.numerator, value.denominator
+        num, den = 0, 1
         for a, lo, hi, lcm, coeffs in groups:
             u = n + a * d
             acc, dpow = 0, 1
-            for c in coeffs:  # sum of C_m d^(m-lo) u^(hi-m), m = lo..hi
-                acc = acc * u + c * dpow
+            for m, c in enumerate(coeffs, lo):  # sum of C_m (m)_k d^(m-lo) u^(hi-m)
+                acc = acc * u + c * math.perm(m + k - 1, k) * dpow
                 dpow *= d
-            term_den = lcm * u ** hi
-            num, den = num * term_den + d ** lo * acc * den, den * term_den
-        return Fraction(num, den)
+            term_den = lcm * u ** (hi + k)
+            num, den = num * term_den + d ** (lo + k) * acc * den, den * term_den
+        return Fraction(-num if k % 2 else num, den)
 
     def _groups(self) -> tuple[tuple[int, int, int, int, tuple[int, ...]], ...]:
         """(shift, lowest order, highest order, L, integer coefficients c*L
@@ -638,14 +560,17 @@ def pfd_decompose(num: Poly,
             if s:
                 coeff = Fraction(s, lcm_den * r_pow[j + 1])
                 terms.append(PartialFractionTerm(coeff, a, m - j))
-    return PartialFractionForm(Poly.zero(), terms)
+    return PartialFractionForm(terms)
 
 
 def pfd_recompose(form: PartialFractionForm) -> tuple[Poly, Poly]:
-    """Collapse a form to a single reduced fraction (num, den).
+    """Collapse a form to one fraction num/den in lowest terms.
 
-    The result is gcd-reduced; den is a primitive integer polynomial with
-    positive leading coefficient (den = 1 when the form has no terms).
+    den = prod (x+a)^M_a over the form's shifts a, M_a the highest order at
+    a, so den is monic with integer coefficients (den = 1 when the form has
+    no terms).  The form is canonical, so the coefficient of (x+a)^-M_a is
+    nonzero; it is the only term left in num(-a), so num(-a) != 0 and num
+    and den are coprime.
     """
     max_order: dict[int, int] = {}
     for t in form.terms:
@@ -653,7 +578,7 @@ def pfd_recompose(form: PartialFractionForm) -> tuple[Poly, Poly]:
     den = Poly.const(1)
     for a, m in sorted(max_order.items()):
         den = den * Poly((a, 1)) ** m
-    num = form.poly_part * den
+    num = Poly.zero()
     for c, a, m in form.terms:
         cof = Poly.const(c)
         for b, mb in sorted(max_order.items()):
@@ -661,21 +586,4 @@ def pfd_recompose(form: PartialFractionForm) -> tuple[Poly, Poly]:
             if power:
                 cof = cof * Poly((b, 1)) ** power
         num = num + cof
-    g = poly_gcd(num, den)
-    if not g.is_zero() and g.degree > 0:
-        num = num.divmod(g)[0]
-        den = den.divmod(g)[0]
-    if num.is_zero():
-        return Poly.zero(), Poly.const(1)
-    # normalize: den primitive integer, positive leading coefficient
-    lead = den.coeffs[-1]
-    num = num * (1 / lead)
-    den = den * (1 / lead)
-    lcm_den = 1
-    for c in den.coeffs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    gcd_num = 0
-    for c in den.coeffs:
-        gcd_num = math.gcd(gcd_num, c.numerator * (lcm_den // c.denominator))
-    factor = Fraction(lcm_den, gcd_num or 1)
-    return num * factor, den * factor
+    return num, den

@@ -5,12 +5,15 @@
     R(x) = the 22-term partial-fraction remainder (= q(x)/(1800 x^2 (1+x)^10 (2+x)^10))
     H(x) = trigamma(x) - R(x)                 satisfies g(x) - g(x+1) = (2/x^2) H(x)
 
-All rational parts are differentiated and evaluated through their exact
-partial-fraction forms.  Derivatives of the transcendental part use the
-exact Leibniz expansion of d^k[trigamma^2]: its sum, the propagated radius
-and the exact rational part are formed in integers at one dyadic scale, so
-an enclosure radius is the polygamma balls' radii carried exactly through
-the expansion, plus one final rounding.
+Both rational parts are held as exact partial-fraction forms, canonical and
+proper (merged c/(x+a)^m terms, no polynomial part), and differentiated in
+closed form: the k-th derivative of a rational part is one
+`eval_exact(x, k)` call, which scales each c/(x+a)^m to
+(-1)^k (m)_k c/(x+a)^(m+k) inside its integer Horner sum.  Derivatives of
+the transcendental part use the exact Leibniz expansion of d^k[trigamma^2]:
+its sum, the propagated radius and the exact rational part are formed in
+integers at one dyadic scale, so an enclosure radius is the polygamma balls'
+radii carried exactly through the expansion, plus one final rounding.
 """
 
 from __future__ import annotations
@@ -66,16 +69,6 @@ def _bound_pf(constants: SourceConstants | None = None) -> PartialFractionForm:
     """Exact partial fractions of B(x) = p(x)/(900 x^4 (x+1)^10)."""
     c = _consts(constants)
     return pfd_decompose(c.p * Fraction(1, SCALE_P), BOUND_DEN_FACTORS)
-
-
-@lru_cache(maxsize=64)
-def _bound_pf_deriv(k: int, constants: SourceConstants | None = None) -> PartialFractionForm:
-    return _bound_pf(constants).deriv_n(k)
-
-
-@lru_cache(maxsize=64)
-def _remainder_pf_deriv(k: int, constants: SourceConstants | None = None) -> PartialFractionForm:
-    return _consts(constants).remainder_expansion.deriv_n(k)
 
 
 def bound_exact(x, constants: SourceConstants | None = None) -> Fraction:
@@ -144,11 +137,11 @@ def g_derivative(k: int, x, prec: int = 128,
     """Enclosure of the k-th derivative of g at rational x >= MIN_X.
 
     d^k[trigamma^2] expands by Leibniz into sum_j C(k,j) psi^(1+j) psi^(1+k-j),
-    d^k[tetragamma] is psi^(k+2), and the rational part differentiates exactly
-    through its partial-fraction form.  _psi is internal to `cm_scan`, which
-    passes its jet for this x and prec: a mapping from each order
-    m = 1..k+2 to polygamma(m, x, prec), trusted as given.  Without it the
-    orders are computed here.
+    d^k[tetragamma] is psi^(k+2), and the rational part is differentiated in
+    closed form through its partial-fraction form.  _psi is internal to
+    `cm_scan`, which passes its jet for this x and prec: a mapping from each
+    order m = 1..k+2 to polygamma(m, x, prec), trusted as given.  Without it
+    the orders are computed here.
 
     With every psi^(m) ball written as (P_m +/- R_m)/D over one common
     denominator D = 2^S, the sum and its radius
@@ -175,7 +168,7 @@ def g_derivative(k: int, x, prec: int = 128,
         rad += c * (abs(pa) * rb + ra * abs(pb) + ra * rb)
     total += mids[k + 1] * den
     rad += rads[k + 1] * den
-    rational_part = _bound_pf_deriv(k, constants).eval_exact(x)
+    rational_part = _bound_pf(constants).eval_exact(x, k)
     u, v = rational_part.numerator, rational_part.denominator
     den2 = den * den
     return Ball._make(total * v - u * den2, v * den2, rad, den2, prec)
@@ -191,7 +184,7 @@ def h_derivative(k: int, x, prec: int = 128,
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = _check_x(x)
     trigamma_k = _psi[k + 1] if _psi is not None else polygamma(k + 1, x, prec)
-    rational_part = _remainder_pf_deriv(k, constants).eval_exact(x)
+    rational_part = _consts(constants).remainder_expansion.eval_exact(x, k)
     return trigamma_k - rational_part
 
 
@@ -235,7 +228,7 @@ def pf_expansion_identity_check(
     are equal exactly when the functions are.
     """
     c = _consts(constants)
-    lhs = PartialFractionForm(Poly.zero(), [
+    lhs = PartialFractionForm([
         PartialFractionTerm(Fraction(1, 2), 0, 2),
         PartialFractionTerm(Fraction(1), 0, 1),
     ])

@@ -113,7 +113,7 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             poly = Poly([poly_coeffs.get(i, 0) for i in range(top + 1)])
             sections[key] = poly * poly_scale if poly_scale != 1 else poly
         elif kind == "pf":
-            sections[key] = PartialFractionForm(Poly.zero(), pf_terms)
+            sections[key] = PartialFractionForm(pf_terms)
         else:
             sections[key] = dict(values)
         poly_coeffs, poly_scale, pf_terms, values = {}, 1, [], {}
@@ -190,13 +190,22 @@ def load_constants(path: str | Path | None = None) -> SourceConstants:
     if path is not None:
         resolved = Path(path).resolve()
         if resolved != DEFAULT_CONSTANTS_PATH.resolve():
-            return _load_other(resolved, resolved.read_text())
+            return _load_other(resolved, _read_text(resolved))
     return _load_default()
+
+
+def _read_text(path: Path) -> str:
+    """The file's text as UTF-8, whatever the locale's encoding."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConstantsFormatError(f"{path}: not UTF-8 text ({exc.reason} "
+                                   f"at byte {exc.start})") from None
 
 
 @lru_cache(maxsize=1)
 def _load_default() -> SourceConstants:
-    return _load_file(DEFAULT_CONSTANTS_PATH, DEFAULT_CONSTANTS_PATH.read_text())
+    return _load_file(DEFAULT_CONSTANTS_PATH, _read_text(DEFAULT_CONSTANTS_PATH))
 
 
 @lru_cache(maxsize=8)

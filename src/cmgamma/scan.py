@@ -121,6 +121,8 @@ class GridSpec:
         stop = as_fraction(stop)
         if start <= 0 or stop <= 0:
             raise DomainError("grid points must be positive")
+        if count < 1:
+            raise DomainError("need count >= 1")
         _check_grid_size(count)
         if count < 2:
             return cls.explicit([start])

@@ -1,5 +1,6 @@
 """Bound functions, their derivatives, and the exact identity checks."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,8 @@ from cmgamma.algebra import Poly, pfd_recompose
 from cmgamma.cli import main
 from cmgamma.constants import load_constants
 from cmgamma.errors import DomainError, PrecisionError
+from cmgamma.scan import default_grid
+from oracles import rational_part_derivatives
 
 GRID = (F(1, 20), F(1, 10), F(1, 4), F(1, 2), F(1), F(2), F(5), F(10), F(50))
 
@@ -158,7 +161,22 @@ class TestTelescoping:
             assert bounds.telescoping_identity_check(x, 160).passed, x
 
 
+def _closed_form_points():
+    rng = random.Random(20261018)
+    seeded = [F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4)) for _ in range(4)]
+    return list(default_grid().points) + [F(1, 1024), F(1, 3)] + seeded
+
+
 class TestDerivatives:
+    @pytest.mark.parametrize("x", _closed_form_points(), ids=str)
+    def test_closed_form_matches_leibniz_oracle(self, consts, x):
+        # oracle: Leibniz over p or q and the powers of (x+s), no partial
+        # fractions
+        for kind, form in (("g", bounds._bound_pf(consts)),
+                           ("H", consts.remainder_expansion)):
+            want = rational_part_derivatives(kind, x, 12, consts)
+            assert [form.eval_exact(x, k) for k in range(13)] == want, kind
+
     def test_order_zero_matches_g_eval(self):
         assert bounds.g_derivative(0, 1, 128).overlaps(bounds.g_eval(1, 128))
 

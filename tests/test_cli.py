@@ -227,6 +227,15 @@ class TestReplayProof:
         code, _, err = run(capsys, "replay-proof", "--constants", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["replay-proof"], ["eval", "p", "1"]])
+    def test_non_utf8_constants_exit_two(self, capsys, tmp_path, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(DEFAULT_CONSTANTS_PATH.read_bytes() + b"# caf\xe9 \xff\n")
+        code, out, err = run(capsys, *argv, "--constants", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(bad) in err and "Traceback" not in err
+
 
 class TestCmScan:
     def test_single_row(self, capsys):
@@ -272,7 +281,8 @@ class TestCmScan:
         assert code == 2
 
     @pytest.mark.parametrize("grid", ["span:1:2:x", "geometric:1:abc:3",
-                                      "span:1/0:2:3", "span:0:2:3", "span:-1:2:3"])
+                                      "span:1/0:2:3", "span:0:2:3", "span:-1:2:3",
+                                      "span:1:2:0", "span:1:2:-3"])
     def test_malformed_grid_exit_two(self, capsys, grid):
         code, out, err = run(capsys, "cm-scan", "g", "--kmax", "0", "--grid", grid)
         assert code == 2 and out == ""
