@@ -22,8 +22,8 @@ from .bounds import (bound_exact, g_derivative, g_eval, h_derivative,
                      h_eval, p_eval, pf_expansion_identity_check, q_eval,
                      telescoping_identity_check)
 from .constants import SourceConstants, load_constants
-from .errors import (CertificateFailure, CmGammaError, ConstantsFormatError,
-                     DegreeError, DomainError, FixtureMismatch, NotDivisible,
+from .errors import (CmGammaError, ConstantsFormatError, DegreeError,
+                     DomainError, FixtureMismatch, NotDivisible,
                      PrecisionError, QuadratureFailure)
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
 from .replay import (CertificateReport, ThetaChain, build_chain,
@@ -35,8 +35,8 @@ from .scan import CmScanReport, GridSpec, cm_scan, default_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "CertificateFailure", "CertificateReport", "CmGammaError",
-    "CmScanReport", "ConstantsFormatError", "DegreeError", "DomainError",
+    "Ball", "CertificateReport", "CmGammaError", "CmScanReport",
+    "ConstantsFormatError", "DegreeError", "DomainError",
     "ExpPoly", "FixtureMismatch", "GridSpec", "KernelTerm", "NotDivisible",
     "SourceConstants", "PartialFractionForm", "PartialFractionTerm", "Poly",
     "PrecisionError", "QuadratureFailure", "ThetaChain", "bound_exact",

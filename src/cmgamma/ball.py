@@ -210,22 +210,6 @@ class Ball:
             return -1
         return 0
 
-    def contains(self, value) -> bool:
-        if isinstance(value, Ball):
-            return self.lower <= value.lower and value.upper <= self.upper
-        if isinstance(value, (int, Fraction, str)):
-            value = as_fraction(value)
-        elif isinstance(value, float):
-            value = Fraction(*value.as_integer_ratio())
-        elif hasattr(value, "_mpf_"):  # mpmath mpf: exact, no re-rounding
-            value = _mpf_tuple_to_fraction(value._mpf_)
-        else:
-            raise TypeError(f"cannot test containment of {type(value)!r}")
-        return self.lower <= value <= self.upper
-
-    def overlaps(self, other: "Ball") -> bool:
-        return abs(self.mid - other.mid) <= self.rad + other.rad
-
     # -- output --------------------------------------------------------------
 
     def decimal_str(self) -> str:

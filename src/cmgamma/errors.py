@@ -32,9 +32,5 @@ class FixtureMismatch(CmGammaError):
     """
 
 
-class CertificateFailure(CmGammaError):
-    """A positivity-certificate step failed; the message names the step."""
-
-
 class ConstantsFormatError(CmGammaError):
     """The constants file does not follow the documented grammar."""

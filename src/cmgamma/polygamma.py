@@ -7,9 +7,10 @@ With s = m + 1 and f(t) = (x + t)^(-s),
 The series is summed in fixed point: with x = n/d, every term is a floor
 division of integers scaled by 2^F, where F is chosen so that one unit 2^-F
 is at most 2^-(w+40) of the sum, and the working precision is
-w = prec + 32 + 16 m bits for a prec-bit result.  The head sum_{i < N}
-is sum floor(d^s 2^F / (n + i d)^s).  The tail sum_{i >= N} is enclosed by
-Euler-Maclaurin around a = x + N = A/d:
+w = prec + 32 bits for a prec-bit result, whatever the order m: the terms
+are positive, so nothing cancels, and m! scales the sum and its radius
+alike.  The head sum_{i < N} is sum floor(d^s 2^F / (n + i d)^s).  The
+tail sum_{i >= N} is enclosed by Euler-Maclaurin around a = x + N = A/d:
 
     T = a^(-m)/m + f(N)/2
         + sum_{k=1..K} B_{2k}/(2k)! * rising(s, 2k-1) * a^(-s-2k+1)  +  R_K,
@@ -76,7 +77,6 @@ from .errors import CmGammaError, DomainError, PrecisionError, QuadratureFailure
 MAX_ORDER = 32
 
 _BASE_GUARD_BITS = 32
-_GUARD_BITS_PER_ORDER = 16
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +190,7 @@ def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[int, int, int]:
 
 
 def _polygamma_rational(m: int, x: Fraction, prec: int) -> Ball:
-    wbits = prec + _BASE_GUARD_BITS + _GUARD_BITS_PER_ORDER * m
+    wbits = prec + _BASE_GUARD_BITS
     total, radius, fbits = _zeta_like_sum(m + 1, x, wbits)
     fac = math.factorial(m)
     sign = 1 if m % 2 == 1 else -1

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .algebra import ExpPoly, Poly
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
                         SourceConstants, load_constants)
-from .errors import CertificateFailure, FixtureMismatch
+from .errors import FixtureMismatch
 from .reporting import frac_str, stable_json_dumps
 
 # theta^(10) = 1 * e^t * theta1 and theta1^(10) = 512 * e^t * theta2
@@ -111,11 +111,6 @@ class CertificateReport(NamedTuple):
                 lines.append(f"       {s.detail}")
         lines.append(f"overall: {'PASS' if self.overall else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-    def require_pass(self) -> None:
-        bad = self.first_failure()
-        if bad is not None:
-            raise CertificateFailure(f"step {bad.step} ({bad.name}) failed: {bad.detail}")
 
 
 class ThetaChain(NamedTuple):

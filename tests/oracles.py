@@ -1,7 +1,9 @@
-"""Reference computations used only by the tests.
+"""Reference computations and Ball predicates used only by the tests.
 
-Each one reaches a value by a route that cmgamma's certified paths do not
-take, so agreement between the two is evidence for both.
+Each reference reaches a value by a route that cmgamma's certified paths do
+not take, so agreement between the two is evidence for both; the one
+exception, polygamma_per_order_guard, runs the same series with more guard
+bits, to show that the guard polygamma uses is enough.
 """
 
 import math
@@ -9,9 +11,37 @@ from fractions import Fraction
 
 from mpmath import iv
 
+from cmgamma.ball import Ball, _mpf_tuple_to_fraction
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                SCALE_P, SCALE_Q, load_constants)
-from cmgamma.polygamma import polygamma
+from cmgamma.polygamma import _zeta_like_sum, polygamma
+
+
+def contains(ball, value):
+    """Whether value lies in [ball.lower, ball.upper]: a Ball must lie
+    inside whole; an mpmath mpf is converted exactly, without re-rounding."""
+    if isinstance(value, Ball):
+        return ball.lower <= value.lower and value.upper <= ball.upper
+    if hasattr(value, "_mpf_"):
+        value = _mpf_tuple_to_fraction(value._mpf_)
+    return ball.lower <= value <= ball.upper
+
+
+def overlaps(a, b):
+    """Whether the intervals of two Balls intersect."""
+    return abs(a.mid - b.mid) <= a.rad + b.rad
+
+
+def polygamma_per_order_guard(m, x, prec, per_order=16):
+    """psi^(m)(x) from polygamma's series and single rounding, but at
+    prec + 32 + per_order * m working bits instead of prec + 32, so higher
+    orders get more guard bits.  The ball of polygamma(m, x, prec) must
+    equal it or lie inside it.
+    """
+    total, radius, fbits = _zeta_like_sum(m + 1, Fraction(x), prec + 32 + per_order * m)
+    fac = math.factorial(m)
+    one = 1 << fbits
+    return Ball._make((-1) ** (m + 1) * fac * total, one, fac * radius, one, prec)
 
 
 def polygamma_recurrence_shift(m, x, k, prec=128):

@@ -5,14 +5,15 @@ against the plain-Fraction references below; the fixed-point series is
 checked bit for bit against a reference copy of the loop that recomputes
 every remainder bound and every term exactly, also with the tail's guard
 bits cut to 0-2 so that its exact in-doubt branch runs; the tail's mantissa
-interval is checked against the exact V_k at every step; and with polygamma
-for containment of mpmath's psi and Hurwitz zeta at four times the
-precision; the derivatives of g and H are checked for containment of
-mpmath's psi plus the exact rational part at four times the precision; the
-Bernoulli numbers are checked against mpmath's; the integer
-partial-fraction decomposition is checked against sympy's ``apart`` and by
-recomposing it; the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are
-checked against plain Fraction-tuple formulas.
+interval is checked against the exact V_k at every step; polygamma is
+checked for containment of mpmath's psi and Hurwitz zeta at four times the
+precision, and its ball for lying inside the one the same series gives
+with 16 extra guard bits per order; the derivatives of g and H are checked
+for containment of mpmath's psi plus the exact rational part at four times
+the precision; the Bernoulli numbers are checked against mpmath's; the
+integer partial-fraction decomposition is checked against sympy's
+``apart`` and by recomposing it; the integer-numerator ``Poly`` and
+``ExpPoly.deriv`` are checked against plain Fraction-tuple formulas.
 """
 
 import inspect
@@ -34,8 +35,8 @@ from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                load_constants)
 from cmgamma.errors import PrecisionError
-from cmgamma.polygamma import _bernoulli, _zeta_like_sum, polygamma
-from oracles import rational_part_derivatives
+from cmgamma.polygamma import MAX_ORDER, _bernoulli, _zeta_like_sum, polygamma
+from oracles import contains, polygamma_per_order_guard, rational_part_derivatives
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -160,7 +161,9 @@ positive_x = st.builds(lambda frac, k: frac * F(2) ** k,
 
 
 @settings(SETTINGS, max_examples=30)
-@given(st.integers(1, 13), positive_x, st.sampled_from([64, 256, 1024]))
+@given(st.integers(1, MAX_ORDER), positive_x, st.sampled_from([64, 256, 1024]))
+@example(MAX_ORDER, F(1, 2 ** 20), 1024)
+@example(MAX_ORDER, F(2 ** 20), 1024)
 @example(13, F(1, 2 ** 20), 1024)
 @example(13, F(2 ** 20), 1024)
 @example(1, F(1, 2 ** 20), 1024)
@@ -169,7 +172,27 @@ def test_polygamma_contains_mpmath(m, x, prec):
     ball = polygamma(m, x, prec)
     assert ball.rad <= abs(ball.mid) * F(1, 2 ** prec)
     with mp.workprec(4 * prec):
-        assert ball.contains(mp.psi(m, mp.mpf(x.numerator) / x.denominator))
+        assert contains(ball, mp.psi(m, mp.mpf(x.numerator) / x.denominator))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(1, MAX_ORDER),
+       st.builds(lambda frac, k: frac * F(2) ** k,
+                 st.fractions(min_value=1, max_value=2, max_denominator=10 ** 6),
+                 st.integers(-20, 40)),
+       st.sampled_from([8, 64, 256, 1024, 4096]))
+@example(MAX_ORDER, F(1, 2 ** 20), 4096)
+@example(MAX_ORDER, F(1, 1024), 8)
+@example(MAX_ORDER, F(2 ** 40), 4096)
+@example(1, F(1, 2 ** 20), 8)
+@example(1, F(1, 1024), 4096)
+@example(1, F(2 ** 40), 8)
+@example(12, F(1, 1024), 8)  # the ball is strictly inside the reference
+def test_polygamma_inside_per_order_guard_reference(m, x, prec):
+    # one working precision, prec + 32, serves every order: the ball equals
+    # or lies inside the one the series gives with 16 extra guard bits per order
+    ball = polygamma(m, x, prec)
+    assert contains(polygamma_per_order_guard(m, x, prec), ball)
 
 
 moderate_x = st.one_of(
@@ -201,7 +224,7 @@ def test_derivatives_contain_mpmath(kind, k, x, prec):
                                for j in range(k + 1)) + mp.psi(k + 2, xm)
         else:
             psi_part = mp.psi(k + 1, xm)
-        assert ball.contains(psi_part - mp.mpf(rational.numerator) / rational.denominator)
+        assert contains(ball, psi_part - mp.mpf(rational.numerator) / rational.denominator)
 
 
 def test_bernoulli_matches_mpmath():

@@ -19,7 +19,7 @@ from cmgamma.cli import main
 from cmgamma.errors import DomainError
 from cmgamma.scan import (ESCALATION_CAP_BITS, MAX_POINT_BITS, GridSpec,
                           _certified_sign, cm_scan, default_grid)
-from oracles import g_derivative_ball_chain, rational_part_derivatives
+from oracles import g_derivative_ball_chain, overlaps, rational_part_derivatives
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -260,7 +260,7 @@ class TestIntegerCells:
             flip = -1 if e.k % 2 else 1
             assert e.verdict == {1: "positive", -1: "negative", 0: "indeterminate"}[sign * flip]
             assert e.prec_used == used
-            assert e.ball.rad <= ref.rad and e.ball.overlaps(ref)
+            assert e.ball.rad <= ref.rad and overlaps(e.ball, ref)
             alone = bounds.g_derivative(e.k, e.x, used)  # the jet built inside
             assert (alone.mid, alone.rad, alone.prec) == (e.ball.mid, e.ball.rad, e.ball.prec)
 
@@ -301,7 +301,7 @@ class TestInequalityScan:
             assert (cell.mid, cell.rad) == (ball.mid, ball.rad)
             if ball.prec == 160:
                 assert (entry.ball.mid, entry.ball.rad) == (ball.mid, ball.rad)
-            assert entry.ball.overlaps(ball)
+            assert overlaps(entry.ball, ball)
             assert entry.verdict == "positive" and ball.lower > 0
 
     def test_small_x_with_escalation(self):
