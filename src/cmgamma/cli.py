@@ -60,21 +60,21 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
 def _parse_x(text: str) -> Fraction:
-    too_large = CmGammaError(
-        f"{text!r} is too large: an exact argument may have at most "
-        f"{scan.MAX_POINT_BITS} bits in its numerator and denominator")
+    oversized = CmGammaError(
+        f"exact argument {text!r} with a numerator or denominator above "
+        f"{scan.MAX_POINT_BITS} bits")
     try:
         # Fraction expands 10^exponent before anything could check it; an
         # exponent beyond the digits of the text plus MAX_POINT_BITS leaves
         # more than MAX_POINT_BITS bits in the numerator or denominator
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent.group(1))) > len(text) + scan.MAX_POINT_BITS:
-            raise too_large
+            raise oversized
         x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CmGammaError(f"cannot parse {text!r} as an exact rational")
     if max(x.numerator.bit_length(), x.denominator.bit_length()) > scan.MAX_POINT_BITS:
-        raise too_large
+        raise oversized
     return x
 
 

@@ -30,32 +30,29 @@ the size of the leading term x^(-s).
 Term k of the tail is floor(B_2k V_k) with V_k = rising(s, 2k-1) d^j 2^F /
 ((2k)! A^j), j = s+2k-1.  V_k is not formed from its powers: it is carried
 as an integer mantissa interval, V_k 2^ex in [m, m + err], which each step
-multiplies by the small ratio V_k/V_(k-1) = (s+2k-3)(s+2k-2) d^2 /
-((2k-1)(2k) A^2).  One floor division gives the new m; the upper end
-(m + err) ratio is below floor(m ratio) + 1 + floor(err ratio) + 1, which
-is the new err, so err counts the accumulated error in units of 2^-ex.
-Before a step the mantissa is shifted left, exactly, until 2^ex exceeds
-|B_2k| 2^64 (the tail's 64 guard bits), so the interval is narrower than
-err 2^-64 units once multiplied by B_2k.  The term's floor is taken with B_2k's
-numerator and its small denominator at both ends of the interval; only if
-the two floors differ, because the term lies within the error of an
-integer, is it formed exactly from d^j, A^j and (2k)!.  So the sum is
-bit-identical to the exact floor of every term, at the cost of short
-products instead of divisions of numbers thousands of bits long.
+multiplies by the small ratio V_k/V_(k-1) = (j-2)(j-1) d^2 / ((2k-1)(2k) A^2).
+One floor division gives the new m; the upper end (m + err) ratio is below
+floor(m ratio) + 1 + floor(err ratio) + 1, which is the new err, so err
+counts the accumulated error in units of 2^-ex.  Before a step the mantissa
+is shifted left, exactly, until 2^ex exceeds |B_2k| 2^64 (the tail's 64
+guard bits), so the interval is narrower than err 2^-64 units once
+multiplied by B_2k.  The term's floor is taken with B_2k's numerator and its
+small denominator at both ends of the interval; only if the two floors
+differ, because the term lies within the error of an integer, is it formed
+exactly from d^j, A^j and (2k)!.  So the sum is bit-identical to the exact
+floor of every term, at the cost of short products instead of divisions of
+numbers thousands of bits long.
 
 The Bernoulli numbers B_2k come exactly from the tangent numbers T_k, by
 the O(k^2) integer recurrence of Brent & Harvey ("Fast computation of
 Bernoulli, Tangent and Secant numbers"), in a table that grows on demand.
-The sum stops at the first K whose rounded-up remainder bound is at most
-the target 2^-(w+8) of the sum, and gives up on this N when the bound grows
-from one K to the next.  The exact bound is a division of numbers thousands
-of bits long, built from d^(j+1) and A^(j+1) on demand, so it is computed
-only at steps where a float estimate of its
-log2 is within 2 bits of the target, or at most 2 bits below the previous
-step's estimate (the bounds may have stopped decreasing).  Float error in
-the estimate is far below 2 bits, so a skipped step is one where the exact
-comparison could not have stopped or diverged: N, K, the sum and the radius
-are the same as when the bound is computed at every step.
+With X_k the weakened remainder bound in units, the sum stops at the first
+K with ceil(X_K) at most the target 2^-(w+8) of the sum, and gives up on
+this N when ceil(X_k) > ceil(X_(k-1)).  Both tests are exact, on integers:
+a floored lower bound low <= X_k follows the ratio X_k/X_(k-1) =
+16 (j-1) j d^2 / (625 A^2) from X_1 = V_1 64 (s+1) d / (3125 A), and the
+long division ceil(X_k) is formed only where low reaches the target, or
+where the ratio exceeds 1, the only steps where the ceilings can grow.
 
 The integral-representation quadrature (`polygamma_quadrature_crosscheck`)
 is a heuristic cross-check only: its radius is an error *estimate* from the
@@ -102,8 +99,6 @@ def _bernoulli(n: int) -> Fraction:
     return Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1))
 
 
-_LOG2_4_OVER_25 = 2 - math.log2(25)
-_SKIP_MARGIN_BITS = 2  # far more than the float error of the log2 estimates
 _TAIL_GUARD_BITS = 64  # bits of the tail mantissa below a unit of the term
 
 
@@ -125,66 +120,46 @@ def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[int, int, int]:
         total = head + integral + ds // (2 * big_a ** s)
         floors = n_terms + 2  # each floor division is short by < 1 unit
         target = (head + integral) >> (wbits + 8)  # the sum exceeds head + integral
-        log_target = math.log2(target) if target else -math.inf
-        log_d_over_a = math.log2(d) - math.log2(big_a)
-        log_base = math.log2(5 / 2) + fbits + log_d_over_a
 
-        def exact_bound(k: int, rising: int) -> int:
-            """ceil of the remainder bound after k terms, in units."""
+        def exact_bound(k: int) -> int:
+            """ceil of the remainder bound X_k after k terms, in units."""
             j = s + 2 * k - 1
-            return -(-(5 * rising * j * d ** (j + 1) << (fbits + 4 * k + 2))
+            return -(-(5 * math.perm(j, 2 * k) * d ** (j + 1) << (fbits + 4 * k + 2))
                      // (2 * 25 ** (2 * k + 1) * big_a ** (j + 1)))
 
         d2, a2 = d * d, big_a * big_a
-        rising = s  # rising(s, 2k-1)
         # V = rising(s, 2k-1) d^j 2^F / ((2k)! A^j), j = s+2k-1, lies in
         # [m, m + err] 2^-ex; the term is floor(B_2k V)
         ex = _TAIL_GUARD_BITS
         m, err = (s * d ** (s + 1) << (fbits + ex)) // (2 * big_a ** (s + 1)), 1
-        remainder = None
-        # step k-1's (k, rising), log2 estimate and exact bound if computed
-        prev_state = prev_est = prev_bound = None
+        # X_1 = V_1 64 (s+1) d / (3125 A), and low <= X_k stays a lower bound
+        low = (m * 64 * (s + 1) * d // (3125 * big_a)) >> ex
         for k in range(1, 100001):
             j = s + 2 * k - 1
-            b = _bernoulli(2 * k)
-            num, den = b.numerator, b.denominator
+            num, den = _bernoulli(2 * k).as_integer_ratio()
             if k > 1:
-                r = (s + 2 * k - 3) * (s + 2 * k - 2)
-                rising *= r
                 # 2^ex > |B_2k| 2^guard before this step rounds
                 shift = _TAIL_GUARD_BITS + num.bit_length() - den.bit_length() + 1 - ex
                 if shift > 0:
                     m, err, ex = m << shift, err << shift, ex + shift
-                p, q = r * d2, (2 * k - 1) * (2 * k) * a2
+                p, q = (j - 2) * (j - 1) * d2, (2 * k - 1) * (2 * k) * a2
                 m, err = m * p // q, err * p // q + 2
+                bp, bq = 16 * (j - 1) * j * d2, 625 * a2  # X_k / X_(k-1)
+                low = low * bp // bq
             bm = num * m
             term = (bm >> ex) // den
             if term != ((bm + num * err) >> ex) // den:
                 # the floor is in doubt: form the term exactly
-                term = ((num * rising * d ** j << fbits)
+                term = ((num * math.perm(j - 1, 2 * k - 1) * d ** j << fbits)
                         // (den * math.factorial(2 * k) * big_a ** j))
             total += term
             floors += 1
-            # log2 of the remainder bound before its ceiling; the exact bound
-            # is needed only where it may reach target or stop decreasing
-            est = (log_base + (2 * k + 1) * _LOG2_4_OVER_25
-                   + math.log2(rising * j) + j * log_d_over_a)
-            bound = None
-            if est <= log_target + _SKIP_MARGIN_BITS:
-                bound = exact_bound(k, rising)
+            if low <= target:
+                bound = exact_bound(k)
                 if bound <= target:
-                    remainder = bound
-                    break
-            if prev_state is not None and est >= prev_est - _SKIP_MARGIN_BITS:
-                if bound is None:
-                    bound = exact_bound(k, rising)
-                if prev_bound is None:
-                    prev_bound = exact_bound(*prev_state)
-                if bound > prev_bound:
-                    break  # the asymptotic terms started diverging; need larger N
-            prev_state, prev_est, prev_bound = (k, rising), est, bound
-        if remainder is not None:
-            return total, floors + remainder, fbits
+                    return total, floors + bound, fbits
+            if k > 1 and bp > bq and exact_bound(k) > exact_bound(k - 1):
+                break  # the asymptotic terms started diverging; need larger N
     raise PrecisionError(
         f"series tail for s={s}, x={x} not certifiable at {wbits} working bits")
 

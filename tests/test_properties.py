@@ -5,15 +5,16 @@ against the plain-Fraction references below; the fixed-point series is
 checked bit for bit against a reference copy of the loop that recomputes
 every remainder bound and every term exactly, also with the tail's guard
 bits cut to 0-2 so that its exact in-doubt branch runs; the tail's mantissa
-interval is checked against the exact V_k at every step; polygamma is
-checked for containment of mpmath's psi and Hurwitz zeta at four times the
-precision, and its ball for lying inside the one the same series gives
-with 16 extra guard bits per order; the derivatives of g and H are checked
-for containment of mpmath's psi plus the exact rational part at four times
-the precision; the Bernoulli numbers are checked against mpmath's; the
-integer partial-fraction decomposition is checked against sympy's
-``apart`` and by recomposing it; the integer-numerator ``Poly`` and
-``ExpPoly.deriv`` are checked against plain Fraction-tuple formulas.
+interval is checked against the exact V_k, and its lower bound against the
+exact remainder bound, at every step; polygamma is checked for containment
+of mpmath's psi and Hurwitz zeta at four times the precision, and its ball
+for lying inside the one the same series gives with 16 extra guard bits per
+order; the derivatives of g and H are checked for containment of mpmath's
+psi plus the exact rational part at four times the precision; the Bernoulli
+numbers are checked against mpmath's; the integer partial-fraction
+decomposition is checked against sympy's ``apart`` and by recomposing it;
+the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
+plain Fraction-tuple formulas.
 """
 
 import inspect
@@ -281,7 +282,7 @@ def ref_zeta_like_sum(s: int, x: F, wbits: int) -> tuple[F, F]:
 @example(7, F(999983, 1000003), 64)
 @example(30, F(9), 8)  # the first N diverges: the loop retries with a larger N
 @example(33, F(12), 19)
-@example(33, F(22), 49)  # the bounds decrease by less than 2 bits a step before the stop
+@example(33, F(22), 49)  # the bounds decrease slowly just before the stop
 @example(18, F(17, 2), 7)
 def test_series_matches_reference_loop(s, x, wbits):
     total, radius, fbits = _zeta_like_sum(s, x, wbits)
@@ -344,7 +345,9 @@ def _line_of(func, statement: str) -> int:
 def test_series_tail_mantissa_encloses_exact_v(s, x, wbits, guard):
     # at every Euler-Maclaurin step, just before the term's floor is taken,
     # the loop's interval [m, m + err] must hold the exact
-    # V_k 2^ex = rising(s, 2k-1) d^j 2^(F+ex) / ((2k)! A^j), j = s+2k-1
+    # V_k 2^ex = rising(s, 2k-1) d^j 2^(F+ex) / ((2k)! A^j), j = s+2k-1,
+    # and low must not exceed the exact remainder bound
+    # X_k = 5 rising(s, 2k) d^(j+1) 2^(F+4k+2) / (2 25^(2k+1) A^(j+1))
     code, line = _zeta_like_sum.__code__, _line_of(_zeta_like_sum, "bm = num * m")
     steps = 0
 
@@ -353,9 +356,12 @@ def test_series_tail_mantissa_encloses_exact_v(s, x, wbits, guard):
         if event == "line" and frame.f_lineno == line:
             v = frame.f_locals
             k, j, m, err = v["k"], v["j"], v["m"], v["err"]
-            top = v["rising"] * v["d"] ** j << (v["fbits"] + v["ex"])
-            bottom = math.factorial(2 * k) * v["big_a"] ** j
+            d, big_a, fbits = v["d"], v["big_a"], v["fbits"]
+            top = math.perm(j - 1, 2 * k - 1) * d ** j << (fbits + v["ex"])
+            bottom = math.factorial(2 * k) * big_a ** j
             assert m * bottom <= top <= (m + err) * bottom, (k, m, err)
+            assert (v["low"] * (2 * 25 ** (2 * k + 1) * big_a ** (j + 1))
+                    <= 5 * math.perm(j, 2 * k) * d ** (j + 1) << (fbits + 4 * k + 2)), k
             steps += 1
         return local
 
@@ -369,6 +375,31 @@ def test_series_tail_mantissa_encloses_exact_v(s, x, wbits, guard):
         finally:
             sys.settrace(outer)
     assert steps > 0
+
+
+# the scan workloads' largest orders and working precisions (see above), and
+# a first N that diverges: two ceilings compared there, then one at the stop
+@pytest.mark.parametrize("s, x, wbits, exact_bounds", [
+    (14, F(1, 16), 752, 1), (11, F(64), 448, 1), (30, F(9), 8, 3)])
+def test_series_tail_decides_on_integers(s, x, wbits, exact_bounds):
+    # no float log2 steers the stop or the divergence test, and the exact
+    # remainder bound is formed only where the lower bound reaches the target
+    # or the bound ratio exceeds 1
+    calls = {"log2": 0, "exact_bound": 0}
+
+    def count(frame, event, arg):
+        if event == "c_call" and arg is math.log2:
+            calls["log2"] += 1
+        elif event == "call" and frame.f_code.co_name == "exact_bound":
+            calls["exact_bound"] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _zeta_like_sum(s, x, wbits)
+    finally:
+        sys.setprofile(outer)
+    assert calls == {"log2": 0, "exact_bound": exact_bounds}
 
 
 @settings(SETTINGS, max_examples=12)
