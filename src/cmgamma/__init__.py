@@ -3,19 +3,19 @@
 Layers, bottom up:
 
 - :mod:`cmgamma.algebra`: exact rational polynomials, exponential
-  polynomials, partial fractions, and the Laplace kernel map;
+  polynomials and partial fractions;
 - :mod:`cmgamma.ball`: midpoint-radius enclosures over exact dyadics;
 - :mod:`cmgamma.polygamma`: certified psi^(m) enclosures with an
   independent (non-certified) quadrature cross-check;
 - :mod:`cmgamma.constants`: the transcribed exact fixtures;
 - :mod:`cmgamma.bounds`: p, q, B, g, H, their derivatives and identities;
-- :mod:`cmgamma.replay`: the mechanical positivity-chain proof replay;
+- :mod:`cmgamma.replay`: the Laplace kernel image and the mechanical
+  positivity-chain proof replay;
 - :mod:`cmgamma.scan`: grid scans for complete monotonicity;
 - :mod:`cmgamma.cli`: the command-line front end.
 """
 
-from .algebra import (ExpPoly, KernelTerm, PartialFractionForm,
-                      PartialFractionTerm, Poly, laplace_kernel_of,
+from .algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm, Poly,
                       pfd_decompose)
 from .ball import Ball
 from .bounds import (bound_exact, g_derivative, g_eval, h_derivative,
@@ -37,12 +37,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "CertificateReport", "CmGammaError", "CmScanReport",
     "ConstantsFormatError", "DegreeError", "DomainError",
-    "ExpPoly", "FixtureMismatch", "GridSpec", "KernelTerm", "NotDivisible",
+    "ExpPoly", "FixtureMismatch", "GridSpec", "NotDivisible",
     "SourceConstants", "PartialFractionForm", "PartialFractionTerm", "Poly",
     "PrecisionError", "QuadratureFailure", "ThetaChain", "bound_exact",
     "build_chain", "build_theta_from_kernel",
     "chain_positivity_certificate", "cm_scan", "default_grid",
-    "g_derivative", "g_eval", "h_derivative", "h_eval", "laplace_kernel_of",
+    "g_derivative", "g_eval", "h_derivative", "h_eval",
     "load_constants", "p_eval", "pf_expansion_identity_check",
     "pfd_decompose", "polygamma", "polygamma_quadrature_crosscheck",
     "q_eval", "replay_proof", "telescoping_identity_check",

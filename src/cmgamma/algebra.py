@@ -2,11 +2,13 @@
 
 Everything in this module is exact.  A polynomial is dense (index = power)
 and stores integer numerators over one positive common denominator in lowest
-terms, so sums, products, derivatives, evaluation and shifts run on integers
-and a ``fractions.Fraction`` is made only where a coefficient or a value is
-handed out.  An exponential polynomial is a finite sum
+terms, so sums, products, evaluation and shifts run on integers and a
+``fractions.Fraction`` is made only where a coefficient or a value is handed
+out.  An exponential polynomial is a finite sum
 
-    sum_k  p_k(t) * e^(k*t),   k a nonnegative integer, p_k a rational Poly.
+    sum_k  p_k(t) * e^(k*t),   k a nonnegative integer, p_k a rational Poly,
+
+differentiated exactly block by block.
 
 The partial-fraction machinery is restricted to denominators that are products
 of (x+a)^m with nonnegative integer shifts a, which is all the downstream
@@ -16,9 +18,6 @@ with c != 0 and no polynomial part.  It is differentiated in closed form
 when it is evaluated (the k-th derivative of c/(x+a)^m is
 (-1)^k (m)_k c/(x+a)^(m+k)), and it recomposes over prod (x+a)^M_a in
 lowest terms without a polynomial gcd.
-
-The Laplace kernel map sends c/(x+a)^m to (c/(m-1)!) * t^(m-1) * e^(-a*t),
-the unique integrand term with that Laplace transform.
 """
 
 from __future__ import annotations
@@ -205,10 +204,6 @@ class Poly:
             n >>= 1
         return result
 
-    def deriv(self) -> "Poly":
-        """Formal derivative."""
-        return Poly._make([i * c for i, c in enumerate(self._num) if i], self._den)
-
     def __call__(self, x: Rat) -> Fraction:
         """Exact Horner evaluation: with x = n/d, one integer Horner sum
         over the numerators and one Fraction at the end."""
@@ -268,10 +263,6 @@ class ExpPoly:
         raise AttributeError("ExpPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls({})
-
-    @classmethod
     def term(cls, k: int, poly: Poly | Iterable[Rat]) -> "ExpPoly":
         return cls({k: poly if isinstance(poly, Poly) else Poly(poly)})
 
@@ -319,13 +310,6 @@ class ExpPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "ExpPoly":
-        if isinstance(other, ExpPoly):
-            out: dict[int, Poly] = {}
-            for k1, p1 in self._blocks.items():
-                for k2, p2 in other._blocks.items():
-                    k = k1 + k2
-                    out[k] = out.get(k, Poly.zero()) + p1 * p2
-            return ExpPoly(out)
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             return ExpPoly({k: p * c for k, p in self._blocks.items()})
@@ -386,21 +370,6 @@ class PartialFractionTerm(NamedTuple):
     order: int
 
 
-class KernelTerm(NamedTuple):
-    """Integrand term coeff * t^power * e^(-decay*t)."""
-
-    coeff: Fraction
-    power: int
-    decay: int
-
-
-def _check_term(t: PartialFractionTerm) -> None:
-    if t.order < 1:
-        raise ValueError("partial-fraction order must be >= 1")
-    if t.shift < 0 or not isinstance(t.shift, int):
-        raise ValueError("shift must be a nonnegative integer")
-
-
 class PartialFractionForm:
     """A canonical proper rational function: a sum of coeff/(x+shift)^order
     terms and no polynomial part.
@@ -416,7 +385,10 @@ class PartialFractionForm:
         merged: dict[tuple[int, int], Fraction] = {}
         for t in terms:
             t = PartialFractionTerm(as_fraction(t[0]), int(t[1]), int(t[2]))
-            _check_term(t)
+            if t.order < 1:
+                raise ValueError("partial-fraction order must be >= 1")
+            if t.shift < 0:
+                raise ValueError("shift must be a nonnegative integer")
             key = (t.shift, t.order)
             merged[key] = merged.get(key, _ZERO) + t.coeff
         canon = tuple(
@@ -491,17 +463,6 @@ class PartialFractionForm:
                     int(cs.get(m, 0) * lcm) for m in range(lo, hi + 1))))
             object.__setattr__(self, "_shift_groups", tuple(groups))
         return self._shift_groups
-
-    def kernel_terms(self) -> tuple[KernelTerm, ...]:
-        """Laplace kernel image of every term, in term order."""
-        return tuple(laplace_kernel_of(t) for t in self.terms)
-
-
-def laplace_kernel_of(term: PartialFractionTerm) -> KernelTerm:
-    """Map coeff/(x+a)^m to its Laplace integrand (coeff/(m-1)!)*t^(m-1)*e^(-a*t)."""
-    _check_term(term)
-    return KernelTerm(term.coeff / math.factorial(term.order - 1),
-                      term.order - 1, term.shift)
 
 
 def pfd_decompose(num: Poly,

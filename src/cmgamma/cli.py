@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import bounds, replay, scan
 from .constants import SCALE_P, SCALE_Q, load_constants
-from .errors import CmGammaError, ConstantsFormatError
+from .errors import CmGammaError
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
 from .reporting import frac_str
 
@@ -81,6 +81,15 @@ def _parse_x(text: str) -> Fraction:
 def _load(args):
     path = getattr(args, "constants", None)
     return load_constants(path)
+
+
+def _write(path: str, text: str) -> None:
+    """Write a report file; a failure is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CmGammaError(f"cannot write {path}: {exc}") from None
 
 
 def _approx(q: Fraction) -> str:
@@ -160,23 +169,13 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_replay_proof(args) -> int:
-    try:
-        consts = _load(args)
-        report = replay.replay_proof(consts)
-    except ConstantsFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    report = replay.replay_proof(_load(args))
     if args.emit:
         doc = report.to_json()
         if args.emit == "-":
             sys.stdout.write(doc)
         else:
-            try:
-                with open(args.emit, "w", encoding="utf-8") as fh:
-                    fh.write(doc)
-            except OSError as exc:
-                print(f"error: cannot write {args.emit}: {exc}", file=sys.stderr)
-                return USAGE_EXIT
+            _write(args.emit, doc)
             print(f"certificate written to {args.emit}")
     else:
         sys.stdout.write(report.to_text())
@@ -216,12 +215,7 @@ def cmd_cm_scan(args) -> int:
     else:
         out = report.to_text()
     if args.output and args.output != "-":
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+        _write(args.output, out)
     else:
         sys.stdout.write(out)
     return FAIL_EXIT if report.failed else 0

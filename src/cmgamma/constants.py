@@ -85,11 +85,14 @@ def _parse_rational(tok: str, path, lineno: int) -> int | Fraction:
         raise ConstantsFormatError(f"{path}:{lineno}: bad rational {tok!r}") from exc
 
 
-def _parse_int(tok: str, where: str) -> int:
+def _parse_int(tok: str, path, where: int | str) -> int:
+    """An integer token; ``where`` is a line number or a section name and is
+    formatted into the location only when the token is rejected."""
     try:
         return int(tok)
     except ValueError as exc:
-        raise ConstantsFormatError(f"{where}: bad integer {tok!r}") from exc
+        loc = f"{path}:{where}" if isinstance(where, int) else f"{path}: [{where}]"
+        raise ConstantsFormatError(f"{loc}: bad integer {tok!r}") from exc
 
 
 def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
@@ -142,22 +145,25 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
                 continue
             if len(toks) != 2:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<power> <rational>'")
-            power = _parse_int(toks[0], f"{path}:{lineno}")
+            power = _parse_int(toks[0], path, lineno)
             if power < 0 or power in poly_coeffs:
                 raise ConstantsFormatError(f"{path}:{lineno}: bad or repeated power {power}")
             poly_coeffs[power] = _parse_rational(toks[1], path, lineno)
         elif kind == "pf":
             if len(toks) != 3:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<coeff> <shift> <order>'")
+            shift, order = _parse_int(toks[1], path, lineno), _parse_int(toks[2], path, lineno)
+            if shift < 0 or order < 1:
+                raise ConstantsFormatError(
+                    f"{path}:{lineno}: need shift >= 0 and order >= 1")
             pf_terms.append(PartialFractionTerm(
-                _parse_rational(toks[0], path, lineno),
-                _parse_int(toks[1], f"{path}:{lineno}"), _parse_int(toks[2], f"{path}:{lineno}")))
+                _parse_rational(toks[0], path, lineno), shift, order))
         else:
             if len(toks) != 2:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<label> <integer>'")
             if toks[0] in values:
                 raise ConstantsFormatError(f"{path}:{lineno}: repeated label {toks[0]!r}")
-            values[toks[0]] = _parse_int(toks[1], f"{path}:{lineno}")
+            values[toks[0]] = _parse_int(toks[1], path, lineno)
     flush()
     return sections
 
@@ -167,7 +173,10 @@ def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
     prefix = f"poly {base}.e"
     for key, val in sections.items():
         if key.startswith(prefix):
-            blocks[_parse_int(key[len(prefix):], f"{path}: [{key}]")] = val
+            k = _parse_int(key[len(prefix):], path, key)
+            if k < 0:
+                raise ConstantsFormatError(f"{path}: [{key}]: negative exponent")
+            blocks[k] = val
     if not blocks:
         raise ConstantsFormatError(f"{path}: no blocks found for {base!r}")
     return ExpPoly(blocks)
@@ -217,9 +226,9 @@ def _load_file(path: Path, text: str) -> SourceConstants:
     sections = parse_constants_text(text, path)
     init: dict[str, dict[int, int]] = {}
     for stage in CHAIN_LENGTHS:
-        raw = _get(sections, f"values {stage}_init", path)
-        init[stage] = {_parse_int(k, f"{path}: [values {stage}_init]"): v
-                       for k, v in raw.items()}
+        section = f"values {stage}_init"
+        init[stage] = {_parse_int(k, path, section): v
+                       for k, v in _get(sections, section, path).items()}
         want = set(range(1, CHAIN_LENGTHS[stage] + 1))
         if set(init[stage]) != want:
             raise ConstantsFormatError(

@@ -1,7 +1,8 @@
 """Mechanical replay of the positivity-chain argument.
 
-The chain starts from the Laplace-kernel numerator theta(t): build it from
-the 22-term expansion, differentiate exactly through the three stages
+The chain starts from the Laplace-kernel numerator theta(t): rebuild it
+from the 22-term expansion's kernel image in one pass, differentiate exactly
+through the three stages
 
     theta --(10 derivatives)--> e^t * theta1
     theta1 --(10 derivatives)--> 512 e^t * theta2
@@ -11,15 +12,17 @@ and certify positivity bottom-up: the bottom stage is positive by an exact
 coefficient comparison (using only e^t >= 1 and t >= 0), and each lower
 derivative follows by integration from 0 with a nonnegative initial value.
 Everything numeric in the certificate is an exact integer or rational; no
-floating-point or interval evaluation enters it.
+floating-point or interval evaluation enters it.  Each certificate fragment
+numbers its own steps from 1, and the full replay renumbers them by position.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import ExpPoly, Poly
+from .algebra import ExpPoly, PartialFractionForm, Poly
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
                         SourceConstants, load_constants)
 from .errors import FixtureMismatch
@@ -145,35 +148,37 @@ def _exppoly_diff(a: ExpPoly, b: ExpPoly) -> str:
     return "structurally equal"
 
 
-def kernel_image_lifted(constants: SourceConstants) -> ExpPoly:
-    """The expansion's Laplace image, multiplied through by e^(LIFT*t).
+def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
+    """The form's Laplace kernel image, multiplied through by e^(LIFT*t).
 
-    Each integrand term c*t^j*e^(-a*t) becomes c*t^j*e^((LIFT-a)*t), which
-    stays in nonnegative-exponent territory because every decay is <= LIFT.
+    c/(x+a)^m is the Laplace transform of (c/(m-1)!) t^(m-1) e^(-a*t); lifted,
+    that term is the t^(m-1) coefficient of the e^((LIFT-a)t) block, which
+    keeps a nonnegative exponent because every decay a is <= LIFT.  The
+    form's terms are sorted by (shift, order), so each block's coefficient
+    list only grows.
     """
-    acc = ExpPoly.zero()
-    for kt in constants.remainder_expansion.kernel_terms():
-        if kt.decay > KERNEL_LIFT:
+    blocks: dict[int, list] = {}
+    for c, a, m in form.terms:
+        if a > KERNEL_LIFT:
             raise FixtureMismatch(
-                f"kernel decay {kt.decay} exceeds exponent lift {KERNEL_LIFT}")
-        acc = acc + ExpPoly.term(KERNEL_LIFT - kt.decay,
-                                 Poly.monomial(kt.coeff, kt.power))
-    return acc
+                f"kernel decay {a} exceeds exponent lift {KERNEL_LIFT}")
+        cs = blocks.setdefault(KERNEL_LIFT - a, [])
+        cs += [0] * (m - 1 - len(cs)) + [c / math.factorial(m - 1)]
+    return ExpPoly({k: Poly(cs) for k, cs in blocks.items()})
 
 
 def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly:
     """Rebuild theta from the expansion's kernel and match it to the fixture.
 
-    theta = KERNEL_SCALE * e^(2t) * [t e^t - (e^t - 1) * (kernel image)];
+    theta = KERNEL_SCALE * e^(2t) * [t e^t - (e^t - 1) * (kernel image)]
+          = KERNEL_SCALE * [t e^(3t) - e^t L + L]  with L the lifted image;
     raises FixtureMismatch with the first per-exponent coefficient diff if
     the rebuilt object differs from the transcribed display.
     """
     constants = constants if constants is not None else load_constants()
-    lifted = kernel_image_lifted(constants)
-    e_t = ExpPoly.term(1, Poly((1,)))
-    one = ExpPoly.term(0, Poly((1,)))
+    lifted = kernel_image_lifted(constants.remainder_expansion)
     built = KERNEL_SCALE * (ExpPoly.term(1 + KERNEL_LIFT, Poly((0, 1)))
-                            - (e_t - one) * lifted)
+                            - lifted.shift_exp(1) + lifted)
     if built != constants.theta:
         raise FixtureMismatch("rebuilt theta differs from fixture: "
                               + _exppoly_diff(built, constants.theta))
@@ -184,14 +189,16 @@ def build_chain(constants: SourceConstants | None = None) -> ThetaChain:
     """Differentiate the fixture theta through all three stages exactly.
 
     Each stage after the first is the previous stage's last derivative
-    with factor * e^t divided out.
+    with factor * e^t divided out of its blocks of exponent >= 1; an e^0
+    block left over is not raised on here but fails the divisibility steps.
     """
     constants = constants if constants is not None else load_constants()
     fields = {}
     cur = constants.theta
     for stage, length in CHAIN_LENGTHS.items():
         if stage in _STAGE_FIXTURE_FACTOR:
-            cur = cur.factor_exp(1, _STAGE_FIXTURE_FACTOR[stage])
+            cur = ExpPoly({k: p for k, p in cur.blocks() if k}).factor_exp(
+                1, _STAGE_FIXTURE_FACTOR[stage])
         fields[stage] = cur
         derivs = []
         for _ in range(length):
@@ -201,15 +208,21 @@ def build_chain(constants: SourceConstants | None = None) -> ThetaChain:
     return ThetaChain(**fields)
 
 
-def _step(idx: int, name: str, claim: str, method: str, values, ok: bool,
+def _step(name: str, claim: str, method: str, values, ok: bool,
           detail: str = "") -> StepRecord:
+    """An unnumbered step record; _numbered assigns the step numbers."""
     vals = tuple((str(k), str(v)) for k, v in values)
-    return StepRecord(idx, name, claim, method, vals,
+    return StepRecord(0, name, claim, method, vals,
                       "pass" if ok else "fail", detail)
 
 
-def verify_kernel_build(constants: SourceConstants | None = None,
-                        start: int = 1) -> list[StepRecord]:
+def _numbered(records) -> tuple[StepRecord, ...]:
+    """The records numbered 1, 2, ... by position."""
+    return tuple(r._replace(step=i) for i, r in enumerate(records, 1))
+
+
+def verify_kernel_build(constants: SourceConstants | None = None
+                        ) -> tuple[StepRecord, ...]:
     """Certificate fragment: the kernel rebuild reproduces the theta display."""
     constants = constants if constants is not None else load_constants()
     try:
@@ -217,16 +230,15 @@ def verify_kernel_build(constants: SourceConstants | None = None,
         ok, detail = True, "all four exponent blocks match"
     except FixtureMismatch as exc:
         ok, detail = False, str(exc)
-    rec = _step(start, "kernel-build",
-                "scale * e^2t * [t e^t - (e^t - 1) * kernel(expansion)] equals theta",
-                "exact-exppoly-equality",
-                [("kernel_scale", KERNEL_SCALE)], ok, detail)
-    return [rec]
+    return _numbered([_step(
+        "kernel-build",
+        "scale * e^2t * [t e^t - (e^t - 1) * kernel(expansion)] equals theta",
+        "exact-exppoly-equality", [("kernel_scale", KERNEL_SCALE)], ok, detail)])
 
 
 def verify_derivative_fixtures(chain: ThetaChain,
-                               constants: SourceConstants | None = None,
-                               start: int = 2) -> list[StepRecord]:
+                               constants: SourceConstants | None = None
+                               ) -> tuple[StepRecord, ...]:
     """Certificate fragment: the displayed derivative formulas match.
 
     Minimum fixture set: theta', theta^(10) (= e^t theta1), theta1',
@@ -243,29 +255,22 @@ def verify_derivative_fixtures(chain: ThetaChain,
         ("theta2-9th", chain.stage("theta2", 9), constants.theta2_d9),
     ]
     out = []
-    for i, (name, computed, fixture) in enumerate(checks):
+    for name, computed, fixture in checks:
         ok = computed == fixture
-        out.append(_step(start + i, f"formula-{name}",
+        out.append(_step(f"formula-{name}",
                          f"computed {name.replace('-', ' ')} equals the displayed fixture",
                          "exact-exppoly-equality", [],
                          ok, "" if ok else _exppoly_diff(computed, fixture)))
-    return out
+    return _numbered(out)
 
 
 def verify_initial_values(chain: ThetaChain,
-                          constants: SourceConstants | None = None,
-                          start: int = 7) -> list[StepRecord]:
+                          constants: SourceConstants | None = None
+                          ) -> tuple[StepRecord, ...]:
     """Certificate fragment: all 29 tabulated t=0 values match, plus theta(0)=0."""
     constants = constants if constants is not None else load_constants()
-    records = []
-    idx = start
     theta0 = chain.theta.eval_exact_at_zero()
-    records.append(_step(idx, "initial-theta-zero", "theta(0) = 0",
-                         "exact-evaluation", [("theta(0)", frac_str(theta0))],
-                         theta0 == 0))
-    idx += 1
     bad: list[str] = []
-    used: list[tuple[str, str]] = []
     for stage, length in CHAIN_LENGTHS.items():
         for order in range(1, length + 1):
             got = chain.stage(stage, order).eval_exact_at_zero()
@@ -273,40 +278,39 @@ def verify_initial_values(chain: ThetaChain,
             if got != want:
                 bad.append(f"{stage}^({order})(0): computed {frac_str(got)}, "
                            f"table {frac_str(want)}")
-    used.append(("values_checked", "29"))
     zeros = all(constants.initial_values["theta"][o] == 0 for o in range(1, 5))
     if not zeros:
         bad.append("theta derivative orders 1..4 must vanish at 0")
-    records.append(_step(idx, "initial-value-table",
-                         "all 29 tabulated derivative values at t=0 match the chain",
-                         "exact-evaluation", used, not bad,
-                         "; ".join(bad) if bad else "29/29 equal"))
-    return records
+    return _numbered([
+        _step("initial-theta-zero", "theta(0) = 0", "exact-evaluation",
+              [("theta(0)", frac_str(theta0))], theta0 == 0),
+        _step("initial-value-table",
+              "all 29 tabulated derivative values at t=0 match the chain",
+              "exact-evaluation", [("values_checked", "29")], not bad,
+              "; ".join(bad) if bad else "29/29 equal")])
 
 
-def verify_divisibility(chain: ThetaChain, start: int = 9) -> list[StepRecord]:
+def verify_divisibility(chain: ThetaChain) -> tuple[StepRecord, ...]:
     """Certificate fragment: the factor-out steps are exact.
 
     theta^(10) must carry no e^0 block (so e^t divides it), and theta1^(10)
     must carry no e^0 block with every coefficient divisible by 512.
     """
-    records = []
     t10 = chain.stage("theta", 10)
-    ok1 = 0 not in t10.exponents()
-    records.append(_step(start, "divisibility-theta10",
-                         "theta^(10) has no e^0 block (e^t factors out exactly)",
-                         "exponent-support-check",
-                         [("exponents", ",".join(map(str, t10.exponents())))], ok1))
     t110 = chain.stage("theta1", 10)
-    ok2 = 0 not in t110.exponents()
     div512 = all(c.denominator == 1 and c.numerator % 512 == 0
                  for _, p in t110.blocks() for c in p.coeffs)
-    records.append(_step(start + 1, "divisibility-theta1-10th",
-                         "theta1^(10) has no e^0 block and 512 divides every coefficient",
-                         "exact-integer-divisibility",
-                         [("exponents", ",".join(map(str, t110.exponents())))],
-                         ok2 and div512))
-    return records
+    return _numbered([
+        _step("divisibility-theta10",
+              "theta^(10) has no e^0 block (e^t factors out exactly)",
+              "exponent-support-check",
+              [("exponents", ",".join(map(str, t10.exponents())))],
+              0 not in t10.exponents()),
+        _step("divisibility-theta1-10th",
+              "theta1^(10) has no e^0 block and 512 divides every coefficient",
+              "exact-integer-divisibility",
+              [("exponents", ",".join(map(str, t110.exponents())))],
+              0 not in t110.exponents() and div512)])
 
 
 def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:
@@ -333,8 +337,8 @@ def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:
 
 
 def chain_positivity_certificate(chain: ThetaChain,
-                                 constants: SourceConstants | None = None,
-                                 start: int = 1) -> CertificateReport:
+                                 constants: SourceConstants | None = None
+                                 ) -> CertificateReport:
     """The five-step positivity chain, bottom stage upward.
 
     1. the bottom stage theta2^(9) is positive on [0, inf) by an exact
@@ -351,15 +355,13 @@ def chain_positivity_certificate(chain: ThetaChain,
     """
     constants = constants if constants is not None else load_constants()
     steps: list[StepRecord] = []
-    idx = start
 
     # the bottom stage is taken from the transcribed display (equal to the
     # computed one once the formula fixtures have been verified)
     ok1, vals1, det1 = _bottom_stage_positivity(constants.theta2_d9)
-    steps.append(_step(idx, "bottom-stage-positive",
+    steps.append(_step("bottom-stage-positive",
                        "theta2^(9)(t) > 0 for all t >= 0",
                        "coefficient-sign-check", vals1, ok1, det1))
-    idx += 1
 
     ok = ok1
     for (stage, name, claim, vanishes, on_pass, on_negative,
@@ -373,11 +375,10 @@ def chain_positivity_certificate(chain: ThetaChain,
         vals += [(f"{stage}^({o})(0)", str(table[o])) for o in orders]
         detail = (on_pass if ok else on_negative.format(bad=bad) if bad
                   else on_other)
-        steps.append(_step(idx, name, claim, "integration-from-zero-induction",
+        steps.append(_step(name, claim, "integration-from-zero-induction",
                            vals, ok, detail))
-        idx += 1
 
-    steps.append(_step(idx, "cm-conclusion",
+    steps.append(_step("cm-conclusion",
                        "the kernel integrand theta(t) e^(-(x+2)t)/(e^t - 1) is "
                        "nonnegative, so H is completely monotonic; so is "
                        "g(x) - g(x+1) = (2/x^2) H(x) as a product of completely "
@@ -388,19 +389,19 @@ def chain_positivity_certificate(chain: ThetaChain,
                        [("kernel_scale", str(KERNEL_SCALE))], ok,
                        "sign conditions established by steps 1-4" if ok else
                        "positivity chain incomplete"))
-    return CertificateReport(tuple(steps))
+    return CertificateReport(_numbered(steps))
 
 
 def replay_proof(constants: SourceConstants | None = None) -> CertificateReport:
     """Full proof replay: kernel build, formula fixtures, initial values,
-    divisibility, then the five positivity steps.  Never raises on a failed
-    check; failures become 'fail' verdicts so CI can report them."""
+    divisibility, then the five positivity steps, numbered 1-15 by position.
+    Never raises on a failed check; failures become 'fail' verdicts so CI
+    can report them."""
     constants = constants if constants is not None else load_constants()
-    steps: list[StepRecord] = []
-    steps += verify_kernel_build(constants, start=1)
     chain = build_chain(constants)
-    steps += verify_derivative_fixtures(chain, constants, start=2)
-    steps += verify_initial_values(chain, constants, start=7)
-    steps += verify_divisibility(chain, start=9)
-    cert = chain_positivity_certificate(chain, constants, start=11)
-    return CertificateReport(tuple(steps) + cert.steps)
+    return CertificateReport(_numbered(
+        verify_kernel_build(constants)
+        + verify_derivative_fixtures(chain, constants)
+        + verify_initial_values(chain, constants)
+        + verify_divisibility(chain)
+        + chain_positivity_certificate(chain, constants).steps))

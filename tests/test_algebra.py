@@ -1,15 +1,17 @@
 """Exact algebra layer: polynomials, exponential polynomials, partial fractions."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
-from cmgamma.algebra import (ExpPoly, KernelTerm, PartialFractionForm,
-                             PartialFractionTerm, Poly, laplace_kernel_of,
-                             pfd_decompose, pfd_recompose)
-from cmgamma.errors import DegreeError, NotDivisible
+from cmgamma.algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm,
+                             Poly, pfd_decompose, pfd_recompose)
+from cmgamma.constants import KERNEL_LIFT
+from cmgamma.errors import DegreeError, FixtureMismatch, NotDivisible
+from cmgamma.replay import kernel_image_lifted
 from oracles import exppoly_interval
 
 # Coefficients of the degree-10 bound numerator, used repeatedly below.
@@ -19,6 +21,11 @@ P_COEFFS = (450, 3600, 13290, 29700, 44101, 45050, 31865, 15370, 4840, 900, 75)
 def rational_functions_equal(n1, d1, n2, d2):
     """Exact equality of n1/d1 and n2/d2 by cross-multiplication."""
     return n1 * d2 == n2 * d1
+
+
+def deriv(p: Poly) -> Poly:
+    """The formal derivative, as the e^0 block of ExpPoly.deriv."""
+    return ExpPoly.term(0, p).deriv().block(0)
 
 
 def rand_poly(rng, max_deg=6, span=30):
@@ -35,7 +42,9 @@ class TestPoly:
         assert Poly(P_COEFFS)(1) == sum(P_COEFFS) == 189241
 
     def test_zero_derivative(self):
-        assert Poly.zero().deriv() == Poly.zero()
+        assert deriv(Poly.zero()) == Poly.zero()
+        assert deriv(Poly.const(F(7, 3))) == Poly.zero()
+        assert deriv(Poly([5, 0, 3])) == Poly([0, 6])
 
     def test_normalization_strips_trailing_zeros(self):
         assert Poly([1, 2, 0, 0]) == Poly([1, 2])
@@ -49,7 +58,7 @@ class TestPoly:
         rng = random.Random(20240817)
         for _ in range(50):
             a, b = rand_poly(rng), rand_poly(rng)
-            assert (a * b).deriv() == a.deriv() * b + a * b.deriv()
+            assert deriv(a * b) == deriv(a) * b + a * deriv(b)
 
     def test_taylor_shift(self):
         assert Poly([0, 0, 1]).shift(1) == Poly([1, 2, 1])
@@ -77,10 +86,6 @@ class TestExpPoly:
     def test_derivative_of_displayed_block(self):
         e = ExpPoly.term(3, Poly([-2 * 163296000, 163296000]))
         assert e.deriv() == ExpPoly.term(3, Poly([-5 * 163296000, 3 * 163296000]))
-
-    def test_monomial_product(self):
-        assert (ExpPoly.term(0, Poly([0, 1])) * ExpPoly.term(2, Poly([1]))
-                == ExpPoly.term(2, Poly([0, 1])))
 
     def test_factor_exp_roundtrip(self):
         rng = random.Random(5)
@@ -132,7 +137,6 @@ class TestExpPoly:
             a = ExpPoly({k: rand_poly(rng, 3) for k in (0, 2)})
             b = ExpPoly({k: rand_poly(rng, 3) for k in (1, 2)})
             assert (a + b).deriv() == a.deriv() + b.deriv()
-            assert (a * b).deriv() == a.deriv() * b + a * b.deriv()
 
 
 class TestPartialFractions:
@@ -190,38 +194,48 @@ class TestPartialFractions:
             for x in (F(1, 3), F(2), F(-1, 2), F(7, 5)):
                 assert form.eval_exact(x, k) == num(x) / den(x)
             # quotient rule on the recomposed fraction
-            num, den = num.deriv() * den - num * den.deriv(), den * den
+            num, den = deriv(num) * den - num * deriv(den), den * den
 
     def test_eval_exact(self):
         form = pfd_decompose(Poly([1]), [(0, 1), (1, 1)])
         assert form.eval_exact(F(1, 2)) == F(1) / (F(1, 2) * F(3, 2))
 
 
+def one_term(coeff, shift, order):
+    return PartialFractionForm([PartialFractionTerm(coeff, shift, order)])
+
+
 class TestKernelMap:
+    """kernel_image_lifted on one-term forms: c/(x+a)^m lands at t^(m-1) in
+    the e^((LIFT-a)t) block with coefficient c/(m-1)!."""
+
     def test_displayed_term(self):
-        assert laplace_kernel_of(PartialFractionTerm(F(13, 90), 1, 4)) == \
-            KernelTerm(F(13, 540), 3, 1)
+        assert kernel_image_lifted(one_term(F(13, 90), 1, 4)) == \
+            ExpPoly.term(KERNEL_LIFT - 1, Poly.monomial(F(13, 540), 3))
 
     def test_simple_pole_at_zero(self):
-        assert laplace_kernel_of(PartialFractionTerm(F(1), 0, 1)) == \
-            KernelTerm(F(1), 0, 0)
+        assert kernel_image_lifted(one_term(F(1), 0, 1)) == \
+            ExpPoly.term(KERNEL_LIFT, Poly.const(1))
 
     def test_order_ten_factorial_scaling(self):
         # oracle: 1800 * 9! = 653184000
-        import math
         assert 1800 * math.factorial(9) == 653184000
-        assert laplace_kernel_of(PartialFractionTerm(F(-1, 1800), 1, 10)) == \
-            KernelTerm(F(-1, 653184000), 9, 1)
+        assert kernel_image_lifted(one_term(F(-1, 1800), 1, 10)) == \
+            ExpPoly.term(KERNEL_LIFT - 1, Poly.monomial(F(-1, 653184000), 9))
 
     def test_linearity_on_term_lists(self):
         rng = random.Random(11)
         for _ in range(20):
-            a = PartialFractionTerm(F(rng.randint(1, 9), rng.randint(1, 9)),
-                                    rng.randint(0, 3), rng.randint(1, 8))
+            c, a, m = (F(rng.randint(1, 9), rng.randint(1, 9)),
+                       rng.randint(0, KERNEL_LIFT), rng.randint(1, 8))
             c1, c2 = F(rng.randint(-5, 5)), F(rng.randint(1, 5))
-            scaled = PartialFractionTerm(c1 * a.coeff + c2 * a.coeff,
-                                         a.shift, a.order)
-            k = laplace_kernel_of(a)
-            ks = laplace_kernel_of(scaled)
-            assert ks.coeff == (c1 + c2) * k.coeff
-            assert (ks.power, ks.decay) == (k.power, k.decay)
+            k = kernel_image_lifted(one_term(c, a, m))
+            ks = kernel_image_lifted(one_term(c1 * c + c2 * c, a, m))
+            assert ks == (c1 + c2) * k
+            assert k.exponents() == (KERNEL_LIFT - a,)
+            assert k.block(KERNEL_LIFT - a).degree == m - 1
+
+    def test_decay_above_lift_raises(self):
+        with pytest.raises(FixtureMismatch,
+                           match=f"decay {KERNEL_LIFT + 1} exceeds exponent lift {KERNEL_LIFT}"):
+            kernel_image_lifted(one_term(F(1), KERNEL_LIFT + 1, 2))

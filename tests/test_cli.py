@@ -354,13 +354,32 @@ GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
 
 
 def _constants_files(tmp_path):
-    """A malformed file, a missing one, and one whose p breaks the bound."""
+    """A malformed file, a missing one, one whose p breaks the bound, three
+    whose pf term or theta block is out of range (usage errors) and one
+    whose theta^(10) keeps an e^0 block (a failed replay)."""
     bad = tmp_path / "bad.txt"
     bad.write_text("[poly p]\n0 1 2 3\n")
-    mutated = tmp_path / "mutated.txt"
     text = DEFAULT_CONSTANTS_PATH.read_text()
-    mutated.write_text(text.replace("\n0 450\n", "\n0 45000\n", 1))
-    return str(bad), str(tmp_path / "missing.txt"), str(mutated)
+    files = [str(bad), str(tmp_path / "missing.txt")]
+    for name, old, new in (("mutated", "\n0 450\n", "\n0 45000\n"),
+                           ("order0", "\n1/2 0 1\n", "\n1/2 0 0\n"),
+                           ("negshift", "\n1/2 0 1\n", "\n1/2 -1 1\n"),
+                           ("negexp", "[poly theta.e0]", "[poly theta.e-1]"),
+                           ("e0block", "[poly theta.e0]\n", "[poly theta.e0]\n10 1\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text.replace(old, new, 1))
+        files.append(str(path))
+    return files
+
+
+@pytest.mark.parametrize("name, code", [
+    ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1)])
+def test_out_of_range_constants_exit_codes(name, code, tmp_path, capsys):
+    files = {Path(f).stem: f for f in _constants_files(tmp_path)}
+    assert main(["replay-proof", "--constants", files[name]]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: " if code == 2 else "FAILED at step 1: ")
 
 
 def _fuzz_argv(rng, files, tmp_path):

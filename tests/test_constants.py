@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -101,6 +102,8 @@ def test_parse_pf_section():
     "[poly a]\n1/2 1\n",            # fractional power
     "[pf f]\n1/2 x 1\n",            # non-integer shift
     "[pf f]\n1/2 0 1.5\n",          # non-integer order
+    "[pf f]\n1/2 0 0\n",            # order 0
+    "[pf f]\n1/2 -1 1\n",           # negative shift
     "[values v]\na 1/2\n",          # non-integer value
     "[weird a]\n",                  # unknown section kind
     "[poly a\n",                    # unterminated header
@@ -111,17 +114,22 @@ def test_parse_pf_section():
     "[poly a]\n0 1.5.2\n",          # not a rational
 ])
 def test_grammar_errors(text):
-    with pytest.raises(ConstantsFormatError):
+    with pytest.raises(ConstantsFormatError, match="<string>"):
         parse_constants_text(text)
 
 
 @pytest.mark.parametrize("pattern, replacement", [
     (r"1 31830835680000", "one 31830835680000"),  # non-integer table key
     (r"\[poly theta\.e0\]", "[poly theta.ex]"),    # non-integer block exponent
+    (r"\[poly theta\.e0\]", "[poly theta.e-1]"),   # negative block exponent
+    (r"1/2 0 1", "1/2 0 0"),                       # order 0
+    (r"1/2 0 1", "1/2 -1 1"),                      # negative shift
 ])
 def test_non_integer_keys_raise_format_error(mutate_constants, pattern, replacement):
     path = mutate_constants(pattern, replacement)
-    with pytest.raises(ConstantsFormatError):
+    # the message names the file, then the line or the section
+    with pytest.raises(ConstantsFormatError,
+                       match=re.escape(str(path)) + r"(:\d+|: \[[^]]+\]): "):
         load_constants(path)
 
 

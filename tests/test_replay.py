@@ -12,6 +12,7 @@ import sympy
 import cmgamma
 from cmgamma.algebra import ExpPoly, Poly
 from cmgamma.bounds import pf_expansion_identity_check
+from cmgamma.cli import main
 from cmgamma.constants import CHAIN_LENGTHS, DEFAULT_CONSTANTS_PATH, load_constants
 from cmgamma.errors import FixtureMismatch
 from cmgamma.replay import (build_chain, build_theta_from_kernel,
@@ -241,6 +242,20 @@ class TestFullReplay:
         assert not report.overall
         first = report.first_failure()
         assert first.name in ("kernel-build", "formula-theta-prime")
+
+    def test_leftover_e0_block_fails_steps_instead_of_raising(self, mutate_constants,
+                                                              capsys):
+        # theta gains -4 t^10 in its e^0 block, so theta^(10) keeps an e^0
+        # block that e^t does not divide: the replay reports it, not raises
+        path = mutate_constants(r"\[poly theta\.e0\]", "[poly theta.e0]\n10 1")
+        report = replay_proof(load_constants(path))
+        failed = {s.step: s.name for s in report.steps if not s.passed}
+        assert failed == {1: "kernel-build", 2: "formula-theta-prime",
+                          3: "formula-theta-10th", 8: "initial-value-table",
+                          9: "divisibility-theta10"}
+        assert dict(report.steps[8].exact_values_used)["exponents"] == "0,1,2,3"
+        assert main(["replay-proof", "--constants", str(path)]) == 1
+        assert capsys.readouterr().err == "FAILED at step 1: kernel-build\n"
 
 
 class TestSpotcheck:
