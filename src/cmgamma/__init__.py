@@ -23,8 +23,8 @@ from .bounds import (bound_exact, g_derivative, g_eval, h_derivative,
                      telescoping_identity_check)
 from .constants import SourceConstants, load_constants
 from .errors import (CmGammaError, ConstantsFormatError, DegreeError,
-                     DomainError, FixtureMismatch, NotDivisible,
-                     PrecisionError, QuadratureFailure)
+                     DomainError, FixtureMismatch, PrecisionError,
+                     QuadratureFailure)
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
 from .replay import (CertificateReport, ThetaChain, build_chain,
                      build_theta_from_kernel, chain_positivity_certificate,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "CertificateReport", "CmGammaError", "CmScanReport",
     "ConstantsFormatError", "DegreeError", "DomainError",
-    "ExpPoly", "FixtureMismatch", "GridSpec", "NotDivisible",
+    "ExpPoly", "FixtureMismatch", "GridSpec",
     "SourceConstants", "PartialFractionForm", "PartialFractionTerm", "Poly",
     "PrecisionError", "QuadratureFailure", "ThetaChain", "bound_exact",
     "build_chain", "build_theta_from_kernel",

@@ -18,6 +18,12 @@ with c != 0 and no polynomial part.  It is differentiated in closed form
 when it is evaluated (the k-th derivative of c/(x+a)^m is
 (-1)^k (m)_k c/(x+a)^(m+k)), and it recomposes over prod (x+a)^M_a in
 lowest terms without a polynomial gcd.
+
+Exact values read from outside (command-line arguments, constants-file
+tokens) all pass through `parse_rational`, which rejects a numerator or
+denominator above MAX_POINT_BITS bits, and a decimal exponent too large for
+that limit before 10^exponent is built.  `Frozen` is the base of every
+immutable value type in the package.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import DegreeError, DomainError, NotDivisible
+from .errors import DegreeError, DomainError
 
 Rat = Union[int, Fraction]
 
@@ -46,7 +52,67 @@ def as_fraction(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
-class Poly:
+def as_positive_fraction(v) -> Fraction:
+    """as_fraction(v), which must be > 0 (DomainError otherwise)."""
+    x = as_fraction(v)
+    if x <= 0:
+        raise DomainError("x must be strictly positive")
+    return x
+
+
+#: Largest numerator or denominator, in bits, of an exact value read from
+#: outside and of a geometric grid point.  At that size every exact value
+#: the package prints stays far below Python's 4300-digit limit on
+#: int-to-str conversion.
+MAX_POINT_BITS = 512
+
+
+def fits_point_bits(q: Rat) -> bool:
+    """Whether q's numerator and denominator have at most MAX_POINT_BITS bits."""
+    return max(q.numerator.bit_length(), q.denominator.bit_length()) <= MAX_POINT_BITS
+
+
+def parse_rational(text: str) -> Rat:
+    """An exact rational read from text such as '3', '-3/4', '0.25' or
+    '1e-3': an int for an integer, else a Fraction.
+
+    DomainError if the text is not a rational or if its numerator or
+    denominator has more than MAX_POINT_BITS bits.
+    """
+    try:
+        x = int(text)
+    except ValueError:
+        # Fraction expands 10^exponent before anything could check it; an
+        # exponent beyond the digits of the text plus MAX_POINT_BITS leaves
+        # more than MAX_POINT_BITS bits in the numerator or denominator
+        _, e, exponent = text.lower().rpartition("e")
+        try:
+            if not e or abs(int(exponent)) <= len(text) + MAX_POINT_BITS:
+                x = Fraction(text)
+                if fits_point_bits(x):
+                    return x
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot parse {text!r} as an exact rational") from None
+    else:
+        if x.bit_length() <= MAX_POINT_BITS:
+            return x
+    raise DomainError(f"exact argument {text!r} with a numerator or "
+                      f"denominator above {MAX_POINT_BITS} bits")
+
+
+class Frozen:
+    """Base of the immutable value types: a subclass sets its slots once,
+    through object.__setattr__, and they are never rebound or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Poly(Frozen):
     """Dense univariate polynomial with exact rational coefficients.
 
     Stored as integer numerators over one positive common denominator in
@@ -86,9 +152,6 @@ class Poly:
         self = object.__new__(cls)
         self._set(num, den)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -243,7 +306,7 @@ def _taylor_shift(cs: list, c: int) -> None:
             cs[j] += c * cs[j + 1]
 
 
-class ExpPoly:
+class ExpPoly(Frozen):
     """Exponential polynomial: finite sum over k >= 0 of p_k(t) * e^(k*t)."""
 
     __slots__ = ("_blocks",)
@@ -258,9 +321,6 @@ class ExpPoly:
             if not p.is_zero():
                 clean[k] = p
         object.__setattr__(self, "_blocks", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpPoly is immutable")
 
     @classmethod
     def term(cls, k: int, poly: Poly | Iterable[Rat]) -> "ExpPoly":
@@ -341,25 +401,7 @@ class ExpPoly:
 
     def shift_exp(self, k: int) -> "ExpPoly":
         """Multiply by e^(k*t): all exponents move up by k."""
-        if k < 0:
-            raise ValueError("use factor_exp to lower exponents")
         return ExpPoly({j + k: p for j, p in self._blocks.items()})
-
-    def factor_exp(self, k: int, s: Rat = 1) -> "ExpPoly":
-        """Exact division by s * e^(k*t).
-
-        Raises NotDivisible if any exponent is below k (the quotient would
-        leave the nonnegative-exponent class); s must be nonzero.
-        """
-        s = as_fraction(s)
-        if s == 0:
-            raise DomainError("cannot factor out a zero scale")
-        bad = [j for j in self._blocks if j < k]
-        if bad:
-            raise NotDivisible(
-                f"exponent {min(bad)} below requested factor e^({k}t)")
-        inv = 1 / s
-        return ExpPoly({j - k: p * inv for j, p in self._blocks.items()})
 
 
 class PartialFractionTerm(NamedTuple):
@@ -370,7 +412,7 @@ class PartialFractionTerm(NamedTuple):
     order: int
 
 
-class PartialFractionForm:
+class PartialFractionForm(Frozen):
     """A canonical proper rational function: a sum of coeff/(x+shift)^order
     terms and no polynomial part.
 
@@ -396,9 +438,6 @@ class PartialFractionForm:
             for (s, o), c in sorted(merged.items()) if c != 0)
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "_shift_groups", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialFractionForm is immutable")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PartialFractionForm):

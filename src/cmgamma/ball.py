@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .algebra import as_fraction
+from .algebra import Frozen, as_fraction
 from .reporting import decimal_str
 
 Rat = Union[int, Fraction]
@@ -91,7 +91,7 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return _dyadic(-int(man) if sign else int(man), int(exp))
 
 
-class Ball:
+class Ball(Frozen):
     """Certified enclosure [mid - rad, mid + rad] with exact rational fields."""
 
     __slots__ = ("mid", "rad", "prec")
@@ -106,9 +106,6 @@ class Ball:
         object.__setattr__(self, "mid", mid)
         object.__setattr__(self, "rad", rad)
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ball is immutable")
 
     # -- constructors --------------------------------------------------------
 

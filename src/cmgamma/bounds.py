@@ -25,10 +25,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (PartialFractionForm, PartialFractionTerm, Poly,
-                      as_fraction, pfd_decompose)
+                      as_fraction, as_positive_fraction, pfd_decompose)
 from .ball import Ball
 from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
-                        SCALE_Q, SourceConstants, load_constants)
+                        SCALE_Q, SourceConstants, constants_or_default)
 from .errors import DomainError, PrecisionError
 from .polygamma import polygamma
 
@@ -43,45 +43,34 @@ MAX_DERIVATIVE_ORDER = 12
 ESCALATION_CAP_BITS = 4096
 
 
-def _consts(constants: SourceConstants | None) -> SourceConstants:
-    return constants if constants is not None else load_constants()
-
-
-def _check_x(x) -> Fraction:
-    x = as_fraction(x)
-    if x <= 0:
-        raise DomainError("x must be strictly positive")
-    return x
-
-
 def p_eval(x, constants: SourceConstants | None = None) -> Fraction:
     """Exact Horner evaluation of the degree-10 numerator polynomial."""
-    return _consts(constants).p(as_fraction(x))
+    return constants_or_default(constants).p(as_fraction(x))
 
 
 def q_eval(x, constants: SourceConstants | None = None) -> Fraction:
     """Exact Horner evaluation of the degree-21 remainder numerator."""
-    return _consts(constants).q(as_fraction(x))
+    return constants_or_default(constants).q(as_fraction(x))
 
 
 @lru_cache(maxsize=4)
 def _bound_pf(constants: SourceConstants | None = None) -> PartialFractionForm:
     """Exact partial fractions of B(x) = p(x)/(900 x^4 (x+1)^10)."""
-    c = _consts(constants)
+    c = constants_or_default(constants)
     return pfd_decompose(c.p * Fraction(1, SCALE_P), BOUND_DEN_FACTORS)
 
 
 def bound_exact(x, constants: SourceConstants | None = None) -> Fraction:
     """B(x) as an exact rational."""
-    x = _check_x(x)
-    c = _consts(constants)
+    x = as_positive_fraction(x)
+    c = constants_or_default(constants)
     return c.p(x) / (SCALE_P * x ** 4 * (x + 1) ** 10)
 
 
 def remainder_exact(x, constants: SourceConstants | None = None) -> Fraction:
     """R(x), evaluated through its exact 22-term partial-fraction form."""
-    x = _check_x(x)
-    return _consts(constants).remainder_expansion.eval_exact(x)
+    x = as_positive_fraction(x)
+    return constants_or_default(constants).remainder_expansion.eval_exact(x)
 
 
 def _escalate(evaluate: Callable[[int], Ball], prec: int,
@@ -152,7 +141,7 @@ def g_derivative(k: int, x, prec: int = 128,
     """
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
-    x = _check_x(x)
+    x = as_positive_fraction(x)
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
     psi = _psi
@@ -182,9 +171,9 @@ def h_derivative(k: int, x, prec: int = 128,
     polygamma(k+1, x, prec)."""
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
-    x = _check_x(x)
+    x = as_positive_fraction(x)
     trigamma_k = _psi[k + 1] if _psi is not None else polygamma(k + 1, x, prec)
-    rational_part = _consts(constants).remainder_expansion.eval_exact(x, k)
+    rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
     return trigamma_k - rational_part
 
 
@@ -227,7 +216,7 @@ def pf_expansion_identity_check(
     function has exactly one canonical partial-fraction form, so the forms
     are equal exactly when the functions are.
     """
-    c = _consts(constants)
+    c = constants_or_default(constants)
     lhs = PartialFractionForm([
         PartialFractionTerm(Fraction(1, 2), 0, 2),
         PartialFractionTerm(Fraction(1), 0, 1),
@@ -273,7 +262,7 @@ class TelescopingReport(NamedTuple):
 def telescoping_identity_check(x, prec: int = 192,
                                constants: SourceConstants | None = None) -> TelescopingReport:
     """Check g(x) - g(x+1) against (2/x^2) H(x) as overlapping enclosures."""
-    x = _check_x(x)
+    x = as_positive_fraction(x)
     lhs = g_eval(x, prec, constants) - g_eval(x + 1, prec, constants)
     rhs = h_eval(x, prec, constants) * (2 / x ** 2)
     return TelescopingReport(x, lhs, rhs, abs(lhs.mid - rhs.mid),

@@ -7,11 +7,13 @@ no timestamps, sorted JSON keys, fixed decimal formatting.
 The default precision comes from --prec, else the CMGAMMA_PREC environment
 variable, else 128 bits (256 for scans).  To keep the cost of a run bounded,
 a precision above scan.ESCALATION_CAP_BITS, a grid of more than
-scan.MAX_GRID_POINTS points and an exact argument or geometric grid point
-whose numerator or denominator has more than scan.MAX_POINT_BITS bits are
-usage errors.  At that size every exact value the commands print (up to
-Q(x) and the rational part of H, of degree 22) stays far below Python's
-4300-digit limit on int-to-str conversion.
+scan.MAX_GRID_POINTS points and an exact argument, constants-file token or
+geometric grid point whose numerator or denominator has more than
+algebra.MAX_POINT_BITS bits are usage errors.  Exact arguments are read by
+`algebra.parse_rational`, the reader of constants-file tokens.  At that size
+every exact value the commands print (up to Q(x) and the rational part of
+H, of degree 22) stays far below Python's 4300-digit limit on int-to-str
+conversion.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import argparse
 import decimal
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 
 from . import bounds, replay, scan
+from .algebra import parse_rational
 from .constants import SCALE_P, SCALE_Q, load_constants
 from .errors import CmGammaError
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
@@ -56,33 +58,6 @@ def _default_prec(args, fallback: int) -> int:
     return prec
 
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
-
-
-def _parse_x(text: str) -> Fraction:
-    oversized = CmGammaError(
-        f"exact argument {text!r} with a numerator or denominator above "
-        f"{scan.MAX_POINT_BITS} bits")
-    try:
-        # Fraction expands 10^exponent before anything could check it; an
-        # exponent beyond the digits of the text plus MAX_POINT_BITS leaves
-        # more than MAX_POINT_BITS bits in the numerator or denominator
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > len(text) + scan.MAX_POINT_BITS:
-            raise oversized
-        x = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CmGammaError(f"cannot parse {text!r} as an exact rational")
-    if max(x.numerator.bit_length(), x.denominator.bit_length()) > scan.MAX_POINT_BITS:
-        raise oversized
-    return x
-
-
-def _load(args):
-    path = getattr(args, "constants", None)
-    return load_constants(path)
-
-
 def _write(path: str, text: str) -> None:
     """Write a report file; a failure is a usage error."""
     try:
@@ -112,11 +87,11 @@ def _print_exact(label: str, value: Fraction) -> None:
 
 def cmd_eval(args) -> int:
     prec = _default_prec(args, 128)
-    consts = _load(args)
+    consts = load_constants(args.constants)
     fn = args.function
     if fn == "polygamma" and args.order is None:
         raise CmGammaError("eval polygamma requires --order M")
-    x = _parse_x(args.x)
+    x = parse_rational(args.x)
     if fn == "p":
         _print_exact(f"p({frac_str(x)})", bounds.p_eval(x, consts))
         return 0
@@ -150,7 +125,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
-    consts = _load(args)
+    consts = load_constants(args.constants)
     which = args.which
     if which in ("expansion", "remark2"):
         rep = bounds.pf_expansion_identity_check(consts)
@@ -161,7 +136,7 @@ def cmd_identity_check(args) -> int:
         if args.x is None:
             raise CmGammaError("identity-check telescoping requires --x")
         prec = _default_prec(args, 192)
-        rep = bounds.telescoping_identity_check(_parse_x(args.x), prec,
+        rep = bounds.telescoping_identity_check(parse_rational(args.x), prec,
                                                 constants=consts)
         print(rep.detail())
         return 0 if rep.passed else FAIL_EXIT
@@ -169,7 +144,7 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_replay_proof(args) -> int:
-    report = replay.replay_proof(_load(args))
+    report = replay.replay_proof(load_constants(args.constants))
     if args.emit:
         doc = report.to_json()
         if args.emit == "-":
@@ -199,13 +174,13 @@ def _parse_grid(text: str | None) -> scan.GridSpec:
                 count = int(parts[2])
             except ValueError:
                 raise CmGammaError(f"grid count {parts[2]!r} is not an integer")
-            return make(_parse_x(parts[0]), _parse_x(parts[1]), count)
-    return scan.GridSpec.explicit([_parse_x(tok) for tok in text.split(",")])
+            return make(parse_rational(parts[0]), parse_rational(parts[1]), count)
+    return scan.GridSpec.explicit([parse_rational(tok) for tok in text.split(",")])
 
 
 def cmd_cm_scan(args) -> int:
     prec = _default_prec(args, 256)
-    consts = _load(args)
+    consts = load_constants(args.constants)
     grid = _parse_grid(args.grid)
     report = scan.cm_scan(args.kind, args.kmax, grid, prec, consts)
     if args.format == "json":
@@ -276,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except CmGammaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as exc:
+    except (CmGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -6,6 +6,12 @@ holding exact rationals).  Everything downstream (the bound functions, the
 kernel build, the derivative-chain fixtures, the initial-value table)
 reads from this one file, so a transcription error is caught by the exact
 identity tests instead of propagating silently.
+
+Every rational token goes through `algebra.parse_rational`, the reader of
+command-line arguments, so it obeys the same MAX_POINT_BITS limit.  A
+malformed file raises ConstantsFormatError naming the file and the line or
+section, and `constants_or_default` is the one place a missing constants
+argument becomes the packaged file.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .algebra import ExpPoly, PartialFractionForm, PartialFractionTerm, Poly
-from .errors import ConstantsFormatError
+from .algebra import (ExpPoly, Frozen, PartialFractionForm,
+                      PartialFractionTerm, Poly, parse_rational)
+from .errors import ConstantsFormatError, DomainError
 
 DEFAULT_CONSTANTS_PATH = Path(__file__).parent / "data" / "source_constants.txt"
 
@@ -37,7 +44,7 @@ KERNEL_LIFT = 2
 CHAIN_LENGTHS = {"theta": 10, "theta1": 10, "theta2": 9}
 
 
-class SourceConstants:
+class SourceConstants(Frozen):
     """All transcribed exact fixtures, parsed and assembled.
 
     Immutable; equality and hash are by identity, because the loader caches
@@ -66,23 +73,13 @@ class SourceConstants:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SourceConstants is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SourceConstants is immutable")
-
 
 def _parse_rational(tok: str, path, lineno: int) -> int | Fraction:
-    """An int for an integer token, else a Fraction."""
+    """An int for an integer token, else a Fraction (see parse_rational)."""
     try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConstantsFormatError(f"{path}:{lineno}: bad rational {tok!r}") from exc
+        return parse_rational(tok)
+    except DomainError as exc:
+        raise ConstantsFormatError(f"{path}:{lineno}: {exc}") from None
 
 
 def _parse_int(tok: str, path, where: int | str) -> int:
@@ -176,6 +173,8 @@ def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
             k = _parse_int(key[len(prefix):], path, key)
             if k < 0:
                 raise ConstantsFormatError(f"{path}: [{key}]: negative exponent")
+            if k in blocks:
+                raise ConstantsFormatError(f"{path}: [{key}]: repeated exponent {k}")
             blocks[k] = val
     if not blocks:
         raise ConstantsFormatError(f"{path}: no blocks found for {base!r}")
@@ -201,6 +200,11 @@ def load_constants(path: str | Path | None = None) -> SourceConstants:
         if resolved != DEFAULT_CONSTANTS_PATH.resolve():
             return _load_other(resolved, _read_text(resolved))
     return _load_default()
+
+
+def constants_or_default(constants: SourceConstants | None) -> SourceConstants:
+    """constants, or the packaged constants when it is None."""
+    return constants if constants is not None else load_constants()
 
 
 def _read_text(path: Path) -> str:

@@ -21,10 +21,6 @@ class DegreeError(CmGammaError):
     """Numerator degree too large for a pure partial-fraction split."""
 
 
-class NotDivisible(CmGammaError):
-    """Exponential polynomial is not divisible by the requested factor."""
-
-
 class FixtureMismatch(CmGammaError):
     """A computed object disagrees with its transcribed fixture.
 

@@ -67,7 +67,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import as_fraction
+from .algebra import as_positive_fraction
 from .ball import Ball, _mpf_tuple_to_fraction
 from .errors import CmGammaError, DomainError, PrecisionError, QuadratureFailure
 
@@ -179,6 +179,11 @@ def _polygamma_rational(m: int, x: Fraction, prec: int) -> Ball:
     return ball
 
 
+def _check_order(m) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise DomainError("derivative order m must be an integer >= 1")
+
+
 def polygamma(m: int, x, prec: int = 128) -> Ball:
     """Certified enclosure of psi^(m)(x) for integer m >= 1 and x > 0 whose
     relative radius is at most 2^-prec (prec >= 8 bits), else PrecisionError.
@@ -187,24 +192,19 @@ def polygamma(m: int, x, prec: int = 128) -> Ball:
     the strict monotonicity of psi^(m) (its derivative psi^(m+1) is
     sign-definite), by evaluating at the interval endpoints and hulling.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("derivative order m must be an integer >= 1")
+    _check_order(m)
     if m > MAX_ORDER:
         raise DomainError(f"m > {MAX_ORDER} unsupported")
     if prec < 8:
         raise ValueError("prec must be at least 8 bits")
     if isinstance(x, Ball):
-        if x.lower <= 0:
-            raise DomainError("x must be strictly positive")
+        as_positive_fraction(x.lower)
         if x.is_exact():
             return _polygamma_rational(m, x.mid, prec)
         lo = _polygamma_rational(m, x.lower, prec)
         hi = _polygamma_rational(m, x.upper, prec)
         return Ball.hull(lo, hi)
-    x = as_fraction(x)
-    if x <= 0:
-        raise DomainError("x must be strictly positive")
-    return _polygamma_rational(m, x, prec)
+    return _polygamma_rational(m, as_positive_fraction(x), prec)
 
 
 def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
@@ -215,11 +215,8 @@ def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
     estimate, NOT a rigorous bound; use only to cross-validate the series.
     It needs mpmath, which only the `crosscheck` and `test` extras install.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("derivative order m must be an integer >= 1")
-    x = as_fraction(x)
-    if x <= 0:
-        raise DomainError("x must be strictly positive")
+    _check_order(m)
+    x = as_positive_fraction(x)
     try:
         from mpmath import mp
     except ImportError:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .algebra import ExpPoly, PartialFractionForm, Poly
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
-                        SourceConstants, load_constants)
+                        SourceConstants, constants_or_default)
 from .errors import FixtureMismatch
 from .reporting import frac_str, stable_json_dumps
 
@@ -175,7 +175,7 @@ def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly
     raises FixtureMismatch with the first per-exponent coefficient diff if
     the rebuilt object differs from the transcribed display.
     """
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     lifted = kernel_image_lifted(constants.remainder_expansion)
     built = KERNEL_SCALE * (ExpPoly.term(1 + KERNEL_LIFT, Poly((0, 1)))
                             - lifted.shift_exp(1) + lifted)
@@ -189,16 +189,17 @@ def build_chain(constants: SourceConstants | None = None) -> ThetaChain:
     """Differentiate the fixture theta through all three stages exactly.
 
     Each stage after the first is the previous stage's last derivative
-    with factor * e^t divided out of its blocks of exponent >= 1; an e^0
-    block left over is not raised on here but fails the divisibility steps.
+    with factor * e^t divided out of its blocks of exponent >= 1, each
+    shifted one exponent down; an e^0 block left over is not raised on here
+    but fails the divisibility steps.
     """
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     fields = {}
     cur = constants.theta
     for stage, length in CHAIN_LENGTHS.items():
         if stage in _STAGE_FIXTURE_FACTOR:
-            cur = ExpPoly({k: p for k, p in cur.blocks() if k}).factor_exp(
-                1, _STAGE_FIXTURE_FACTOR[stage])
+            inv = Fraction(1, _STAGE_FIXTURE_FACTOR[stage])
+            cur = ExpPoly({k - 1: p * inv for k, p in cur.blocks() if k})
         fields[stage] = cur
         derivs = []
         for _ in range(length):
@@ -224,7 +225,7 @@ def _numbered(records) -> tuple[StepRecord, ...]:
 def verify_kernel_build(constants: SourceConstants | None = None
                         ) -> tuple[StepRecord, ...]:
     """Certificate fragment: the kernel rebuild reproduces the theta display."""
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     try:
         build_theta_from_kernel(constants)
         ok, detail = True, "all four exponent blocks match"
@@ -245,7 +246,7 @@ def verify_derivative_fixtures(chain: ThetaChain,
     theta1^(10) (= 512 e^t theta2), theta2^(9); the intermediate displays are
     implied by exact differentiation and pinned at t=0 by the value table.
     """
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     checks = [
         ("theta-prime", chain.stage("theta", 1), constants.theta_prime),
         ("theta-10th", chain.stage("theta", 10), constants.theta1.shift_exp(1)),
@@ -268,7 +269,7 @@ def verify_initial_values(chain: ThetaChain,
                           constants: SourceConstants | None = None
                           ) -> tuple[StepRecord, ...]:
     """Certificate fragment: all 29 tabulated t=0 values match, plus theta(0)=0."""
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     theta0 = chain.theta.eval_exact_at_zero()
     bad: list[str] = []
     for stage, length in CHAIN_LENGTHS.items():
@@ -353,7 +354,7 @@ def chain_positivity_certificate(chain: ThetaChain,
        and so is g(x) - g(x+1) = (2/x^2) H(x) as a product of completely
        monotonic factors; the shift induction transfers this to g itself.
     """
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     steps: list[StepRecord] = []
 
     # the bottom stage is taken from the transcribed display (equal to the
@@ -397,7 +398,7 @@ def replay_proof(constants: SourceConstants | None = None) -> CertificateReport:
     divisibility, then the five positivity steps, numbered 1-15 by position.
     Never raises on a failed check; failures become 'fail' verdicts so CI
     can report them."""
-    constants = constants if constants is not None else load_constants()
+    constants = constants_or_default(constants)
     chain = build_chain(constants)
     return CertificateReport(_numbered(
         verify_kernel_build(constants)

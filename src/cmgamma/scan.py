@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import bounds
-from .algebra import as_fraction
-from .ball import Ball, _dyadic
+from .algebra import Frozen, MAX_POINT_BITS, as_fraction, fits_point_bits
+from .ball import Ball, _dyadic, _scale
 from .constants import SourceConstants
 from .errors import DomainError
 from .reporting import frac_str, stable_json_dumps
@@ -38,10 +38,6 @@ ESCALATION_CAP_BITS = bounds.ESCALATION_CAP_BITS
 #: about 10^5 cells, minutes of work.
 MAX_GRID_POINTS = 10_000
 
-#: Largest numerator or denominator, in bits, of a grid point built from
-#: a geometric progression (and of an exact argument on the command line).
-MAX_POINT_BITS = 512
-
 _SPAN_BITS = 24  # mantissa bits of an interior span point
 _SPAN_DIGITS = 50  # decimal digits of the log-space estimate of a span point
 
@@ -51,7 +47,7 @@ _KINDS: dict[str, Callable] = {
 }
 
 
-class GridSpec:
+class GridSpec(Frozen):
     """A finite list of positive rational evaluation points (immutable)."""
 
     __slots__ = ("points",)
@@ -63,12 +59,6 @@ class GridSpec:
         if any(p <= 0 for p in points):
             raise DomainError("grid points must be positive")
         object.__setattr__(self, "points", points)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GridSpec is immutable")
 
     def __eq__(self, other):
         if type(other) is not GridSpec:
@@ -98,14 +88,16 @@ class GridSpec:
         if count < 1 or ratio <= 0:
             raise DomainError("need count >= 1 and ratio > 0")
         _check_grid_size(count)
-        _check_point_size(start)
         # the last point's numerator is at least rn^(count-1) / sd, and its
         # denominator at least rd^(count-1) / sn: reject before the power
-        for r, s in ((ratio.numerator, start.denominator),
-                     (ratio.denominator, start.numerator)):
-            if (count - 1) * (r.bit_length() - 1) >= MAX_POINT_BITS + s.bit_length():
-                raise _point_too_large()
-        _check_point_size(start * ratio ** (count - 1))
+        last_may_fit = all(
+            (count - 1) * (r.bit_length() - 1) < MAX_POINT_BITS + s.bit_length()
+            for r, s in ((ratio.numerator, start.denominator),
+                         (ratio.denominator, start.numerator)))
+        if not (fits_point_bits(start) and last_may_fit
+                and fits_point_bits(start * ratio ** (count - 1))):
+            raise DomainError(f"grid point with a numerator or denominator "
+                              f"above {MAX_POINT_BITS} bits")
         pts = [start * ratio ** j for j in range(count)]
         return cls.explicit(pts)
 
@@ -135,16 +127,6 @@ def _check_grid_size(count: int) -> None:
                           f"{MAX_GRID_POINTS} points")
 
 
-def _point_too_large() -> DomainError:
-    return DomainError(f"grid point with a numerator or denominator above "
-                       f"{MAX_POINT_BITS} bits")
-
-
-def _check_point_size(q: Fraction) -> None:
-    if max(q.numerator.bit_length(), q.denominator.bit_length()) > MAX_POINT_BITS:
-        raise _point_too_large()
-
-
 def _span_interior(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
     """The 24-bit roundings of a * (b/a)^(j/(count-1)), j = 1..count-2.
 
@@ -170,24 +152,19 @@ def _span_interior(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
     points = []
     for j in range(1, count - 1):
         est = ctx.exp(ctx.add(la, ctx.divide(ctx.multiply(span, j), count - 1)))
-        n, d = est.as_integer_ratio()
-        e = n.bit_length() - d.bit_length()  # 2^e <= est < 2^(e+1)
-        if (n < d << e) if e >= 0 else (n << -e < d):
-            e -= 1
-        shift = _SPAN_BITS - 1 - e  # est * 2^shift is in [2^23, 2^24)
-        num, den = (n << shift, d) if shift >= 0 else (n, d << -shift)
-        m, r = divmod(num, den)
+        e, num, den = _scale(*est.as_integer_ratio(), _SPAN_BITS)
+        m, r = divmod(num, den)  # est = num/den * 2^e, num/den in [2^23, 2^24)
         # the estimate is within num/den * slack/scale < 2^24 slack/scale of
         # the exact scaled point; the midpoint m + 1/2 lies |2r - den|/(2 den) away
         if abs(2 * r - den) * scale > 2 * den * (slack << _SPAN_BITS):
             up = 2 * r > den
         else:
             p, q = Fraction(j, count - 1).as_integer_ratio()
-            c = Fraction(2 * m + 1, 2) / Fraction(2) ** shift
+            c = _dyadic(2 * m + 1, e - 1)
             lhs = a.numerator ** (q - p) * b.numerator ** p * c.denominator ** q
             rhs = c.numerator ** q * a.denominator ** (q - p) * b.denominator ** p
             up = lhs > rhs or (lhs == rhs and m % 2 == 1)  # ties to even
-        points.append(_dyadic(m + up, -shift))
+        points.append(_dyadic(m + up, e))
     return points
 
 

@@ -9,9 +9,11 @@ from mpmath import mp
 
 from cmgamma.algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm,
                              Poly, pfd_decompose, pfd_recompose)
-from cmgamma.constants import KERNEL_LIFT
-from cmgamma.errors import DegreeError, FixtureMismatch, NotDivisible
+from cmgamma.ball import Ball
+from cmgamma.constants import KERNEL_LIFT, load_constants
+from cmgamma.errors import DegreeError, FixtureMismatch
 from cmgamma.replay import kernel_image_lifted
+from cmgamma.scan import default_grid
 from oracles import exppoly_interval
 
 # Coefficients of the degree-10 bound numerator, used repeatedly below.
@@ -78,6 +80,31 @@ class TestPoly:
             p.coeffs = ()
 
 
+# a constructor and one slot of every immutable value type
+VALUE_TYPES = {
+    "Ball": (lambda: Ball(1, 0, 64), "mid"),
+    "Poly": (lambda: Poly([1, 2]), "_num"),
+    "ExpPoly": (lambda: ExpPoly.term(1, Poly([1])), "_blocks"),
+    "PartialFractionForm": (lambda: PartialFractionForm([(1, 0, 1)]), "terms"),
+    "GridSpec": (default_grid, "points"),
+    "SourceConstants": (load_constants, "p"),
+}
+
+
+@pytest.mark.parametrize("action", ["set", "del"])
+@pytest.mark.parametrize("name", list(VALUE_TYPES))
+def test_value_types_immutable(name, action):
+    make, field = VALUE_TYPES[name]
+    obj = make()
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        if action == "set":
+            setattr(obj, field, before)
+        else:
+            delattr(obj, field)
+    assert getattr(obj, field) is before
+
+
 class TestExpPoly:
     def test_derivative_of_exp_t(self):
         e = ExpPoly.term(1, Poly([1]))
@@ -86,23 +113,6 @@ class TestExpPoly:
     def test_derivative_of_displayed_block(self):
         e = ExpPoly.term(3, Poly([-2 * 163296000, 163296000]))
         assert e.deriv() == ExpPoly.term(3, Poly([-5 * 163296000, 3 * 163296000]))
-
-    def test_factor_exp_roundtrip(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            e = ExpPoly({k: rand_poly(rng, 4) for k in (1, 2, 3)})
-            s = F(rng.randint(1, 20), rng.randint(1, 5))
-            f = e.factor_exp(1, s)
-            assert (s * f.shift_exp(1)) == e
-
-    def test_factor_exp_not_divisible(self):
-        e = ExpPoly({0: Poly([1]), 2: Poly([1])})
-        with pytest.raises(NotDivisible):
-            e.factor_exp(1)
-
-    def test_factor_exp_trivial(self):
-        assert ExpPoly.term(2, Poly([0, 1])).factor_exp(2) == \
-            ExpPoly.term(0, Poly([0, 1]))
 
     def test_eval_exact_at_zero(self):
         e = ExpPoly({0: Poly([3]), 1: Poly([4, 99]), 2: Poly([-5])})

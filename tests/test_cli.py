@@ -354,9 +354,9 @@ GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
 
 
 def _constants_files(tmp_path):
-    """A malformed file, a missing one, one whose p breaks the bound, three
-    whose pf term or theta block is out of range (usage errors) and one
-    whose theta^(10) keeps an e^0 block (a failed replay)."""
+    """A malformed file, a missing one, one whose p breaks the bound, seven
+    whose pf term, scale or theta block is out of range or repeated (usage
+    errors) and one whose theta^(10) keeps an e^0 block (a failed replay)."""
     bad = tmp_path / "bad.txt"
     bad.write_text("[poly p]\n0 1 2 3\n")
     text = DEFAULT_CONSTANTS_PATH.read_text()
@@ -365,7 +365,11 @@ def _constants_files(tmp_path):
                            ("order0", "\n1/2 0 1\n", "\n1/2 0 0\n"),
                            ("negshift", "\n1/2 0 1\n", "\n1/2 -1 1\n"),
                            ("negexp", "[poly theta.e0]", "[poly theta.e-1]"),
-                           ("e0block", "[poly theta.e0]\n", "[poly theta.e0]\n10 1\n")):
+                           ("e0block", "[poly theta.e0]\n", "[poly theta.e0]\n10 1\n"),
+                           ("hugeexp", "\n1/2 0 1\n", "\n1e4400 0 1\n"),
+                           ("tinyexp", "\n1/2 0 1\n", "\n1e-4400 0 1\n"),
+                           ("hugescale", "scale 163296000\n", "scale 163296000e4400\n"),
+                           ("dupexp", "[poly theta.e1]", "[poly theta.e00]")):
         path = tmp_path / f"{name}.txt"
         path.write_text(text.replace(old, new, 1))
         files.append(str(path))
@@ -373,7 +377,8 @@ def _constants_files(tmp_path):
 
 
 @pytest.mark.parametrize("name, code", [
-    ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1)])
+    ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1),
+    ("hugeexp", 2), ("tinyexp", 2), ("hugescale", 2), ("dupexp", 2)])
 def test_out_of_range_constants_exit_codes(name, code, tmp_path, capsys):
     files = {Path(f).stem: f for f in _constants_files(tmp_path)}
     assert main(["replay-proof", "--constants", files[name]]) == code

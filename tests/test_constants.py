@@ -112,6 +112,9 @@ def test_parse_pf_section():
     "[poly a]\n0 1/0\n",            # zero denominator
     "[poly a]\nscale 2/0\n0 1\n",  # zero denominator in the scale
     "[poly a]\n0 1.5.2\n",          # not a rational
+    "[pf f]\n1e4400 0 1\n",         # numerator above MAX_POINT_BITS bits
+    "[pf f]\n1e-4400 0 1\n",        # denominator above MAX_POINT_BITS bits
+    "[pf f]\n1e10000000 0 1\n",     # rejected before 10^exponent is built
 ])
 def test_grammar_errors(text):
     with pytest.raises(ConstantsFormatError, match="<string>"):
@@ -124,6 +127,7 @@ def test_grammar_errors(text):
     (r"\[poly theta\.e0\]", "[poly theta.e-1]"),   # negative block exponent
     (r"1/2 0 1", "1/2 0 0"),                       # order 0
     (r"1/2 0 1", "1/2 -1 1"),                      # negative shift
+    (r"\[poly theta\.e1\]", "[poly theta.e00]"),   # repeated block exponent
 ])
 def test_non_integer_keys_raise_format_error(mutate_constants, pattern, replacement):
     path = mutate_constants(pattern, replacement)
