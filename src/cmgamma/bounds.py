@@ -14,18 +14,20 @@ the transcendental part use the exact Leibniz expansion of d^k[trigamma^2]:
 its sum, the propagated radius and the exact rational part are formed in
 integers at one dyadic scale, so an enclosure radius is the polygamma balls'
 radii carried exactly through the expansion, plus one final rounding.
+Every psi^(m)(x) they read comes from a `_Jet` of x, which computes each
+(order, precision) entry once; `cm_scan` passes one jet per grid point.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (PartialFractionForm, PartialFractionTerm, Poly,
-                      as_fraction, as_positive_fraction, pfd_decompose)
+                      as_positive_fraction, pfd_decompose)
 from .ball import Ball
 from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
                         SCALE_Q, SourceConstants, constants_or_default)
@@ -43,16 +45,6 @@ MAX_DERIVATIVE_ORDER = 12
 ESCALATION_CAP_BITS = 4096
 
 
-def p_eval(x, constants: SourceConstants | None = None) -> Fraction:
-    """Exact Horner evaluation of the degree-10 numerator polynomial."""
-    return constants_or_default(constants).p(as_fraction(x))
-
-
-def q_eval(x, constants: SourceConstants | None = None) -> Fraction:
-    """Exact Horner evaluation of the degree-21 remainder numerator."""
-    return constants_or_default(constants).q(as_fraction(x))
-
-
 @lru_cache(maxsize=4)
 def _bound_pf(constants: SourceConstants | None = None) -> PartialFractionForm:
     """Exact partial fractions of B(x) = p(x)/(900 x^4 (x+1)^10)."""
@@ -62,15 +54,7 @@ def _bound_pf(constants: SourceConstants | None = None) -> PartialFractionForm:
 
 def bound_exact(x, constants: SourceConstants | None = None) -> Fraction:
     """B(x) as an exact rational."""
-    x = as_positive_fraction(x)
-    c = constants_or_default(constants)
-    return c.p(x) / (SCALE_P * x ** 4 * (x + 1) ** 10)
-
-
-def remainder_exact(x, constants: SourceConstants | None = None) -> Fraction:
-    """R(x), evaluated through its exact 22-term partial-fraction form."""
-    x = as_positive_fraction(x)
-    return constants_or_default(constants).remainder_expansion.eval_exact(x)
+    return _bound_pf(constants).eval_exact(as_positive_fraction(x))
 
 
 def _escalate(evaluate: Callable[[int], Ball], prec: int,
@@ -120,17 +104,30 @@ def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
             [b.rad.numerator * (den // b.rad.denominator) for b in balls])
 
 
+class _Jet(dict):
+    """psi^(m)(x) by (m, prec): polygamma(m, x, prec), each entry computed
+    on first use.  The one place where the orders of a point are filled."""
+
+    def __init__(self, x: Fraction):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, key: tuple[int, int]) -> Ball:
+        m, prec = key
+        ball = self[key] = polygamma(m, self.x, prec)
+        return ball
+
+
 def g_derivative(k: int, x, prec: int = 128,
                  constants: SourceConstants | None = None, *,
-                 _psi: Mapping[int, Ball] | None = None) -> Ball:
+                 _jet: _Jet | None = None) -> Ball:
     """Enclosure of the k-th derivative of g at rational x >= MIN_X.
 
     d^k[trigamma^2] expands by Leibniz into sum_j C(k,j) psi^(1+j) psi^(1+k-j),
     d^k[tetragamma] is psi^(k+2), and the rational part is differentiated in
-    closed form through its partial-fraction form.  _psi is internal to
-    `cm_scan`, which passes its jet for this x and prec: a mapping from each
-    order m = 1..k+2 to polygamma(m, x, prec), trusted as given.  Without it
-    the orders are computed here.
+    closed form through its partial-fraction form.  The orders m = 1..k+2
+    are read from _jet, internal to `cm_scan`, which passes the jet of this
+    x (trusted as given); without it they come from a fresh jet.
 
     With every psi^(m) ball written as (P_m +/- R_m)/D over one common
     denominator D = 2^S, the sum and its radius
@@ -144,10 +141,8 @@ def g_derivative(k: int, x, prec: int = 128,
     x = as_positive_fraction(x)
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
-    psi = _psi
-    if psi is None:
-        psi = {m: polygamma(m, x, prec) for m in range(1, k + 3)}
-    den, mids, rads = _common_scale([psi[m] for m in range(1, k + 3)])
+    jet = _jet if _jet is not None else _Jet(x)
+    den, mids, rads = _common_scale([jet[m, prec] for m in range(1, k + 3)])
     total = rad = 0
     for j in range(k // 2 + 1):
         a, b = j, k - j  # list indices of the orders 1+j and 1+k-j
@@ -165,14 +160,13 @@ def g_derivative(k: int, x, prec: int = 128,
 
 def h_derivative(k: int, x, prec: int = 128,
                  constants: SourceConstants | None = None, *,
-                 _psi: Mapping[int, Ball] | None = None) -> Ball:
-    """Enclosure of the k-th derivative of H at rational x > 0.  _psi is
-    internal to `cm_scan` (see `g_derivative`); it maps the order k+1 to
-    polygamma(k+1, x, prec)."""
+                 _jet: _Jet | None = None) -> Ball:
+    """Enclosure of the k-th derivative of H at rational x > 0: psi^(k+1),
+    read from _jet as in `g_derivative`, minus the exact rational part."""
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = as_positive_fraction(x)
-    trigamma_k = _psi[k + 1] if _psi is not None else polygamma(k + 1, x, prec)
+    trigamma_k = (_jet if _jet is not None else _Jet(x))[k + 1, prec]
     rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
     return trigamma_k - rational_part
 

@@ -6,14 +6,15 @@ no timestamps, sorted JSON keys, fixed decimal formatting.
 
 The default precision comes from --prec, else the CMGAMMA_PREC environment
 variable, else 128 bits (256 for scans).  To keep the cost of a run bounded,
-a precision above scan.ESCALATION_CAP_BITS, a grid of more than
+a precision above bounds.ESCALATION_CAP_BITS, a grid of more than
 scan.MAX_GRID_POINTS points and an exact argument, constants-file token or
 geometric grid point whose numerator or denominator has more than
 algebra.MAX_POINT_BITS bits are usage errors.  Exact arguments are read by
-`algebra.parse_rational`, the reader of constants-file tokens.  At that size
-every exact value the commands print (up to Q(x) and the rational part of
-H, of degree 22) stays far below Python's 4300-digit limit on int-to-str
-conversion.
+`algebra.parse_rational`, the reader of constants-file tokens, and every
+integer of a constants file is bounded by the file's structure (see
+`constants`).  So every exact value the commands print (up to Q(x) and the
+rational part of H, of degree 22) stays far below Python's 4300-digit limit
+on int-to-str conversion, for a --constants file too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .algebra import parse_rational
 from .constants import SCALE_P, SCALE_Q, load_constants
 from .errors import CmGammaError
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
-from .reporting import frac_str
 
 _EVAL_FUNCTIONS = ("psi1", "psi2", "polygamma", "p", "Q", "B", "g", "H")
 
@@ -52,9 +52,9 @@ def _default_prec(args, fallback: int) -> int:
         source = f"CMGAMMA_PREC={env!r}"
     if prec < 8:
         raise CmGammaError(f"{source}: precision must be at least 8 bits")
-    if prec > scan.ESCALATION_CAP_BITS:
+    if prec > bounds.ESCALATION_CAP_BITS:
         raise CmGammaError(f"{source}: precision above the limit of "
-                           f"{scan.ESCALATION_CAP_BITS} bits")
+                           f"{bounds.ESCALATION_CAP_BITS} bits")
     return prec
 
 
@@ -82,7 +82,7 @@ def _approx(q: Fraction) -> str:
 
 
 def _print_exact(label: str, value: Fraction) -> None:
-    print(f"{label} = {frac_str(value)} (~ {_approx(value)})")
+    print(f"{label} = {value} (~ {_approx(value)})")
 
 
 def cmd_eval(args) -> int:
@@ -92,34 +92,30 @@ def cmd_eval(args) -> int:
     if fn == "polygamma" and args.order is None:
         raise CmGammaError("eval polygamma requires --order M")
     x = parse_rational(args.x)
-    if fn == "p":
-        _print_exact(f"p({frac_str(x)})", bounds.p_eval(x, consts))
-        return 0
-    if fn == "Q":
-        _print_exact(f"Q({frac_str(x)})", bounds.q_eval(x, consts))
+    if fn in ("p", "Q"):
+        _print_exact(f"{fn}({x})", (consts.p if fn == "p" else consts.q)(x))
         return 0
     if fn == "B":
-        exact = bounds.bound_exact(x, consts)
-        _print_exact(f"B({frac_str(x)})", exact)
+        _print_exact(f"B({x})", bounds.bound_exact(x, consts))
         print(f"  = p(x)/({SCALE_P} x^4 (x+1)^10)")
         return 0
     if fn in ("psi1", "psi2", "polygamma"):
         m = {"psi1": 1, "psi2": 2}.get(fn, args.order)
         ball = polygamma(m, x, prec)
-        print(f"psi^({m})({frac_str(x)}) = {ball}  [{prec}-bit target]")
+        print(f"psi^({m})({x}) = {ball}  [{prec}-bit target]")
         if args.crosscheck:
             est = polygamma_quadrature_crosscheck(m, x, min(prec, 256))
             print(f"  quadrature estimate (non-certified): {est}")
         return 0
     if fn == "g":
         ball = bounds.g_eval(x, prec, constants=consts)
-        print(f"g({frac_str(x)}) = {ball}  [{prec}-bit target]")
+        print(f"g({x}) = {ball}  [{prec}-bit target]")
         return 0
     if fn == "H":
         ball = bounds.h_eval(x, prec, constants=consts)
-        print(f"H({frac_str(x)}) = {ball}  [{prec}-bit target]")
+        print(f"H({x}) = {ball}  [{prec}-bit target]")
         print(f"  rational part Q(x)/({SCALE_Q} x^2 (1+x)^10 (2+x)^10) = "
-              f"{frac_str(bounds.remainder_exact(x, consts))}")
+              f"{consts.remainder_expansion.eval_exact(x)}")
         return 0
     raise CmGammaError(f"unknown function {fn!r}")
 

@@ -8,7 +8,12 @@ reads from this one file, so a transcription error is caught by the exact
 identity tests instead of propagating silently.
 
 Every rational token goes through `algebra.parse_rational`, the reader of
-command-line arguments, so it obeys the same MAX_POINT_BITS limit.  A
+command-line arguments, so it obeys the same MAX_POINT_BITS limit.  Every
+integer token is bounded by the file's structure: a [poly] power above
+Q_DEGREE (21, the degree of q) is rejected before it sizes a coefficient
+list, a theta block exponent above MAX_BLOCK_EXPONENT (3) is rejected, and
+the remainder's (shift, order) pairs must be exactly the 22 slots of
+REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A
 malformed file raises ConstantsFormatError naming the file and the line or
 section, and `constants_or_default` is the one place a missing constants
 argument becomes the packaged file.
@@ -34,12 +39,19 @@ BOUND_DEN_FACTORS = ((0, 4), (1, 10))
 SCALE_Q = 1800
 REMAINDER_DEN_FACTORS = ((0, 2), (1, 10), (2, 10))
 
+#: The degree of q, and the highest power a [poly] line may carry.
+Q_DEGREE = 21
+
 # The kernel normalization: H(x) = (1/KERNEL_SCALE) * integral of
 # theta(t) e^(-(x+2)t)/(e^t - 1);  KERNEL_SCALE = SCALE_Q * 9! and the
 # exponent lift below shifts every decaying integrand term into e^(k t),
 # k >= 0, territory before multiplying out.
 KERNEL_SCALE = 653184000
 KERNEL_LIFT = 2
+
+#: theta's top block is e^((1+KERNEL_LIFT)t), and every later stage divides
+#: e^t out, so no block of a theta display has a higher exponent.
+MAX_BLOCK_EXPONENT = KERNEL_LIFT + 1
 
 CHAIN_LENGTHS = {"theta": 10, "theta1": 10, "theta2": 9}
 
@@ -145,6 +157,9 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             power = _parse_int(toks[0], path, lineno)
             if power < 0 or power in poly_coeffs:
                 raise ConstantsFormatError(f"{path}:{lineno}: bad or repeated power {power}")
+            if power > Q_DEGREE:
+                raise ConstantsFormatError(
+                    f"{path}:{lineno}: power {power} above {Q_DEGREE}")
             poly_coeffs[power] = _parse_rational(toks[1], path, lineno)
         elif kind == "pf":
             if len(toks) != 3:
@@ -173,6 +188,9 @@ def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
             k = _parse_int(key[len(prefix):], path, key)
             if k < 0:
                 raise ConstantsFormatError(f"{path}: [{key}]: negative exponent")
+            if k > MAX_BLOCK_EXPONENT:
+                raise ConstantsFormatError(
+                    f"{path}: [{key}]: exponent above {MAX_BLOCK_EXPONENT}")
             if k in blocks:
                 raise ConstantsFormatError(f"{path}: [{key}]: repeated exponent {k}")
             blocks[k] = val
@@ -250,8 +268,11 @@ def _load_file(path: Path, text: str) -> SourceConstants:
         initial_values=init,
         source_path=path,
     )
-    if consts.p.degree != 10 or consts.q.degree != 21:
-        raise ConstantsFormatError(f"{path}: p must have degree 10 and q degree 21")
-    if len(consts.remainder_expansion.terms) != 22:
-        raise ConstantsFormatError(f"{path}: remainder expansion must have 22 terms")
+    if consts.p.degree != 10 or consts.q.degree != Q_DEGREE:
+        raise ConstantsFormatError(f"{path}: p must have degree 10 and q degree {Q_DEGREE}")
+    slots = [(a, m) for a, top in REMAINDER_DEN_FACTORS for m in range(1, top + 1)]
+    if [(t.shift, t.order) for t in consts.remainder_expansion.terms] != slots:
+        raise ConstantsFormatError(
+            f"{path}: remainder expansion must have one nonzero term c/(x+a)^m "
+            f"for each of the {len(slots)} pairs (a, m) of x^2 (x+1)^10 (x+2)^10")
     return consts

@@ -12,8 +12,10 @@ and certify positivity bottom-up: the bottom stage is positive by an exact
 coefficient comparison (using only e^t >= 1 and t >= 0), and each lower
 derivative follows by integration from 0 with a nonnegative initial value.
 Everything numeric in the certificate is an exact integer or rational; no
-floating-point or interval evaluation enters it.  Each certificate fragment
-numbers its own steps from 1, and the full replay renumbers them by position.
+floating-point or interval evaluation enters it.  `build_chain` returns a
+plain mapping {stage: (stage, stage', ..., stage^(n))}, so theta1^(10) is
+chain["theta1"][10].  Each certificate fragment numbers its own steps from
+1, and the full replay renumbers them by position.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .algebra import ExpPoly, PartialFractionForm, Poly
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
                         SourceConstants, constants_or_default)
 from .errors import FixtureMismatch
-from .reporting import frac_str, stable_json_dumps
+from .reporting import stable_json_dumps
 
 # theta^(10) = 1 * e^t * theta1 and theta1^(10) = 512 * e^t * theta2
 _STAGE_FIXTURE_FACTOR = {"theta1": 1, "theta2": 512}
@@ -116,24 +118,6 @@ class CertificateReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-class ThetaChain(NamedTuple):
-    """theta, theta1, theta2 and every derivative, all exact ExpPolys."""
-
-    theta: ExpPoly
-    theta_derivs: tuple[ExpPoly, ...]
-    theta1: ExpPoly
-    theta1_derivs: tuple[ExpPoly, ...]
-    theta2: ExpPoly
-    theta2_derivs: tuple[ExpPoly, ...]
-
-    def stage(self, name: str, order: int = 0) -> ExpPoly:
-        base = getattr(self, name)
-        if order == 0:
-            return base
-        derivs = getattr(self, f"{name}_derivs")
-        return derivs[order - 1]
-
-
 def _exppoly_diff(a: ExpPoly, b: ExpPoly) -> str:
     """First mismatching coefficient between two exponential polynomials."""
     for k in sorted(set(a.exponents()) | set(b.exponents())):
@@ -143,8 +127,8 @@ def _exppoly_diff(a: ExpPoly, b: ExpPoly) -> str:
         top = max(pa.degree, pb.degree)
         for j in range(top + 1):
             if pa.coeff(j) != pb.coeff(j):
-                return (f"e^{k}t block, t^{j}: computed {frac_str(pa.coeff(j))}, "
-                        f"fixture {frac_str(pb.coeff(j))}")
+                return (f"e^{k}t block, t^{j}: computed {pa.coeff(j)}, "
+                        f"fixture {pb.coeff(j)}")
     return "structurally equal"
 
 
@@ -185,8 +169,10 @@ def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly
     return built
 
 
-def build_chain(constants: SourceConstants | None = None) -> ThetaChain:
-    """Differentiate the fixture theta through all three stages exactly.
+def build_chain(constants: SourceConstants | None = None
+                ) -> dict[str, tuple[ExpPoly, ...]]:
+    """Differentiate the fixture theta through all three stages exactly:
+    {stage: (stage, stage', ..., stage^(n))} for theta, theta1 and theta2.
 
     Each stage after the first is the previous stage's last derivative
     with factor * e^t divided out of its blocks of exponent >= 1, each
@@ -194,19 +180,18 @@ def build_chain(constants: SourceConstants | None = None) -> ThetaChain:
     but fails the divisibility steps.
     """
     constants = constants_or_default(constants)
-    fields = {}
+    chain = {}
     cur = constants.theta
     for stage, length in CHAIN_LENGTHS.items():
         if stage in _STAGE_FIXTURE_FACTOR:
             inv = Fraction(1, _STAGE_FIXTURE_FACTOR[stage])
             cur = ExpPoly({k - 1: p * inv for k, p in cur.blocks() if k})
-        fields[stage] = cur
-        derivs = []
+        derivs = [cur]
         for _ in range(length):
             cur = cur.deriv()
             derivs.append(cur)
-        fields[f"{stage}_derivs"] = tuple(derivs)
-    return ThetaChain(**fields)
+        chain[stage] = tuple(derivs)
+    return chain
 
 
 def _step(name: str, claim: str, method: str, values, ok: bool,
@@ -237,7 +222,7 @@ def verify_kernel_build(constants: SourceConstants | None = None
         "exact-exppoly-equality", [("kernel_scale", KERNEL_SCALE)], ok, detail)])
 
 
-def verify_derivative_fixtures(chain: ThetaChain,
+def verify_derivative_fixtures(chain: dict,
                                constants: SourceConstants | None = None
                                ) -> tuple[StepRecord, ...]:
     """Certificate fragment: the displayed derivative formulas match.
@@ -248,12 +233,12 @@ def verify_derivative_fixtures(chain: ThetaChain,
     """
     constants = constants_or_default(constants)
     checks = [
-        ("theta-prime", chain.stage("theta", 1), constants.theta_prime),
-        ("theta-10th", chain.stage("theta", 10), constants.theta1.shift_exp(1)),
-        ("theta1-prime", chain.stage("theta1", 1), constants.theta1_prime),
-        ("theta1-10th", chain.stage("theta1", 10),
+        ("theta-prime", chain["theta"][1], constants.theta_prime),
+        ("theta-10th", chain["theta"][10], constants.theta1.shift_exp(1)),
+        ("theta1-prime", chain["theta1"][1], constants.theta1_prime),
+        ("theta1-10th", chain["theta1"][10],
          _STAGE_FIXTURE_FACTOR["theta2"] * constants.theta2.shift_exp(1)),
-        ("theta2-9th", chain.stage("theta2", 9), constants.theta2_d9),
+        ("theta2-9th", chain["theta2"][9], constants.theta2_d9),
     ]
     out = []
     for name, computed, fixture in checks:
@@ -265,40 +250,39 @@ def verify_derivative_fixtures(chain: ThetaChain,
     return _numbered(out)
 
 
-def verify_initial_values(chain: ThetaChain,
+def verify_initial_values(chain: dict,
                           constants: SourceConstants | None = None
                           ) -> tuple[StepRecord, ...]:
     """Certificate fragment: all 29 tabulated t=0 values match, plus theta(0)=0."""
     constants = constants_or_default(constants)
-    theta0 = chain.theta.eval_exact_at_zero()
+    theta0 = chain["theta"][0].eval_exact_at_zero()
     bad: list[str] = []
     for stage, length in CHAIN_LENGTHS.items():
         for order in range(1, length + 1):
-            got = chain.stage(stage, order).eval_exact_at_zero()
-            want = Fraction(constants.initial_values[stage][order])
+            got = chain[stage][order].eval_exact_at_zero()
+            want = constants.initial_values[stage][order]
             if got != want:
-                bad.append(f"{stage}^({order})(0): computed {frac_str(got)}, "
-                           f"table {frac_str(want)}")
+                bad.append(f"{stage}^({order})(0): computed {got}, table {want}")
     zeros = all(constants.initial_values["theta"][o] == 0 for o in range(1, 5))
     if not zeros:
         bad.append("theta derivative orders 1..4 must vanish at 0")
     return _numbered([
         _step("initial-theta-zero", "theta(0) = 0", "exact-evaluation",
-              [("theta(0)", frac_str(theta0))], theta0 == 0),
+              [("theta(0)", theta0)], theta0 == 0),
         _step("initial-value-table",
               "all 29 tabulated derivative values at t=0 match the chain",
               "exact-evaluation", [("values_checked", "29")], not bad,
               "; ".join(bad) if bad else "29/29 equal")])
 
 
-def verify_divisibility(chain: ThetaChain) -> tuple[StepRecord, ...]:
+def verify_divisibility(chain: dict) -> tuple[StepRecord, ...]:
     """Certificate fragment: the factor-out steps are exact.
 
     theta^(10) must carry no e^0 block (so e^t divides it), and theta1^(10)
     must carry no e^0 block with every coefficient divisible by 512.
     """
-    t10 = chain.stage("theta", 10)
-    t110 = chain.stage("theta1", 10)
+    t10 = chain["theta"][10]
+    t110 = chain["theta1"][10]
     div512 = all(c.denominator == 1 and c.numerator % 512 == 0
                  for _, p in t110.blocks() for c in p.coeffs)
     return _numbered([
@@ -331,13 +315,12 @@ def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:
         return False, [], "e^t block has a negative coefficient"
     const = p0.coeff(0)
     lower = p1(Fraction(0)) + const
-    values = [("e^t_block_at_0", frac_str(p1(Fraction(0)))),
-              ("constant_block", frac_str(const)),
-              ("lower_bound", frac_str(lower))]
-    return lower > 0, values, f"value >= {frac_str(lower)} > 0 for all t >= 0"
+    values = [("e^t_block_at_0", p1(Fraction(0))), ("constant_block", const),
+              ("lower_bound", lower)]
+    return lower > 0, values, f"value >= {lower} > 0 for all t >= 0"
 
 
-def chain_positivity_certificate(chain: ThetaChain,
+def chain_positivity_certificate(chain: dict,
                                  constants: SourceConstants | None = None
                                  ) -> CertificateReport:
     """The five-step positivity chain, bottom stage upward.
@@ -369,11 +352,11 @@ def chain_positivity_certificate(chain: ThetaChain,
          on_other) in _INDUCTION_STEPS:
         table = constants.initial_values[stage]
         orders = range(1, CHAIN_LENGTHS[stage])
-        base = chain.stage(stage).eval_exact_at_zero()
+        base = chain[stage][0].eval_exact_at_zero()
         bad = [o for o in orders if table[o] < 0]
         ok = ok and not bad and (base == 0 if vanishes else base >= 0)
-        vals = [(f"{stage}(0)", frac_str(base))]
-        vals += [(f"{stage}^({o})(0)", str(table[o])) for o in orders]
+        vals = [(f"{stage}(0)", base)]
+        vals += [(f"{stage}^({o})(0)", table[o]) for o in orders]
         detail = (on_pass if ok else on_negative.format(bad=bad) if bad
                   else on_other)
         steps.append(_step(name, claim, "integration-from-zero-induction",

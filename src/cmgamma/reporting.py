@@ -17,14 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 SCHEMA = "cmgamma.report/1"
-
-
-def frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def stable_json_dumps(payload: dict, kind: str) -> str:

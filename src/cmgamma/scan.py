@@ -8,10 +8,10 @@ never coerced.  A single negative verdict marks the whole scan failed: this
 is the desk-scale falsification surface for the monotonicity claims.  The
 k = 0 cells of the g scan are the inequality psi'(x)^2 + psi''(x) > B(x).
 
-The scan runs with x as the outer loop.  Each grid point gets one polygamma
-jet per precision it uses: psi^(m)(x) is computed once per order and shared
-by every cell of that point, and an escalated cell fills the jet of its
-higher precision.  The report still lists its entries k-major.
+The scan runs with x as the outer loop and gives each point one
+`bounds._Jet`, so one jet is alive at a time: psi^(m)(x) is computed once
+per order and precision and shared by every cell of that point (an
+escalated cell fills the entries of its precision); entries stay k-major.
 
 Grids are explicit point lists, exact geometric progressions, or log-spaced
 spans whose interior points are rounded to 24-bit dyadics; the span points
@@ -30,9 +30,7 @@ from .algebra import Frozen, MAX_POINT_BITS, as_fraction, fits_point_bits
 from .ball import Ball, _dyadic, _scale
 from .constants import SourceConstants
 from .errors import DomainError
-from .reporting import frac_str, stable_json_dumps
-
-ESCALATION_CAP_BITS = bounds.ESCALATION_CAP_BITS
+from .reporting import stable_json_dumps
 
 #: Largest grid a scan accepts: at k <= 8 and 256 bits this is already
 #: about 10^5 cells, minutes of work.
@@ -182,7 +180,7 @@ class ScanEntry(NamedTuple):
     prec_used: int
 
     def to_json_dict(self) -> dict:
-        return {"k": self.k, "x": frac_str(self.x), "mid": self.ball.decimal_str(),
+        return {"k": self.k, "x": str(self.x), "mid": self.ball.decimal_str(),
                 "rad": self.ball.radius_str(), "verdict": self.verdict,
                 "prec_used": self.prec_used}
 
@@ -234,7 +232,7 @@ class CmScanReport(NamedTuple):
     def to_csv(self) -> str:
         lines = ["k,x,mid,rad,verdict"]
         for e in self.entries:
-            lines.append(f"{e.k},{frac_str(e.x)},{e.ball.decimal_str()},"
+            lines.append(f"{e.k},{e.x},{e.ball.decimal_str()},"
                          f"{e.ball.radius_str()},{e.verdict}")
         return "\n".join(lines) + "\n"
 
@@ -244,7 +242,7 @@ class CmScanReport(NamedTuple):
                  f"target {s['target_bits']} bits"]
         for e in self.entries:
             if e.verdict != "positive":
-                lines.append(f"  [{e.verdict}] k={e.k} x={frac_str(e.x)} -> {e.ball}")
+                lines.append(f"  [{e.verdict}] k={e.k} x={e.x} -> {e.ball}")
         lines.append(f"negative: {s['negative']}, indeterminate: "
                      f"{s['indeterminate']}, max k fully verified: {s['max_k_verified']}")
         lines.append("result: " + ("FAIL" if self.failed else "PASS"))
@@ -254,22 +252,10 @@ class CmScanReport(NamedTuple):
 def _certified_sign(evaluate: Callable[[int], Ball],
                     prec: int) -> tuple[int, Ball, int]:
     """Evaluate at prec bits, escalating 2x per retry until the sign is
-    determined or ESCALATION_CAP_BITS is passed.  Returns (sign, ball,
+    determined or bounds.ESCALATION_CAP_BITS is passed.  Returns (sign, ball,
     prec_used)."""
     ball, prec = bounds._escalate(evaluate, prec, Ball.sign)
     return ball.sign(), ball, prec
-
-
-class _Jet(dict):
-    """psi^(m)(x) at prec bits by order m, each order computed on first use."""
-
-    def __init__(self, x: Fraction, prec: int):
-        super().__init__()
-        self.x, self.prec = x, prec
-
-    def __missing__(self, m: int) -> Ball:
-        ball = self[m] = bounds.polygamma(m, self.x, self.prec)
-        return ball
 
 
 def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
@@ -285,14 +271,13 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
     deriv = _KINDS[kind]
     columns = []
     for x in grid.points:
-        jets: dict[int, _Jet] = {}  # precision -> jet at x
+        jet = bounds._Jet(x)
         column = []
         for k in range(k_max + 1):
             flip = -1 if k % 2 else 1
             sign, ball, used = _certified_sign(
-                lambda p, k=k, x=x, jets=jets: deriv(
-                    k, x, p, constants,
-                    _psi=jets.setdefault(p, _Jet(x, p))), prec)
+                lambda p, k=k, x=x, jet=jet: deriv(k, x, p, constants, _jet=jet),
+                prec)
             signed = sign * flip
             verdict = ("positive" if signed > 0
                        else "negative" if signed < 0 else "indeterminate")

@@ -54,8 +54,8 @@ def test_criterion_2_exact_proof_replay():
     assert built == consts.theta
     chain = replay.build_chain(consts)
     # spot-pin two tabulated values named in the criterion
-    assert chain.stage("theta", 5).eval_exact_at_zero() == 1632960000
-    assert chain.stage("theta2", 9).eval_exact_at_zero() == 295702274730240
+    assert chain["theta"][5].eval_exact_at_zero() == 1632960000
+    assert chain["theta2"][9].eval_exact_at_zero() == 295702274730240
     full = replay.replay_proof(consts)
     assert full.overall, full.to_text()
     cert = replay.chain_positivity_certificate(chain, consts)

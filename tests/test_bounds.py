@@ -22,9 +22,9 @@ PERTURBED_EXPANSION = (r"-251/120 1 2", "-131/120 1 2")
 
 
 def test_p_and_q_values(consts):
-    assert bounds.p_eval(0) == 450
-    assert bounds.q_eval(0) == 1382400
-    assert bounds.p_eval(1) == 189241  # oracle: coefficient sum
+    assert consts.p(0) == 450
+    assert consts.q(0) == 1382400
+    assert consts.p(1) == 189241  # oracle: coefficient sum
 
 
 def test_bound_exact_at_one():
@@ -100,7 +100,7 @@ def test_h_relation_to_g_difference():
 def test_remainder_exact_matches_q_over_denominator(consts):
     for x in (F(1), F(1, 3), F(7, 2)):
         direct = consts.q(x) / (1800 * x ** 2 * (1 + x) ** 10 * (2 + x) ** 10)
-        assert bounds.remainder_exact(x) == direct
+        assert consts.remainder_expansion.eval_exact(x) == direct
 
 
 class TestExpansionIdentity:

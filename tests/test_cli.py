@@ -354,9 +354,10 @@ GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
 
 
 def _constants_files(tmp_path):
-    """A malformed file, a missing one, one whose p breaks the bound, seven
-    whose pf term, scale or theta block is out of range or repeated (usage
-    errors) and one whose theta^(10) keeps an e^0 block (a failed replay)."""
+    """A malformed file, a missing one, one whose p breaks the bound, eleven
+    whose pf term, scale, power or theta block is out of range or repeated
+    (usage errors) and one whose theta^(10) keeps an e^0 block (a failed
+    replay)."""
     bad = tmp_path / "bad.txt"
     bad.write_text("[poly p]\n0 1 2 3\n")
     text = DEFAULT_CONSTANTS_PATH.read_text()
@@ -369,7 +370,12 @@ def _constants_files(tmp_path):
                            ("hugeexp", "\n1/2 0 1\n", "\n1e4400 0 1\n"),
                            ("tinyexp", "\n1/2 0 1\n", "\n1e-4400 0 1\n"),
                            ("hugescale", "scale 163296000\n", "scale 163296000e4400\n"),
-                           ("dupexp", "[poly theta.e1]", "[poly theta.e00]")):
+                           ("dupexp", "[poly theta.e1]", "[poly theta.e00]"),
+                           ("bigshift", "\n1/2 0 1\n", f"\n1/2 {'9' * 600} 9\n"),
+                           ("order10k", "\n1/2 0 1\n", "\n1/2 0 10000\n"),
+                           ("thetapow", "[poly theta2_d9.e1]\n",
+                            "[poly theta2_d9.e1]\n30000 1\n"),
+                           ("bigexp", "[poly theta.e3]", f"[poly theta.e{'9' * 300}]")):
         path = tmp_path / f"{name}.txt"
         path.write_text(text.replace(old, new, 1))
         files.append(str(path))
@@ -378,13 +384,24 @@ def _constants_files(tmp_path):
 
 @pytest.mark.parametrize("name, code", [
     ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1),
-    ("hugeexp", 2), ("tinyexp", 2), ("hugescale", 2), ("dupexp", 2)])
+    ("hugeexp", 2), ("tinyexp", 2), ("hugescale", 2), ("dupexp", 2),
+    ("bigshift", 2), ("order10k", 2), ("thetapow", 2), ("bigexp", 2)])
 def test_out_of_range_constants_exit_codes(name, code, tmp_path, capsys):
     files = {Path(f).stem: f for f in _constants_files(tmp_path)}
     assert main(["replay-proof", "--constants", files[name]]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: " if code == 2 else "FAILED at step 1: ")
+
+
+def test_constants_shift_beyond_the_remainder_is_usage_error(tmp_path, capsys):
+    # the load rejects a remainder term outside the 22 slots; a 600-digit
+    # shift would otherwise reach the evaluation of H and pass Python's
+    # 4300-digit int-to-str limit
+    files = {Path(f).stem: f for f in _constants_files(tmp_path)}
+    code, _, err = run(capsys, "eval", "H", "1", "--constants", files["bigshift"])
+    assert code == 2 and "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error: ") and "bigshift.txt: " in err
 
 
 def _fuzz_argv(rng, files, tmp_path):

@@ -112,6 +112,7 @@ def test_parse_pf_section():
     "[poly a]\n0 1/0\n",            # zero denominator
     "[poly a]\nscale 2/0\n0 1\n",  # zero denominator in the scale
     "[poly a]\n0 1.5.2\n",          # not a rational
+    "[poly a]\n22 1\n",             # power above the degree of q
     "[pf f]\n1e4400 0 1\n",         # numerator above MAX_POINT_BITS bits
     "[pf f]\n1e-4400 0 1\n",        # denominator above MAX_POINT_BITS bits
     "[pf f]\n1e10000000 0 1\n",     # rejected before 10^exponent is built
@@ -128,6 +129,7 @@ def test_grammar_errors(text):
     (r"1/2 0 1", "1/2 0 0"),                       # order 0
     (r"1/2 0 1", "1/2 -1 1"),                      # negative shift
     (r"\[poly theta\.e1\]", "[poly theta.e00]"),   # repeated block exponent
+    (r"\[poly theta\.e3\]", "[poly theta.e4]"),    # block exponent above 3
 ])
 def test_non_integer_keys_raise_format_error(mutate_constants, pattern, replacement):
     path = mutate_constants(pattern, replacement)

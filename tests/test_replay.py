@@ -57,25 +57,25 @@ class TestKernelBuild:
 
 class TestChain:
     def test_consecutive_derivatives(self, chain):
-        cur = chain.theta
-        for nxt in chain.theta_derivs:
+        cur, *derivs = chain["theta"]
+        for nxt in derivs:
             assert cur.deriv() == nxt
             cur = nxt
 
     def test_stage_accessor(self, chain, consts):
-        assert chain.stage("theta", 0) == consts.theta
-        assert chain.stage("theta1", 1) == consts.theta1_prime
-        assert chain.stage("theta2", 9) == consts.theta2_d9
+        assert chain["theta"][0] == consts.theta
+        assert chain["theta1"][1] == consts.theta1_prime
+        assert chain["theta2"][9] == consts.theta2_d9
 
     def test_factoring_relations(self, chain, consts):
-        assert chain.stage("theta", 10) == chain.theta1.shift_exp(1)
-        assert chain.stage("theta1", 10) == 512 * chain.theta2.shift_exp(1)
-        assert chain.theta1 == consts.theta1
-        assert chain.theta2 == consts.theta2
+        assert chain["theta"][10] == chain["theta1"][0].shift_exp(1)
+        assert chain["theta1"][10] == 512 * chain["theta2"][0].shift_exp(1)
+        assert chain["theta1"][0] == consts.theta1
+        assert chain["theta2"][0] == consts.theta2
 
     def test_divisibility_invariants(self, chain):
-        assert 0 not in chain.stage("theta", 10).exponents()
-        t110 = chain.stage("theta1", 10)
+        assert 0 not in chain["theta"][10].exponents()
+        t110 = chain["theta1"][10]
         assert 0 not in t110.exponents()
         for _, poly in t110.blocks():
             for c in poly.coeffs:
@@ -97,10 +97,10 @@ def test_chain_matches_sympy_differentiation(chain, consts):
     for stage, length, factor in (("theta", 10, None), ("theta1", 10, 1), ("theta2", 9, 512)):
         if factor is not None:
             cur = sympy.expand(cur * sympy.exp(-T) / factor)
-            assert cur == to_sympy(chain.stage(stage)), stage
+            assert cur == to_sympy(chain[stage][0]), stage
         for order in range(1, length + 1):
             cur = sympy.expand(sympy.diff(cur, T))
-            assert cur == to_sympy(chain.stage(stage, order)), (stage, order)
+            assert cur == to_sympy(chain[stage][order]), (stage, order)
     assert cur == sympy.expand(725760 * (8857350 * (46 + 3 * T) * sympy.exp(T) - 1))
 
 
@@ -153,10 +153,10 @@ class TestVerificationFragments:
         assert all(r.passed for r in records)
 
     def test_initial_value_examples(self, chain):
-        assert chain.stage("theta", 5).eval_exact_at_zero() == 1632960000
-        assert chain.stage("theta2", 1).eval_exact_at_zero() == 141434891210025
-        assert chain.stage("theta2", 9).eval_exact_at_zero() == 295702274730240
-        assert chain.theta.eval_exact_at_zero() == 0
+        assert chain["theta"][5].eval_exact_at_zero() == 1632960000
+        assert chain["theta2"][1].eval_exact_at_zero() == 141434891210025
+        assert chain["theta2"][9].eval_exact_at_zero() == 295702274730240
+        assert chain["theta"][0].eval_exact_at_zero() == 0
 
     def test_initial_value_mutation_detected(self, chain, mutate_constants):
         path = mutate_constants(r"5 1632960000", "5 1632960001")
@@ -264,9 +264,9 @@ class TestSpotcheck:
     def test_positive_stages(self, chain):
         for stage, order in (("theta2", 9), ("theta", 0)):
             for t in (F(1, 10), F(1), F(10)):
-                value = exppoly_interval(chain.stage(stage, order), t, 128)
+                value = exppoly_interval(chain[stage][order], t, 128)
                 assert value.a > 0, (stage, order, t)
 
     def test_zero_is_boundary_case(self, chain):
-        value = exppoly_interval(chain.theta, 0, 64)
+        value = exppoly_interval(chain["theta"][0], 0, 64)
         assert value.a == value.b == 0

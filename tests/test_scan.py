@@ -17,8 +17,8 @@ from cmgamma.algebra import PartialFractionForm
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest
 from cmgamma.cli import main
 from cmgamma.errors import DomainError
-from cmgamma.scan import (ESCALATION_CAP_BITS, MAX_POINT_BITS, GridSpec,
-                          _certified_sign, cm_scan, default_grid)
+from cmgamma.scan import (MAX_POINT_BITS, GridSpec, _certified_sign, cm_scan,
+                          default_grid)
 from oracles import g_derivative_ball_chain, overlaps, rational_part_derivatives
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -130,7 +130,7 @@ class TestCertifiedSign:
             return Ball(F(0), F(1), prec)
 
         sign, _, prec = _certified_sign(evaluate, 1024)
-        assert sign == 0 and prec == ESCALATION_CAP_BITS
+        assert sign == 0 and prec == bounds.ESCALATION_CAP_BITS
         assert calls == [1024, 2048, 4096]
 
 
