@@ -201,10 +201,10 @@ class Ball(Frozen):
 
     def sign(self) -> int:
         """+1 / -1 when the enclosure is strictly one-signed, else 0."""
-        if self.mid - self.rad > 0:
-            return 1
-        if self.mid + self.rad < 0:
-            return -1
+        a, b = self.mid.numerator, self.mid.denominator
+        # |mid| > rad, cross-multiplied
+        if abs(a) * self.rad.denominator > self.rad.numerator * b:
+            return 1 if a > 0 else -1
         return 0
 
     # -- output --------------------------------------------------------------

@@ -15,13 +15,15 @@ its sum, the propagated radius and the exact rational part are formed in
 integers at one dyadic scale, so an enclosure radius is the polygamma balls'
 radii carried exactly through the expansion, plus one final rounding.
 Every psi^(m)(x) they read comes from a `_Jet` of x, which computes each
-(order, precision) entry once; `cm_scan` passes one jet per grid point.
+(order, precision) entry once: a cell asks for all the orders it reads, and
+the jet fills the missing ones with one joint `polygamma` series.
+`cm_scan` passes one jet per grid point.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -105,17 +107,21 @@ def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
 
 
 class _Jet(dict):
-    """psi^(m)(x) by (m, prec): polygamma(m, x, prec), each entry computed
-    on first use.  The one place where the orders of a point are filled."""
+    """psi^(m)(x) by (m, prec), filled by `psi`.  The one place where the
+    orders of a point are computed."""
 
     def __init__(self, x: Fraction):
         super().__init__()
         self.x = x
 
-    def __missing__(self, key: tuple[int, int]) -> Ball:
-        m, prec = key
-        ball = self[key] = polygamma(m, self.x, prec)
-        return ball
+    def psi(self, orders: Sequence[int], prec: int) -> list[Ball]:
+        """psi^(m)(x) at prec bits for each m in orders; the missing ones
+        come from one joint `polygamma` call."""
+        missing = tuple(m for m in orders if (m, prec) not in self)
+        if missing:
+            self.update(zip([(m, prec) for m in missing],
+                            polygamma(missing, self.x, prec)))
+        return [self[m, prec] for m in orders]
 
 
 def g_derivative(k: int, x, prec: int = 128,
@@ -142,7 +148,7 @@ def g_derivative(k: int, x, prec: int = 128,
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
     jet = _jet if _jet is not None else _Jet(x)
-    den, mids, rads = _common_scale([jet[m, prec] for m in range(1, k + 3)])
+    den, mids, rads = _common_scale(jet.psi(range(1, k + 3), prec))
     total = rad = 0
     for j in range(k // 2 + 1):
         a, b = j, k - j  # list indices of the orders 1+j and 1+k-j
@@ -166,7 +172,8 @@ def h_derivative(k: int, x, prec: int = 128,
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = as_positive_fraction(x)
-    trigamma_k = (_jet if _jet is not None else _Jet(x))[k + 1, prec]
+    jet = _jet if _jet is not None else _Jet(x)
+    trigamma_k = jet.psi([k + 1], prec)[0]
     rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
     return trigamma_k - rational_part
 

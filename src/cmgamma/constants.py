@@ -14,9 +14,10 @@ Q_DEGREE (21, the degree of q) is rejected before it sizes a coefficient
 list, a theta block exponent above MAX_BLOCK_EXPONENT (3) is rejected, and
 the remainder's (shift, order) pairs must be exactly the 22 slots of
 REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A
-malformed file raises ConstantsFormatError naming the file and the line or
-section, and `constants_or_default` is the one place a missing constants
-argument becomes the packaged file.
+section that no constant reads, such as a misspelt duplicate of a table,
+is rejected.  A malformed file raises ConstantsFormatError naming the file
+and the line or section, and `constants_or_default` is the one place a
+missing constants argument becomes the packaged file.
 """
 
 from __future__ import annotations
@@ -181,28 +182,30 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
 
 
 def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
+    """The ExpPoly of the [poly BASE.eK] sections, which it takes out of
+    sections."""
     blocks: dict[int, Poly] = {}
     prefix = f"poly {base}.e"
-    for key, val in sections.items():
-        if key.startswith(prefix):
-            k = _parse_int(key[len(prefix):], path, key)
-            if k < 0:
-                raise ConstantsFormatError(f"{path}: [{key}]: negative exponent")
-            if k > MAX_BLOCK_EXPONENT:
-                raise ConstantsFormatError(
-                    f"{path}: [{key}]: exponent above {MAX_BLOCK_EXPONENT}")
-            if k in blocks:
-                raise ConstantsFormatError(f"{path}: [{key}]: repeated exponent {k}")
-            blocks[k] = val
+    for key in [key for key in sections if key.startswith(prefix)]:
+        k = _parse_int(key[len(prefix):], path, key)
+        if k < 0:
+            raise ConstantsFormatError(f"{path}: [{key}]: negative exponent")
+        if k > MAX_BLOCK_EXPONENT:
+            raise ConstantsFormatError(
+                f"{path}: [{key}]: exponent above {MAX_BLOCK_EXPONENT}")
+        if k in blocks:
+            raise ConstantsFormatError(f"{path}: [{key}]: repeated exponent {k}")
+        blocks[k] = sections.pop(key)
     if not blocks:
         raise ConstantsFormatError(f"{path}: no blocks found for {base!r}")
     return ExpPoly(blocks)
 
 
-def _get(sections, key: str, path):
+def _take(sections, key: str, path):
+    """sections[key], taken out of sections."""
     if key not in sections:
         raise ConstantsFormatError(f"{path}: missing section [{key}]")
-    return sections[key]
+    return sections.pop(key)
 
 
 def load_constants(path: str | Path | None = None) -> SourceConstants:
@@ -250,15 +253,15 @@ def _load_file(path: Path, text: str) -> SourceConstants:
     for stage in CHAIN_LENGTHS:
         section = f"values {stage}_init"
         init[stage] = {_parse_int(k, path, section): v
-                       for k, v in _get(sections, section, path).items()}
+                       for k, v in _take(sections, section, path).items()}
         want = set(range(1, CHAIN_LENGTHS[stage] + 1))
         if set(init[stage]) != want:
             raise ConstantsFormatError(
                 f"{path}: {stage}_init must list orders {sorted(want)}")
     consts = SourceConstants(
-        p=_get(sections, "poly p", path),
-        q=_get(sections, "poly q", path),
-        remainder_expansion=_get(sections, "pf remainder", path),
+        p=_take(sections, "poly p", path),
+        q=_take(sections, "poly q", path),
+        remainder_expansion=_take(sections, "pf remainder", path),
         theta=_assemble_exppoly(sections, "theta", path),
         theta_prime=_assemble_exppoly(sections, "theta_prime", path),
         theta1=_assemble_exppoly(sections, "theta1", path),
@@ -268,6 +271,8 @@ def _load_file(path: Path, text: str) -> SourceConstants:
         initial_values=init,
         source_path=path,
     )
+    if sections:  # every section read above was taken out
+        raise ConstantsFormatError(f"{path}: unknown section [{next(iter(sections))}]")
     if consts.p.degree != 10 or consts.q.degree != Q_DEGREE:
         raise ConstantsFormatError(f"{path}: p must have degree 10 and q degree {Q_DEGREE}")
     slots = [(a, m) for a, top in REMAINDER_DEN_FACTORS for m in range(1, top + 1)]

@@ -54,6 +54,26 @@ a floored lower bound low <= X_k follows the ratio X_k/X_(k-1) =
 long division ceil(X_k) is formed only where low reaches the target, or
 where the ratio exceeds 1, the only steps where the ceilings can grow.
 
+Every order of one (x, prec) has the same w, so the same N and the same
+A; only F_s depends on s.  So all requested orders are summed as one
+series (`polygamma` takes a tuple of orders), in the manner of Johansson,
+"Rigorous high-precision computation of the Hurwitz zeta function and its
+derivatives" (Numer. Algorithms 69, 2015).  The head takes one long
+division per term: with W = d^S 2^H, S the largest s and H the largest F_s,
+and b = n + i d, two exact nested-floor identities give every order from it,
+
+    floor(floor(W/b^s) / b) = floor(W/b^(s+1)),
+    floor(floor(W/b^s) / (d^(S-s) 2^(H-F_s))) = floor(d^s 2^F_s / b^s),
+
+so each higher order costs one short division by b, and each term is the
+same floor as in a series of its own; when d is a power of two, d^(S-s) is
+folded into the shift.  The tail runs one loop over k that shares the B_2k
+lookup, the guard shift (ex depends on k only), q = (2k-1) 2k A^2 and
+625 A^2, while each order keeps its own mantissa interval, err, low, stop
+and divergence test.  The orders that diverge at one N retry together at
+the next; the others keep the sums they stopped with.  Every sum is
+bit-identical to the one its order's series gives alone.
+
 The integral-representation quadrature (`polygamma_quadrature_crosscheck`)
 is a heuristic cross-check only: its radius is an error *estimate* from the
 adaptive scheme, not a proof.  It is the one mpmath user in the package and
@@ -64,6 +84,7 @@ except `eval --crosscheck` run without it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -102,81 +123,134 @@ def _bernoulli(n: int) -> Fraction:
 _TAIL_GUARD_BITS = 64  # bits of the tail mantissa below a unit of the term
 
 
-def _zeta_like_sum(s: int, x: Fraction, wbits: int) -> tuple[int, int, int]:
-    """Enclosure of sum_{i>=0} (x+i)^(-s) as (total, radius, F): the sum is
-    within radius of total, both integers in units of 2^-F."""
+def _heads(exps: list[int], n: int, d: int, n_terms: int,
+           fbits: dict[int, int]) -> dict[int, int]:
+    """sum_{i < N} floor(d^s 2^F_s / (n + i d)^s) for each s of the ascending
+    exps, from one long division floor(W/b^lo) per term b = n + i d and the
+    nested-floor identities of the module docstring."""
+    lo, top = exps[0], exps[-1]
+    high = max(fbits[s] for s in exps)
+    big_w = d ** top << high
+    t = d.bit_length() - 1
+    wanted = set(exps)
+    plan = []  # (wanted, divisor, shift) for s = lo..top
+    for s in range(lo, top + 1):
+        shift = high - fbits[s] if s in wanted else 0
+        if d == 1 << t:  # d^(S-s) is a shift too
+            plan.append((s in wanted, 1, shift + t * (top - s)))
+        else:
+            plan.append((s in wanted, d ** (top - s), shift))
+    sums = [0] * len(plan)
+    for i in range(n_terms):
+        b = n + i * d
+        v = big_w // b ** lo
+        for idx, (keep, div, shift) in enumerate(plan):
+            if idx:
+                v //= b
+            if keep:
+                sums[idx] += (v // div if div != 1 else v) >> shift
+    return {s: sums[s - lo] for s in exps}
+
+
+def _zeta_like_sums(orders: Iterable[int], x: Fraction,
+                    wbits: int) -> dict[int, tuple[int, int, int]]:
+    """Enclosures of sum_{i>=0} (x+i)^(-s) for each exponent s >= 2 in
+    orders, as {s: (total, radius, F)}: each sum is within radius of total,
+    both integers in units of 2^-F."""
     n, d = x.numerator, x.denominator
     round_bits = wbits + 24
     # x < 2^e, so the sum exceeds 2^(-s*e) and one unit is at most
     # 2^-(round_bits+16) of it
     e = n.bit_length() - d.bit_length() + 1
-    fbits = max(0, round_bits + s * e + 16)
+    pending = sorted(set(orders))
+    fbits_of = {s: max(0, round_bits + s * e + 16) for s in pending}
+    done: dict[int, tuple[int, int, int]] = {}
     for attempt in range(4):
         n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
-        ds = d ** s << fbits
-        head = sum(ds // (n + i * d) ** s for i in range(n_terms))
+        heads = _heads(pending, n, d, n_terms, fbits_of)
         big_a = n + n_terms * d  # a = x + N = big_a / d
-        integral = (d ** (s - 1) << fbits) // ((s - 1) * big_a ** (s - 1))
-        total = head + integral + ds // (2 * big_a ** s)
-        floors = n_terms + 2  # each floor division is short by < 1 unit
-        target = (head + integral) >> (wbits + 8)  # the sum exceeds head + integral
 
-        def exact_bound(k: int) -> int:
+        def exact_bound(s: int, k: int, fbits: int) -> int:
             """ceil of the remainder bound X_k after k terms, in units."""
             j = s + 2 * k - 1
             return -(-(5 * math.perm(j, 2 * k) * d ** (j + 1) << (fbits + 4 * k + 2))
                      // (2 * 25 ** (2 * k + 1) * big_a ** (j + 1)))
 
         d2, a2 = d * d, big_a * big_a
-        # V = rising(s, 2k-1) d^j 2^F / ((2k)! A^j), j = s+2k-1, lies in
-        # [m, m + err] 2^-ex; the term is floor(B_2k V)
         ex = _TAIL_GUARD_BITS
-        m, err = (s * d ** (s + 1) << (fbits + ex)) // (2 * big_a ** (s + 1)), 1
-        # X_1 = V_1 64 (s+1) d / (3125 A), and low <= X_k stays a lower bound
-        low = (m * 64 * (s + 1) * d // (3125 * big_a)) >> ex
+        live = []
+        for s in pending:
+            fbits, head = fbits_of[s], heads[s]
+            integral = (d ** (s - 1) << fbits) // ((s - 1) * big_a ** (s - 1))
+            total = head + integral + (d ** s << fbits) // (2 * big_a ** s)
+            target = (head + integral) >> (wbits + 8)  # the sum exceeds head + integral
+            # V = rising(s, 2k-1) d^j 2^F / ((2k)! A^j), j = s+2k-1, lies in
+            # [m, m + err] 2^-ex; the term is floor(B_2k V)
+            m = (s * d ** (s + 1) << (fbits + ex)) // (2 * big_a ** (s + 1))
+            # X_1 = V_1 64 (s+1) d / (3125 A), and low <= X_k stays a lower bound
+            low = (m * 64 * (s + 1) * d // (3125 * big_a)) >> ex
+            # floors: each floor division is short by < 1 unit
+            live.append((s, fbits, target, m, 1, low, total, n_terms + 2))
+        bq = 625 * a2  # X_k / X_(k-1) = bp / bq
         for k in range(1, 100001):
-            j = s + 2 * k - 1
             num, den = _bernoulli(2 * k).as_integer_ratio()
             if k > 1:
                 # 2^ex > |B_2k| 2^guard before this step rounds
-                shift = _TAIL_GUARD_BITS + num.bit_length() - den.bit_length() + 1 - ex
-                if shift > 0:
-                    m, err, ex = m << shift, err << shift, ex + shift
-                p, q = (j - 2) * (j - 1) * d2, (2 * k - 1) * (2 * k) * a2
-                m, err = m * p // q, err * p // q + 2
-                bp, bq = 16 * (j - 1) * j * d2, 625 * a2  # X_k / X_(k-1)
-                low = low * bp // bq
-            bm = num * m
-            term = (bm >> ex) // den
-            if term != ((bm + num * err) >> ex) // den:
-                # the floor is in doubt: form the term exactly
-                term = ((num * math.perm(j - 1, 2 * k - 1) * d ** j << fbits)
-                        // (den * math.factorial(2 * k) * big_a ** j))
-            total += term
-            floors += 1
-            if low <= target:
-                bound = exact_bound(k)
-                if bound <= target:
-                    return total, floors + bound, fbits
-            if k > 1 and bp > bq and exact_bound(k) > exact_bound(k - 1):
-                break  # the asymptotic terms started diverging; need larger N
-    raise PrecisionError(
-        f"series tail for s={s}, x={x} not certifiable at {wbits} working bits")
+                shift = max(0, _TAIL_GUARD_BITS + num.bit_length() - den.bit_length() + 1 - ex)
+                ex += shift
+                q = (2 * k - 1) * (2 * k) * a2
+            going = []
+            for s, fbits, target, m, err, low, total, floors in live:
+                j = s + 2 * k - 1
+                if k > 1:
+                    p = (j - 2) * (j - 1) * d2
+                    m, err = (m << shift) * p // q, (err << shift) * p // q + 2
+                    bp = 16 * (j - 1) * j * d2
+                    low = low * bp // bq
+                bm = num * m
+                term = (bm >> ex) // den
+                if term != ((bm + num * err) >> ex) // den:
+                    # the floor is in doubt: form the term exactly
+                    term = ((num * math.perm(j - 1, 2 * k - 1) * d ** j << fbits)
+                            // (den * math.factorial(2 * k) * big_a ** j))
+                total += term
+                floors += 1
+                if low <= target:
+                    bound = exact_bound(s, k, fbits)
+                    if bound <= target:
+                        done[s] = (total, floors + bound, fbits)
+                        continue
+                if k > 1 and bp > bq and exact_bound(s, k, fbits) > exact_bound(s, k - 1, fbits):
+                    continue  # the asymptotic terms started diverging; need larger N
+                going.append((s, fbits, target, m, err, low, total, floors))
+            live = going
+            if not live:
+                break
+        pending = [s for s in pending if s not in done]
+        if not pending:
+            return done
+    raise PrecisionError(f"series tail for s={pending[0]}, x={x} not certifiable "
+                         f"at {wbits} working bits")
 
 
-def _polygamma_rational(m: int, x: Fraction, prec: int) -> Ball:
+def _polygamma_rational(orders: tuple[int, ...], x: Fraction,
+                        prec: int) -> tuple[Ball, ...]:
     wbits = prec + _BASE_GUARD_BITS
-    total, radius, fbits = _zeta_like_sum(m + 1, x, wbits)
-    fac = math.factorial(m)
-    sign = 1 if m % 2 == 1 else -1
-    one = 1 << fbits
-    ball = Ball._make(sign * fac * total, one, fac * radius, one, prec)
-    mid, rad = ball.mid, ball.rad
-    # rad > |mid| 2^-prec, cross-multiplied
-    if mid and rad.numerator * mid.denominator << prec > abs(mid.numerator) * rad.denominator:
-        raise PrecisionError(
-            f"polygamma({m}, {x}) enclosure wider than 2^-{prec} relative")
-    return ball
+    sums = _zeta_like_sums([m + 1 for m in orders], x, wbits)
+    balls = []
+    for m in orders:
+        total, radius, fbits = sums[m + 1]
+        fac = math.factorial(m)
+        sign = 1 if m % 2 == 1 else -1
+        one = 1 << fbits
+        ball = Ball._make(sign * fac * total, one, fac * radius, one, prec)
+        mid, rad = ball.mid, ball.rad
+        # rad > |mid| 2^-prec, cross-multiplied
+        if mid and rad.numerator * mid.denominator << prec > abs(mid.numerator) * rad.denominator:
+            raise PrecisionError(
+                f"polygamma({m}, {x}) enclosure wider than 2^-{prec} relative")
+        balls.append(ball)
+    return tuple(balls)
 
 
 def _check_order(m) -> None:
@@ -184,27 +258,36 @@ def _check_order(m) -> None:
         raise DomainError("derivative order m must be an integer >= 1")
 
 
-def polygamma(m: int, x, prec: int = 128) -> Ball:
+def polygamma(m: int | tuple[int, ...], x, prec: int = 128) -> Ball | tuple[Ball, ...]:
     """Certified enclosure of psi^(m)(x) for integer m >= 1 and x > 0 whose
     relative radius is at most 2^-prec (prec >= 8 bits), else PrecisionError.
 
-    x may be an exact rational or a Ball; Ball arguments are handled through
-    the strict monotonicity of psi^(m) (its derivative psi^(m+1) is
-    sign-definite), by evaluating at the interval endpoints and hulling.
+    m may also be a nonempty tuple of orders; the result is then the tuple of
+    their enclosures, all from one joint series.  x may be an exact rational
+    or a Ball; Ball arguments are handled through the strict monotonicity of
+    psi^(m) (its derivative psi^(m+1) is sign-definite), by evaluating at the
+    interval endpoints and hulling.
     """
-    _check_order(m)
-    if m > MAX_ORDER:
-        raise DomainError(f"m > {MAX_ORDER} unsupported")
+    orders = m if isinstance(m, tuple) else (m,)
+    if not orders:
+        raise DomainError("need at least one derivative order")
+    for order in orders:
+        _check_order(order)
+        if order > MAX_ORDER:
+            raise DomainError(f"m > {MAX_ORDER} unsupported")
     if prec < 8:
         raise ValueError("prec must be at least 8 bits")
     if isinstance(x, Ball):
         as_positive_fraction(x.lower)
         if x.is_exact():
-            return _polygamma_rational(m, x.mid, prec)
-        lo = _polygamma_rational(m, x.lower, prec)
-        hi = _polygamma_rational(m, x.upper, prec)
-        return Ball.hull(lo, hi)
-    return _polygamma_rational(m, as_positive_fraction(x), prec)
+            balls = _polygamma_rational(orders, x.mid, prec)
+        else:
+            lo = _polygamma_rational(orders, x.lower, prec)
+            hi = _polygamma_rational(orders, x.upper, prec)
+            balls = tuple(Ball.hull(a, b) for a, b in zip(lo, hi))
+    else:
+        balls = _polygamma_rational(orders, as_positive_fraction(x), prec)
+    return balls if isinstance(m, tuple) else balls[0]
 
 
 def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:

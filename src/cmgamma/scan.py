@@ -9,9 +9,11 @@ is the desk-scale falsification surface for the monotonicity claims.  The
 k = 0 cells of the g scan are the inequality psi'(x)^2 + psi''(x) > B(x).
 
 The scan runs with x as the outer loop and gives each point one
-`bounds._Jet`, so one jet is alive at a time: psi^(m)(x) is computed once
-per order and precision and shared by every cell of that point (an
-escalated cell fills the entries of its precision); entries stay k-major.
+`bounds._Jet`, so one jet is alive at a time.  The jet is first filled with
+every psi order the point's cells read at the scan's precision, one joint
+series per point; an escalated cell fills only its own missing orders at
+its higher precision.  So psi^(m)(x) is computed once per order and
+precision and shared by every cell of that point; entries stay k-major.
 
 Grids are explicit point lists, exact geometric progressions, or log-spaced
 spans whose interior points are rounded to 24-bit dyadics; the span points
@@ -43,6 +45,9 @@ _KINDS: dict[str, Callable] = {
     "g": bounds.g_derivative,
     "H": bounds.h_derivative,
 }
+
+#: cell k of each kind reads psi orders up to k + this (H reads only k + 1)
+_TOP_ORDER_OVER_K = {"g": 2, "H": 1}
 
 
 class GridSpec(Frozen):
@@ -272,6 +277,7 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
     columns = []
     for x in grid.points:
         jet = bounds._Jet(x)
+        jet.psi(range(1, k_max + _TOP_ORDER_OVER_K[kind] + 1), prec)
         column = []
         for k in range(k_max + 1):
             flip = -1 if k % 2 else 1

@@ -14,7 +14,7 @@ from mpmath import iv
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                SCALE_P, SCALE_Q, load_constants)
-from cmgamma.polygamma import _zeta_like_sum, polygamma
+from cmgamma.polygamma import _zeta_like_sums, polygamma
 
 
 def contains(ball, value):
@@ -38,7 +38,8 @@ def polygamma_per_order_guard(m, x, prec, per_order=16):
     orders get more guard bits.  The ball of polygamma(m, x, prec) must
     equal it or lie inside it.
     """
-    total, radius, fbits = _zeta_like_sum(m + 1, Fraction(x), prec + 32 + per_order * m)
+    s = m + 1
+    total, radius, fbits = _zeta_like_sums((s,), Fraction(x), prec + 32 + per_order * m)[s]
     fac = math.factorial(m)
     one = 1 << fbits
     return Ball._make((-1) ** (m + 1) * fac * total, one, fac * radius, one, prec)

@@ -356,8 +356,8 @@ GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
 def _constants_files(tmp_path):
     """A malformed file, a missing one, one whose p breaks the bound, eleven
     whose pf term, scale, power or theta block is out of range or repeated
-    (usage errors) and one whose theta^(10) keeps an e^0 block (a failed
-    replay)."""
+    and one with sections no constant reads (usage errors), and one whose
+    theta^(10) keeps an e^0 block (a failed replay)."""
     bad = tmp_path / "bad.txt"
     bad.write_text("[poly p]\n0 1 2 3\n")
     text = DEFAULT_CONSTANTS_PATH.read_text()
@@ -375,7 +375,10 @@ def _constants_files(tmp_path):
                            ("order10k", "\n1/2 0 1\n", "\n1/2 0 10000\n"),
                            ("thetapow", "[poly theta2_d9.e1]\n",
                             "[poly theta2_d9.e1]\n30000 1\n"),
-                           ("bigexp", "[poly theta.e3]", f"[poly theta.e{'9' * 300}]")):
+                           ("bigexp", "[poly theta.e3]", f"[poly theta.e{'9' * 300}]"),
+                           ("unknown", "[values theta_init]",
+                            "[pf junk]\n1/2 0 99999999\n[values theta_initt]\n1 1\n"
+                            "[values theta_init]")):
         path = tmp_path / f"{name}.txt"
         path.write_text(text.replace(old, new, 1))
         files.append(str(path))
@@ -385,7 +388,7 @@ def _constants_files(tmp_path):
 @pytest.mark.parametrize("name, code", [
     ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1),
     ("hugeexp", 2), ("tinyexp", 2), ("hugescale", 2), ("dupexp", 2),
-    ("bigshift", 2), ("order10k", 2), ("thetapow", 2), ("bigexp", 2)])
+    ("bigshift", 2), ("order10k", 2), ("thetapow", 2), ("bigexp", 2), ("unknown", 2)])
 def test_out_of_range_constants_exit_codes(name, code, tmp_path, capsys):
     files = {Path(f).stem: f for f in _constants_files(tmp_path)}
     assert main(["replay-proof", "--constants", files[name]]) == code

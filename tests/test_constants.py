@@ -139,6 +139,21 @@ def test_non_integer_keys_raise_format_error(mutate_constants, pattern, replacem
         load_constants(path)
 
 
+@pytest.mark.parametrize("section", [
+    "[pf junk]\n1/2 0 99999999\n",
+    "[poly junk]\n0 1\n",
+    "[values theta_initt]\n1 1\n",     # a misspelt duplicate of a table
+    "[poly theta3.e0]\n0 1\n",          # a block of no theta stage
+])
+def test_unknown_section_raises_format_error(tmp_path, section):
+    path = tmp_path / "extra.txt"
+    path.write_text(DEFAULT_CONSTANTS_PATH.read_text() + section)
+    header = section.split("\n")[0]
+    with pytest.raises(ConstantsFormatError,
+                       match=re.escape(f"{path}: unknown section {header}") + "$"):
+        load_constants(path)
+
+
 def test_mutated_file_loads_but_differs(mutate_constants):
     path = mutate_constants(r"5 1632960000", "5 1632960001")
     consts = load_constants(path)

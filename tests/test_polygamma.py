@@ -106,6 +106,10 @@ def test_ball_argument_uses_monotonicity():
     ball = polygamma(1, x, 96)
     for probe in (F(2), F(21, 10), F(41, 20)):
         assert contains(ball, mp_psi(1, probe))
+    # the tuple form hulls each order over the same two endpoint series
+    joint = polygamma((3, 1), x, 96)
+    assert [(b.mid, b.rad) for b in joint] == [(b.mid, b.rad) for b in
+                                               (polygamma(3, x, 96), ball)]
 
 
 def test_domain_errors():
@@ -117,21 +121,30 @@ def test_domain_errors():
         polygamma(1, F(-3, 2))
     with pytest.raises(DomainError):
         polygamma(33, 1)
+    for orders in ((), (1, 0), (2, 33)):
+        with pytest.raises(DomainError):
+            polygamma(orders, 1)
 
 
 def test_policy_guard_bits(monkeypatch):
-    # the series for psi^(m) runs at prec + 32 working bits for every order
+    # the series for psi^(m) runs at prec + 32 working bits for every order,
+    # and a tuple of orders runs as one joint series at the same bits
     seen = []
-    series = polygamma_module._zeta_like_sum
+    series = polygamma_module._zeta_like_sums
 
-    def recording(s, x, wbits):
-        seen.append((s, wbits))
-        return series(s, x, wbits)
+    def recording(orders, x, wbits):
+        seen.append((tuple(orders), wbits))
+        return series(orders, x, wbits)
 
-    monkeypatch.setattr(polygamma_module, "_zeta_like_sum", recording)
+    monkeypatch.setattr(polygamma_module, "_zeta_like_sums", recording)
     for m in (1, 3, 12, 32):
         polygamma(m, F(7, 5), 64)
-    assert seen == [(m + 1, 64 + 32) for m in (1, 3, 12, 32)]
+    assert seen == [((m + 1,), 64 + 32) for m in (1, 3, 12, 32)]
+    seen.clear()
+    joint = polygamma((1, 3, 12, 32), F(7, 5), 64)
+    assert seen == [((2, 4, 13, 33), 64 + 32)]
+    alone = [polygamma(m, F(7, 5), 64) for m in (1, 3, 12, 32)]
+    assert [(b.mid, b.rad, b.prec) for b in joint] == [(b.mid, b.rad, b.prec) for b in alone]
     with pytest.raises(ValueError, match="prec must be at least 8 bits"):
         polygamma(1, 1, 4)
 

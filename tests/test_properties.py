@@ -1,10 +1,11 @@
 """Property tests of the integer rounding, ball, series and partial-fraction paths.
 
 The rounding functions and the Ball operations are checked bit for bit
-against the plain-Fraction references below; the fixed-point series is
-checked bit for bit against a reference copy of the loop that recomputes
-every remainder bound and every term exactly, also with the tail's guard
-bits cut to 0-2 so that its exact in-doubt branch runs; the tail's mantissa
+against the plain-Fraction references below; the fixed-point series, alone
+and as every order of a joint series, is checked bit for bit against a
+reference copy of one order's loop that recomputes every remainder bound
+and every term exactly, also with the tail's guard bits cut to 0-2 so
+that its exact in-doubt branch runs; the tail's mantissa
 interval is checked against the exact V_k, and its lower bound against the
 exact remainder bound, at every step; polygamma is checked for containment
 of mpmath's psi and Hurwitz zeta at four times the precision, and its ball
@@ -36,7 +37,7 @@ from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                load_constants)
 from cmgamma.errors import PrecisionError
-from cmgamma.polygamma import MAX_ORDER, _bernoulli, _zeta_like_sum, polygamma
+from cmgamma.polygamma import MAX_ORDER, _bernoulli, _zeta_like_sums, polygamma
 from oracles import contains, polygamma_per_order_guard, rational_part_derivatives
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -154,6 +155,25 @@ def test_make_of_unreduced_ratios_matches_fraction_reference(mid, rad, prec, k, 
     ball = Ball._make(mid.numerator * k, mid.denominator * k,
                       rad.numerator * j, rad.denominator * j, prec)
     assert (ball.mid, ball.rad) == ref_make(mid, rad, prec)
+
+
+def ref_sign(ball: Ball) -> int:
+    return 1 if ball.mid - ball.rad > 0 else -1 if ball.mid + ball.rad < 0 else 0
+
+
+@SETTINGS
+@given(balls, st.booleans())
+@example(Ball(F(-3, 7), F(3, 7), 53), False)  # mid = -rad: touches zero
+@example(Ball(F(3, 2 ** 70), F(3, 2 ** 70), 53), False)  # mid = rad
+@example(Ball(0, 0, 53), False)  # exact zero
+@example(Ball(F(-1, 3), 0, 53), False)  # exact nonzero, non-dyadic
+@example(Ball(F(-5), F(4), 53), False)
+def test_sign_matches_fraction_reference(ball, at_radius):
+    # |mid| against rad as integer ratios, against the two Fraction tests;
+    # at_radius moves the midpoint onto the radius, where the sign is 0
+    if at_radius and ball.rad:
+        ball = Ball(ball.rad if ball.mid >= 0 else -ball.rad, ball.rad, ball.prec)
+    assert ball.sign() == ref_sign(ball)
 
 
 positive_x = st.builds(lambda frac, k: frac * F(2) ** k,
@@ -285,8 +305,45 @@ def ref_zeta_like_sum(s: int, x: F, wbits: int) -> tuple[F, F]:
 @example(33, F(22), 49)  # the bounds decrease slowly just before the stop
 @example(18, F(17, 2), 7)
 def test_series_matches_reference_loop(s, x, wbits):
-    total, radius, fbits = _zeta_like_sum(s, x, wbits)
+    total, radius, fbits = _zeta_like_sums((s,), x, wbits)[s]
     assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.lists(st.integers(2, 33), min_size=1, max_size=6, unique=True), positive_x,
+       st.integers(8, 1100))
+@example([3, 2, 7], F(1, 3), 288)  # non-dyadic x, orders out of sequence
+@example([16, 2, 9], F(999983, 1000003), 1100)
+@example([2, 3, 16], F(2 ** 20), 1100)  # N = 0: no head terms
+@example([2, 10, 11], F(1, 2 ** 20), 64)
+@example([30, 2], F(9), 8)  # s = 30 diverges at the first N, s = 2 does not
+def test_joint_series_matches_reference_loop(orders, x, wbits):
+    # every order of one joint series is the sum its own series gives
+    sums = _zeta_like_sums(tuple(orders), x, wbits)
+    assert sorted(sums) == sorted(orders)
+    for s in orders:
+        total, radius, fbits = sums[s]
+        assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+
+
+def test_joint_series_retries_only_the_diverged_orders(monkeypatch):
+    # at x = 9 and 8 working bits the tail of s = 30 diverges at the first N
+    # while s = 2 stops there; only s = 30 runs again, at the next N
+    module = sys.modules["cmgamma.polygamma"]  # cmgamma.polygamma is the function
+    heads = module._heads
+    passes = []
+
+    def recording(exps, n, d, n_terms, fbits):
+        passes.append((list(exps), n_terms))
+        return heads(exps, n, d, n_terms, fbits)
+
+    monkeypatch.setattr(module, "_heads", recording)
+    sums = _zeta_like_sums((30, 2), F(9), 8)
+    assert [exps for exps, _ in passes] == [[2, 30], [30]]
+    assert passes[0][1] < passes[1][1]
+    for s in (2, 30):
+        total, radius, fbits = sums[s]
+        assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, F(9), 8)
 
 
 @settings(SETTINGS, max_examples=40)
@@ -314,7 +371,7 @@ def test_series_in_doubt_branch_matches_reference_loop(s, x, wbits, guard,
         patch.setattr(module, "_TAIL_GUARD_BITS", guard)
         sys.setprofile(count)
         try:
-            total, radius, fbits = _zeta_like_sum(s, x, wbits)
+            total, radius, fbits = _zeta_like_sums((s,), x, wbits)[s]
         finally:
             sys.setprofile(outer)
     assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
@@ -348,7 +405,7 @@ def test_series_tail_mantissa_encloses_exact_v(s, x, wbits, guard):
     # V_k 2^ex = rising(s, 2k-1) d^j 2^(F+ex) / ((2k)! A^j), j = s+2k-1,
     # and low must not exceed the exact remainder bound
     # X_k = 5 rising(s, 2k) d^(j+1) 2^(F+4k+2) / (2 25^(2k+1) A^(j+1))
-    code, line = _zeta_like_sum.__code__, _line_of(_zeta_like_sum, "bm = num * m")
+    code, line = _zeta_like_sums.__code__, _line_of(_zeta_like_sums, "bm = num * m")
     steps = 0
 
     def local(frame, event, arg):
@@ -371,7 +428,8 @@ def test_series_tail_mantissa_encloses_exact_v(s, x, wbits, guard):
         patch.setattr(module, "_TAIL_GUARD_BITS", guard)
         sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
         try:
-            _zeta_like_sum(s, x, wbits)
+            # jointly with s = 2, which shares k and ex but stops on its own
+            _zeta_like_sums((2, s), x, wbits)
         finally:
             sys.settrace(outer)
     assert steps > 0
@@ -396,7 +454,7 @@ def test_series_tail_decides_on_integers(s, x, wbits, exact_bounds):
     outer = sys.getprofile()
     sys.setprofile(count)
     try:
-        _zeta_like_sum(s, x, wbits)
+        _zeta_like_sums((s,), x, wbits)
     finally:
         sys.setprofile(outer)
     assert calls == {"log2": 0, "exact_bound": exact_bounds}
@@ -406,7 +464,7 @@ def test_series_tail_decides_on_integers(s, x, wbits, exact_bounds):
 @given(st.integers(2, 14), positive_x, st.sampled_from([64, 256, 1024]))
 def test_series_radius_covers_hurwitz_zeta(s, x, wbits):
     # the raw series enclosure, before Ball renormalization widens it
-    total, radius, fbits = _zeta_like_sum(s, x, wbits)
+    total, radius, fbits = _zeta_like_sums((s,), x, wbits)[s]
     mid, rad = F(total, 2 ** fbits), F(radius, 2 ** fbits)
     assert rad <= mid / 2 ** (wbits + 4)
     with mp.workprec(4 * wbits):

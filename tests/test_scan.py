@@ -197,6 +197,12 @@ class TestCmScan:
              "52b7b99b056eb3ca824f9b139f72f94fc99715647195e525804087d143f1e13d"),
             ("g", 8, 256, (F(1, 16), F(1), F(64)),
              "258b67d6cb72174bf499f310ae5087765d8d50dc2650fa5717465ac797906e8a"),
+            # non-dyadic points (the joint head's d^(S-s) divisor) at 8 bits;
+            # the cells at 1001/3 escalate to 16 and 32 bits
+            ("g", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3)),
+             "9ed5a33a572b255fcd3ff03a1433ebb4a6d2c6282340f211fe1daceab1a96a73"),
+            ("H", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3)),
+             "63ee7748a911a6a75525363117d7b1ba6fe93f6e78ead24221e52cc6fc02579f"),
         ]
     ])
     def test_report_bytes_pinned(self, kind, k_max, prec, points, sha256, capsys):
@@ -272,9 +278,9 @@ class TestIntegerCells:
         seen = Counter()
         direct = bounds.polygamma
 
-        def polygamma(m, x, p):
-            seen[m, x, p] += 1
-            return direct(m, x, p)
+        def polygamma(orders, x, p):
+            seen.update((m, x, p) for m in orders)
+            return direct(orders, x, p)
 
         monkeypatch.setattr(bounds, "polygamma", polygamma)
         rep = cm_scan(kind, 12, GridSpec.explicit([F(1), F(64), F(1000)]), 8)
@@ -326,13 +332,10 @@ class TestDecay:
         _decreasing_at_powers_of_two(bounds.h_eval)
 
 
-@pytest.mark.parametrize("kind", ["g", "H"])
-def test_scan_calls_the_traced_entry_points(monkeypatch, kind):
-    # the benchmark's traced mode wraps these names where they are bound; a
-    # scan that bypassed one would leave that layer blank.  Each grid point
-    # gets one polygamma jet: every order is computed once per point, never
-    # once per cell (no cell of this grid escalates)
-    calls = Counter()
+def _count_traced_entry_points(monkeypatch):
+    """Wrap the names the benchmark's traced mode wraps; returns the call
+    counter and the list of (orders, x, prec) of every polygamma call."""
+    calls, series = Counter(), []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -342,18 +345,61 @@ def test_scan_calls_the_traced_entry_points(monkeypatch, kind):
 
     ball_module = importlib.import_module("cmgamma.ball")
     bounds_module = importlib.import_module("cmgamma.bounds")
+    direct = bounds_module.polygamma
+
+    def polygamma(orders, x, prec):
+        series.append((orders, x, prec))
+        return direct(orders, x, prec)
+
     monkeypatch.setattr(ball_module, "round_nearest",
                         counted("round_nearest", ball_module.round_nearest))
     monkeypatch.setattr(PartialFractionForm, "eval_exact",
                         counted("eval_exact", PartialFractionForm.eval_exact))
-    monkeypatch.setattr(bounds_module, "polygamma",
-                        counted("polygamma", bounds_module.polygamma))
+    monkeypatch.setattr(bounds_module, "polygamma", counted("polygamma", polygamma))
+    return calls, series
+
+
+@pytest.mark.parametrize("kind", ["g", "H"])
+def test_scan_calls_the_traced_entry_points(monkeypatch, kind):
+    # the benchmark's traced mode wraps these names where they are bound; a
+    # scan that bypassed one would leave that layer blank.  Each grid point
+    # gets one polygamma call, a hashable tuple of every order its cells
+    # read (no cell of this grid escalates)
+    calls, series = _count_traced_entry_points(monkeypatch)
     grid = GridSpec.explicit([F(1, 3), F(5)])
     k_max = 2  # g needs psi orders 1..k_max+2, H orders 1..k_max+1
     rep = cm_scan(kind, k_max, grid, 64)
     assert set(calls) == {"round_nearest", "eval_exact", "polygamma"}
     assert all(e.prec_used == 64 for e in rep.entries)
-    assert calls["polygamma"] == (k_max + (2 if kind == "g" else 1)) * len(grid.points)
+    assert calls["polygamma"] == len(grid.points)
+    orders = tuple(range(1, k_max + (3 if kind == "g" else 2)))
+    assert series == [(orders, x, 64) for x in grid.points]
+    assert len({hash(call) for call in series}) == len(grid.points)
+
+
+@pytest.mark.parametrize("x", [F(64), F(1000)])
+@pytest.mark.parametrize("kind", ["g", "H"])
+def test_escalated_cell_fills_only_its_missing_orders(monkeypatch, kind, x):
+    # at 8 bits cells at x = 64 and x = 1000 escalate to 16 or 32 bits: an
+    # escalated cell's call at a doubled precision carries only the orders
+    # it reads that no earlier cell of the point filled at that precision
+    calls, series = _count_traced_entry_points(monkeypatch)
+    k_max = 12
+    rep = cm_scan(kind, k_max, GridSpec.explicit([x]), 8)
+    assert any(e.prec_used > 8 for e in rep.entries)
+    expected = [(tuple(range(1, k_max + (3 if kind == "g" else 2))), x, 8)]
+    filled = Counter()  # highest order filled per precision (g reads 1..k+2)
+    for e in rep.entries:
+        prec = 16
+        while prec <= e.prec_used:
+            if kind == "g" and filled[prec] < e.k + 2:
+                expected.append((tuple(range(filled[prec] + 1, e.k + 3)), x, prec))
+                filled[prec] = e.k + 2
+            elif kind == "H":
+                expected.append(((e.k + 1,), x, prec))
+            prec *= 2
+    assert series == expected
+    assert calls["polygamma"] == len(series)
 
 
 def test_traced_entry_points_resolve():
