@@ -40,13 +40,16 @@ _ZERO = Fraction(0)
 
 
 def as_fraction(v) -> Fraction:
-    """Coerce ints, strings like '3/4' or '0.25', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '0.25', and Fractions to Fraction.
+
+    A string is read by parse_rational, so it obeys the MAX_POINT_BITS
+    limit; ints and Fractions are taken as they are."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        return Fraction(parse_rational(v))
     if isinstance(v, float):
         raise TypeError("refusing to coerce float to exact Fraction; pass a string")
     raise TypeError(f"cannot interpret {v!r} as an exact rational")

@@ -11,9 +11,11 @@ results keep their exact rational midpoint.
 
 A Ball has no transcendental functions of its own: the polygamma module
 builds its enclosures from integer series sums through Ball._make.  Its
-decimal output (`decimal_str`, `radius_str`, `str`) comes from the integer
-port of mpmath.nstr in `reporting.decimal_str`, so it prints the digits
-mpmath printed without importing mpmath.
+decimal output (`decimal_str`, `radius_str`, `str`) comes from
+`reporting.decimal_str`, which prints the correctly rounded digits of
+mpmath's binary value of the midpoint or radius in mpmath.nstr's layout,
+without importing mpmath: what nstr prints, except where nstr's truncating
+digit path misrounds a near-tie.
 """
 
 from __future__ import annotations
@@ -210,14 +212,14 @@ class Ball(Frozen):
     # -- output --------------------------------------------------------------
 
     def decimal_str(self) -> str:
-        """The midpoint to about prec decimal bits (6 to 40 digits), as
-        mpmath.nstr prints it at max(prec, 64) + 16 working bits."""
+        """The midpoint to about prec bits of decimal digits (6 to 40), from
+        mpmath's value of it at max(prec, 64) + 16 working bits."""
         digits = max(6, min(40, int(self.prec * 0.30103)))
         return decimal_str(self.mid.numerator, self.mid.denominator,
                            max(self.prec, 64) + _MID_GUARD, digits)
 
     def radius_str(self) -> str:
-        """The radius to 3 digits, as mpmath.nstr prints it at 64 bits."""
+        """The radius to 3 digits, from mpmath's value of it at 64 bits."""
         if self.rad == 0:
             return "0"
         return decimal_str(self.rad.numerator, self.rad.denominator, 64, 3)

@@ -252,8 +252,12 @@ def _load_file(path: Path, text: str) -> SourceConstants:
     init: dict[str, dict[int, int]] = {}
     for stage in CHAIN_LENGTHS:
         section = f"values {stage}_init"
-        init[stage] = {_parse_int(k, path, section): v
-                       for k, v in _take(sections, section, path).items()}
+        init[stage] = {}
+        for label, value in _take(sections, section, path).items():
+            order = _parse_int(label, path, section)
+            if order in init[stage]:  # one order under two labels, e.g. 5 and 05
+                raise ConstantsFormatError(f"{path}: [{section}]: repeated order {order}")
+            init[stage][order] = value
         want = set(range(1, CHAIN_LENGTHS[stage] + 1))
         if set(init[stage]) != want:
             raise ConstantsFormatError(

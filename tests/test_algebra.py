@@ -2,18 +2,21 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
 from cmgamma.algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm,
-                             Poly, pfd_decompose, pfd_recompose)
+                             Poly, as_fraction, pfd_decompose, pfd_recompose)
 from cmgamma.ball import Ball
+from cmgamma.bounds import g_eval
 from cmgamma.constants import KERNEL_LIFT, load_constants
-from cmgamma.errors import DegreeError, FixtureMismatch
+from cmgamma.errors import DegreeError, DomainError, FixtureMismatch
+from cmgamma.polygamma import polygamma
 from cmgamma.replay import kernel_image_lifted
-from cmgamma.scan import default_grid
+from cmgamma.scan import GridSpec, default_grid
 from oracles import exppoly_interval
 
 # Coefficients of the degree-10 bound numerator, used repeatedly below.
@@ -249,3 +252,21 @@ class TestKernelMap:
         with pytest.raises(FixtureMismatch,
                            match=f"decay {KERNEL_LIFT + 1} exceeds exponent lift {KERNEL_LIFT}"):
             kernel_image_lifted(one_term(F(1), KERNEL_LIFT + 1, 2))
+
+
+def test_as_fraction_reads_strings_through_the_guarded_reader():
+    for text, value in (("3/4", F(3, 4)), ("0.25", F(1, 4)), ("-3/4", F(-3, 4)),
+                        ("1e-3", F(1, 1000))):
+        assert as_fraction(text) == value and type(as_fraction(text)) is F
+    # 10^10000000 would take tens of seconds to build; it is refused first,
+    # at every library entry point that takes a string
+    start = time.perf_counter()
+    for text in ("1e10000000", "abc"):
+        for call in (as_fraction, lambda v: polygamma(1, v), g_eval,
+                     lambda v: GridSpec.explicit([v]), Ball):
+            with pytest.raises(DomainError):
+                call(text)
+    assert time.perf_counter() - start < 2
+    # ints and Fractions a caller passes are not bounded
+    assert as_fraction(10 ** 1000) == F(10 ** 1000)
+    assert as_fraction(F(1, 10 ** 1000)) == F(1, 10 ** 1000)

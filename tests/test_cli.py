@@ -355,9 +355,10 @@ GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
 
 def _constants_files(tmp_path):
     """A malformed file, a missing one, one whose p breaks the bound, eleven
-    whose pf term, scale, power or theta block is out of range or repeated
-    and one with sections no constant reads (usage errors), and one whose
-    theta^(10) keeps an e^0 block (a failed replay)."""
+    whose pf term, scale, power or theta block is out of range or repeated,
+    one with sections no constant reads and two that list an initial-value
+    order twice, as 05 and 5 (usage errors), and one whose theta^(10) keeps
+    an e^0 block (a failed replay)."""
     bad = tmp_path / "bad.txt"
     bad.write_text("[poly p]\n0 1 2 3\n")
     text = DEFAULT_CONSTANTS_PATH.read_text()
@@ -378,7 +379,9 @@ def _constants_files(tmp_path):
                            ("bigexp", "[poly theta.e3]", f"[poly theta.e{'9' * 300}]"),
                            ("unknown", "[values theta_init]",
                             "[pf junk]\n1/2 0 99999999\n[values theta_initt]\n1 1\n"
-                            "[values theta_init]")):
+                            "[values theta_init]"),
+                           ("order05first", "\n5 1632960000\n", "\n05 -1\n5 1632960000\n"),
+                           ("order05last", "\n5 1632960000\n", "\n5 1632960000\n05 -1\n")):
         path = tmp_path / f"{name}.txt"
         path.write_text(text.replace(old, new, 1))
         files.append(str(path))
@@ -388,7 +391,8 @@ def _constants_files(tmp_path):
 @pytest.mark.parametrize("name, code", [
     ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1),
     ("hugeexp", 2), ("tinyexp", 2), ("hugescale", 2), ("dupexp", 2),
-    ("bigshift", 2), ("order10k", 2), ("thetapow", 2), ("bigexp", 2), ("unknown", 2)])
+    ("bigshift", 2), ("order10k", 2), ("thetapow", 2), ("bigexp", 2), ("unknown", 2),
+    ("order05first", 2), ("order05last", 2)])
 def test_out_of_range_constants_exit_codes(name, code, tmp_path, capsys):
     files = {Path(f).stem: f for f in _constants_files(tmp_path)}
     assert main(["replay-proof", "--constants", files[name]]) == code

@@ -154,6 +154,19 @@ def test_unknown_section_raises_format_error(tmp_path, section):
         load_constants(path)
 
 
+@pytest.mark.parametrize("lines", [
+    pytest.param("05 -1\n5 1632960000", id="05-first"),  # the later 5 won
+    pytest.param("5 1632960000\n05 -1", id="05-last"),   # the later 05 won
+])
+def test_order_listed_under_two_labels_raises_format_error(tmp_path, lines):
+    path = tmp_path / "twice.txt"
+    path.write_text(DEFAULT_CONSTANTS_PATH.read_text().replace(
+        "\n5 1632960000\n", f"\n{lines}\n", 1))
+    with pytest.raises(ConstantsFormatError, match=re.escape(
+            f"{path}: [values theta_init]: repeated order 5") + "$"):
+        load_constants(path)
+
+
 def test_mutated_file_loads_but_differs(mutate_constants):
     path = mutate_constants(r"5 1632960000", "5 1632960001")
     consts = load_constants(path)
