@@ -8,16 +8,22 @@ out.  An exponential polynomial is a finite sum
 
     sum_k  p_k(t) * e^(k*t),   k a nonnegative integer, p_k a rational Poly,
 
-differentiated exactly block by block.
+differentiated exactly block by block.  The public constructors check and
+coerce their input; a value derived from canonical parts (a derivative,
+a sum, an exponent shift, a scalar product, a decomposition) is built by
+the private `_make` of its class and skips that re-validation.  A shift,
+order or exponent is an int: a float or a bool raises ValueError.
 
 The partial-fraction machinery is restricted to denominators that are products
 of (x+a)^m with nonnegative integer shifts a, which is all the downstream
 code ever needs; this keeps every decomposition exact over the rationals.
 A partial-fraction form is canonical and proper: merged terms c/(x+a)^m
-with c != 0 and no polynomial part.  It is differentiated in closed form
-when it is evaluated (the k-th derivative of c/(x+a)^m is
-(-1)^k (m)_k c/(x+a)^(m+k)), and it recomposes over prod (x+a)^M_a in
-lowest terms without a polynomial gcd.
+with c != 0 and no polynomial part.  Coefficients are added only where a
+(shift, order) key repeats, and `pfd_decompose` emits its terms in
+canonical order, so its result needs no merge at all.  A form is
+differentiated in closed form when it is evaluated (the k-th derivative
+of c/(x+a)^m is (-1)^k (m)_k c/(x+a)^(m+k)), and it recomposes over
+prod (x+a)^M_a in lowest terms without a polynomial gcd.
 
 Exact values read from outside (command-line arguments, constants-file
 tokens) all pass through `parse_rational`, which rejects a numerator or
@@ -83,8 +89,10 @@ def parse_rational(text: str) -> Rat:
     denominator has more than MAX_POINT_BITS bits.
     """
     try:
-        x = int(text)
+        x = None if "/" in text else int(text)  # int() never reads a ratio
     except ValueError:
+        x = None
+    if x is None:
         # Fraction expands 10^exponent before anything could check it; an
         # exponent beyond the digits of the text plus MAX_POINT_BITS leaves
         # more than MAX_POINT_BITS bits in the numerator or denominator
@@ -96,9 +104,8 @@ def parse_rational(text: str) -> Rat:
                     return x
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"cannot parse {text!r} as an exact rational") from None
-    else:
-        if x.bit_length() <= MAX_POINT_BITS:
-            return x
+    elif x.bit_length() <= MAX_POINT_BITS:
+        return x
     raise DomainError(f"exact argument {text!r} with a numerator or "
                       f"denominator above {MAX_POINT_BITS} bits")
 
@@ -297,14 +304,15 @@ class Poly(Frozen):
         return Poly._make([a * v ** j for j, a in enumerate(cs)], self._den * v ** deg)
 
 
-def _taylor_shift(cs: list, c: int) -> None:
+def _taylor_shift(cs: list, c: int, passes: int | None = None) -> None:
     """In place: cs[i] becomes the x^i coefficient of sum_j cs[j] (x + c)^j.
 
     Horner's scheme run n - 1 times on integers; after pass i, cs[i] is
-    final.
+    final, so a caller that reads only cs[:passes] stops after `passes`.
+    A shift by 0 makes no pass.
     """
-    n = len(cs)
-    for i in range(n - 1):
+    n = len(cs) if c else 0
+    for i in range(n - 1 if passes is None else min(n - 1, passes)):
         for j in range(n - 2, i - 1, -1):
             cs[j] += c * cs[j + 1]
 
@@ -317,13 +325,23 @@ class ExpPoly(Frozen):
     def __init__(self, blocks: Mapping[int, Poly] = ()):
         clean: dict[int, Poly] = {}
         for k, p in dict(blocks).items():
-            if not isinstance(k, int) or k < 0:
+            if type(k) is not int or k < 0:  # a bool or a float is refused too
                 raise ValueError("exponents must be nonnegative integers")
-            if not isinstance(p, Poly):
-                p = Poly(p)
-            if not p.is_zero():
-                clean[k] = p
-        object.__setattr__(self, "_blocks", clean)
+            clean[k] = p if isinstance(p, Poly) else Poly(p)
+        self._set(clean)
+
+    @classmethod
+    def _make(cls, blocks: dict[int, Poly]) -> "ExpPoly":
+        """ExpPoly of blocks already checked: int exponents >= 0 mapped to
+        Polys, which are canonical by construction, so nothing is validated
+        again; only zero blocks are dropped."""
+        self = object.__new__(cls)
+        self._set(blocks)
+        return self
+
+    def _set(self, blocks: dict[int, Poly]) -> None:
+        object.__setattr__(self, "_blocks",
+                           {k: p for k, p in blocks.items() if p._num})
 
     @classmethod
     def term(cls, k: int, poly: Poly | Iterable[Rat]) -> "ExpPoly":
@@ -361,11 +379,11 @@ class ExpPoly(Frozen):
             return NotImplemented
         out = dict(self._blocks)
         for k, p in other._blocks.items():
-            out[k] = out.get(k, Poly.zero()) + p
-        return ExpPoly(out)
+            out[k] = out[k] + p if k in out else p
+        return ExpPoly._make(out)
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly({k: -p for k, p in self._blocks.items()})
+        return ExpPoly._make({k: -p for k, p in self._blocks.items()})
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
@@ -375,7 +393,7 @@ class ExpPoly(Frozen):
     def __mul__(self, other) -> "ExpPoly":
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
-            return ExpPoly({k: p * c for k, p in self._blocks.items()})
+            return ExpPoly._make({k: p * c for k, p in self._blocks.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -392,7 +410,7 @@ class ExpPoly(Frozen):
             num = [(i + 1) * a[i + 1] + k * a[i] for i in range(len(a) - 1)]
             num.append(k * a[-1])
             out[k] = Poly._make(num, p._den)
-        return ExpPoly(out)
+        return ExpPoly._make(out)
 
     def eval_exact_at_zero(self) -> Fraction:
         """Exact value at t = 0 (every e^(k*0) is 1): the sum of the blocks'
@@ -404,7 +422,9 @@ class ExpPoly(Frozen):
 
     def shift_exp(self, k: int) -> "ExpPoly":
         """Multiply by e^(k*t): all exponents move up by k."""
-        return ExpPoly({j + k: p for j, p in self._blocks.items()})
+        if type(k) is not int or (self._blocks and min(self._blocks) + k < 0):
+            raise ValueError("exponents must be nonnegative integers")
+        return ExpPoly._make({j + k: p for j, p in self._blocks.items()})
 
 
 class PartialFractionTerm(NamedTuple):
@@ -421,25 +441,37 @@ class PartialFractionForm(Frozen):
 
     Terms are merged on (shift, order), zero coefficients dropped, and the
     tuple kept sorted by (shift, order), so equal forms compare equal
-    structurally.
+    structurally.  A coefficient is added to another only when its
+    (shift, order) key repeats; a key seen once keeps its coefficient.
     """
 
     __slots__ = ("terms", "_shift_groups")
 
     def __init__(self, terms: Iterable[PartialFractionTerm]):
         merged: dict[tuple[int, int], Fraction] = {}
-        for t in terms:
-            t = PartialFractionTerm(as_fraction(t[0]), int(t[1]), int(t[2]))
-            if t.order < 1:
+        for c, a, m in terms:
+            if type(a) is not int or type(m) is not int:  # bool, float: refused
+                raise ValueError("partial-fraction shift and order must be integers")
+            if m < 1:
                 raise ValueError("partial-fraction order must be >= 1")
-            if t.shift < 0:
+            if a < 0:
                 raise ValueError("shift must be a nonnegative integer")
-            key = (t.shift, t.order)
-            merged[key] = merged.get(key, _ZERO) + t.coeff
-        canon = tuple(
-            PartialFractionTerm(c, s, o)
-            for (s, o), c in sorted(merged.items()) if c != 0)
-        object.__setattr__(self, "terms", canon)
+            c = as_fraction(c)
+            key = (a, m)
+            merged[key] = merged[key] + c if key in merged else c
+        self._set(tuple(PartialFractionTerm(c, a, m)
+                        for (a, m), c in sorted(merged.items()) if c))
+
+    @classmethod
+    def _make(cls, terms: tuple[PartialFractionTerm, ...]) -> "PartialFractionForm":
+        """Form of terms already canonical (nonzero Fraction coefficients on
+        distinct (shift, order) keys, sorted), taken without a merge."""
+        self = object.__new__(cls)
+        self._set(terms)
+        return self
+
+    def _set(self, terms: tuple[PartialFractionTerm, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_shift_groups", None)
 
     def __eq__(self, other) -> bool:
@@ -518,10 +550,10 @@ def pfd_decompose(num: Poly,
     if len(set(shifts)) != len(shifts):
         raise ValueError("denominator shifts must be pairwise distinct")
     for a, m in den_factors:
-        if not isinstance(a, int) or a < 0:
+        if type(a) is not int or a < 0:
             raise ValueError("shifts must be nonnegative integers")
-        if m < 1:
-            raise ValueError("multiplicities must be >= 1")
+        if type(m) is not int or m < 1:
+            raise ValueError("multiplicities must be integers >= 1")
     total = sum(m for _, m in den_factors)
     if num.degree >= total:
         raise DegreeError(
@@ -532,11 +564,13 @@ def pfd_decompose(num: Poly,
     # order m - j.  With r = rest(0) != 0 the scaled S_j = s_j r^(j+1) obey
     #     S_j = N_j r^j - sum_{i<j} S_i rest_(j-i) r^(j-i-1),
     # so the only Fraction made per term is S_j / (L r^(j+1)).
+    # The terms come out canonical: shifts ascending, and each shift's
+    # orders ascending once its list is reversed.
     lcm_den, int_num = num._den, num._num
     terms: list[PartialFractionTerm] = []
-    for a, m in den_factors:
+    for a, m in sorted(den_factors):
         num_u = list(int_num)
-        _taylor_shift(num_u, -a)
+        _taylor_shift(num_u, -a, m)
         num_u += [0] * (m - len(num_u))
         rest = [1] + [0] * (m - 1)  # first m coefficients only
         for b, mb in den_factors:
@@ -555,6 +589,7 @@ def pfd_decompose(num: Poly,
         for _ in range(m):
             r_pow.append(r_pow[-1] * r0)
         scaled: list[int] = []
+        found: list[PartialFractionTerm] = []
         for j in range(m):
             s = num_u[j] * r_pow[j]
             for i in range(j):
@@ -562,8 +597,9 @@ def pfd_decompose(num: Poly,
             scaled.append(s)
             if s:
                 coeff = Fraction(s, lcm_den * r_pow[j + 1])
-                terms.append(PartialFractionTerm(coeff, a, m - j))
-    return PartialFractionForm(terms)
+                found.append(PartialFractionTerm(coeff, a, m - j))
+        terms += reversed(found)
+    return PartialFractionForm._make(tuple(terms))
 
 
 def pfd_recompose(form: PartialFractionForm) -> tuple[Poly, Poly]:

@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import (PartialFractionForm, PartialFractionTerm, Poly,
-                      as_positive_fraction, pfd_decompose)
+from .algebra import (PartialFractionForm, Poly, as_positive_fraction,
+                      pfd_decompose)
 from .ball import Ball
 from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
                         SCALE_Q, SourceConstants, constants_or_default)
@@ -218,13 +218,11 @@ def pf_expansion_identity_check(
     are equal exactly when the functions are.
     """
     c = constants_or_default(constants)
-    lhs = PartialFractionForm([
-        PartialFractionTerm(Fraction(1, 2), 0, 2),
-        PartialFractionTerm(Fraction(1), 0, 1),
-    ])
-    lhs = lhs + pfd_decompose(c.p * Fraction(1, SCALE_Q), ((0, 2), (1, 10)))
     shifted_num = Poly.monomial(1, 2) * c.p.shift(1) * Fraction(-1, SCALE_Q)
-    lhs = lhs + pfd_decompose(shifted_num, ((1, 4), (2, 10)))
+    lhs = PartialFractionForm(
+        ((Fraction(1, 2), 0, 2), (Fraction(1), 0, 1))
+        + pfd_decompose(c.p * Fraction(1, SCALE_Q), ((0, 2), (1, 10))).terms
+        + pfd_decompose(shifted_num, ((1, 4), (2, 10))).terms)
     expansion_equal = lhs == c.remainder_expansion
     diff = () if expansion_equal else _pf_diff(lhs, c.remainder_expansion)
 

@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .algebra import (ExpPoly, Frozen, PartialFractionForm,
-                      PartialFractionTerm, Poly, parse_rational)
+from .algebra import ExpPoly, Frozen, PartialFractionForm, Poly, parse_rational
 from .errors import ConstantsFormatError, DomainError
 
 DEFAULT_CONSTANTS_PATH = Path(__file__).parent / "data" / "source_constants.txt"
@@ -111,7 +110,7 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
     kind = name = None
     poly_coeffs: dict[int, int | Fraction] = {}
     poly_scale: int | Fraction = 1
-    pf_terms: list[PartialFractionTerm] = []
+    pf_terms: list[tuple[int | Fraction, int, int]] = []
     values: dict[str, int] = {}
 
     def flush():
@@ -123,7 +122,9 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             raise ConstantsFormatError(f"{path}: duplicate section [{key}]")
         if kind == "poly":
             top = max(poly_coeffs, default=-1)
-            poly = Poly([poly_coeffs.get(i, 0) for i in range(top + 1)])
+            cs = [poly_coeffs.get(i, 0) for i in range(top + 1)]
+            # integer coefficients are already the canonical numerators
+            poly = Poly._make(cs) if all(type(c) is int for c in cs) else Poly(cs)
             sections[key] = poly * poly_scale if poly_scale != 1 else poly
         elif kind == "pf":
             sections[key] = PartialFractionForm(pf_terms)
@@ -132,10 +133,11 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
         poly_coeffs, poly_scale, pf_terms, values = {}, 1, [], {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.partition("#")[0].split()
+        if not toks:
             continue
-        if line.startswith("["):
+        if toks[0].startswith("["):
+            line = raw.partition("#")[0].strip()
             if not line.endswith("]"):
                 raise ConstantsFormatError(f"{path}:{lineno}: unterminated section header")
             flush()
@@ -146,7 +148,6 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             continue
         if kind is None:
             raise ConstantsFormatError(f"{path}:{lineno}: entry before any section")
-        toks = line.split()
         if kind == "poly":
             if toks[0] == "scale":
                 if len(toks) != 2:
@@ -169,8 +170,7 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             if shift < 0 or order < 1:
                 raise ConstantsFormatError(
                     f"{path}:{lineno}: need shift >= 0 and order >= 1")
-            pf_terms.append(PartialFractionTerm(
-                _parse_rational(toks[0], path, lineno), shift, order))
+            pf_terms.append((_parse_rational(toks[0], path, lineno), shift, order))
         else:
             if len(toks) != 2:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<label> <integer>'")
@@ -218,9 +218,14 @@ def load_constants(path: str | Path | None = None) -> SourceConstants:
     """
     if path is not None:
         resolved = Path(path).resolve()
-        if resolved != DEFAULT_CONSTANTS_PATH.resolve():
+        if resolved != _default_resolved():
             return _load_other(resolved, _read_text(resolved))
     return _load_default()
+
+
+@lru_cache(maxsize=1)
+def _default_resolved() -> Path:
+    return DEFAULT_CONSTANTS_PATH.resolve()
 
 
 def constants_or_default(constants: SourceConstants | None) -> SourceConstants:

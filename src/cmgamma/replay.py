@@ -138,8 +138,9 @@ def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
     c/(x+a)^m is the Laplace transform of (c/(m-1)!) t^(m-1) e^(-a*t); lifted,
     that term is the t^(m-1) coefficient of the e^((LIFT-a)t) block, which
     keeps a nonnegative exponent because every decay a is <= LIFT.  The
-    form's terms are sorted by (shift, order), so each block's coefficient
-    list only grows.
+    form's terms are sorted by (shift, order), so each block's list of
+    coefficients, kept as (numerator, denominator) pairs, only grows; each
+    block is brought to one common denominator once.
     """
     blocks: dict[int, list] = {}
     for c, a, m in form.terms:
@@ -147,8 +148,13 @@ def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
             raise FixtureMismatch(
                 f"kernel decay {a} exceeds exponent lift {KERNEL_LIFT}")
         cs = blocks.setdefault(KERNEL_LIFT - a, [])
-        cs += [0] * (m - 1 - len(cs)) + [c / math.factorial(m - 1)]
-    return ExpPoly({k: Poly(cs) for k, cs in blocks.items()})
+        cs += [(0, 1)] * (m - 1 - len(cs))
+        cs.append((c.numerator, c.denominator * math.factorial(m - 1)))
+    out = {}
+    for k, cs in blocks.items():
+        den = math.lcm(*(d for _, d in cs))
+        out[k] = Poly._make([n * (den // d) for n, d in cs], den)
+    return ExpPoly._make(out)
 
 
 def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly:
@@ -185,7 +191,7 @@ def build_chain(constants: SourceConstants | None = None
     for stage, length in CHAIN_LENGTHS.items():
         if stage in _STAGE_FIXTURE_FACTOR:
             inv = Fraction(1, _STAGE_FIXTURE_FACTOR[stage])
-            cur = ExpPoly({k - 1: p * inv for k, p in cur.blocks() if k})
+            cur = ExpPoly._make({k - 1: p * inv for k, p in cur.blocks() if k})
         derivs = [cur]
         for _ in range(length):
             cur = cur.deriv()
@@ -195,16 +201,15 @@ def build_chain(constants: SourceConstants | None = None
 
 
 def _step(name: str, claim: str, method: str, values, ok: bool,
-          detail: str = "") -> StepRecord:
-    """An unnumbered step record; _numbered assigns the step numbers."""
+          detail: str = "") -> tuple:
+    """The fields of a step record after its number; _numbered numbers it."""
     vals = tuple((str(k), str(v)) for k, v in values)
-    return StepRecord(0, name, claim, method, vals,
-                      "pass" if ok else "fail", detail)
+    return name, claim, method, vals, "pass" if ok else "fail", detail
 
 
-def _numbered(records) -> tuple[StepRecord, ...]:
-    """The records numbered 1, 2, ... by position."""
-    return tuple(r._replace(step=i) for i, r in enumerate(records, 1))
+def _numbered(fields) -> tuple[StepRecord, ...]:
+    """Step records numbered 1, 2, ... by position, one per fields tuple."""
+    return tuple(StepRecord(i, *f) for i, f in enumerate(fields, 1))
 
 
 def verify_kernel_build(constants: SourceConstants | None = None
@@ -283,8 +288,8 @@ def verify_divisibility(chain: dict) -> tuple[StepRecord, ...]:
     """
     t10 = chain["theta"][10]
     t110 = chain["theta1"][10]
-    div512 = all(c.denominator == 1 and c.numerator % 512 == 0
-                 for _, p in t110.blocks() for c in p.coeffs)
+    div512 = all(p._den == 1 and not any(c % 512 for c in p._num)
+                 for _, p in t110.blocks())
     return _numbered([
         _step("divisibility-theta10",
               "theta^(10) has no e^0 block (e^t factors out exactly)",
@@ -338,7 +343,7 @@ def chain_positivity_certificate(chain: dict,
        monotonic factors; the shift induction transfers this to g itself.
     """
     constants = constants_or_default(constants)
-    steps: list[StepRecord] = []
+    steps: list[tuple] = []
 
     # the bottom stage is taken from the transcribed display (equal to the
     # computed one once the formula fixtures have been verified)
@@ -383,9 +388,9 @@ def replay_proof(constants: SourceConstants | None = None) -> CertificateReport:
     can report them."""
     constants = constants_or_default(constants)
     chain = build_chain(constants)
-    return CertificateReport(_numbered(
-        verify_kernel_build(constants)
-        + verify_derivative_fixtures(chain, constants)
-        + verify_initial_values(chain, constants)
-        + verify_divisibility(chain)
-        + chain_positivity_certificate(chain, constants).steps))
+    records = (verify_kernel_build(constants)
+               + verify_derivative_fixtures(chain, constants)
+               + verify_initial_values(chain, constants)
+               + verify_divisibility(chain)
+               + chain_positivity_certificate(chain, constants).steps)
+    return CertificateReport(_numbered(r[1:] for r in records))

@@ -214,6 +214,27 @@ class TestPartialFractions:
         assert form.eval_exact(F(1, 2)) == F(1) / (F(1, 2) * F(3, 2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PartialFractionForm([(F(1), 1.5, 2.9)]),  # was PF[1/(x+1)^2]
+    lambda: PartialFractionForm([(F(1), 0, 2.0)]),
+    lambda: PartialFractionForm([(F(1), True, 2)]),
+    lambda: PartialFractionForm([(F(1), 0, True)]),
+    lambda: pfd_decompose(Poly([1]), [(0, 2.0)]),
+    lambda: pfd_decompose(Poly([1]), [(True, 2)]),
+    lambda: ExpPoly({True: Poly((1,))}),  # was accepted and printed e^Truet
+    lambda: ExpPoly({1.0: Poly((1,))}),
+    lambda: ExpPoly.term(1, Poly((1,))).shift_exp(True),
+    lambda: ExpPoly.term(1, Poly((1,))).shift_exp(-2),
+], ids=["pf-float-shift", "pf-float-order", "pf-bool-shift", "pf-bool-order",
+        "pfd-float-order", "pfd-bool-shift", "exppoly-bool-exponent",
+        "exppoly-float-exponent", "shift-exp-bool", "shift-exp-below-zero"])
+def test_float_and_bool_indices_refused(make):
+    """Shifts, orders and exponents are ints; a float or a bool is refused,
+    never truncated by int() or printed as an exponent."""
+    with pytest.raises(ValueError):
+        make()
+
+
 def one_term(coeff, shift, order):
     return PartialFractionForm([PartialFractionTerm(coeff, shift, order)])
 

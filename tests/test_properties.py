@@ -15,7 +15,9 @@ psi plus the exact rational part at four times the precision; the Bernoulli
 numbers are checked against mpmath's; the integer partial-fraction
 decomposition is checked against sympy's ``apart`` and by recomposing it;
 the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
-plain Fraction-tuple formulas.
+plain Fraction-tuple formulas, and every ExpPoly derived without the public
+constructor against that constructor's result; the partial-fraction merge
+is checked against the term-by-term Fraction merge it replaced.
 """
 
 import inspect
@@ -639,18 +641,90 @@ def test_poly_rejects_floats():
             bad()
 
 
+def assert_exppoly(e: ExpPoly, blocks: dict):
+    """e equals, and hashes like, the public constructor's ExpPoly of blocks."""
+    public = ExpPoly(blocks)
+    assert e == public and hash(e) == hash(public)
+    assert e.blocks() == public.blocks() and e.exponents() == public.exponents()
+
+
 @SETTINGS
-@given(st.dictionaries(st.integers(0, 4), poly_inputs, max_size=4))
-@example({0: [5], 1: ["1/2", 0, F(-3, 7)], 3: [0, 0]})
-def test_exppoly_deriv_matches_reference(blocks):
-    e = ExpPoly({k: Poly(cs) for k, cs in blocks.items()})
+@given(st.dictionaries(st.integers(0, 4), poly_inputs, max_size=4),
+       st.integers(0, 3), scalars)
+@example({0: [5], 1: ["1/2", 0, F(-3, 7)], 3: [0, 0]}, 0, 1)
+@example({0: [7]}, 2, 0)  # a constant e^0 block derives to zero
+def test_exppoly_deriv_matches_reference(blocks, k, c):
+    e = ExpPoly({j: Poly(cs) for j, cs in blocks.items()})
     want = {}
-    for k, cs in blocks.items():
+    for j, cs in blocks.items():
         a = ref_norm(map(F, cs))
-        block = ref_add(ref_deriv(a), ref_scale(a, F(k)))
+        block = ref_add(ref_deriv(a), ref_scale(a, F(j)))
         if block:
-            want[k] = block
+            want[j] = block
     d = e.deriv()
-    assert {k: p.coeffs for k, p in d.blocks()} == want
-    assert d == ExpPoly({k: Poly(cs) for k, cs in want.items()})
+    assert {j: p.coeffs for j, p in d.blocks()} == want
     assert d.eval_exact_at_zero() == sum((cs[0] for cs in want.values()), F(0))
+    # derived ExpPolys skip the public constructor; they must equal its result
+    assert_exppoly(d, {j: Poly(cs) for j, cs in want.items()})
+    assert_exppoly(e.shift_exp(k), {j + k: p for j, p in e.blocks()})
+    assert_exppoly(c * e, {j: p * c for j, p in e.blocks()})
+    assert_exppoly(-e, {j: -p for j, p in e.blocks()})
+    assert_exppoly(e + d, {j: e.block(j) + d.block(j)
+                           for j in set(e.exponents()) | set(d.exponents())})
+    if blocks == {0: [7]}:
+        assert d == ExpPoly({}) and hash(d) == hash(ExpPoly({}))
+
+
+# PartialFractionForm merges a coefficient into another only when its
+# (shift, order) key repeats; the reference is the term-by-term Fraction
+# merge it replaced.
+
+def ref_merge(terms) -> tuple:
+    merged = {}
+    for t in terms:
+        t = PartialFractionTerm(F(t[0]), int(t[1]), int(t[2]))
+        key = (t.shift, t.order)
+        merged[key] = merged.get(key, F(0)) + t.coeff
+    return tuple(PartialFractionTerm(c, s, o)
+                 for (s, o), c in sorted(merged.items()) if c != 0)
+
+
+# few keys, so keys repeat; int, str and Fraction coefficients
+pf_coeffs = st.one_of(st.integers(-20, 20), st.fractions(-5, 5, max_denominator=12))
+pf_term_lists = st.lists(st.tuples(st.one_of(pf_coeffs, pf_coeffs.map(str)),
+                                   st.integers(0, 3), st.integers(1, 4)), max_size=12)
+
+
+@SETTINGS
+@given(pf_term_lists, pf_term_lists)
+@example([(1, 2, 3), ("1/2", 0, 1), (F(2), 2, 3)], [("-1/2", 0, 1), (-3, 2, 3)])
+@example([(F(1, 3), 1, 2), ("1/6", 1, 2)], [(0, 0, 1), ("-1/2", 1, 2)])
+@example([(5, 3, 4), (1, 0, 1)], [])  # unsorted, no key repeats
+def test_pf_merge_matches_reference(ta, tb):
+    both = PartialFractionForm(ta + tb)
+    assert PartialFractionForm(ta).terms == ref_merge(ta)
+    assert both.terms == ref_merge(ta + tb)
+    assert all(type(t) is PartialFractionTerm and type(t.coeff) is F and t.coeff
+               for t in both.terms)
+    # the same function by every route: constructor, + and pfd_decompose
+    num, _ = pfd_recompose(both)
+    factors = {}
+    for _, a, m in both.terms:
+        factors[a] = max(factors.get(a, 0), m)
+    for same in (PartialFractionForm(ta) + PartialFractionForm(tb),
+                 PartialFractionForm(tb) + PartialFractionForm(ta),
+                 PartialFractionForm(reversed(ta + tb)),
+                 pfd_decompose(num, sorted(factors.items(), reverse=True))):
+        assert same == both and hash(same) == hash(both)
+
+
+@SETTINGS
+@given(poly_inputs, st.integers(0, 3))
+@example(["1/2", 0, -3], 0)
+def test_pfd_at_shift_zero_is_the_coefficient_list(cs, extra):
+    """num / x^m = sum a_i / x^(m-i): the exact oracle of a decomposition
+    whose only shift is 0, where no Taylor shift is made."""
+    num = Poly(cs)
+    m = max(num.degree + 1, 1) + extra
+    want = PartialFractionForm([(c, 0, m - i) for i, c in enumerate(num.coeffs)])
+    assert pfd_decompose(num, ((0, m),)) == want
