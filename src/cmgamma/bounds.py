@@ -108,11 +108,13 @@ def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
 
 class _Jet(dict):
     """psi^(m)(x) by (m, prec), filled by `psi`.  The one place where the
-    orders of a point are computed."""
+    orders of a point are computed; `scaled` also keeps, per precision, the
+    orders 1..T as integers over one common denominator."""
 
     def __init__(self, x: Fraction):
         super().__init__()
         self.x = x
+        self._scales: dict[int, tuple[int, list[int], list[int]]] = {}
 
     def psi(self, orders: Sequence[int], prec: int) -> list[Ball]:
         """psi^(m)(x) at prec bits for each m in orders; the missing ones
@@ -122,6 +124,19 @@ class _Jet(dict):
             self.update(zip([(m, prec) for m in missing],
                             polygamma(missing, self.x, prec)))
         return [self[m, prec] for m in orders]
+
+    def scaled(self, top: int, prec: int) -> tuple[int, list[int], list[int]]:
+        """`_common_scale` of psi^(1..T)(x) at prec bits, T >= top: formed
+        over every order held from 1 upward, and again only when top passes
+        them (an escalated cell that adds orders at its precision)."""
+        scale = self._scales.get(prec)
+        if scale is None or len(scale[1]) < top:
+            self.psi(range(1, top + 1), prec)
+            while (top + 1, prec) in self:
+                top += 1
+            scale = self._scales[prec] = _common_scale(
+                [self[m, prec] for m in range(1, top + 1)])
+        return scale
 
 
 def g_derivative(k: int, x, prec: int = 128,
@@ -136,7 +151,8 @@ def g_derivative(k: int, x, prec: int = 128,
     x (trusted as given); without it they come from a fresh jet.
 
     With every psi^(m) ball written as (P_m +/- R_m)/D over one common
-    denominator D = 2^S, the sum and its radius
+    denominator D = 2^S, which the jet forms once per precision, the sum
+    and its radius
     sum_j C(k,j) (|P_a| R_b + R_a |P_b| + R_a R_b) are exact integers over
     D^2 (the j and k-j terms are equal, so each pair is formed once);
     psi^(k+2) and the exact rational part join them and the cell is rounded
@@ -148,7 +164,7 @@ def g_derivative(k: int, x, prec: int = 128,
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
     jet = _jet if _jet is not None else _Jet(x)
-    den, mids, rads = _common_scale(jet.psi(range(1, k + 3), prec))
+    den, mids, rads = jet.scaled(k + 2, prec)
     total = rad = 0
     for j in range(k // 2 + 1):
         a, b = j, k - j  # list indices of the orders 1+j and 1+k-j

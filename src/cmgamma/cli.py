@@ -139,15 +139,24 @@ def cmd_identity_check(args) -> int:
     raise CmGammaError(f"unknown identity {which!r}")
 
 
+def _path_flag(flag: str, path: str | None) -> str | None:
+    """An absent flag is None; an explicit empty path is a usage error, so a
+    script that passes an unset variable does not get the default."""
+    if path == "":
+        raise CmGammaError(f"{flag} needs a path or '-', not an empty string")
+    return path
+
+
 def cmd_replay_proof(args) -> int:
+    emit = _path_flag("--emit", args.emit)
     report = replay.replay_proof(load_constants(args.constants))
-    if args.emit:
+    if emit is not None:
         doc = report.to_json()
-        if args.emit == "-":
+        if emit == "-":
             sys.stdout.write(doc)
         else:
-            _write(args.emit, doc)
-            print(f"certificate written to {args.emit}")
+            _write(emit, doc)
+            print(f"certificate written to {emit}")
     else:
         sys.stdout.write(report.to_text())
     if not report.overall:
@@ -158,8 +167,10 @@ def cmd_replay_proof(args) -> int:
 
 
 def _parse_grid(text: str | None) -> scan.GridSpec:
-    if not text:
+    if text is None:
         return scan.default_grid()
+    if not text:
+        raise CmGammaError("--grid needs points or a grid spec, not an empty string")
     for prefix, make, form in (("geometric:", scan.GridSpec.geometric, "START:RATIO:COUNT"),
                                ("span:", scan.GridSpec.geometric_span, "START:STOP:COUNT")):
         if text.startswith(prefix):
@@ -176,6 +187,7 @@ def _parse_grid(text: str | None) -> scan.GridSpec:
 
 def cmd_cm_scan(args) -> int:
     prec = _default_prec(args, 256)
+    output = _path_flag("--output", args.output)
     consts = load_constants(args.constants)
     grid = _parse_grid(args.grid)
     report = scan.cm_scan(args.kind, args.kmax, grid, prec, consts)
@@ -185,8 +197,8 @@ def cmd_cm_scan(args) -> int:
         out = report.to_csv()
     else:
         out = report.to_text()
-    if args.output and args.output != "-":
-        _write(args.output, out)
+    if output is not None and output != "-":
+        _write(output, out)
     else:
         sys.stdout.write(out)
     return FAIL_EXIT if report.failed else 0

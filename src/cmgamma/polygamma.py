@@ -36,12 +36,14 @@ floor(m ratio) + 1 + floor(err ratio) + 1, which is the new err, so err
 counts the accumulated error in units of 2^-ex.  Before a step the mantissa
 is shifted left, exactly, until 2^ex exceeds |B_2k| 2^64 (the tail's 64
 guard bits), so the interval is narrower than err 2^-64 units once
-multiplied by B_2k.  The term's floor is taken with B_2k's numerator and its
-small denominator at both ends of the interval; only if the two floors
-differ, because the term lies within the error of an integer, is it formed
-exactly from d^j, A^j and (2k)!.  So the sum is bit-identical to the exact
-floor of every term, at the cost of short products instead of divisions of
-numbers thousands of bits long.
+multiplied by B_2k = num/den.  The term's floor is taken with num and the
+small den at the lower end of the interval, and at the other end only when
+that floor's remainder lies within (|num| err) >> ex of the edge the
+interval moves toward, the only place the two floors can differ
+(`_sure_floor`); only if they differ, because the term lies within the
+error of an integer, is it formed exactly from d^j, A^j and (2k)!.  So the
+sum is bit-identical to the exact floor of every term, at the cost of short
+products instead of divisions of numbers thousands of bits long.
 
 The Bernoulli numbers B_2k come exactly from the tangent numbers T_k, by
 the O(k^2) integer recurrence of Brent & Harvey ("Fast computation of
@@ -67,7 +69,9 @@ and b = n + i d, two exact nested-floor identities give every order from it,
 
 so each higher order costs one short division by b, and each term is the
 same floor as in a series of its own; when d is a power of two, d^(S-s) is
-folded into the shift.  The tail runs one loop over k that shares the B_2k
+folded into the shift.  Each order takes one pass over all N terms, in
+`map` and `sum` over the list of the previous order's floors, so no Python
+loop runs per term.  The tail runs one loop over k that shares the B_2k
 lookup, the guard shift (ex depends on k only), q = (2k-1) 2k A^2 and
 625 A^2, while each order keeps its own mantissa interval, err, low, stop
 and divergence test.  The orders that diverge at one N retry together at
@@ -87,6 +91,8 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import floordiv, rshift
 
 from .algebra import as_positive_fraction
 from .ball import Ball, _mpf_tuple_to_fraction
@@ -127,29 +133,41 @@ def _heads(exps: list[int], n: int, d: int, n_terms: int,
            fbits: dict[int, int]) -> dict[int, int]:
     """sum_{i < N} floor(d^s 2^F_s / (n + i d)^s) for each s of the ascending
     exps, from one long division floor(W/b^lo) per term b = n + i d and the
-    nested-floor identities of the module docstring."""
+    nested-floor identities of the module docstring, one pass over all N
+    terms per order."""
     lo, top = exps[0], exps[-1]
     high = max(fbits[s] for s in exps)
-    big_w = d ** top << high
     t = d.bit_length() - 1
     wanted = set(exps)
-    plan = []  # (wanted, divisor, shift) for s = lo..top
+    terms = range(n, n + n_terms * d, d)
+    v = list(map(floordiv, repeat(d ** top << high), map(pow, terms, repeat(lo))))
+    sums = {}
     for s in range(lo, top + 1):
-        shift = high - fbits[s] if s in wanted else 0
-        if d == 1 << t:  # d^(S-s) is a shift too
-            plan.append((s in wanted, 1, shift + t * (top - s)))
-        else:
-            plan.append((s in wanted, d ** (top - s), shift))
-    sums = [0] * len(plan)
-    for i in range(n_terms):
-        b = n + i * d
-        v = big_w // b ** lo
-        for idx, (keep, div, shift) in enumerate(plan):
-            if idx:
-                v //= b
-            if keep:
-                sums[idx] += (v // div if div != 1 else v) >> shift
-    return {s: sums[s - lo] for s in exps}
+        if s > lo:
+            v = list(map(floordiv, v, terms))
+        if s in wanted:
+            shift = high - fbits[s]
+            if d == 1 << t:  # d^(S-s) is a shift too
+                sums[s] = sum(map(rshift, v, repeat(shift + t * (top - s))))
+            else:
+                cut = map(floordiv, v, repeat(d ** (top - s))) if s < top else v
+                sums[s] = sum(map(rshift, cut, repeat(shift)))
+    return sums
+
+
+def _sure_floor(bm: int, num: int, err: int, ex: int, den: int) -> int | None:
+    """floor((bm >> ex) / den), the term's floor at the mantissa's lower end
+    bm = num m, or None if the floor at the other end bm + num err differs.
+
+    That floor is formed only when the first one's remainder lies within
+    reach = (|num| err) >> ex of the edge the interval moves toward: the two
+    shifted ends differ by at most reach + 1, as floor(a + b) <= floor(a) +
+    floor(b) + 1, so a farther remainder leaves both ends in one interval
+    [term den, (term + 1) den) and the floors equal."""
+    term, rest = divmod(bm >> ex, den)
+    if (den - 1 - rest if num > 0 else rest) > (abs(num) * err) >> ex:
+        return term
+    return term if term == ((bm + num * err) >> ex) // den else None
 
 
 def _zeta_like_sums(orders: Iterable[int], x: Fraction,
@@ -189,8 +207,7 @@ def _zeta_like_sums(orders: Iterable[int], x: Fraction,
             m = (s * d ** (s + 1) << (fbits + ex)) // (2 * big_a ** (s + 1))
             # X_1 = V_1 64 (s+1) d / (3125 A), and low <= X_k stays a lower bound
             low = (m * 64 * (s + 1) * d // (3125 * big_a)) >> ex
-            # floors: each floor division is short by < 1 unit
-            live.append((s, fbits, target, m, 1, low, total, n_terms + 2))
+            live.append((s, fbits, target, m, 1, low, total))
         bq = 625 * a2  # X_k / X_(k-1) = bp / bq
         for k in range(1, 100001):
             num, den = _bernoulli(2 * k).as_integer_ratio()
@@ -200,7 +217,7 @@ def _zeta_like_sums(orders: Iterable[int], x: Fraction,
                 ex += shift
                 q = (2 * k - 1) * (2 * k) * a2
             going = []
-            for s, fbits, target, m, err, low, total, floors in live:
+            for s, fbits, target, m, err, low, total in live:
                 j = s + 2 * k - 1
                 if k > 1:
                     p = (j - 2) * (j - 1) * d2
@@ -208,21 +225,22 @@ def _zeta_like_sums(orders: Iterable[int], x: Fraction,
                     bp = 16 * (j - 1) * j * d2
                     low = low * bp // bq
                 bm = num * m
-                term = (bm >> ex) // den
-                if term != ((bm + num * err) >> ex) // den:
+                term = _sure_floor(bm, num, err, ex, den)
+                if term is None:
                     # the floor is in doubt: form the term exactly
                     term = ((num * math.perm(j - 1, 2 * k - 1) * d ** j << fbits)
                             // (den * math.factorial(2 * k) * big_a ** j))
                 total += term
-                floors += 1
                 if low <= target:
                     bound = exact_bound(s, k, fbits)
                     if bound <= target:
-                        done[s] = (total, floors + bound, fbits)
+                        # each of the n_terms + 2 + k floor divisions is
+                        # short by < 1 unit
+                        done[s] = (total, n_terms + 2 + k + bound, fbits)
                         continue
                 if k > 1 and bp > bq and exact_bound(s, k, fbits) > exact_bound(s, k - 1, fbits):
                     continue  # the asymptotic terms started diverging; need larger N
-                going.append((s, fbits, target, m, err, low, total, floors))
+                going.append((s, fbits, target, m, err, low, total))
             live = going
             if not live:
                 break

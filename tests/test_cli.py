@@ -215,6 +215,13 @@ class TestReplayProof:
                            str(tmp_path / "no" / "such" / "dir" / "c.json"))
         assert code == 2 and "cannot write" in err
 
+    def test_empty_emit_is_usage_error(self, capsys):
+        # an explicit empty path is not an absent flag: no text report, no
+        # certificate, one error line
+        code, out, err = run(capsys, "replay-proof", "--emit", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --emit") and err.count("\n") == 1
+
     def test_corrupted_constants_exit_one(self, capsys, mutate_constants):
         path = mutate_constants(r"1 435456000", "1 435456001")
         code, out, err = run(capsys, "replay-proof", "--constants", str(path))
@@ -287,6 +294,17 @@ class TestCmScan:
         code, out, err = run(capsys, "cm-scan", "g", "--kmax", "0", "--grid", grid)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--grid", "--output"])
+    def test_empty_flag_is_usage_error(self, capsys, monkeypatch, tmp_path, flag):
+        # an explicit empty --grid is not the default grid, and an explicit
+        # empty --output is not stdout
+        monkeypatch.chdir(tmp_path)
+        argv = ["cm-scan", "g", "--kmax", "0", "--grid", "1", flag, ""]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize("grid", [
@@ -431,7 +449,7 @@ def _fuzz_argv(rng, files, tmp_path):
         argv += maybe("--prec", PREC)
     elif command == "replay-proof":
         argv = [command] + maybe("--emit", (("-", str(tmp_path / "c.json")),
-                                            (str(tmp_path / "no" / "c.json"),)))
+                                            (str(tmp_path / "no" / "c.json"), "")))
     elif command == "cm-scan":
         points = ",".join(pick(X) for _ in range(rng.randint(1, 3)))
         grid = points if rng.random() < 0.7 else pick(GRID_SPEC)
@@ -439,7 +457,7 @@ def _fuzz_argv(rng, files, tmp_path):
         argv += maybe("--kmax", KMAX) + maybe("--prec", PREC)
         argv += maybe("--format", (("text", "json", "csv"), ("xml",)))
         argv += maybe("--output", (("-", str(tmp_path / "scan.out")),
-                                   (str(tmp_path / "no" / "scan.out"),)))
+                                   (str(tmp_path / "no" / "scan.out"), "")))
     else:
         argv = [command]
     if command not in ("frobnicate", "-h") and rng.random() < 0.2:

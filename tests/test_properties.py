@@ -7,7 +7,9 @@ reference copy of one order's loop that recomputes every remainder bound
 and every term exactly, also with the tail's guard bits cut to 0-2 so
 that its exact in-doubt branch runs; the tail's mantissa
 interval is checked against the exact V_k, and its lower bound against the
-exact remainder bound, at every step; polygamma is checked for containment
+exact remainder bound, at every step, and the tail's reach test for a
+term's floor against taking the floor at both ends of the interval;
+polygamma is checked for containment
 of mpmath's psi and Hurwitz zeta at four times the precision, and its ball
 for lying inside the one the same series gives with 16 extra guard bits per
 order; the derivatives of g and H are checked for containment of mpmath's
@@ -17,10 +19,12 @@ decomposition is checked against sympy's ``apart`` and by recomposing it;
 the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
 plain Fraction-tuple formulas, and every ExpPoly derived without the public
 constructor against that constructor's result; the partial-fraction merge
-is checked against the term-by-term Fraction merge it replaced.
+is checked against the term-by-term Fraction merge it replaced; the report
+writer is checked byte for byte against ``json.dumps`` with the same layout.
 """
 
 import inspect
+import json
 import math
 import sys
 from fractions import Fraction as F
@@ -39,7 +43,9 @@ from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                load_constants)
 from cmgamma.errors import PrecisionError
-from cmgamma.polygamma import MAX_ORDER, _bernoulli, _zeta_like_sums, polygamma
+from cmgamma.polygamma import (MAX_ORDER, _bernoulli, _sure_floor, _zeta_like_sums,
+                               polygamma)
+from cmgamma.reporting import SCHEMA, stable_json_dumps
 from oracles import contains, polygamma_per_order_guard, rational_part_derivatives
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -319,6 +325,10 @@ def test_series_matches_reference_loop(s, x, wbits):
 @example([2, 3, 16], F(2 ** 20), 1100)  # N = 0: no head terms
 @example([2, 10, 11], F(1, 2 ** 20), 64)
 @example([30, 2], F(9), 8)  # s = 30 diverges at the first N, s = 2 does not
+# gapped orders: the head's passes run through the orders between them
+@example([2, 5, 11], F(7, 5), 448)
+@example([2, 5, 11], F(1, 3), 288)
+@example([3, 33], F(1, 2 ** 20), 200)
 def test_joint_series_matches_reference_loop(orders, x, wbits):
     # every order of one joint series is the sum its own series gives
     sums = _zeta_like_sums(tuple(orders), x, wbits)
@@ -378,6 +388,27 @@ def test_series_in_doubt_branch_matches_reference_loop(s, x, wbits, guard,
             sys.setprofile(outer)
     assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
     assert exact >= min_exact
+
+
+@settings(SETTINGS, max_examples=400)
+@given(st.integers(-2 ** 400, 2 ** 400), st.integers(0, 2 ** 700),
+       st.integers(0, 2 ** 20), st.integers(0, 600), st.integers(1, 2 ** 40))
+# the remainder is within reach of the edge but not next to it, so a test of
+# only rest == den - 1 (num > 0) or rest == 0 (num < 0) misses the doubt
+@example(1, 17, 5, 0, 10)
+@example(-1, 17, 5, 0, 10)
+@example(2 ** 60 + 1, 3475090062471141626, 2 ** 21, 64, 2 ** 44 + 7)  # den err > 2^64
+# the remainder exactly at reach of the edge, where the shifted ends' carry
+# still moves the floor
+@example(1, 3, 1, 1, 2)
+@example(-1, 4, 1, 1, 2)
+def test_sure_floor_matches_two_floor_reference(num, m, err, ex, den):
+    # the term's floor is sure exactly when both ends of the mantissa
+    # interval, num m and num (m + err), give it
+    bm = num * m
+    low = (bm >> ex) // den
+    sure = low if low == ((bm + num * err) >> ex) // den else None
+    assert _sure_floor(bm, num, err, ex, den) == sure
 
 
 def _line_of(func, statement: str) -> int:
@@ -728,3 +759,29 @@ def test_pfd_at_shift_zero_is_the_coefficient_list(cs, extra):
     m = max(num.degree + 1, 1) + extra
     want = PartialFractionForm([(c, 0, m - i) for i, c in enumerate(num.coeffs)])
     assert pfd_decompose(num, ((0, m),)) == want
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@SETTINGS
+@given(st.dictionaries(st.text(), json_values, max_size=5), st.text())
+@example({}, "")
+@example({"a": [], "b": {}, "c": (), "d": [[], {}]}, "cm_scan")
+@example({"\u00e9\x00\n\"\\": ["\ud83d\ude00", "\x1f\x7f"]}, "caf\u00e9")
+@example({"n": [-2 ** 100, 0, True, False, None, (1, (2,))]}, "certificate")
+def test_report_writer_matches_json(payload, kind):
+    doc = {"schema": SCHEMA, "kind": kind, "payload": payload}
+    expected = json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    assert stable_json_dumps(payload, kind) == expected
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", object(), 1j, 0.5, {1: "a"}])
+def test_report_writer_refuses_unsupported_types(value):
+    # json refuses the first four too; reports hold no floats and only str keys
+    with pytest.raises(TypeError):
+        stable_json_dumps({"v": [value]}, "cm_scan")

@@ -291,6 +291,33 @@ class TestIntegerCells:
             alone = deriv(e.k, e.x, e.prec_used)
             assert (alone.mid, alone.rad) == (e.ball.mid, e.ball.rad)
 
+    def test_common_scale_formed_once_per_fill(self, monkeypatch):
+        # a g scan puts the psi orders of a point over one common denominator
+        # once per precision, and again only when an escalated cell adds
+        # orders at its precision: once per joint polygamma call.  The cells
+        # equal those of fresh jets (the two tests above).
+        formed, fills = [], []
+        scale, direct = bounds._common_scale, bounds.polygamma
+
+        def common_scale(balls):
+            formed.append(len(balls))
+            return scale(balls)
+
+        def polygamma(orders, x, p):
+            fills.append((x, p))
+            return direct(orders, x, p)
+
+        monkeypatch.setattr(bounds, "_common_scale", common_scale)
+        monkeypatch.setattr(bounds, "polygamma", polygamma)
+        cm_scan("g", 8)
+        assert len(formed) == len(fills) == 25
+        assert formed == [10] * 25  # every order the point holds, 1..k_max + 2
+        formed.clear()
+        fills.clear()
+        rep = cm_scan("g", 12, GridSpec.explicit([F(1), F(64), F(1000)]), 8)
+        assert {e.prec_used for e in rep.entries} == {8, 16, 32}
+        assert len(formed) == len(fills) == 32
+
 
 class TestInequalityScan:
     """The inequality psi'^2 + psi'' > B is the k = 0 row of the g scan."""
