@@ -29,7 +29,8 @@ Exact values read from outside (command-line arguments, constants-file
 tokens) all pass through `parse_rational`, which rejects a numerator or
 denominator above MAX_POINT_BITS bits, and a decimal exponent too large for
 that limit before 10^exponent is built.  `Frozen` is the base of every
-immutable value type in the package.
+immutable value type in the package, and the one rule by which a value
+type compares: by its key, if it names one, else by identity.
 """
 
 from __future__ import annotations
@@ -112,9 +113,28 @@ def parse_rational(text: str) -> Rat:
 
 class Frozen:
     """Base of the immutable value types: a subclass sets its slots once,
-    through object.__setattr__, and they are never rebound or deleted."""
+    through object.__setattr__, and they are never rebound or deleted.
+
+    A subclass that compares by value names its key once, as a class
+    keyword ``class Poly(Frozen, key=...)``: a function of the instance
+    that returns a hashable canonical form.  Two values are equal when
+    they have the same type and equal keys, and a value hashes as its key;
+    against any other type ``==`` gives NotImplemented.  A subclass that
+    names no key keeps object's identity equality and hashing.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, key=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if key is not None:
+            def __eq__(self, other):
+                if type(other) is not type(self):
+                    return NotImplemented
+                return key(self) == key(other)
+
+            cls.__eq__ = __eq__
+            cls.__hash__ = lambda self: hash(key(self))
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -122,18 +142,18 @@ class Frozen:
     __delattr__ = __setattr__
 
 
-class Poly(Frozen):
+class Poly(Frozen, key=lambda p: (p._num, p._den)):
     """Dense univariate polynomial with exact rational coefficients.
 
     Stored as integer numerators over one positive common denominator in
     lowest terms: coefficient i is ``Fraction(num[i], den)``, the numerators
     carry no trailing zeros, gcd(den, *num) == 1, and the zero polynomial is
-    ((), 1).  The form is canonical, so ``==`` and ``hash`` are structural.
-    ``coeffs`` is the tuple of Fraction coefficients (index = power), built
-    on first use.  Instances are immutable.
+    ((), 1).  The form is canonical, so it is the key of ``==`` and ``hash``.
+    ``coeffs`` is the tuple of Fraction coefficients (index = power).
+    Instances are immutable.
     """
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
@@ -148,7 +168,6 @@ class Poly(Frozen):
             den = 1
         object.__setattr__(self, "_num", tuple(num))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _make(cls, num: list, den: int = 1) -> "Poly":
@@ -183,30 +202,16 @@ class Poly(Frozen):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            den = self._den
-            object.__setattr__(self, "_coeffs",
-                               tuple(Fraction(c, den) for c in self._num))
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self._num) - 1
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self._num == other._num and self._den == other._den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         if not self._num:
@@ -317,8 +322,9 @@ def _taylor_shift(cs: list, c: int, passes: int | None = None) -> None:
             cs[j] += c * cs[j + 1]
 
 
-class ExpPoly(Frozen):
-    """Exponential polynomial: finite sum over k >= 0 of p_k(t) * e^(k*t)."""
+class ExpPoly(Frozen, key=lambda e: e.blocks()):
+    """Exponential polynomial: finite sum over k >= 0 of p_k(t) * e^(k*t),
+    keyed by its nonzero blocks sorted by exponent."""
 
     __slots__ = ("_blocks",)
 
@@ -356,17 +362,6 @@ class ExpPoly(Frozen):
 
     def exponents(self) -> tuple[int, ...]:
         return tuple(sorted(self._blocks))
-
-    def is_zero(self) -> bool:
-        return not self._blocks
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExpPoly):
-            return self._blocks == other._blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.blocks())
 
     def __repr__(self) -> str:
         if not self._blocks:
@@ -435,13 +430,13 @@ class PartialFractionTerm(NamedTuple):
     order: int
 
 
-class PartialFractionForm(Frozen):
+class PartialFractionForm(Frozen, key=lambda f: f.terms):
     """A canonical proper rational function: a sum of coeff/(x+shift)^order
     terms and no polynomial part.
 
     Terms are merged on (shift, order), zero coefficients dropped, and the
-    tuple kept sorted by (shift, order), so equal forms compare equal
-    structurally.  A coefficient is added to another only when its
+    tuple kept sorted by (shift, order), so that tuple is the key of ``==``
+    and ``hash``.  A coefficient is added to another only when its
     (shift, order) key repeats; a key seen once keeps its coefficient.
     """
 
@@ -474,25 +469,12 @@ class PartialFractionForm(Frozen):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_shift_groups", None)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PartialFractionForm):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
     def __repr__(self) -> str:
         bits = []
         for c, a, m in self.terms:
             base = "x" if a == 0 else f"(x+{a})"
             bits.append(f"{c}/{base}^{m}" if m > 1 else f"{c}/{base}")
         return "PF[" + " + ".join(bits or ["0"]) + "]"
-
-    def __add__(self, other: "PartialFractionForm") -> "PartialFractionForm":
-        if not isinstance(other, PartialFractionForm):
-            return NotImplemented
-        return PartialFractionForm(self.terms + other.terms)
 
     def eval_exact(self, x: Rat, k: int = 0) -> Fraction:
         """Exact k-th derivative at rational x (x must avoid the poles).

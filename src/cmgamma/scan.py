@@ -50,8 +50,9 @@ _KINDS: dict[str, Callable] = {
 _TOP_ORDER_OVER_K = {"g": 2, "H": 1}
 
 
-class GridSpec(Frozen):
-    """A finite list of positive rational evaluation points (immutable)."""
+class GridSpec(Frozen, key=lambda g: g.points):
+    """A finite list of distinct positive rational evaluation points
+    (immutable); a repeated point is a DomainError."""
 
     __slots__ = ("points",)
 
@@ -61,15 +62,11 @@ class GridSpec(Frozen):
         _check_grid_size(len(points))
         if any(p <= 0 for p in points):
             raise DomainError("grid points must be positive")
+        ordered = sorted(points)
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise DomainError(f"grid point {a} is repeated")
         object.__setattr__(self, "points", points)
-
-    def __eq__(self, other):
-        if type(other) is not GridSpec:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash(self.points)
 
     def __repr__(self) -> str:
         return f"GridSpec(points={self.points!r})"

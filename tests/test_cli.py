@@ -295,6 +295,12 @@ class TestCmScan:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", ["1,1,1", "span:1:1:3", "geometric:1:1:3"])
+    def test_repeated_grid_point_exit_two(self, capsys, grid):
+        code, out, err = run(capsys, "cm-scan", "g", "--kmax", "0", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == "error: grid point 1 is repeated\n"
+
     @pytest.mark.parametrize("flag", ["--grid", "--output"])
     def test_empty_flag_is_usage_error(self, capsys, monkeypatch, tmp_path, flag):
         # an explicit empty --grid is not the default grid, and an explicit
@@ -368,7 +374,12 @@ ORDER = (("1", "2", "32"), ("33", "0", "-1", "y"))
 KMAX = (("0", "1", "2", "3"), ("-1", "13", "z"))
 GRID_SPEC = (("geometric:1/2:2:3", "span:1/4:4:3"),
              ("span:1:2", "geometric:1:0:3", "span:1:2:0", "span:1:2:100000000",
-              "1,,2", ",", ""))
+              "1,,2", ",", "", "1,1"))
+# The invalid points that some functions still read: p and Q take any
+# rational, and psi, B and H take 2^-30, which is below the cutoff of g
+# (and so of the g scan and the telescoping check).
+X_READ_BY = {"0": ("p", "Q"), "-1": ("p", "Q"),
+             "1/1073741824": ("psi1", "psi2", "polygamma", "p", "Q", "B", "H")}
 
 
 def _constants_files(tmp_path):
@@ -430,50 +441,73 @@ def test_constants_shift_beyond_the_remainder_is_usage_error(tmp_path, capsys):
 
 
 def _fuzz_argv(rng, files, tmp_path):
-    def pick(tokens):
-        return rng.choice(tokens[1] if rng.random() < 0.15 else tokens[0])
+    """A random argv, and whether it must exit 2: it must when a token its
+    command always reads was drawn invalid and no token was deleted or
+    inserted afterwards."""
+    usage_error = False
 
-    def maybe(flag, tokens):
-        return [flag, pick(tokens)] if rng.random() < 0.5 else []
+    def pick(tokens, reader=None):
+        """A token, invalid with probability 0.15.  `reader` is the command
+        or function that always reads it (None if it may go unread); an
+        invalid token it reads makes the draw a usage error."""
+        nonlocal usage_error
+        token = rng.choice(tokens[1] if rng.random() < 0.15 else tokens[0])
+        if (reader is not None and token in tokens[1]
+                and reader not in X_READ_BY.get(token, ())):
+            usage_error = True
+        return token
 
-    command = pick((("eval", "identity-check", "replay-proof", "cm-scan"),
-                    ("frobnicate", "-h")))
+    def maybe(flag, tokens, reader=None):
+        return [flag, pick(tokens, reader)] if rng.random() < 0.5 else []
+
+    command = pick((("eval", "identity-check", "replay-proof", "cm-scan", "-h"),
+                    ("frobnicate",)), "cmgamma")
     if command == "eval":
-        argv = [command, pick((("psi1", "psi2", "polygamma", "p", "Q", "B", "g", "H"),
-                               ("zeta",))), pick(X)]
-        argv += maybe("--order", ORDER)
-        argv += ["--crosscheck"] if rng.random() < 0.1 else maybe("--prec", PREC)
+        function = pick((("psi1", "psi2", "polygamma", "p", "Q", "B", "g", "H"),
+                         ("zeta",)), command)
+        argv = [command, function, pick(X, function)]
+        argv += maybe("--order", ORDER, function if function == "polygamma" else None)
+        argv += ["--crosscheck"] if rng.random() < 0.1 else maybe("--prec", PREC, command)
     elif command == "identity-check":
-        argv = [command, pick((("expansion", "remark2", "telescoping"), ("other",)))]
-        argv += ["--x", pick(X)] if rng.random() < 0.8 else []
-        argv += maybe("--prec", PREC)
+        which = pick((("expansion", "remark2", "telescoping"), ("other",)), command)
+        reader = "g" if which == "telescoping" else None  # only it reads --x, --prec
+        argv = [command, which] + (["--x", pick(X, reader)] if rng.random() < 0.8 else [])
+        argv += maybe("--prec", PREC, reader)
     elif command == "replay-proof":
         argv = [command] + maybe("--emit", (("-", str(tmp_path / "c.json")),
-                                            (str(tmp_path / "no" / "c.json"), "")))
+                                            (str(tmp_path / "no" / "c.json"), "")), command)
     elif command == "cm-scan":
-        points = ",".join(pick(X) for _ in range(rng.randint(1, 3)))
-        grid = points if rng.random() < 0.7 else pick(GRID_SPEC)
-        argv = [command, pick((("g", "H"), ("h",))), "--grid", grid]
-        argv += maybe("--kmax", KMAX) + maybe("--prec", PREC)
-        argv += maybe("--format", (("text", "json", "csv"), ("xml",)))
+        kind = pick((("g", "H"), ("h",)), command)
+        if rng.random() < 0.7:
+            points = [pick(X, kind) for _ in range(rng.randint(1, 3))]
+            usage_error |= len(set(points)) < len(points)  # a repeated point
+            grid = ",".join(points)
+        else:
+            grid = pick(GRID_SPEC, command)
+        argv = [command, kind, "--grid", grid]
+        argv += maybe("--kmax", KMAX, command) + maybe("--prec", PREC, command)
+        argv += maybe("--format", (("text", "json", "csv"), ("xml",)), command)
         argv += maybe("--output", (("-", str(tmp_path / "scan.out")),
-                                   (str(tmp_path / "no" / "scan.out"), "")))
+                                   (str(tmp_path / "no" / "scan.out"), "")), command)
     else:
         argv = [command]
     if command not in ("frobnicate", "-h") and rng.random() < 0.2:
         argv += ["--constants", rng.choice(files)]
     if rng.random() < 0.05:
         del argv[rng.randrange(len(argv))]
+        usage_error = False
     if rng.random() < 0.05:
         argv.insert(rng.randrange(len(argv) + 1), "--bogus")
-    return argv
+        usage_error = False
+    return argv, usage_error
 
 
 def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
     rng = random.Random(20261018)
     files = _constants_files(tmp_path)
+    usage_errors = 0
     for _ in range(200):
-        argv = _fuzz_argv(rng, files, tmp_path)
+        argv, usage_error = _fuzz_argv(rng, files, tmp_path)
         if rng.random() < 0.1:
             monkeypatch.setenv("CMGAMMA_PREC", rng.choice(PREC[0] + PREC[1]))
         else:
@@ -487,6 +521,10 @@ def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
         assert "Traceback" not in err, argv
         if code == 1:  # a verification failure, never a crash
             assert argv[0] in ("replay-proof", "identity-check", "cm-scan"), argv
+        if usage_error:
+            assert code == 2, argv
+            usage_errors += 1
+    assert usage_errors >= 40  # the draws do reach invalid tokens
 
 
 @pytest.mark.parametrize("module, argv, code", [

@@ -19,7 +19,9 @@ decomposition is checked against sympy's ``apart`` and by recomposing it;
 the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
 plain Fraction-tuple formulas, and every ExpPoly derived without the public
 constructor against that constructor's result; the partial-fraction merge
-is checked against the term-by-term Fraction merge it replaced; the report
+is checked against the term-by-term Fraction merge it replaced; the
+equality and hash of every keyed value type are checked against a
+reference key built from the inputs; the report
 writer is checked byte for byte against ``json.dumps`` with the same layout.
 """
 
@@ -41,11 +43,12 @@ from cmgamma.algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm,
                              Poly, pfd_decompose, pfd_recompose)
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
-                               load_constants)
+                               SourceConstants, load_constants)
 from cmgamma.errors import PrecisionError
 from cmgamma.polygamma import (MAX_ORDER, _bernoulli, _sure_floor, _zeta_like_sums,
                                polygamma)
 from cmgamma.reporting import SCHEMA, stable_json_dumps
+from cmgamma.scan import GridSpec
 from oracles import contains, polygamma_per_order_guard, rational_part_derivatives
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -737,13 +740,15 @@ def test_pf_merge_matches_reference(ta, tb):
     assert both.terms == ref_merge(ta + tb)
     assert all(type(t) is PartialFractionTerm and type(t.coeff) is F and t.coeff
                for t in both.terms)
-    # the same function by every route: constructor, + and pfd_decompose
+    # the same function by every route: constructor, merged forms and
+    # pfd_decompose
     num, _ = pfd_recompose(both)
     factors = {}
     for _, a, m in both.terms:
         factors[a] = max(factors.get(a, 0), m)
-    for same in (PartialFractionForm(ta) + PartialFractionForm(tb),
-                 PartialFractionForm(tb) + PartialFractionForm(ta),
+    fa, fb = PartialFractionForm(ta), PartialFractionForm(tb)
+    for same in (PartialFractionForm(fa.terms + fb.terms),
+                 PartialFractionForm(fb.terms + fa.terms),
                  PartialFractionForm(reversed(ta + tb)),
                  pfd_decompose(num, sorted(factors.items(), reverse=True))):
         assert same == both and hash(same) == hash(both)
@@ -759,6 +764,68 @@ def test_pfd_at_shift_zero_is_the_coefficient_list(cs, extra):
     m = max(num.degree + 1, 1) + extra
     want = PartialFractionForm([(c, 0, m - i) for i, c in enumerate(num.coeffs)])
     assert pfd_decompose(num, ((0, m),)) == want
+
+
+# The keyed value types compare by one rule: the same type and equal keys.
+# Each strategy draws (value, reference key) from few small inputs, so equal
+# keys come up often; the reference key is tagged with the type.
+def _ref_poly(cs) -> tuple:
+    return ref_norm(map(F, cs))
+
+
+few_coeffs = st.lists(st.sampled_from([0, 1, -1, F(1, 2)]), max_size=3)
+KEYED_VALUES = (
+    few_coeffs.map(lambda cs: (Poly(cs), ("Poly", _ref_poly(cs)))),
+    st.dictionaries(st.integers(0, 2), few_coeffs, max_size=2).map(
+        lambda bs: (ExpPoly({k: Poly(cs) for k, cs in bs.items()}),
+                    ("ExpPoly", tuple(sorted((k, _ref_poly(cs)) for k, cs in bs.items()
+                                             if _ref_poly(cs)))))),
+    st.lists(st.tuples(st.sampled_from([1, -1, F(1, 2)]), st.integers(0, 1),
+                       st.integers(1, 2)), max_size=3).map(
+        lambda ts: (PartialFractionForm(ts), ("PartialFractionForm", ref_merge(ts)))),
+    st.lists(st.sampled_from([F(1), F(2), F(1, 3)]), min_size=1, max_size=3,
+             unique=True).map(
+        lambda pts: (GridSpec.explicit(pts), ("GridSpec", tuple(sorted(pts))))),
+)
+
+# the same value built again by another route
+REBUILT = {
+    Poly: lambda p: Poly(p.coeffs + (0,)),
+    ExpPoly: lambda e: ExpPoly(dict(reversed(e.blocks()))),
+    PartialFractionForm: lambda f: PartialFractionForm(reversed(f.terms)),
+    GridSpec: lambda g: GridSpec.explicit(reversed(g.points)),
+}
+
+
+@SETTINGS
+@given(st.one_of(*(st.tuples(s, s) for s in KEYED_VALUES)), st.one_of(*KEYED_VALUES))
+@example(((Poly([1, 2]), ("Poly", (F(1), F(2)))), (Poly([1]), ("Poly", (F(1),)))),
+         (ExpPoly({0: [1, 2]}), ("ExpPoly", ((0, (F(1), F(2))),))))
+@example(((ExpPoly({}), ("ExpPoly", ())),) * 2,  # equal empty keys, another type
+         (PartialFractionForm([]), ("PartialFractionForm", ())))
+@example(((GridSpec.explicit([1]), ("GridSpec", (F(1),))),) * 2,
+         (Poly([1]), ("Poly", (F(1),))))
+def test_keyed_values_compare_and_hash_by_key(pair, other):
+    for (va, ka), (vb, kb) in (pair, (pair[0], other)):
+        assert (va == vb) is (ka == kb) and (va != vb) is (ka != kb)
+        if ka == kb:
+            assert hash(va) == hash(vb)
+    va, ka = pair[0]
+    same = REBUILT[type(va)](va)
+    assert same is not va and same == va and hash(same) == hash(va)
+    # no value of another type compares equal, not even the value's own key
+    for stranger in (ka[1], ka, None, Ball(1, 0, 64)):
+        assert va != stranger and not va == stranger
+
+
+def test_unkeyed_values_compare_by_identity():
+    consts = load_constants()
+    twins = ((Ball(1, 0, 64), Ball(1, 0, 64)),
+             (consts, SourceConstants(**{n: getattr(consts, n)
+                                         for n in SourceConstants.__slots__})))
+    for v, twin in twins:
+        assert v == v and v != twin and not v == twin
+        assert hash(v) == object.__hash__(v) and type(v).__eq__ is object.__eq__
 
 
 json_values = st.recursive(

@@ -34,6 +34,13 @@ class TestGridSpec:
             GridSpec.explicit([])
         with pytest.raises(DomainError):
             GridSpec.explicit([F(0)])
+        # every constructor goes through the check of repeated points
+        for repeated in (lambda: GridSpec((F(2), F(1), F(4, 2))),
+                         lambda: GridSpec.explicit([F(1, 2), "0.5"]),
+                         lambda: GridSpec.geometric(3, 1, 2),
+                         lambda: GridSpec.geometric_span(3, 3, 3)):
+            with pytest.raises(DomainError, match="is repeated$"):
+                repeated()
 
     def test_geometric_exact(self):
         g = GridSpec.geometric(F(1, 16), F(2), 5)
@@ -86,10 +93,14 @@ class TestGridSpec:
             assert GridSpec.geometric_span(a, b, n).points == self.span_mpmath(a, b, n)
 
     def test_span_exact_ties_round_to_even(self):
-        # the middle point is exactly halfway between two 24-bit dyadics
+        # the middle point sqrt(start stop) is exactly halfway between two
+        # 24-bit dyadics
         for tail, even in ((1, F(1)), (3, F(2 ** 22 + 1, 2 ** 22))):
             mid = F(2 ** 24 + tail, 2 ** 24)
-            assert GridSpec.geometric_span(1, mid * mid, 3).points[1] == even
+            assert GridSpec.geometric_span(F(1, 4), 4 * mid * mid, 3).points[1] == even
+        # from start 1, the tie of tail 1 rounds to the start: a repeated point
+        with pytest.raises(DomainError, match="^grid point 1 is repeated$"):
+            GridSpec.geometric_span(1, F(2 ** 24 + 1, 2 ** 24) ** 2, 3)
 
     def test_span_at_the_size_limits(self):
         big = F(2 ** MAX_POINT_BITS - 1)
