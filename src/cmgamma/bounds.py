@@ -13,17 +13,16 @@ closed form: the k-th derivative of a rational part is one
 the transcendental part use the exact Leibniz expansion of d^k[trigamma^2]:
 its sum, the propagated radius and the exact rational part are formed in
 integers at one dyadic scale, so an enclosure radius is the polygamma balls'
-radii carried exactly through the expansion, plus one final rounding.
-Every psi^(m)(x) they read comes from a `_Jet` of x, which computes each
-(order, precision) entry once: a cell asks for all the orders it reads, and
-the jet fills the missing ones with one joint `polygamma` series.
+radii carried exactly through the expansion, plus one final rounding (an H
+cell likewise).  Every psi^(m)(x) they read comes from a `_Jet` of x, which
+fills each precision once, with one joint `polygamma` series of all its orders.
 `cm_scan` passes one jet per grid point.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -98,7 +97,7 @@ def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball
     return _value("H", h_derivative, x, prec, constants)
 
 
-def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
+def _common_scale(balls: tuple[Ball, ...]) -> tuple[int, list[int], list[int]]:
     """(D, mids, rads): every midpoint and radius as an exact integer over the
     common denominator D (a power of two 2^S for polygamma's dyadic balls)."""
     den = math.lcm(*(b.mid.denominator for b in balls), *(b.rad.denominator for b in balls))
@@ -107,35 +106,17 @@ def _common_scale(balls: list[Ball]) -> tuple[int, list[int], list[int]]:
 
 
 class _Jet(dict):
-    """psi^(m)(x) by (m, prec), filled by `psi`.  The one place where the
-    orders of a point are computed; `scaled` also keeps, per precision, the
-    orders 1..T as integers over one common denominator."""
+    """psi^(1..top)(x) by precision, as `_common_scale` integers
+    (D, P_1..P_top, R_1..R_top); a missing precision is filled with one
+    joint `polygamma` series of every order."""
 
-    def __init__(self, x: Fraction):
+    def __init__(self, x: Fraction, top: int):
         super().__init__()
-        self.x = x
-        self._scales: dict[int, tuple[int, list[int], list[int]]] = {}
+        self.x, self.top = x, top
 
-    def psi(self, orders: Sequence[int], prec: int) -> list[Ball]:
-        """psi^(m)(x) at prec bits for each m in orders; the missing ones
-        come from one joint `polygamma` call."""
-        missing = tuple(m for m in orders if (m, prec) not in self)
-        if missing:
-            self.update(zip([(m, prec) for m in missing],
-                            polygamma(missing, self.x, prec)))
-        return [self[m, prec] for m in orders]
-
-    def scaled(self, top: int, prec: int) -> tuple[int, list[int], list[int]]:
-        """`_common_scale` of psi^(1..T)(x) at prec bits, T >= top: formed
-        over every order held from 1 upward, and again only when top passes
-        them (an escalated cell that adds orders at its precision)."""
-        scale = self._scales.get(prec)
-        if scale is None or len(scale[1]) < top:
-            self.psi(range(1, top + 1), prec)
-            while (top + 1, prec) in self:
-                top += 1
-            scale = self._scales[prec] = _common_scale(
-                [self[m, prec] for m in range(1, top + 1)])
+    def __missing__(self, prec: int) -> tuple[int, list[int], list[int]]:
+        scale = self[prec] = _common_scale(
+            polygamma(tuple(range(1, self.top + 1)), self.x, prec))
         return scale
 
 
@@ -163,8 +144,8 @@ def g_derivative(k: int, x, prec: int = 128,
     x = as_positive_fraction(x)
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
-    jet = _jet if _jet is not None else _Jet(x)
-    den, mids, rads = jet.scaled(k + 2, prec)
+    jet = _jet if _jet is not None else _Jet(x, k + 2)
+    den, mids, rads = jet[prec]
     total = rad = 0
     for j in range(k // 2 + 1):
         a, b = j, k - j  # list indices of the orders 1+j and 1+k-j
@@ -184,14 +165,16 @@ def h_derivative(k: int, x, prec: int = 128,
                  constants: SourceConstants | None = None, *,
                  _jet: _Jet | None = None) -> Ball:
     """Enclosure of the k-th derivative of H at rational x > 0: psi^(k+1),
-    read from _jet as in `g_derivative`, minus the exact rational part."""
+    read from _jet as in `g_derivative`, minus the exact rational part u/v,
+    as (P_(k+1) v - u D)/(D v) with the radius R_(k+1)/D, rounded once."""
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = as_positive_fraction(x)
-    jet = _jet if _jet is not None else _Jet(x)
-    trigamma_k = jet.psi([k + 1], prec)[0]
+    jet = _jet if _jet is not None else _Jet(x, k + 1)
+    den, mids, rads = jet[prec]
     rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
-    return trigamma_k - rational_part
+    u, v = rational_part.numerator, rational_part.denominator
+    return Ball._make(mids[k] * v - u * den, den * v, rads[k], den, prec)
 
 
 class ExpansionIdentityReport(NamedTuple):

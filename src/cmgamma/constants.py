@@ -198,7 +198,7 @@ def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
         blocks[k] = sections.pop(key)
     if not blocks:
         raise ConstantsFormatError(f"{path}: no blocks found for {base!r}")
-    return ExpPoly(blocks)
+    return ExpPoly._make(blocks)  # int exponents in 0..3, canonical Polys
 
 
 def _take(sections, key: str, path):

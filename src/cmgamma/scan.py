@@ -9,11 +9,9 @@ is the desk-scale falsification surface for the monotonicity claims.  The
 k = 0 cells of the g scan are the inequality psi'(x)^2 + psi''(x) > B(x).
 
 The scan runs with x as the outer loop and gives each point one
-`bounds._Jet`, so one jet is alive at a time.  The jet is first filled with
-every psi order the point's cells read at the scan's precision, one joint
-series per point; an escalated cell fills only its own missing orders at
-its higher precision.  So psi^(m)(x) is computed once per order and
-precision and shared by every cell of that point; entries stay k-major.
+`bounds._Jet` of every psi order its cells read, so one jet is alive at a
+time and each precision the point's cells reach is one joint series that
+all of them share; entries stay k-major.
 
 Grids are explicit point lists, exact geometric progressions, or log-spaced
 spans whose interior points are rounded to 24-bit dyadics; the span points
@@ -273,8 +271,7 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
     deriv = _KINDS[kind]
     columns = []
     for x in grid.points:
-        jet = bounds._Jet(x)
-        jet.psi(range(1, k_max + _TOP_ORDER_OVER_K[kind] + 1), prec)
+        jet = bounds._Jet(x, k_max + _TOP_ORDER_OVER_K[kind])
         column = []
         for k in range(k_max + 1):
             flip = -1 if k % 2 else 1

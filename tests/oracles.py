@@ -123,3 +123,13 @@ def g_derivative_ball_chain(k, x, psi, rational_part):
         acc = term if acc is None else acc + term
     acc = acc + psi[k + 2]
     return acc - rational_part
+
+
+def h_derivative_ball_chain(k, x, prec, constants=None):
+    """H^(k)(x) as psi^(k+1)(x) - R^(k)(x) in Ball arithmetic: the ball of
+    polygamma(k + 1, x, prec) minus the exact R^(k)(x), differentiated
+    without partial fractions.  This is how cmgamma formed the cell before
+    it was taken from the jet's integers; the two must be the same ball.
+    """
+    return (polygamma(k + 1, x, prec)
+            - rational_part_derivatives("H", x, k, constants)[k])

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cmgamma.algebra import PartialFractionTerm
+from cmgamma.algebra import ExpPoly, PartialFractionTerm
 from cmgamma.constants import (DEFAULT_CONSTANTS_PATH, CHAIN_LENGTHS,
                                load_constants, parse_constants_text)
 from cmgamma.errors import ConstantsFormatError
@@ -31,6 +31,16 @@ def test_shapes(consts):
     assert consts.theta2.exponents() == (0, 1)
     total = sum(len(consts.initial_values[s]) for s in CHAIN_LENGTHS)
     assert total == 29
+
+
+def test_theta_blocks_equal_the_public_constructor(consts):
+    # the loader checks each exponent itself and skips ExpPoly's validation
+    for name in ("theta", "theta_prime", "theta1", "theta1_prime", "theta2",
+                 "theta2_d9"):
+        e = getattr(consts, name)
+        public = ExpPoly(dict(e.blocks()))
+        assert e == public and hash(e) == hash(public)
+        assert all(type(k) is int for k in e.exponents())
 
 
 def test_known_entries(consts):

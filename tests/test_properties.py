@@ -13,7 +13,9 @@ polygamma is checked for containment
 of mpmath's psi and Hurwitz zeta at four times the precision, and its ball
 for lying inside the one the same series gives with 16 extra guard bits per
 order; the derivatives of g and H are checked for containment of mpmath's
-psi plus the exact rational part at four times the precision; the Bernoulli
+psi plus the exact rational part at four times the precision, and each H
+cell, formed in integers, against the Ball chain psi^(k+1) - R^(k) bit for
+bit; the Bernoulli
 numbers are checked against mpmath's; the integer partial-fraction
 decomposition is checked against sympy's ``apart`` and by recomposing it;
 the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
@@ -49,7 +51,8 @@ from cmgamma.polygamma import (MAX_ORDER, _bernoulli, _sure_floor, _zeta_like_su
                                polygamma)
 from cmgamma.reporting import SCHEMA, stable_json_dumps
 from cmgamma.scan import GridSpec
-from oracles import contains, polygamma_per_order_guard, rational_part_derivatives
+from oracles import (contains, h_derivative_ball_chain, polygamma_per_order_guard,
+                     rational_part_derivatives)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -257,6 +260,20 @@ def test_derivatives_contain_mpmath(kind, k, x, prec):
         else:
             psi_part = mp.psi(k + 1, xm)
         assert contains(ball, psi_part - mp.mpf(rational.numerator) / rational.denominator)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(0, 12), positive_x, st.sampled_from([8, 64, 512]))
+@example(0, F(10 ** 6), 64)  # cancels: the cell straddles zero at 64 bits
+@example(12, F(1, 2 ** 20), 512)
+@example(12, F(2 ** 19), 8)
+@example(5, F(1, 3), 8)  # non-dyadic x
+def test_h_cell_matches_the_ball_chain(k, x, prec):
+    # the integer cell (P v - u D)/(D v) rounds by value, as the Ball
+    # subtraction did: the same midpoint, radius and precision
+    cell = bounds.h_derivative(k, x, prec)
+    ref = h_derivative_ball_chain(k, x, prec)
+    assert (cell.mid, cell.rad, cell.prec) == (ref.mid, ref.rad, ref.prec)
 
 
 def test_bernoulli_matches_mpmath():

@@ -214,6 +214,12 @@ class TestCmScan:
              "9ed5a33a572b255fcd3ff03a1433ebb4a6d2c6282340f211fe1daceab1a96a73"),
             ("H", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3)),
              "63ee7748a911a6a75525363117d7b1ba6fe93f6e78ead24221e52cc6fc02579f"),
+            # partial escalation: at 10^6 only g's k <= 2 and H's k = 0
+            # resolve at 128 bits, the rest of the point at 64
+            ("g", 12, 64, (F(1, 3), F(10 ** 6)),
+             "8af522d7f86ecbaf4bf6354cd044937a3ee6716024f0fd23b6d015ab98c3d90e"),
+            ("H", 12, 64, (F(1, 3), F(10 ** 6)),
+             "2e0aabce5bb4032b76f5088b7f6bc078a7fb9063e267386d9be54bab97abe228"),
         ]
     ])
     def test_report_bytes_pinned(self, kind, k_max, prec, points, sha256, capsys):
@@ -302,32 +308,31 @@ class TestIntegerCells:
             alone = deriv(e.k, e.x, e.prec_used)
             assert (alone.mid, alone.rad) == (e.ball.mid, e.ball.rad)
 
-    def test_common_scale_formed_once_per_fill(self, monkeypatch):
-        # a g scan puts the psi orders of a point over one common denominator
-        # once per precision, and again only when an escalated cell adds
-        # orders at its precision: once per joint polygamma call.  The cells
-        # equal those of fresh jets (the two tests above).
-        formed, fills = [], []
-        scale, direct = bounds._common_scale, bounds.polygamma
-
-        def common_scale(balls):
-            formed.append(len(balls))
-            return scale(balls)
+    @pytest.mark.parametrize("kind", ["g", "H"])
+    def test_one_fill_per_point_and_precision(self, monkeypatch, kind):
+        # a point's jet is filled once per precision its cells reach, each
+        # time with every order the point's cells read: 1..k_max + 2 for g,
+        # 1..k_max + 1 for H.  The cells equal those of fresh jets (the two
+        # tests above).
+        fills = []
+        direct = bounds.polygamma
 
         def polygamma(orders, x, p):
-            fills.append((x, p))
+            fills.append((orders, x, p))
             return direct(orders, x, p)
 
-        monkeypatch.setattr(bounds, "_common_scale", common_scale)
         monkeypatch.setattr(bounds, "polygamma", polygamma)
-        cm_scan("g", 8)
-        assert len(formed) == len(fills) == 25
-        assert formed == [10] * 25  # every order the point holds, 1..k_max + 2
-        formed.clear()
+        top = {"g": 2, "H": 1}[kind]
+        cm_scan(kind, 8, default_grid())
+        assert fills == [(tuple(range(1, 9 + top)), x, 256) for x in default_grid().points]
         fills.clear()
-        rep = cm_scan("g", 12, GridSpec.explicit([F(1), F(64), F(1000)]), 8)
+        rep = cm_scan(kind, 12, GridSpec.explicit([F(1), F(64), F(1000)]), 8)
         assert {e.prec_used for e in rep.entries} == {8, 16, 32}
-        assert len(formed) == len(fills) == 32
+        reached = {x: max(e.prec_used for e in rep.entries if e.x == x)
+                   for x in (F(1), F(64), F(1000))}
+        assert fills == [(tuple(range(1, 13 + top)), x, 8 << j)
+                         for x, used in reached.items()
+                         for j in range(used.bit_length() - 3)]
 
 
 class TestInequalityScan:
@@ -417,27 +422,25 @@ def test_scan_calls_the_traced_entry_points(monkeypatch, kind):
 
 @pytest.mark.parametrize("x", [F(64), F(1000)])
 @pytest.mark.parametrize("kind", ["g", "H"])
-def test_escalated_cell_fills_only_its_missing_orders(monkeypatch, kind, x):
-    # at 8 bits cells at x = 64 and x = 1000 escalate to 16 or 32 bits: an
-    # escalated cell's call at a doubled precision carries only the orders
-    # it reads that no earlier cell of the point filled at that precision
+def test_escalated_cell_fills_every_order_of_its_point(monkeypatch, kind, x):
+    # at 8 bits cells at x = 64 and x = 1000 escalate to 16 or 32 bits: the
+    # first cell to reach a doubled precision fills every order the point
+    # reads at it, in one call, and each escalated cell is the cell a
+    # standalone evaluation gives at its precision
     calls, series = _count_traced_entry_points(monkeypatch)
     k_max = 12
     rep = cm_scan(kind, k_max, GridSpec.explicit([x]), 8)
-    assert any(e.prec_used > 8 for e in rep.entries)
-    expected = [(tuple(range(1, k_max + (3 if kind == "g" else 2))), x, 8)]
-    filled = Counter()  # highest order filled per precision (g reads 1..k+2)
-    for e in rep.entries:
-        prec = 16
-        while prec <= e.prec_used:
-            if kind == "g" and filled[prec] < e.k + 2:
-                expected.append((tuple(range(filled[prec] + 1, e.k + 3)), x, prec))
-                filled[prec] = e.k + 2
-            elif kind == "H":
-                expected.append(((e.k + 1,), x, prec))
-            prec *= 2
-    assert series == expected
+    top = max(e.prec_used for e in rep.entries)
+    assert top > 8
+    orders = tuple(range(1, k_max + (3 if kind == "g" else 2)))
+    assert series == [(orders, x, 8 << j) for j in range(top.bit_length() - 3)]
     assert calls["polygamma"] == len(series)
+    deriv = bounds.g_derivative if kind == "g" else bounds.h_derivative
+    for e in rep.entries:
+        if e.prec_used > 8:
+            alone = deriv(e.k, e.x, e.prec_used)
+            assert (alone.mid, alone.rad, alone.prec) == (e.ball.mid, e.ball.rad,
+                                                          e.ball.prec)
 
 
 def test_traced_entry_points_resolve():

@@ -1,0 +1,148 @@
+"""Print one SHA-256 per cmgamma output of a fixed byte-identity set.
+
+Run it against two source trees and compare with one diff:
+
+    PYTHONPATH=src python tools/output_digests.py > new.txt
+    PYTHONPATH=/path/to/other/src python tools/output_digests.py > old.txt
+    diff old.txt new.txt
+
+Each line is `<sha256>  rc=<exit code>  <command>`.  The digest is that of
+what the command prints to stdout, followed by a NUL byte and its stderr
+when it prints any, so a report pinned elsewhere has the same digest here.
+The set is:
+
+- the scan reports pinned by `tests/test_scan.py::test_report_bytes_pinned`
+  (JSON from `cm_scan`, and the `identity-check telescoping` plus `eval g`
+  output of its telescoping case);
+- `replay-proof --emit -`, the certificate;
+- `cm-scan g|H --kmax 12` in json, csv and text at 8, 16, 64, 256 and 512
+  bits, on the default grid and three more;
+- `eval g|H|psi1|psi2` at four points, `identity-check telescoping` at two;
+- `replay-proof` and `identity-check expansion|remark2` on the packaged
+  constants file and on each of its single-coefficient mutants (one integer
+  coefficient of a [poly] section changed by +1 or -1).
+
+Commands run in this process through `cmgamma.cli.main`, one at a time;
+the whole set takes about 10 s (CPython 3.11, 2 vCPU).  CMGAMMA_PREC is
+cleared, so every default precision is the built-in one.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from fractions import Fraction as F
+
+from cmgamma.cli import main
+from cmgamma.constants import DEFAULT_CONSTANTS_PATH
+from cmgamma.scan import GridSpec, cm_scan
+
+SCAN_PINS = [
+    ("g", 2, 64, (F(1, 3), F(5))),
+    ("H", 2, 64, (F(1, 3), F(5))),
+    ("H", 12, 512, (F(1, 16), F(1), F(64))),
+    ("g", 8, 256, (F(1, 16), F(1), F(64))),
+    ("g", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3))),
+    ("H", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3))),
+    ("g", 12, 64, (F(1, 3), F(10 ** 6))),
+    ("H", 12, 64, (F(1, 3), F(10 ** 6))),
+]
+TELESCOPING_PIN = ("1/3", "5")  # at 64 bits
+GRIDS = (None, "span:1/1024:4096:30", "span:1/1048576:1e6:40", "1,64,1000,1/3,2/7")
+SCAN_PRECS = (8, 16, 64, 256, 512)
+EVAL_POINTS = ("1/3", "1e-6", "7", "1e12")
+TELESCOPING_POINTS = ("1/3", "1000")
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv: list[str], hide: str | None = None) -> tuple[int | str, str]:
+    """(exit code, output) of `cmgamma argv`, the output being stdout plus,
+    if there is any, NUL and stderr; an exception that escapes main is
+    reported by its type in place of the code.  hide, a path, is replaced
+    in the output, so temporary names do not show."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc: int | str = main(argv)
+        except BaseException as exc:  # noqa: BLE001 - a crash is an output too
+            rc = f"raised {type(exc).__name__}"
+    text = out.getvalue() + ("\0" + err.getvalue() if err.getvalue() else "")
+    return rc, text.replace(hide, "<file>") if hide else text
+
+
+def emit(rc, text: str, label: str) -> None:
+    print(f"{digest(text)}  rc={rc}  {label}", flush=True)
+
+
+def integer_coefficient_lines(lines: list[str]) -> list[int]:
+    """Indices of the '<power> <integer>' lines of [poly NAME] sections."""
+    out, in_poly = [], False
+    for i, raw in enumerate(lines):
+        toks = raw.split("#", 1)[0].split()
+        if toks and toks[0].startswith("["):
+            in_poly = toks[0] == "[poly"
+        elif (in_poly and len(toks) == 2 and toks[0].isdigit()
+              and toks[1].lstrip("-").isdigit()):
+            out.append(i)
+    return out
+
+
+def mutants(text: str):
+    """(label, text) of the packaged file and of each single-coefficient
+    +-1 mutant, in line order."""
+    yield "pristine", text
+    lines = text.splitlines(keepends=True)
+    for i in integer_coefficient_lines(lines):
+        power, coeff = lines[i].split("#", 1)[0].split()
+        for delta in (1, -1):
+            mutated = lines[:]
+            mutated[i] = f"{power} {int(coeff) + delta}\n"
+            yield f"line {i + 1}: {power} {coeff} -> {int(coeff) + delta}", "".join(mutated)
+
+
+def main_digests() -> None:
+    os.environ.pop("CMGAMMA_PREC", None)
+    for kind, k_max, prec, points in SCAN_PINS:
+        doc = cm_scan(kind, k_max, GridSpec.explicit(points), prec).to_json()
+        emit(0, doc, f"pin cm_scan {kind} k<={k_max} {prec} bits "
+                     f"{','.join(map(str, points))}")
+    text = ""
+    for x in TELESCOPING_PIN:
+        for argv in (["identity-check", "telescoping", "--x", x, "--prec", "64"],
+                     ["eval", "g", x, "--prec", "64"]):
+            text += run(argv)[1]
+    emit(0, text, "pin telescoping " + ",".join(TELESCOPING_PIN))
+    emit(*run(["replay-proof", "--emit", "-"]), "replay-proof --emit -")
+    for kind in "gH":
+        for grid in GRIDS:
+            for prec in SCAN_PRECS:
+                for fmt in ("json", "csv", "text"):
+                    argv = ["cm-scan", kind, "--kmax", "12", "--prec", str(prec),
+                            "--format", fmt] + (["--grid", grid] if grid else [])
+                    emit(*run(argv), " ".join(argv))
+    for function in ("g", "H", "psi1", "psi2"):
+        for x in EVAL_POINTS:
+            argv = ["eval", function, x]
+            emit(*run(argv), " ".join(argv))
+    for x in TELESCOPING_POINTS:
+        argv = ["identity-check", "telescoping", "--x", x]
+        emit(*run(argv), " ".join(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(os.path.realpath(tmp), "constants.txt")
+        for label, text in mutants(DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for command in (["replay-proof"], ["identity-check", "expansion"],
+                            ["identity-check", "remark2"]):
+                emit(*run(command + ["--constants", path], hide=path),
+                     f"{' '.join(command)} [{label}]")
+
+
+if __name__ == "__main__":
+    main_digests()
