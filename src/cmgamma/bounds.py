@@ -16,7 +16,9 @@ integers at one dyadic scale, so an enclosure radius is the polygamma balls'
 radii carried exactly through the expansion, plus one final rounding (an H
 cell likewise).  Every psi^(m)(x) they read comes from a `_Jet` of x, which
 fills each precision once, with one joint `polygamma` series of all its orders.
-`cm_scan` passes one jet per grid point.
+`cm_scan` passes one jet per grid point.  The expansion identity check is
+computed once per distinct (p, q, expansion) value per process, in a
+bounded LRU memo.
 """
 
 from __future__ import annotations
@@ -217,16 +219,22 @@ def pf_expansion_identity_check(
     are equal exactly when the functions are.
     """
     c = constants_or_default(constants)
-    shifted_num = Poly.monomial(1, 2) * c.p.shift(1) * Fraction(-1, SCALE_Q)
+    return _expansion_identity(c.p, c.q, c.remainder_expansion)
+
+
+@lru_cache(maxsize=8)
+def _expansion_identity(p: Poly, q: Poly, expansion: PartialFractionForm
+                        ) -> ExpansionIdentityReport:
+    shifted_num = Poly.monomial(1, 2) * p.shift(1) * Fraction(-1, SCALE_Q)
     lhs = PartialFractionForm(
         ((Fraction(1, 2), 0, 2), (Fraction(1), 0, 1))
-        + pfd_decompose(c.p * Fraction(1, SCALE_Q), ((0, 2), (1, 10))).terms
+        + pfd_decompose(p * Fraction(1, SCALE_Q), ((0, 2), (1, 10))).terms
         + pfd_decompose(shifted_num, ((1, 4), (2, 10))).terms)
-    expansion_equal = lhs == c.remainder_expansion
-    diff = () if expansion_equal else _pf_diff(lhs, c.remainder_expansion)
+    expansion_equal = lhs == expansion
+    diff = () if expansion_equal else _pf_diff(lhs, expansion)
 
-    remark_equal = (pfd_decompose(c.q * Fraction(1, SCALE_Q), REMAINDER_DEN_FACTORS)
-                    == c.remainder_expansion)
+    remark_equal = (pfd_decompose(q * Fraction(1, SCALE_Q), REMAINDER_DEN_FACTORS)
+                    == expansion)
 
     lines = [f"expansion identity: {'equal' if expansion_equal else 'UNEQUAL'}"]
     for s, o, ca, cb in diff:

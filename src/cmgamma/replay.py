@@ -15,13 +15,17 @@ Everything numeric in the certificate is an exact integer or rational; no
 floating-point or interval evaluation enters it.  `build_chain` returns a
 plain mapping {stage: (stage, stage', ..., stage^(n))}, so theta1^(10) is
 chain["theta1"][10].  Each certificate fragment numbers its own steps from
-1, and the full replay renumbers them by position.
+1, and the full replay renumbers them by position.  The chain (keyed on
+theta) and the kernel rebuild (keyed on the expansion) are computed once
+per distinct value per process, in bounded LRU memos; the fixture
+comparisons run on every call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import ExpPoly, PartialFractionForm, Poly
@@ -157,6 +161,13 @@ def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
     return ExpPoly._make(out)
 
 
+@lru_cache(maxsize=8)
+def _theta_of_kernel(expansion: PartialFractionForm) -> ExpPoly:
+    lifted = kernel_image_lifted(expansion)
+    return KERNEL_SCALE * (ExpPoly.term(1 + KERNEL_LIFT, Poly((0, 1)))
+                           - lifted.shift_exp(1) + lifted)
+
+
 def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly:
     """Rebuild theta from the expansion's kernel and match it to the fixture.
 
@@ -166,9 +177,7 @@ def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly
     the rebuilt object differs from the transcribed display.
     """
     constants = constants_or_default(constants)
-    lifted = kernel_image_lifted(constants.remainder_expansion)
-    built = KERNEL_SCALE * (ExpPoly.term(1 + KERNEL_LIFT, Poly((0, 1)))
-                            - lifted.shift_exp(1) + lifted)
+    built = _theta_of_kernel(constants.remainder_expansion)
     if built != constants.theta:
         raise FixtureMismatch("rebuilt theta differs from fixture: "
                               + _exppoly_diff(built, constants.theta))
@@ -185,9 +194,12 @@ def build_chain(constants: SourceConstants | None = None
     shifted one exponent down; an e^0 block left over is not raised on here
     but fails the divisibility steps.
     """
-    constants = constants_or_default(constants)
-    chain = {}
-    cur = constants.theta
+    return dict(_chain_of(constants_or_default(constants).theta))
+
+
+@lru_cache(maxsize=8)
+def _chain_of(theta: ExpPoly) -> tuple[tuple[str, tuple[ExpPoly, ...]], ...]:
+    chain, cur = [], theta
     for stage, length in CHAIN_LENGTHS.items():
         if stage in _STAGE_FIXTURE_FACTOR:
             inv = Fraction(1, _STAGE_FIXTURE_FACTOR[stage])
@@ -196,8 +208,8 @@ def build_chain(constants: SourceConstants | None = None
         for _ in range(length):
             cur = cur.deriv()
             derivs.append(cur)
-        chain[stage] = tuple(derivs)
-    return chain
+        chain.append((stage, tuple(derivs)))
+    return tuple(chain)
 
 
 def _step(name: str, claim: str, method: str, values, ok: bool,

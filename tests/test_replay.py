@@ -104,31 +104,113 @@ def test_chain_matches_sympy_differentiation(chain, consts):
     assert cur == sympy.expand(725760 * (8857350 * (46 + 3 * T) * sympy.exp(T) - 1))
 
 
-def test_sweep_calls_the_traced_entry_points(monkeypatch):
+REPLAY_MODULE = importlib.import_module("cmgamma.replay")
+BOUNDS_MODULE = importlib.import_module("cmgamma.bounds")
+
+
+def clear_replay_memos():
+    for memo in (REPLAY_MODULE._chain_of, REPLAY_MODULE._theta_of_kernel,
+                 BOUNDS_MODULE._expansion_identity):
+        memo.cache_clear()
+
+
+def counted(calls: Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_sweep_calls_the_traced_entry_points(monkeypatch, tmp_path):
     # the benchmark's traced proof sweep wraps these names where they are
-    # bound; a replay that bypassed one would leave that layer blank
+    # bound; a replay that bypassed one would leave that layer blank.  The
+    # exact stages are memoised by value, so the counts start from empty
+    # memos, and a byte-equal copy of the file at another path loads and
+    # replays again but differentiates and decomposes nothing new
+    clear_replay_memos()
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    replay_module = importlib.import_module("cmgamma.replay")
-    bounds_module = importlib.import_module("cmgamma.bounds")
     monkeypatch.setattr(cmgamma, "load_constants",
-                        counted("load_constants", cmgamma.load_constants))
-    monkeypatch.setattr(replay_module, "build_chain",
-                        counted("build_chain", replay_module.build_chain))
-    monkeypatch.setattr(ExpPoly, "deriv", counted("deriv", ExpPoly.deriv))
-    monkeypatch.setattr(bounds_module, "pfd_decompose",
-                        counted("pfd_decompose", bounds_module.pfd_decompose))
-    consts = cmgamma.load_constants(DEFAULT_CONSTANTS_PATH)
-    assert cmgamma.replay_proof(consts).overall
-    assert cmgamma.pf_expansion_identity_check(consts).passed
-    assert calls == {"load_constants": 1, "build_chain": 1, "deriv": 29,
-                     "pfd_decompose": 3}
+                        counted(calls, "load_constants", cmgamma.load_constants))
+    monkeypatch.setattr(REPLAY_MODULE, "build_chain",
+                        counted(calls, "build_chain", REPLAY_MODULE.build_chain))
+    monkeypatch.setattr(ExpPoly, "deriv", counted(calls, "deriv", ExpPoly.deriv))
+    monkeypatch.setattr(BOUNDS_MODULE, "pfd_decompose",
+                        counted(calls, "pfd_decompose", BOUNDS_MODULE.pfd_decompose))
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(DEFAULT_CONSTANTS_PATH.read_bytes())
+    for path, runs in ((DEFAULT_CONSTANTS_PATH, 1), (copy, 2)):
+        consts = cmgamma.load_constants(path)
+        assert cmgamma.replay_proof(consts).overall
+        assert cmgamma.pf_expansion_identity_check(consts).passed
+        assert calls == {"load_constants": runs, "build_chain": runs,
+                         "deriv": 29, "pfd_decompose": 3}
+
+
+# one mutant of each section the replay memos read, between two pristine sets
+INTERLEAVED_SETS = (
+    None,
+    (r"1 435456000", "1 435456001"),  # theta.e1
+    (r"2 6174000", "2 6174001"),  # theta_prime.e0
+    (r"0 46", "0 47"),  # theta2_d9.e1
+    (r"4 44101", "4 44100"),  # p
+    (r"9 30634381522", "9 30634381523"),  # q
+    None,
+)
+
+
+def test_warm_memos_give_the_cold_results(mutate_constants):
+    sets = [load_constants(mutate_constants(*m) if m else None)
+            for m in INTERLEAVED_SETS]
+    clear_replay_memos()
+    warm = []
+    for c in sets:
+        chain = build_chain(c)
+        chain["theta"] = ()  # the caller's own mapping, not the memo's
+        del chain["theta2"]
+        warm.append((build_chain(c), replay_proof(c).to_json(),
+                     pf_expansion_identity_check(c)))
+    for c, got in zip(sets, warm):
+        clear_replay_memos()
+        assert got == (build_chain(c), replay_proof(c).to_json(),
+                       pf_expansion_identity_check(c))
+    assert [json.loads(doc)["payload"]["overall"] for _, doc, _ in warm] == \
+        ["pass", "fail", "fail", "fail", "pass", "pass", "pass"]
+    assert [rep.passed for *_, rep in warm] == [True] * 4 + [False] * 2 + [True]
+
+
+def p_q_coefficient_mutants():
+    """Every single-coefficient +-1 mutant of the [poly p] and [poly q] text."""
+    lines = DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8").splitlines(keepends=True)
+    for section in ("[poly p]\n", "[poly q]\n"):
+        i = lines.index(section) + 1
+        while lines[i].strip() and not lines[i].startswith("#"):
+            power, coeff = lines[i].split()
+            for delta in (1, -1):
+                yield "".join(lines[:i] + [f"{power} {int(coeff) + delta}\n"]
+                              + lines[i + 1:])
+            i += 1
+
+
+def test_p_q_mutants_reuse_one_chain_and_one_kernel_rebuild(monkeypatch, tmp_path):
+    # p and q feed only the identity checks, so the whole sweep differentiates
+    # the one theta and rebuilds the one kernel once, whatever the memo size
+    clear_replay_memos()
+    calls = Counter()
+    monkeypatch.setattr(ExpPoly, "deriv", counted(calls, "deriv", ExpPoly.deriv))
+    monkeypatch.setattr(REPLAY_MODULE, "kernel_image_lifted",
+                        counted(calls, "kernel", REPLAY_MODULE.kernel_image_lifted))
+    texts = [DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8"),
+             *p_q_coefficient_mutants()]
+    assert len(texts) == 1 + 66
+    path = tmp_path / "constants.txt"
+    verdicts = []
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        c = load_constants(path)
+        assert replay_proof(c).overall
+        verdicts.append(pf_expansion_identity_check(c).passed)
+    assert verdicts == [True] + [False] * 66
+    assert calls == {"deriv": sum(CHAIN_LENGTHS.values()), "kernel": 1}
 
 
 class TestVerificationFragments:
