@@ -8,9 +8,9 @@ Layers, bottom up:
 - :mod:`cmgamma.polygamma`: certified psi^(m) enclosures with an
   independent (non-certified) quadrature cross-check;
 - :mod:`cmgamma.constants`: the transcribed exact fixtures;
-- :mod:`cmgamma.bounds`: B, g, H, their derivatives and identities;
-- :mod:`cmgamma.replay`: the Laplace kernel image and the mechanical
-  positivity-chain proof replay;
+- :mod:`cmgamma.bounds`: B, g, H, their derivatives and the telescoping check;
+- :mod:`cmgamma.replay`: the exact expansion identities, the Laplace
+  kernel image and the mechanical positivity-chain proof replay;
 - :mod:`cmgamma.scan`: grid scans for complete monotonicity;
 - :mod:`cmgamma.cli`: the command-line front end.
 """
@@ -19,15 +19,15 @@ from .algebra import (ExpPoly, PartialFractionForm, PartialFractionTerm, Poly,
                       pfd_decompose)
 from .ball import Ball
 from .bounds import (bound_exact, g_derivative, g_eval, h_derivative, h_eval,
-                     pf_expansion_identity_check, telescoping_identity_check)
+                     telescoping_identity_check)
 from .constants import SourceConstants, load_constants
 from .errors import (CmGammaError, ConstantsFormatError, DegreeError,
                      DomainError, FixtureMismatch, PrecisionError,
                      QuadratureFailure)
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
 from .replay import (CertificateReport, build_chain, build_theta_from_kernel,
-                     chain_positivity_certificate, replay_proof,
-                     verify_derivative_fixtures, verify_initial_values)
+                     chain_positivity_certificate, pf_expansion_identity_check,
+                     replay_proof, verify_derivative_fixtures, verify_initial_values)
 from .scan import CmScanReport, GridSpec, cm_scan, default_grid
 
 __version__ = "0.1.0"

@@ -77,6 +77,13 @@ def as_positive_fraction(v) -> Fraction:
 MAX_POINT_BITS = 512
 
 
+def _over_lcm(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """([v * L for v in values], L): rationals as integer numerators over the
+    lcm L of their denominators, with gcd(L, *numerators) == 1 if reduced."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def fits_point_bits(q: Rat) -> bool:
     """Whether q's numerator and denominator have at most MAX_POINT_BITS bits."""
     return max(q.numerator.bit_length(), q.denominator.bit_length()) <= MAX_POINT_BITS
@@ -156,10 +163,8 @@ class Poly(Frozen, key=lambda p: (p._num, p._den)):
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        # reduced Fractions over their lcm already have gcd(den, *num) == 1
-        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+        self._set(*_over_lcm([c if type(c) is int else as_fraction(c)
+                              for c in coeffs]))
 
     def _set(self, num: list, den: int) -> None:
         while num and not num[-1]:
@@ -514,9 +519,8 @@ class PartialFractionForm(Frozen, key=lambda f: f.terms):
             groups = []
             for a, cs in by_shift.items():
                 lo, hi = min(cs), max(cs)
-                lcm = math.lcm(*(c.denominator for c in cs.values()))
-                groups.append((a, lo, hi, lcm, tuple(
-                    int(cs.get(m, 0) * lcm) for m in range(lo, hi + 1))))
+                num, lcm = _over_lcm([cs.get(m, 0) for m in range(lo, hi + 1)])
+                groups.append((a, lo, hi, lcm, tuple(num)))
             object.__setattr__(self, "_shift_groups", tuple(groups))
         return self._shift_groups
 

@@ -1,4 +1,4 @@
-"""The concrete functions under study and their exact rational identities.
+"""The numeric layer: B, g and H, their derivatives and the telescoping check.
 
     B(x) = p(x) / (900 x^4 (x+1)^10)          the rational lower bound
     g(x) = trigamma(x)^2 + tetragamma(x) - B(x)
@@ -16,9 +16,8 @@ integers at one dyadic scale, so an enclosure radius is the polygamma balls'
 radii carried exactly through the expansion, plus one final rounding (an H
 cell likewise).  Every psi^(m)(x) they read comes from a `_Jet` of x, which
 fills each precision once, with one joint `polygamma` series of all its orders.
-`cm_scan` passes one jet per grid point.  The expansion identity check is
-computed once per distinct (p, q, expansion) value per process, in a
-bounded LRU memo.
+`cm_scan` passes one jet per grid point.  The partial fractions of B are
+memoised on p, the value they read, like every exact memo (see `replay`).
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import (PartialFractionForm, Poly, as_positive_fraction,
+from .algebra import (PartialFractionForm, _over_lcm, as_positive_fraction,
                       pfd_decompose)
 from .ball import Ball
-from .constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS, SCALE_P,
-                        SCALE_Q, SourceConstants, constants_or_default)
+from .constants import (BOUND_DEN_FACTORS, SCALE_P, SourceConstants,
+                        constants_or_default)
 from .errors import DomainError, PrecisionError
 from .polygamma import polygamma
 
@@ -49,15 +48,15 @@ ESCALATION_CAP_BITS = 4096
 
 
 @lru_cache(maxsize=4)
-def _bound_pf(constants: SourceConstants | None = None) -> PartialFractionForm:
-    """Exact partial fractions of B(x) = p(x)/(900 x^4 (x+1)^10)."""
-    c = constants_or_default(constants)
-    return pfd_decompose(c.p * Fraction(1, SCALE_P), BOUND_DEN_FACTORS)
+def _bound_pf(p) -> PartialFractionForm:
+    """Exact partial fractions of B(x) = p(x)/(900 x^4 (x+1)^10), p a Poly."""
+    return pfd_decompose(p * Fraction(1, SCALE_P), BOUND_DEN_FACTORS)
 
 
 def bound_exact(x, constants: SourceConstants | None = None) -> Fraction:
     """B(x) as an exact rational."""
-    return _bound_pf(constants).eval_exact(as_positive_fraction(x))
+    p = constants_or_default(constants).p
+    return _bound_pf(p).eval_exact(as_positive_fraction(x))
 
 
 def _escalate(evaluate: Callable[[int], Ball], prec: int,
@@ -99,26 +98,19 @@ def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball
     return _value("H", h_derivative, x, prec, constants)
 
 
-def _common_scale(balls: tuple[Ball, ...]) -> tuple[int, list[int], list[int]]:
-    """(D, mids, rads): every midpoint and radius as an exact integer over the
-    common denominator D (a power of two 2^S for polygamma's dyadic balls)."""
-    den = math.lcm(*(b.mid.denominator for b in balls), *(b.rad.denominator for b in balls))
-    return (den, [b.mid.numerator * (den // b.mid.denominator) for b in balls],
-            [b.rad.numerator * (den // b.rad.denominator) for b in balls])
-
-
 class _Jet(dict):
-    """psi^(1..top)(x) by precision, as `_common_scale` integers
-    (D, P_1..P_top, R_1..R_top); a missing precision is filled with one
-    joint `polygamma` series of every order."""
+    """psi^(1..top)(x) = (P_m +/- R_m)/D by precision, as the integers
+    (D, P_1..P_top, R_1..R_top), D a power of two for polygamma's dyadic
+    balls; a missing precision is filled with one joint series of every order."""
 
     def __init__(self, x: Fraction, top: int):
         super().__init__()
         self.x, self.top = x, top
 
     def __missing__(self, prec: int) -> tuple[int, list[int], list[int]]:
-        scale = self[prec] = _common_scale(
-            polygamma(tuple(range(1, self.top + 1)), self.x, prec))
+        balls = polygamma(tuple(range(1, self.top + 1)), self.x, prec)
+        num, den = _over_lcm([b.mid for b in balls] + [b.rad for b in balls])
+        scale = self[prec] = den, num[:self.top], num[self.top:]
         return scale
 
 
@@ -157,7 +149,7 @@ def g_derivative(k: int, x, prec: int = 128,
         rad += c * (abs(pa) * rb + ra * abs(pb) + ra * rb)
     total += mids[k + 1] * den
     rad += rads[k + 1] * den
-    rational_part = _bound_pf(constants).eval_exact(x, k)
+    rational_part = _bound_pf(constants_or_default(constants).p).eval_exact(x, k)
     u, v = rational_part.numerator, rational_part.denominator
     den2 = den * den
     return Ball._make(total * v - u * den2, v * den2, rad, den2, prec)
@@ -177,72 +169,6 @@ def h_derivative(k: int, x, prec: int = 128,
     rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
     u, v = rational_part.numerator, rational_part.denominator
     return Ball._make(mids[k] * v - u * den, den * v, rads[k], den, prec)
-
-
-class ExpansionIdentityReport(NamedTuple):
-    """Verdict of the exact partial-fraction identity checks."""
-
-    expansion_equal: bool
-    remark_equal: bool
-    diff_terms: tuple[tuple[int, int, Fraction, Fraction], ...]
-    detail: str
-
-    @property
-    def passed(self) -> bool:
-        return self.expansion_equal and self.remark_equal
-
-
-def _pf_diff(a: PartialFractionForm, b: PartialFractionForm):
-    """(shift, order, coeff_a, coeff_b) for every place the forms differ."""
-    table: dict[tuple[int, int], list[Fraction]] = {}
-    for t in a.terms:
-        table.setdefault((t.shift, t.order), [Fraction(0), Fraction(0)])[0] = t.coeff
-    for t in b.terms:
-        table.setdefault((t.shift, t.order), [Fraction(0), Fraction(0)])[1] = t.coeff
-    return tuple((s, o, ca, cb) for (s, o), (ca, cb) in sorted(table.items())
-                 if ca != cb)
-
-
-def pf_expansion_identity_check(
-        constants: SourceConstants | None = None) -> ExpansionIdentityReport:
-    """Exact check of the two displayed identities for the remainder R(x).
-
-    (a) 1/(2x^2) + 1/x + p(x)/(1800 x^2 (x+1)^10)
-        - x^2 p(x+1)/(1800 (x+1)^4 (x+2)^10)  ==  the 22-term expansion;
-    (b) the expansion equals q(x)/(1800 x^2 (1+x)^10 (2+x)^10).
-
-    Both are compared as exact partial-fraction forms.  For (a) the two
-    rational terms are decomposed and added to the polar terms; on failure
-    the report carries the coefficient-level difference.  For (b) the right
-    side is decomposed (deg q = 21 < 22, so it is proper): a rational
-    function has exactly one canonical partial-fraction form, so the forms
-    are equal exactly when the functions are.
-    """
-    c = constants_or_default(constants)
-    return _expansion_identity(c.p, c.q, c.remainder_expansion)
-
-
-@lru_cache(maxsize=8)
-def _expansion_identity(p: Poly, q: Poly, expansion: PartialFractionForm
-                        ) -> ExpansionIdentityReport:
-    shifted_num = Poly.monomial(1, 2) * p.shift(1) * Fraction(-1, SCALE_Q)
-    lhs = PartialFractionForm(
-        ((Fraction(1, 2), 0, 2), (Fraction(1), 0, 1))
-        + pfd_decompose(p * Fraction(1, SCALE_Q), ((0, 2), (1, 10))).terms
-        + pfd_decompose(shifted_num, ((1, 4), (2, 10))).terms)
-    expansion_equal = lhs == expansion
-    diff = () if expansion_equal else _pf_diff(lhs, expansion)
-
-    remark_equal = (pfd_decompose(q * Fraction(1, SCALE_Q), REMAINDER_DEN_FACTORS)
-                    == expansion)
-
-    lines = [f"expansion identity: {'equal' if expansion_equal else 'UNEQUAL'}"]
-    for s, o, ca, cb in diff:
-        base = "x" if s == 0 else f"(x+{s})"
-        lines.append(f"  {base}^-{o}: telescoped side {ca}, transcribed side {cb}")
-    lines.append(f"remainder recomposition: {'equal' if remark_equal else 'UNEQUAL'}")
-    return ExpansionIdentityReport(expansion_equal, remark_equal, diff,
-                                   "\n".join(lines))
 
 
 class TelescopingReport(NamedTuple):

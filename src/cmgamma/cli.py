@@ -124,7 +124,7 @@ def cmd_identity_check(args) -> int:
     consts = load_constants(args.constants)
     which = args.which
     if which in ("expansion", "remark2"):
-        rep = bounds.pf_expansion_identity_check(consts)
+        rep = replay.pf_expansion_identity_check(consts)
         print(rep.detail)
         ok = rep.expansion_equal if which == "expansion" else rep.remark_equal
         return 0 if ok else FAIL_EXIT

@@ -13,7 +13,8 @@ integer token is bounded by the file's structure: a [poly] power above
 Q_DEGREE (21, the degree of q) is rejected before it sizes a coefficient
 list, a theta block exponent above MAX_BLOCK_EXPONENT (3) is rejected, and
 the remainder's (shift, order) pairs must be exactly the 22 slots of
-REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A
+REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A [pf]
+(shift, order) key, like a [poly] power, appears once in its section.  A
 section that no constant reads, such as a misspelt duplicate of a table,
 is rejected.  A malformed file raises ConstantsFormatError naming the file
 and the line or section, and `constants_or_default` is the one place a
@@ -59,8 +60,8 @@ CHAIN_LENGTHS = {"theta": 10, "theta1": 10, "theta2": 9}
 class SourceConstants(Frozen):
     """All transcribed exact fixtures, parsed and assembled.
 
-    Immutable; equality and hash are by identity, because the loader caches
-    one instance per file and the bounds caches key on it.
+    Immutable; equality and hash are by identity.  The loader caches one
+    instance per file; no other cache keys on it.
     """
 
     __slots__ = ("p", "q", "remainder_expansion", "theta", "theta_prime",
@@ -110,7 +111,7 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
     kind = name = None
     poly_coeffs: dict[int, int | Fraction] = {}
     poly_scale: int | Fraction = 1
-    pf_terms: list[tuple[int | Fraction, int, int]] = []
+    pf_terms: dict[tuple[int, int], tuple[int | Fraction, int, int]] = {}
     values: dict[str, int] = {}
 
     def flush():
@@ -127,10 +128,10 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             poly = Poly._make(cs) if all(type(c) is int for c in cs) else Poly(cs)
             sections[key] = poly * poly_scale if poly_scale != 1 else poly
         elif kind == "pf":
-            sections[key] = PartialFractionForm(pf_terms)
+            sections[key] = PartialFractionForm(pf_terms.values())
         else:
             sections[key] = dict(values)
-        poly_coeffs, poly_scale, pf_terms, values = {}, 1, [], {}
+        poly_coeffs, poly_scale, pf_terms, values = {}, 1, {}, {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.partition("#")[0].split()
@@ -170,7 +171,11 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             if shift < 0 or order < 1:
                 raise ConstantsFormatError(
                     f"{path}:{lineno}: need shift >= 0 and order >= 1")
-            pf_terms.append((_parse_rational(toks[0], path, lineno), shift, order))
+            if (shift, order) in pf_terms:
+                raise ConstantsFormatError(
+                    f"{path}:{lineno}: repeated term ({shift}, {order})")
+            pf_terms[shift, order] = (_parse_rational(toks[0], path, lineno),
+                                      shift, order)
         else:
             if len(toks) != 2:
                 raise ConstantsFormatError(f"{path}:{lineno}: expected '<label> <integer>'")

@@ -1,8 +1,9 @@
-"""Mechanical replay of the positivity-chain argument.
+"""Exact proof replay: the expansion identities and the positivity chain.
 
-The chain starts from the Laplace-kernel numerator theta(t): rebuild it
-from the 22-term expansion's kernel image in one pass, differentiate exactly
-through the three stages
+`pf_expansion_identity_check` ties p and q to the 22-term remainder
+expansion by two exact partial-fraction identities.  The chain starts from
+the Laplace-kernel numerator theta(t): rebuild it from the expansion's
+kernel image in one pass, differentiate exactly through the three stages
 
     theta --(10 derivatives)--> e^t * theta1
     theta1 --(10 derivatives)--> 512 e^t * theta2
@@ -15,10 +16,11 @@ Everything numeric in the certificate is an exact integer or rational; no
 floating-point or interval evaluation enters it.  `build_chain` returns a
 plain mapping {stage: (stage, stage', ..., stage^(n))}, so theta1^(10) is
 chain["theta1"][10].  Each certificate fragment numbers its own steps from
-1, and the full replay renumbers them by position.  The chain (keyed on
-theta) and the kernel rebuild (keyed on the expansion) are computed once
-per distinct value per process, in bounded LRU memos; the fixture
-comparisons run on every call.
+1, and the full replay renumbers them by position.  Every exact memo is
+keyed on the constants values it reads (the chain on theta, the kernel
+rebuild on the expansion, the identities on p, q and the expansion), so
+each is computed once per distinct value per process, in a bounded LRU
+memo; the fixture comparisons run on every call.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import ExpPoly, PartialFractionForm, Poly
+from .algebra import ExpPoly, PartialFractionForm, Poly, pfd_decompose
 from .constants import (CHAIN_LENGTHS, KERNEL_LIFT, KERNEL_SCALE,
-                        SourceConstants, constants_or_default)
+                        REMAINDER_DEN_FACTORS, SCALE_Q, SourceConstants,
+                        constants_or_default)
 from .errors import FixtureMismatch
 from .reporting import stable_json_dumps
 
@@ -142,9 +145,7 @@ def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
     c/(x+a)^m is the Laplace transform of (c/(m-1)!) t^(m-1) e^(-a*t); lifted,
     that term is the t^(m-1) coefficient of the e^((LIFT-a)t) block, which
     keeps a nonnegative exponent because every decay a is <= LIFT.  The
-    form's terms are sorted by (shift, order), so each block's list of
-    coefficients, kept as (numerator, denominator) pairs, only grows; each
-    block is brought to one common denominator once.
+    form's terms are sorted by (shift, order), so each block's list only grows.
     """
     blocks: dict[int, list] = {}
     for c, a, m in form.terms:
@@ -152,13 +153,9 @@ def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
             raise FixtureMismatch(
                 f"kernel decay {a} exceeds exponent lift {KERNEL_LIFT}")
         cs = blocks.setdefault(KERNEL_LIFT - a, [])
-        cs += [(0, 1)] * (m - 1 - len(cs))
-        cs.append((c.numerator, c.denominator * math.factorial(m - 1)))
-    out = {}
-    for k, cs in blocks.items():
-        den = math.lcm(*(d for _, d in cs))
-        out[k] = Poly._make([n * (den // d) for n, d in cs], den)
-    return ExpPoly._make(out)
+        cs += [0] * (m - 1 - len(cs))
+        cs.append(Fraction(c, math.factorial(m - 1)))
+    return ExpPoly._make({k: Poly(cs) for k, cs in blocks.items()})
 
 
 @lru_cache(maxsize=8)
@@ -210,6 +207,72 @@ def _chain_of(theta: ExpPoly) -> tuple[tuple[str, tuple[ExpPoly, ...]], ...]:
             derivs.append(cur)
         chain.append((stage, tuple(derivs)))
     return tuple(chain)
+
+
+class ExpansionIdentityReport(NamedTuple):
+    """Verdict of the exact partial-fraction identity checks."""
+
+    expansion_equal: bool
+    remark_equal: bool
+    diff_terms: tuple[tuple[int, int, Fraction, Fraction], ...]
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.expansion_equal and self.remark_equal
+
+
+def _pf_diff(a: PartialFractionForm, b: PartialFractionForm):
+    """(shift, order, coeff_a, coeff_b) for every place the forms differ."""
+    table: dict[tuple[int, int], list[Fraction]] = {}
+    for t in a.terms:
+        table.setdefault((t.shift, t.order), [Fraction(0), Fraction(0)])[0] = t.coeff
+    for t in b.terms:
+        table.setdefault((t.shift, t.order), [Fraction(0), Fraction(0)])[1] = t.coeff
+    return tuple((s, o, ca, cb) for (s, o), (ca, cb) in sorted(table.items())
+                 if ca != cb)
+
+
+def pf_expansion_identity_check(
+        constants: SourceConstants | None = None) -> ExpansionIdentityReport:
+    """Exact check of the two displayed identities for the remainder R(x).
+
+    (a) 1/(2x^2) + 1/x + p(x)/(1800 x^2 (x+1)^10)
+        - x^2 p(x+1)/(1800 (x+1)^4 (x+2)^10)  ==  the 22-term expansion;
+    (b) the expansion equals q(x)/(1800 x^2 (1+x)^10 (2+x)^10).
+
+    Both are compared as exact partial-fraction forms.  For (a) the two
+    rational terms are decomposed and added to the polar terms; on failure
+    the report carries the coefficient-level difference.  For (b) the right
+    side is decomposed (deg q = 21 < 22, so it is proper): a rational
+    function has exactly one canonical partial-fraction form, so the forms
+    are equal exactly when the functions are.
+    """
+    c = constants_or_default(constants)
+    return _expansion_identity(c.p, c.q, c.remainder_expansion)
+
+
+@lru_cache(maxsize=8)
+def _expansion_identity(p: Poly, q: Poly, expansion: PartialFractionForm
+                        ) -> ExpansionIdentityReport:
+    shifted_num = Poly.monomial(1, 2) * p.shift(1) * Fraction(-1, SCALE_Q)
+    lhs = PartialFractionForm(
+        ((Fraction(1, 2), 0, 2), (Fraction(1), 0, 1))
+        + pfd_decompose(p * Fraction(1, SCALE_Q), ((0, 2), (1, 10))).terms
+        + pfd_decompose(shifted_num, ((1, 4), (2, 10))).terms)
+    expansion_equal = lhs == expansion
+    diff = () if expansion_equal else _pf_diff(lhs, expansion)
+
+    remark_equal = (pfd_decompose(q * Fraction(1, SCALE_Q), REMAINDER_DEN_FACTORS)
+                    == expansion)
+
+    lines = [f"expansion identity: {'equal' if expansion_equal else 'UNEQUAL'}"]
+    for s, o, ca, cb in diff:
+        base = "x" if s == 0 else f"(x+{s})"
+        lines.append(f"  {base}^-{o}: telescoped side {ca}, transcribed side {cb}")
+    lines.append(f"remainder recomposition: {'equal' if remark_equal else 'UNEQUAL'}")
+    return ExpansionIdentityReport(expansion_equal, remark_equal, diff,
+                                   "\n".join(lines))
 
 
 def _step(name: str, claim: str, method: str, values, ok: bool,

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+import cmgamma
 from cmgamma import bounds
-from cmgamma.algebra import Poly, pfd_recompose
+from cmgamma.algebra import Poly, pfd_decompose, pfd_recompose
 from cmgamma.cli import main
 from cmgamma.constants import load_constants
 from cmgamma.errors import DomainError, PrecisionError
@@ -105,21 +106,21 @@ def test_remainder_exact_matches_q_over_denominator(consts):
 
 class TestExpansionIdentity:
     def test_passes_on_shipped_constants(self):
-        rep = bounds.pf_expansion_identity_check()
+        rep = cmgamma.pf_expansion_identity_check()
         assert rep.expansion_equal and rep.remark_equal and rep.passed
         assert rep.diff_terms == ()
 
     def test_detects_perturbed_coefficient(self, mutate_constants):
         # add 1 to the -251/120 coefficient: -251/120 + 1 = -131/120
         path = mutate_constants(r"-251/120 1 2", "-131/120 1 2")
-        rep = bounds.pf_expansion_identity_check(load_constants(path))
+        rep = cmgamma.pf_expansion_identity_check(load_constants(path))
         assert not rep.expansion_equal
         assert any(s == 1 and o == 2 for s, o, _, _ in rep.diff_terms)
         assert "UNEQUAL" in rep.detail
 
     def test_detects_perturbed_q(self, mutate_constants):
         path = mutate_constants(*PERTURBED_Q)
-        rep = bounds.pf_expansion_identity_check(load_constants(path))
+        rep = cmgamma.pf_expansion_identity_check(load_constants(path))
         assert rep.expansion_equal and not rep.remark_equal
 
     @pytest.mark.parametrize("mutation, codes, out", [
@@ -140,7 +141,7 @@ class TestExpansionIdentity:
         num, den = pfd_recompose(c.remainder_expansion)
         target_den = Poly.monomial(1800, 2) * Poly([1, 1]) ** 10 * Poly([2, 1]) ** 10
         recomposed = num * target_den == c.q * den
-        assert bounds.pf_expansion_identity_check(c).remark_equal == recomposed
+        assert cmgamma.pf_expansion_identity_check(c).remark_equal == recomposed
         assert recomposed == (mutation is None)
         # both CLI checks print the whole report; only the exit codes differ
         extra = ["--constants", path] if path else []
@@ -172,10 +173,20 @@ class TestDerivatives:
     def test_closed_form_matches_leibniz_oracle(self, consts, x):
         # oracle: Leibniz over p or q and the powers of (x+s), no partial
         # fractions
-        for kind, form in (("g", bounds._bound_pf(consts)),
+        for kind, form in (("g", bounds._bound_pf(consts.p)),
                            ("H", consts.remainder_expansion)):
             want = rational_part_derivatives(kind, x, 12, consts)
             assert [form.eval_exact(x, k) for k in range(13)] == want, kind
+
+    def test_bound_is_decomposed_once_per_p(self, monkeypatch):
+        # the memo keys on p, not on how the constants were passed
+        calls = []
+        monkeypatch.setattr(bounds, "pfd_decompose",
+                            lambda *args: calls.append(args) or pfd_decompose(*args))
+        bounds._bound_pf.cache_clear()
+        bounds.g_derivative(0, 1, 64)
+        bounds.g_derivative(0, 1, 64, load_constants())
+        assert len(calls) == 1
 
     def test_order_zero_matches_g_eval(self):
         assert overlaps(bounds.g_derivative(0, 1, 128), bounds.g_eval(1, 128))

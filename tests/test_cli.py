@@ -383,7 +383,7 @@ X_READ_BY = {"0": ("p", "Q"), "-1": ("p", "Q"),
 
 
 def _constants_files(tmp_path):
-    """A malformed file, a missing one, one whose p breaks the bound, eleven
+    """A malformed file, a missing one, one whose p breaks the bound, thirteen
     whose pf term, scale, power or theta block is out of range or repeated,
     one with sections no constant reads and two that list an initial-value
     order twice, as 05 and 5 (usage errors), and one whose theta^(10) keeps
@@ -403,6 +403,8 @@ def _constants_files(tmp_path):
                            ("dupexp", "[poly theta.e1]", "[poly theta.e00]"),
                            ("bigshift", "\n1/2 0 1\n", f"\n1/2 {'9' * 600} 9\n"),
                            ("order10k", "\n1/2 0 1\n", "\n1/2 0 10000\n"),
+                           ("pfsplit", "\n3/4 0 2\n", "\n1/4 0 2\n1/2 0 2\n"),
+                           ("pftwice", "\n3/4 0 2\n", "\n3/4 0 2\n3/4 0 2\n"),
                            ("thetapow", "[poly theta2_d9.e1]\n",
                             "[poly theta2_d9.e1]\n30000 1\n"),
                            ("bigexp", "[poly theta.e3]", f"[poly theta.e{'9' * 300}]"),
@@ -421,7 +423,7 @@ def _constants_files(tmp_path):
     ("order0", 2), ("negshift", 2), ("negexp", 2), ("e0block", 1),
     ("hugeexp", 2), ("tinyexp", 2), ("hugescale", 2), ("dupexp", 2),
     ("bigshift", 2), ("order10k", 2), ("thetapow", 2), ("bigexp", 2), ("unknown", 2),
-    ("order05first", 2), ("order05last", 2)])
+    ("order05first", 2), ("order05last", 2), ("pfsplit", 2), ("pftwice", 2)])
 def test_out_of_range_constants_exit_codes(name, code, tmp_path, capsys):
     files = {Path(f).stem: f for f in _constants_files(tmp_path)}
     assert main(["replay-proof", "--constants", files[name]]) == code
@@ -438,6 +440,15 @@ def test_constants_shift_beyond_the_remainder_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "H", "1", "--constants", files["bigshift"])
     assert code == 2 and "Traceback" not in err and err.count("\n") == 1
     assert err.startswith("error: ") and "bigshift.txt: " in err
+
+
+@pytest.mark.parametrize("name", ["pfsplit", "pftwice"])
+def test_repeated_pf_term_is_usage_error(name, tmp_path, capsys):
+    # merged at load, pftwice gave eval H a wrong rational part with exit 0
+    files = {Path(f).stem: f for f in _constants_files(tmp_path)}
+    code, out, err = run(capsys, "eval", "H", "1", "--constants", files[name])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(": repeated term (0, 2)\n")
 
 
 def _fuzz_argv(rng, files, tmp_path):

@@ -118,6 +118,7 @@ def test_parse_pf_section():
     "[weird a]\n",                  # unknown section kind
     "[poly a\n",                    # unterminated header
     "[values v]\na 1\na 2\n",       # repeated label
+    "[pf f]\n1/2 0 1\n1/4 0 1\n",   # repeated term
     "[poly a]\n0 1 2\n",            # wrong arity
     "[poly a]\n0 1/0\n",            # zero denominator
     "[poly a]\nscale 2/0\n0 1\n",  # zero denominator in the scale
@@ -174,6 +175,18 @@ def test_order_listed_under_two_labels_raises_format_error(tmp_path, lines):
         "\n5 1632960000\n", f"\n{lines}\n", 1))
     with pytest.raises(ConstantsFormatError, match=re.escape(
             f"{path}: [values theta_init]: repeated order 5") + "$"):
+        load_constants(path)
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param("1/4 0 2\n1/2 0 2", id="split"),  # merged, it replayed a pass
+    pytest.param("3/4 0 2\n3/4 0 2", id="twice"),  # merged, it doubled the term
+])
+def test_repeated_pf_term_raises_format_error_at_its_line(mutate_constants, lines):
+    path = mutate_constants(r"3/4 0 2", lines)
+    lineno = DEFAULT_CONSTANTS_PATH.read_text().splitlines().index("3/4 0 2") + 2
+    with pytest.raises(ConstantsFormatError, match=re.escape(
+            f"{path}:{lineno}: repeated term (0, 2)") + "$"):
         load_constants(path)
 
 

@@ -11,12 +11,12 @@ import sympy
 
 import cmgamma
 from cmgamma.algebra import ExpPoly, Poly
-from cmgamma.bounds import pf_expansion_identity_check
 from cmgamma.cli import main
 from cmgamma.constants import CHAIN_LENGTHS, DEFAULT_CONSTANTS_PATH, load_constants
 from cmgamma.errors import FixtureMismatch
 from cmgamma.replay import (build_chain, build_theta_from_kernel,
-                            chain_positivity_certificate, replay_proof,
+                            chain_positivity_certificate,
+                            pf_expansion_identity_check, replay_proof,
                             verify_derivative_fixtures, verify_initial_values,
                             verify_divisibility, verify_kernel_build)
 from oracles import exppoly_interval
@@ -105,12 +105,11 @@ def test_chain_matches_sympy_differentiation(chain, consts):
 
 
 REPLAY_MODULE = importlib.import_module("cmgamma.replay")
-BOUNDS_MODULE = importlib.import_module("cmgamma.bounds")
 
 
 def clear_replay_memos():
     for memo in (REPLAY_MODULE._chain_of, REPLAY_MODULE._theta_of_kernel,
-                 BOUNDS_MODULE._expansion_identity):
+                 REPLAY_MODULE._expansion_identity):
         memo.cache_clear()
 
 
@@ -134,8 +133,8 @@ def test_sweep_calls_the_traced_entry_points(monkeypatch, tmp_path):
     monkeypatch.setattr(REPLAY_MODULE, "build_chain",
                         counted(calls, "build_chain", REPLAY_MODULE.build_chain))
     monkeypatch.setattr(ExpPoly, "deriv", counted(calls, "deriv", ExpPoly.deriv))
-    monkeypatch.setattr(BOUNDS_MODULE, "pfd_decompose",
-                        counted(calls, "pfd_decompose", BOUNDS_MODULE.pfd_decompose))
+    monkeypatch.setattr(REPLAY_MODULE, "pfd_decompose",
+                        counted(calls, "pfd_decompose", REPLAY_MODULE.pfd_decompose))
     copy = tmp_path / "copy.txt"
     copy.write_bytes(DEFAULT_CONSTANTS_PATH.read_bytes())
     for path, runs in ((DEFAULT_CONSTANTS_PATH, 1), (copy, 2)):

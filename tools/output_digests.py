@@ -19,12 +19,17 @@ The set is:
   bits, on the default grid and three more;
 - `eval g|H|psi1|psi2` at four points, `identity-check telescoping` at two;
 - `replay-proof` and `identity-check expansion|remark2` on the packaged
-  constants file and on each of its single-coefficient mutants (one integer
-  coefficient of a [poly] section changed by +1 or -1).
+  constants file and on each of its 410 single-number mutants: one number
+  changed by +1 or -1, that is the integer coefficient of a [poly] line
+  (308 mutants), the numerator of a [pf remainder] coefficient (44) or the
+  value of a [values *_init] line (58); each [pf] mutant also runs
+  `eval H 1/3`, which prints the rational part of H.  A mutant keeps every
+  section key, so no [pf] (shift, order) key repeats.
 
-Commands run in this process through `cmgamma.cli.main`, one at a time;
-the whole set takes about 10 s (CPython 3.11, 2 vCPU).  CMGAMMA_PREC is
-cleared, so every default precision is the built-in one.
+That is 1,425 digests.  Commands run in this process through
+`cmgamma.cli.main`, one at a time; the whole set takes about 12 s
+(CPython 3.11, 2 vCPU).  CMGAMMA_PREC is cleared, so every default
+precision is the built-in one.
 """
 
 from __future__ import annotations
@@ -80,30 +85,42 @@ def emit(rc, text: str, label: str) -> None:
     print(f"{digest(text)}  rc={rc}  {label}", flush=True)
 
 
-def integer_coefficient_lines(lines: list[str]) -> list[int]:
-    """Indices of the '<power> <integer>' lines of [poly NAME] sections."""
-    out, in_poly = [], False
+def _bump(token: str, delta: int) -> str:
+    """An integer token, or the numerator of an 'a/b' token, plus delta."""
+    num, slash, den = token.partition("/")
+    return f"{int(num) + delta}{slash}{den}"
+
+
+def mutable_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """(index, section kind) of the lines a mutant changes: '<power>
+    <integer>' in [poly NAME], '<coeff> <shift> <order>' in [pf NAME] and
+    '<label> <integer>' in [values NAME]."""
+    out, kind = [], None
     for i, raw in enumerate(lines):
         toks = raw.split("#", 1)[0].split()
         if toks and toks[0].startswith("["):
-            in_poly = toks[0] == "[poly"
-        elif (in_poly and len(toks) == 2 and toks[0].isdigit()
-              and toks[1].lstrip("-").isdigit()):
-            out.append(i)
+            kind = toks[0][1:]
+        elif (kind in ("poly", "values") and len(toks) == 2 and toks[0].isdigit()
+              and toks[1].lstrip("-").isdigit()) or (kind == "pf" and len(toks) == 3):
+            out.append((i, kind))
     return out
 
 
 def mutants(text: str):
-    """(label, text) of the packaged file and of each single-coefficient
-    +-1 mutant, in line order."""
-    yield "pristine", text
+    """(label, section kind, text) of the packaged file and of each
+    single-number +-1 mutant, in line order: the last token of a [poly] or
+    [values] line, the numerator of the first token of a [pf] line."""
+    yield "pristine", None, text
     lines = text.splitlines(keepends=True)
-    for i in integer_coefficient_lines(lines):
-        power, coeff = lines[i].split("#", 1)[0].split()
+    for i, kind in mutable_lines(lines):
+        toks = lines[i].split("#", 1)[0].split()
+        at = 0 if kind == "pf" else 1
         for delta in (1, -1):
+            new = toks[:at] + [_bump(toks[at], delta)] + toks[at + 1:]
             mutated = lines[:]
-            mutated[i] = f"{power} {int(coeff) + delta}\n"
-            yield f"line {i + 1}: {power} {coeff} -> {int(coeff) + delta}", "".join(mutated)
+            mutated[i] = " ".join(new) + "\n"
+            yield (f"line {i + 1}: {' '.join(toks)} -> {' '.join(new)}", kind,
+                   "".join(mutated))
 
 
 def main_digests() -> None:
@@ -135,11 +152,15 @@ def main_digests() -> None:
         emit(*run(argv), " ".join(argv))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(os.path.realpath(tmp), "constants.txt")
-        for label, text in mutants(DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")):
+        for label, kind, text in mutants(
+                DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            for command in (["replay-proof"], ["identity-check", "expansion"],
-                            ["identity-check", "remark2"]):
+            commands = [["replay-proof"], ["identity-check", "expansion"],
+                        ["identity-check", "remark2"]]
+            if kind == "pf":
+                commands.append(["eval", "H", "1/3"])
+            for command in commands:
                 emit(*run(command + ["--constants", path], hide=path),
                      f"{' '.join(command)} [{label}]")
 
