@@ -1,4 +1,4 @@
-"""Midpoint-radius enclosures over exact dyadic rationals.
+"""Midpoint-radius enclosures over exact dyadic rationals, and their digits.
 
 A Ball stores an exact Fraction midpoint and an exact nonnegative Fraction
 radius; the contract is that the true real value lies in
@@ -7,15 +7,16 @@ unreduced integer ratios (numerator and denominator products, no gcd) and
 therefore never loses containment; a result with a nonzero radius is then
 rounded once, to a dyadic midpoint of ~prec significant bits, with the
 rounding error pushed into the radius (rounded up).  Exact (radius-0)
-results keep their exact rational midpoint.
+results keep their exact rational midpoint.  `Ball.within` is the one
+relative-width test.  A Ball has no transcendental functions of its own:
+the polygamma module builds its enclosures through Ball._make.
 
-A Ball has no transcendental functions of its own: the polygamma module
-builds its enclosures from integer series sums through Ball._make.  Its
-decimal output (`decimal_str`, `radius_str`, `str`) comes from
-`reporting.decimal_str`, which prints the correctly rounded digits of
-mpmath's binary value of the midpoint or radius in mpmath.nstr's layout,
-without importing mpmath: what nstr prints, except where nstr's truncating
-digit path misrounds a near-tie.
+One nearest-even step, `_nearest`, rounds the enclosures and the values
+whose digits `decimal_str` prints (`Ball.decimal_str`, `radius_str`,
+`str`): mpmath 1.3's `nstr(mpf(num) / mpf(den), dps)` at prec working
+bits, without importing mpmath.  It prints what nstr prints, except where
+nstr's truncating digit path misrounds a near-tie (mpmath's own comment
+concedes that its truncation "sometimes kills some instances of ...00001").
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from fractions import Fraction
 from typing import Union
 
 from .algebra import Frozen, as_fraction
-from .reporting import decimal_str
 
 Rat = Union[int, Fraction]
 
@@ -53,6 +53,23 @@ def _scale(n: int, d: int, bits: int) -> tuple[int, int, int]:
     return (e, n << -e, d) if e <= 0 else (e, n, d << e)
 
 
+def _nearest(n: int, d: int, bits: int) -> tuple[int, int, int]:
+    """(m, e, r): m * 2^e is n/d (n != 0, d > 0, not necessarily reduced)
+    rounded to bits mantissa bits, ties to even, and r == 0 exactly when
+    the rounding was exact.  An integer that already fits is returned as is."""
+    if d == 1:  # an integer: its low bits are cut by shifts
+        e = n.bit_length() - bits
+        if e <= 0:
+            return n, 0, 0
+        m, r, d = n >> e, n & ((1 << e) - 1), 1 << e
+    else:
+        e, n, d = _scale(n, d, bits)
+        m, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and m & 1):  # ties to even
+        m += 1
+    return m, e, r
+
+
 def round_nearest(q: Rat, bits: int, den: int = 1) -> tuple[Fraction, Fraction]:
     """Round q/den to a dyadic with <= bits mantissa bits, ties to even.
 
@@ -62,13 +79,8 @@ def round_nearest(q: Rat, bits: int, den: int = 1) -> tuple[Fraction, Fraction]:
     """
     if q == 0:
         return _ZERO, _ZERO
-    e, n, d = _scale(q.numerator, q.denominator * den, bits)
-    m, r = divmod(n, d)
-    if r == 0:
-        return _dyadic(m, e), _ZERO
-    if 2 * r > d or (2 * r == d and m & 1):  # ties to even
-        m += 1
-    return _dyadic(m, e), _dyadic(1, e - 1)
+    m, e, r = _nearest(q.numerator, q.denominator * den, bits)
+    return _dyadic(m, e), _dyadic(1, e - 1) if r else _ZERO
 
 
 def round_up(q: Rat, bits: int = _RAD_BITS, den: int = 1) -> Fraction:
@@ -91,6 +103,65 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
             return Fraction(0)
         raise ValueError("non-finite mpf value")
     return _dyadic(-int(man) if sign else int(man), int(exp))
+
+
+# -- decimal output ----------------------------------------------------------
+
+
+def _digits(man: int, exp: int, dps: int) -> tuple[str, int]:
+    """The dps leading decimal digits of man * 2^exp (man > 0), rounded half
+    away from zero, and the decimal exponent of the first one."""
+    top = 10 ** dps
+    # floor(log10) estimated from the bit length, corrected by comparison
+    e10 = (exp + man.bit_length() - 1) * 1233 >> 12
+    while True:
+        shift = dps - 1 - e10
+        x = man * 10 ** shift if shift >= 0 else man
+        x = x << exp + 1 if exp >= -1 else x >> -exp - 1
+        if shift < 0:
+            x //= 10 ** -shift
+        # x = floor(2 v 10^shift) for v = man 2^exp (floors nest), and
+        # v 10^shift must have dps digits before the point
+        if x >= 2 * top:
+            e10 += 1
+        elif x < top // 5:
+            e10 -= 1
+        else:
+            break
+    q = (x + 1) >> 1  # v 10^shift rounded half up
+    if q == top:  # the nines carry into a new leading digit
+        q //= 10
+        e10 += 1
+    return str(q), e10
+
+
+def decimal_str(num: int, den: int, prec: int, dps: int) -> str:
+    """mpmath.nstr(mpf(num) / mpf(den), dps) at prec working bits, with
+    exact digits (den > 0, dps >= 1): each integer and then the quotient are
+    rounded to nearest at prec bits, and the result has at most dps
+    significant digits, rounded half away from zero, in fixed point for
+    decimal exponents strictly between min(-(dps // 3), -5) and dps and in
+    scientific notation otherwise."""
+    if num == 0:
+        return "0.0"
+    nman, nexp, _ = _nearest(abs(num), 1, prec)
+    dman, dexp, _ = _nearest(den, 1, prec)
+    qman, qexp, _ = _nearest(nman, dman, prec)
+    digits, exponent = _digits(qman, qexp + nexp - dexp, dps)
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    sign = "-" if num < 0 else ""
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 class Ball(Frozen):
@@ -200,6 +271,11 @@ class Ball(Frozen):
     __rmul__ = __mul__
 
     # -- predicates ----------------------------------------------------------
+
+    def within(self, prec: int) -> bool:
+        """Whether rad <= |mid| 2^-prec, cross-multiplied in integers."""
+        return (self.rad.numerator * self.mid.denominator << prec
+                <= abs(self.mid.numerator) * self.rad.denominator)
 
     def sign(self) -> int:
         """+1 / -1 when the enclosure is strictly one-signed, else 0."""

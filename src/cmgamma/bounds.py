@@ -76,11 +76,9 @@ def _value(name: str, derivative, x, prec: int,
     """f(x) whose radius is at most |mid| 2^-prec.  The terms of g and H
     cancel, so the terms' precision is escalated until the sum meets the
     target; PrecisionError if it does not at ESCALATION_CAP_BITS."""
-    def met(ball: Ball) -> bool:
-        return ball.rad * 2 ** prec <= abs(ball.mid)
-
-    ball, used = _escalate(lambda p: derivative(0, x, p, constants), prec, met)
-    if not met(ball):
+    ball, used = _escalate(lambda p: derivative(0, x, p, constants), prec,
+                           lambda b: b.within(prec))
+    if not ball.within(prec):
         raise PrecisionError(f"{name}({x}) not within 2^-{prec} relative "
                              f"at {used} bits")
     return ball
@@ -96,6 +94,10 @@ def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball
     """Enclosure of H(x) = trigamma(x) - R(x) with a relative radius of at
     most 2^-prec."""
     return _value("H", h_derivative, x, prec, constants)
+
+
+#: cell k of each kind reads psi orders 1..k + this (g: k + 2, H: k + 1)
+_TOP_ORDER_OVER_K = {"g": 2, "H": 1}
 
 
 class _Jet(dict):
@@ -138,7 +140,7 @@ def g_derivative(k: int, x, prec: int = 128,
     x = as_positive_fraction(x)
     if x < MIN_X:
         raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
-    jet = _jet if _jet is not None else _Jet(x, k + 2)
+    jet = _jet if _jet is not None else _Jet(x, k + _TOP_ORDER_OVER_K["g"])
     den, mids, rads = jet[prec]
     total = rad = 0
     for j in range(k // 2 + 1):
@@ -164,7 +166,7 @@ def h_derivative(k: int, x, prec: int = 128,
     if not 0 <= k <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     x = as_positive_fraction(x)
-    jet = _jet if _jet is not None else _Jet(x, k + 1)
+    jet = _jet if _jet is not None else _Jet(x, k + _TOP_ORDER_OVER_K["H"])
     den, mids, rads = jet[prec]
     rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
     u, v = rational_part.numerator, rational_part.denominator

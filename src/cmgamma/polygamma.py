@@ -268,9 +268,7 @@ def _polygamma_rational(orders: tuple[int, ...], x: Fraction,
         sign = 1 if m % 2 == 1 else -1
         one = 1 << fbits
         ball = Ball._make(sign * fac * total, one, fac * radius, one, prec)
-        mid, rad = ball.mid, ball.rad
-        # rad > |mid| 2^-prec, cross-multiplied
-        if mid and rad.numerator * mid.denominator << prec > abs(mid.numerator) * rad.denominator:
+        if not ball.within(prec):
             raise PrecisionError(
                 f"polygamma({m}, {x}) enclosure wider than 2^-{prec} relative")
         balls.append(ball)

@@ -125,18 +125,20 @@ class CertificateReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _coeff_diff(a: dict, b: dict) -> list[tuple]:
+    """(key, a's, b's) for every key of two {key: coefficient} tables where
+    they differ, in key order; a key missing from a table counts as zero."""
+    return [(key, a.get(key, 0), b.get(key, 0)) for key in sorted(a.keys() | b.keys())
+            if a.get(key, 0) != b.get(key, 0)]
+
+
 def _exppoly_diff(a: ExpPoly, b: ExpPoly) -> str:
-    """First mismatching coefficient between two exponential polynomials."""
-    for k in sorted(set(a.exponents()) | set(b.exponents())):
-        pa, pb = a.block(k), b.block(k)
-        if pa == pb:
-            continue
-        top = max(pa.degree, pb.degree)
-        for j in range(top + 1):
-            if pa.coeff(j) != pb.coeff(j):
-                return (f"e^{k}t block, t^{j}: computed {pa.coeff(j)}, "
-                        f"fixture {pb.coeff(j)}")
-    return "structurally equal"
+    """First mismatching coefficient, in (exponent, power) order, between
+    two unequal exponential polynomials."""
+    k = _coeff_diff(dict(a.blocks()), dict(b.blocks()))[0][0]
+    pa, pb = a.block(k), b.block(k)
+    j, ca, cb = _coeff_diff(dict(enumerate(pa.coeffs)), dict(enumerate(pb.coeffs)))[0]
+    return f"e^{k}t block, t^{j}: computed {ca}, fixture {cb}"
 
 
 def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
@@ -224,13 +226,8 @@ class ExpansionIdentityReport(NamedTuple):
 
 def _pf_diff(a: PartialFractionForm, b: PartialFractionForm):
     """(shift, order, coeff_a, coeff_b) for every place the forms differ."""
-    table: dict[tuple[int, int], list[Fraction]] = {}
-    for t in a.terms:
-        table.setdefault((t.shift, t.order), [Fraction(0), Fraction(0)])[0] = t.coeff
-    for t in b.terms:
-        table.setdefault((t.shift, t.order), [Fraction(0), Fraction(0)])[1] = t.coeff
-    return tuple((s, o, ca, cb) for (s, o), (ca, cb) in sorted(table.items())
-                 if ca != cb)
+    tables = [{(t.shift, t.order): t.coeff for t in f.terms} for f in (a, b)]
+    return tuple((s, o, ca, cb) for (s, o), ca, cb in _coeff_diff(*tables))
 
 
 def pf_expansion_identity_check(
@@ -363,8 +360,9 @@ def verify_divisibility(chain: dict) -> tuple[StepRecord, ...]:
     """
     t10 = chain["theta"][10]
     t110 = chain["theta1"][10]
-    div512 = all(p._den == 1 and not any(c % 512 for c in p._num)
-                 for _, p in t110.blocks())
+    factor = _STAGE_FIXTURE_FACTOR["theta2"]
+    divisible = all(p._den == 1 and not any(c % factor for c in p._num)
+                    for _, p in t110.blocks())
     return _numbered([
         _step("divisibility-theta10",
               "theta^(10) has no e^0 block (e^t factors out exactly)",
@@ -372,10 +370,10 @@ def verify_divisibility(chain: dict) -> tuple[StepRecord, ...]:
               [("exponents", ",".join(map(str, t10.exponents())))],
               0 not in t10.exponents()),
         _step("divisibility-theta1-10th",
-              "theta1^(10) has no e^0 block and 512 divides every coefficient",
+              f"theta1^(10) has no e^0 block and {factor} divides every coefficient",
               "exact-integer-divisibility",
               [("exponents", ",".join(map(str, t110.exponents())))],
-              0 not in t110.exponents() and div512)])
+              0 not in t110.exponents() and divisible)])
 
 
 def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:

@@ -44,9 +44,6 @@ _KINDS: dict[str, Callable] = {
     "H": bounds.h_derivative,
 }
 
-#: cell k of each kind reads psi orders up to k + this (H reads only k + 1)
-_TOP_ORDER_OVER_K = {"g": 2, "H": 1}
-
 
 class GridSpec(Frozen, key=lambda g: g.points):
     """A finite list of distinct positive rational evaluation points
@@ -271,7 +268,7 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
     deriv = _KINDS[kind]
     columns = []
     for x in grid.points:
-        jet = bounds._Jet(x, k_max + _TOP_ORDER_OVER_K[kind])
+        jet = bounds._Jet(x, k_max + bounds._TOP_ORDER_OVER_K[kind])
         column = []
         for k in range(k_max + 1):
             flip = -1 if k % 2 else 1

@@ -36,6 +36,16 @@ def test_round_up_dominates():
         assert r / q < F(1001, 1000)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_within_is_rad_at_most_mid_over_two_to_prec(sign):
+    mid, prec = sign * F(3, 5), 20
+    edge = abs(mid) / 2 ** prec
+    assert Ball(mid, edge, 8).within(prec)
+    assert not Ball(mid, edge + F(1, 2 ** 80), 8).within(prec)
+    assert Ball(mid, 0, 8).within(10 ** 4)
+    assert Ball(0, 0, 8).within(prec) and not Ball(0, F(1, 2 ** 80), 8).within(prec)
+
+
 def test_exact_ball_keeps_rational():
     b = Ball(F(1, 3), 0, 64)
     assert b.rad == 0 and b.mid == F(1, 3)

@@ -117,6 +117,12 @@ class TestExpansionIdentity:
         assert not rep.expansion_equal
         assert any(s == 1 and o == 2 for s, o, _, _ in rep.diff_terms)
         assert "UNEQUAL" in rep.detail
+        # and 3/4 -> 7/4 at x^-2 too: both differences, in (shift, order) order
+        path = mutate_constants(r"-251/120 1 2", "-131/120 1 2",
+                                (r"3/4 0 2", "7/4 0 2"))
+        rep = cmgamma.pf_expansion_identity_check(load_constants(path))
+        assert rep.diff_terms == ((0, 2, F(3, 4), F(7, 4)),
+                                  (1, 2, F(-251, 120), F(-131, 120)))
 
     def test_detects_perturbed_q(self, mutate_constants):
         path = mutate_constants(*PERTURBED_Q)

@@ -1,6 +1,6 @@
 """The mpmath-free decimal formatter against mpmath.
 
-`reporting.decimal_str(num, den, prec, dps)` prints mpmath's prec-bit value
+`ball.decimal_str(num, den, prec, dps)` prints mpmath's prec-bit value
 of `mpf(num) / mpf(den)` as its correctly rounded dps digits (half away from
 zero) in the layout of `mpmath.nstr`.  Wherever nstr's truncating digit path
 rounds correctly that is what nstr printed, byte for byte: on the midpoint
@@ -24,10 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from cmgamma.ball import Ball
+from cmgamma.ball import Ball, decimal_str
 from cmgamma.bounds import g_derivative, h_derivative
 from cmgamma.polygamma import polygamma
-from cmgamma.reporting import decimal_str
 from cmgamma.scan import GridSpec, cm_scan
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from cmgamma.ball import Ball
-from cmgamma.errors import DomainError
+from cmgamma.errors import DomainError, PrecisionError
 from cmgamma.polygamma import MAX_ORDER, polygamma, polygamma_quadrature_crosscheck
 from oracles import contains, overlaps, polygamma_recurrence_shift
 
@@ -147,6 +147,20 @@ def test_policy_guard_bits(monkeypatch):
     assert [(b.mid, b.rad, b.prec) for b in joint] == [(b.mid, b.rad, b.prec) for b in alone]
     with pytest.raises(ValueError, match="prec must be at least 8 bits"):
         polygamma(1, 1, 4)
+
+
+def test_wide_series_radius_raises(monkeypatch):
+    # a series radius of the sum itself is far wider than 2^-prec relative
+    series = polygamma_module._zeta_like_sums
+
+    def widened(orders, x, wbits):
+        return {s: (total, total, fbits)
+                for s, (total, _, fbits) in series(orders, x, wbits).items()}
+
+    monkeypatch.setattr(polygamma_module, "_zeta_like_sums", widened)
+    with pytest.raises(PrecisionError, match=r"polygamma\(2, 7/5\) enclosure "
+                                             r"wider than 2\^-64 relative"):
+        polygamma(2, F(7, 5), 64)
 
 
 class TestRecurrenceShift:

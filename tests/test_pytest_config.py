@@ -26,7 +26,7 @@ def test_failing_property_is_reported_and_the_run_goes_on(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(probe)],
-        capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "Falsifying example" in run.stdout
     assert "1 failed, 1 passed" in run.stdout

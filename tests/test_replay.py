@@ -228,6 +228,16 @@ class TestVerificationFragments:
         bad = [r for r in records if not r.passed]
         assert [r.name for r in bad] == ["formula-theta-prime"]
         assert "t^2" in bad[0].detail
+        # two mismatches, e^t t^0 and e^0 t^2: the detail names the first in
+        # (exponent, power) order
+        path = mutate_constants(r"2 6174000", "2 6174001",
+                                (r"0 7424524800", "0 7424524801"))
+        consts = load_constants(path)
+        records = verify_derivative_fixtures(build_chain(consts), consts)
+        bad = [r for r in records if not r.passed]
+        assert [r.name for r in bad] == ["formula-theta-prime"]
+        assert bad[0].detail == ("e^0t block, t^2: computed -222264000, "
+                                 "fixture -222264036")
 
     def test_initial_values(self, chain, consts):
         records = verify_initial_values(chain, consts)
@@ -323,6 +333,21 @@ class TestFullReplay:
         assert not report.overall
         first = report.first_failure()
         assert first.name in ("kernel-build", "formula-theta-prime")
+
+    @pytest.mark.parametrize("pattern, replacement, name, detail", [
+        (r"3 0", "3 1", "initial-value-table",
+         "theta derivative orders 1..4 must vanish at 0"),
+        (r"\[poly theta2_d9\.e1\]", "[poly theta2_d9.e2]\n0 1\n[poly theta2_d9.e1]",
+         "bottom-stage-positive", "bottom stage is not of the form P(t)e^t + c"),
+        (r"scale -725760", "scale -725760\n1 1",  # inside theta2_d9.e0
+         "bottom-stage-positive", "e^0 block is not constant"),
+    ], ids=["theta-init-order-3", "theta2-d9-e2-block", "theta2-d9-e0-t-term"])
+    def test_failure_details(self, mutate_constants, pattern, replacement,
+                             name, detail):
+        path = mutate_constants(pattern, replacement)
+        failed = {s.name: s.detail for s in replay_proof(load_constants(path)).steps
+                  if not s.passed}
+        assert detail in failed[name].split("; ")
 
     def test_leftover_e0_block_fails_steps_instead_of_raising(self, mutate_constants,
                                                               capsys):
