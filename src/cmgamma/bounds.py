@@ -5,19 +5,16 @@
     R(x) = the 22-term partial-fraction remainder (= q(x)/(1800 x^2 (1+x)^10 (2+x)^10))
     H(x) = trigamma(x) - R(x)                 satisfies g(x) - g(x+1) = (2/x^2) H(x)
 
-Both rational parts are held as exact partial-fraction forms, canonical and
-proper (merged c/(x+a)^m terms, no polynomial part), and differentiated in
-closed form: the k-th derivative of a rational part is one
-`eval_exact(x, k)` call, which scales each c/(x+a)^m to
-(-1)^k (m)_k c/(x+a)^(m+k) inside its integer Horner sum.  Derivatives of
-the transcendental part use the exact Leibniz expansion of d^k[trigamma^2]:
-its sum, the propagated radius and the exact rational part are formed in
-integers at one dyadic scale, so an enclosure radius is the polygamma balls'
-radii carried exactly through the expansion, plus one final rounding (an H
-cell likewise).  Every psi^(m)(x) they read comes from a `_Jet` of x, which
-fills each precision once, with one joint `polygamma` series of all its orders.
-`cm_scan` passes one jet per grid point.  The partial fractions of B are
-memoised on p, the value they read, like every exact memo (see `replay`).
+g and H are the two rows of `_ROWS`: psi products and psi orders used alone,
+minus a rational part held as an exact canonical partial-fraction form, whose
+k-th derivative is one closed-form `eval_exact(x, k)` call.  One evaluator,
+`_cell`, forms f^(k)(x) from a row by the Leibniz rule in integers at one
+dyadic scale, so a radius is the polygamma balls' radii carried exactly
+through the expansion, plus one final rounding.  Every psi^(m)(x) it reads
+comes from a `_Jet` of x, which fills each precision once, with one joint
+`polygamma` series of all its orders; `cm_scan` passes one jet per grid
+point.  The partial fractions of B are memoised on p, the value they read,
+like every exact memo (see `replay`).
 """
 
 from __future__ import annotations
@@ -71,15 +68,14 @@ def _escalate(evaluate: Callable[[int], Ball], prec: int,
     return ball, prec
 
 
-def _value(name: str, derivative, x, prec: int,
-           constants: SourceConstants | None) -> Ball:
+def _value(kind: str, x, prec: int, constants: SourceConstants | None) -> Ball:
     """f(x) whose radius is at most |mid| 2^-prec.  The terms of g and H
     cancel, so the terms' precision is escalated until the sum meets the
     target; PrecisionError if it does not at ESCALATION_CAP_BITS."""
-    ball, used = _escalate(lambda p: derivative(0, x, p, constants), prec,
-                           lambda b: b.within(prec))
+    ball, used = _escalate(lambda p: _cell(kind, 0, x, p, constants, None),
+                           prec, lambda b: b.within(prec))
     if not ball.within(prec):
-        raise PrecisionError(f"{name}({x}) not within 2^-{prec} relative "
+        raise PrecisionError(f"{kind}({x}) not within 2^-{prec} relative "
                              f"at {used} bits")
     return ball
 
@@ -87,17 +83,30 @@ def _value(name: str, derivative, x, prec: int,
 def g_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
     """Enclosure of g(x) = trigamma(x)^2 + tetragamma(x) - B(x) with a
     relative radius of at most 2^-prec."""
-    return _value("g", g_derivative, x, prec, constants)
+    return _value("g", x, prec, constants)
 
 
 def h_eval(x, prec: int = 128, constants: SourceConstants | None = None) -> Ball:
     """Enclosure of H(x) = trigamma(x) - R(x) with a relative radius of at
     most 2^-prec."""
-    return _value("H", h_derivative, x, prec, constants)
+    return _value("H", x, prec, constants)
 
 
-#: cell k of each kind reads psi orders 1..k + this (g: k + 2, H: k + 1)
-_TOP_ORDER_OVER_K = {"g": 2, "H": 1}
+class _Row(NamedTuple):
+    """f = sum psi^(a) psi^(b) + sum psi^(a) - rational part, for x >= min_x."""
+
+    min_x: Fraction
+    products: tuple[tuple[int, int], ...]  # the (a, b) of each psi^(a) psi^(b)
+    alone: tuple[int, ...]  # each a of a psi^(a) used alone
+    rational: Callable[[SourceConstants], PartialFractionForm]
+
+    @property
+    def top(self) -> int:  # cell k reads the psi orders 1..k + top
+        return max(self.alone + sum(self.products, ()))
+
+
+_ROWS = {"g": _Row(MIN_X, ((1, 1),), (2,), lambda c: _bound_pf(c.p)),
+         "H": _Row(Fraction(0), (), (1,), lambda c: c.remainder_expansion)}
 
 
 class _Jet(dict):
@@ -116,61 +125,52 @@ class _Jet(dict):
         return scale
 
 
+def _cell(kind: str, k: int, x, prec: int, constants: SourceConstants | None,
+          jet: _Jet | None) -> Ball:
+    """f^(k)(x), f the row `kind`: with psi^(m) = (P_m +/- R_m)/D, the Leibniz
+    sum d^k[psi^(a) psi^(b)] = sum_j C(k,j) P_(a+j) P_(b+k-j) and its radius
+    sum_j C(k,j) (|P| R' + R |P'| + R R') are exact integers over D^2, psi^(a)
+    alone gives P_(a+k) over D; minus the exact rational part, rounded once."""
+    row = _ROWS[kind]
+    if type(k) is not int or not 0 <= k <= MAX_DERIVATIVE_ORDER:  # bool, float
+        raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
+    x = as_positive_fraction(x)
+    if x < row.min_x:
+        raise DomainError(f"x below cutoff {row.min_x} rejected (cancellation blow-up)")
+    den, mids, rads = (jet if jet is not None else _Jet(x, k + row.top))[prec]
+    scale = den if row.products else 1  # products are over D^2, orders alone over D
+    total = rad = 0
+    for a, b in row.products:  # the list index of order m is m - 1
+        for j in range(k + 1):
+            c = math.comb(k, j)
+            pa, pb = mids[a + j - 1], mids[b + k - j - 1]
+            ra, rb = rads[a + j - 1], rads[b + k - j - 1]
+            total += c * pa * pb
+            rad += c * (abs(pa) * rb + ra * abs(pb) + ra * rb)
+    for a in row.alone:
+        total += mids[a + k - 1] * scale
+        rad += rads[a + k - 1] * scale
+    rational_part = row.rational(constants_or_default(constants)).eval_exact(x, k)
+    u, v = rational_part.numerator, rational_part.denominator
+    den *= scale
+    return Ball._make(total * v - u * den, v * den, rad, den, prec)
+
+
 def g_derivative(k: int, x, prec: int = 128,
                  constants: SourceConstants | None = None, *,
                  _jet: _Jet | None = None) -> Ball:
-    """Enclosure of the k-th derivative of g at rational x >= MIN_X.
-
-    d^k[trigamma^2] expands by Leibniz into sum_j C(k,j) psi^(1+j) psi^(1+k-j),
-    d^k[tetragamma] is psi^(k+2), and the rational part is differentiated in
-    closed form through its partial-fraction form.  The orders m = 1..k+2
-    are read from _jet, internal to `cm_scan`, which passes the jet of this
-    x (trusted as given); without it they come from a fresh jet.
-
-    With every psi^(m) ball written as (P_m +/- R_m)/D over one common
-    denominator D = 2^S, which the jet forms once per precision, the sum
-    and its radius
-    sum_j C(k,j) (|P_a| R_b + R_a |P_b| + R_a R_b) are exact integers over
-    D^2 (the j and k-j terms are equal, so each pair is formed once);
-    psi^(k+2) and the exact rational part join them and the cell is rounded
-    once.
-    """
-    if not 0 <= k <= MAX_DERIVATIVE_ORDER:
-        raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
-    x = as_positive_fraction(x)
-    if x < MIN_X:
-        raise DomainError(f"x below cutoff {MIN_X} rejected (cancellation blow-up)")
-    jet = _jet if _jet is not None else _Jet(x, k + _TOP_ORDER_OVER_K["g"])
-    den, mids, rads = jet[prec]
-    total = rad = 0
-    for j in range(k // 2 + 1):
-        a, b = j, k - j  # list indices of the orders 1+j and 1+k-j
-        c = math.comb(k, j) if a == b else 2 * math.comb(k, j)
-        pa, pb, ra, rb = mids[a], mids[b], rads[a], rads[b]
-        total += c * pa * pb
-        rad += c * (abs(pa) * rb + ra * abs(pb) + ra * rb)
-    total += mids[k + 1] * den
-    rad += rads[k + 1] * den
-    rational_part = _bound_pf(constants_or_default(constants).p).eval_exact(x, k)
-    u, v = rational_part.numerator, rational_part.denominator
-    den2 = den * den
-    return Ball._make(total * v - u * den2, v * den2, rad, den2, prec)
+    """Enclosure of the k-th derivative of g at rational x >= MIN_X.  The psi
+    orders are read from _jet, internal to `cm_scan`, which passes the jet
+    of this x (trusted as given); without it they come from a fresh jet."""
+    return _cell("g", k, x, prec, constants, _jet)
 
 
 def h_derivative(k: int, x, prec: int = 128,
                  constants: SourceConstants | None = None, *,
                  _jet: _Jet | None = None) -> Ball:
-    """Enclosure of the k-th derivative of H at rational x > 0: psi^(k+1),
-    read from _jet as in `g_derivative`, minus the exact rational part u/v,
-    as (P_(k+1) v - u D)/(D v) with the radius R_(k+1)/D, rounded once."""
-    if not 0 <= k <= MAX_DERIVATIVE_ORDER:
-        raise DomainError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
-    x = as_positive_fraction(x)
-    jet = _jet if _jet is not None else _Jet(x, k + _TOP_ORDER_OVER_K["H"])
-    den, mids, rads = jet[prec]
-    rational_part = constants_or_default(constants).remainder_expansion.eval_exact(x, k)
-    u, v = rational_part.numerator, rational_part.denominator
-    return Ball._make(mids[k] * v - u * den, den * v, rads[k], den, prec)
+    """Enclosure of the k-th derivative of H at rational x > 0,
+    psi^(k+1) - R^(k)(x), with psi^(k+1) read as in `g_derivative`."""
+    return _cell("H", k, x, prec, constants, _jet)
 
 
 class TelescopingReport(NamedTuple):

@@ -276,7 +276,7 @@ def _polygamma_rational(orders: tuple[int, ...], x: Fraction,
 
 
 def _check_order(m) -> None:
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:  # a bool or a float is refused too
         raise DomainError("derivative order m must be an integer >= 1")
 
 

@@ -8,10 +8,10 @@ never coerced.  A single negative verdict marks the whole scan failed: this
 is the desk-scale falsification surface for the monotonicity claims.  The
 k = 0 cells of the g scan are the inequality psi'(x)^2 + psi''(x) > B(x).
 
-The scan runs with x as the outer loop and gives each point one
-`bounds._Jet` of every psi order its cells read, so one jet is alive at a
-time and each precision the point's cells reach is one joint series that
-all of them share; entries stay k-major.
+A cell is one call of `bounds.g_derivative` or `h_derivative`, entries
+into the one cell evaluator over the rows of `bounds._ROWS`.  x is the
+outer loop: a point's one `bounds._Jet` holds psi orders 1..k_max + `top`
+of its row, one joint series per precision reached; entries stay k-major.
 
 Grids are explicit point lists, exact geometric progressions, or log-spaced
 spans whose interior points are rounded to 24-bit dyadics; the span points
@@ -262,13 +262,13 @@ def cm_scan(kind: str, k_max: int, grid: GridSpec | None = None,
     starting each cell at prec bits."""
     if kind not in _KINDS:
         raise DomainError(f"unknown scan kind {kind!r}; expected one of {sorted(_KINDS)}")
-    if not 0 <= k_max <= bounds.MAX_DERIVATIVE_ORDER:
+    if type(k_max) is not int or not 0 <= k_max <= bounds.MAX_DERIVATIVE_ORDER:
         raise DomainError(f"k_max must be in 0..{bounds.MAX_DERIVATIVE_ORDER}")
     grid = grid if grid is not None else default_grid()
     deriv = _KINDS[kind]
     columns = []
     for x in grid.points:
-        jet = bounds._Jet(x, k_max + bounds._TOP_ORDER_OVER_K[kind])
+        jet = bounds._Jet(x, k_max + bounds._ROWS[kind].top)
         column = []
         for k in range(k_max + 1):
             flip = -1 if k % 2 else 1

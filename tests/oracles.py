@@ -133,3 +133,25 @@ def h_derivative_ball_chain(k, x, prec, constants=None):
     """
     return (polygamma(k + 1, x, prec)
             - rational_part_derivatives("H", x, k, constants)[k])
+
+
+def g_derivative_exact_sum(k, x, prec, constants=None):
+    """g^(k)(x) from the balls polygamma(m, x, prec), m = 1..k+2, taken as
+    exact Fractions: the Leibniz sum of their midpoints
+
+        sum_j C(k,j) psi^(1+j) psi^(1+k-j) + psi^(k+2) - B^(k)(x),
+
+    B^(k)(x) differentiated without partial fractions, and the radius
+    sum_j C(k,j) (|m_a| r_b + r_a |m_b| + r_a r_b) + r_(k+2), rounded by one
+    Ball._make.  This is the value the integer cell forms over the jet's
+    common denominator; the two must be the same ball.
+    """
+    psi = {m: polygamma(m, x, prec) for m in range(1, k + 3)}
+    mid = psi[k + 2].mid - rational_part_derivatives("g", x, k, constants)[k]
+    rad = psi[k + 2].rad
+    for j in range(k + 1):
+        a, b, c = psi[1 + j], psi[1 + k - j], math.comb(k, j)
+        mid += c * a.mid * b.mid
+        rad += c * (abs(a.mid) * b.rad + a.rad * abs(b.mid) + a.rad * b.rad)
+    return Ball._make(mid.numerator, mid.denominator, rad.numerator,
+                      rad.denominator, prec)

@@ -207,6 +207,14 @@ class TestDerivatives:
         with pytest.raises(DomainError):
             bounds.h_derivative(-1, 1, 64)
 
+    @pytest.mark.parametrize("k", [True, 1.0])
+    @pytest.mark.parametrize("kind", ["g", "H"])
+    def test_order_must_be_an_int(self, kind, k):
+        # a bool is not an order, and a float is refused before range() sees it
+        deriv = bounds.g_derivative if kind == "g" else bounds.h_derivative
+        with pytest.raises(DomainError, match="^derivative order must be in 0..12$"):
+            deriv(k, 1, 64)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_matches_central_difference_on_grid(self, k):
         # oracle: (f(x+h) - f(x-h))/2h = f'(x) + h^2/6 f'''(xi) with

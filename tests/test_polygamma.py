@@ -121,7 +121,7 @@ def test_domain_errors():
         polygamma(1, F(-3, 2))
     with pytest.raises(DomainError):
         polygamma(33, 1)
-    for orders in ((), (1, 0), (2, 33)):
+    for orders in ((), (1, 0), (2, 33), True, 1.0, (1, True)):  # bool: not an order
         with pytest.raises(DomainError):
             polygamma(orders, 1)
 

@@ -13,9 +13,10 @@ polygamma is checked for containment
 of mpmath's psi and Hurwitz zeta at four times the precision, and its ball
 for lying inside the one the same series gives with 16 extra guard bits per
 order; the derivatives of g and H are checked for containment of mpmath's
-psi plus the exact rational part at four times the precision, and each H
-cell, formed in integers, against the Ball chain psi^(k+1) - R^(k) bit for
-bit; the Bernoulli
+psi plus the exact rational part at four times the precision, and each g
+and H cell, formed in integers, bit for bit against the Leibniz sum of the
+polygamma balls taken as Fractions (g) and the Ball chain psi^(k+1) - R^(k)
+(H); the Bernoulli
 numbers are checked against mpmath's; the integer partial-fraction
 decomposition is checked against sympy's ``apart`` and by recomposing it;
 the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
@@ -51,8 +52,8 @@ from cmgamma.polygamma import (MAX_ORDER, _bernoulli, _sure_floor, _zeta_like_su
                                polygamma)
 from cmgamma.reporting import SCHEMA, stable_json_dumps
 from cmgamma.scan import GridSpec
-from oracles import (contains, h_derivative_ball_chain, polygamma_per_order_guard,
-                     rational_part_derivatives)
+from oracles import (contains, g_derivative_exact_sum, h_derivative_ball_chain,
+                     polygamma_per_order_guard, rational_part_derivatives)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -262,17 +263,26 @@ def test_derivatives_contain_mpmath(kind, k, x, prec):
         assert contains(ball, psi_part - mp.mpf(rational.numerator) / rational.denominator)
 
 
-@settings(SETTINGS, max_examples=40)
-@given(st.integers(0, 12), positive_x, st.sampled_from([8, 64, 512]))
-@example(0, F(10 ** 6), 64)  # cancels: the cell straddles zero at 64 bits
-@example(12, F(1, 2 ** 20), 512)
-@example(12, F(2 ** 19), 8)
-@example(5, F(1, 3), 8)  # non-dyadic x
-def test_h_cell_matches_the_ball_chain(k, x, prec):
-    # the integer cell (P v - u D)/(D v) rounds by value, as the Ball
-    # subtraction did: the same midpoint, radius and precision
-    cell = bounds.h_derivative(k, x, prec)
-    ref = h_derivative_ball_chain(k, x, prec)
+@settings(SETTINGS, max_examples=60)
+@given(st.sampled_from("gH"), st.integers(0, 12), positive_x, st.sampled_from([8, 64, 512]))
+@example("H", 0, F(10 ** 6), 64)  # cancels: the cell straddles zero at 64 bits
+@example("H", 12, F(1, 2 ** 20), 512)
+@example("H", 12, F(2 ** 19), 8)
+@example("H", 5, F(1, 3), 8)  # non-dyadic x
+@example("g", 0, F(10 ** 6), 64)  # cancels: the cell straddles zero at 64 bits
+@example("g", 12, F(1, 2 ** 20), 512)  # MIN_X
+@example("g", 8, F(1, 2 ** 20), 8)
+@example("g", 12, F(2 ** 19), 8)
+@example("g", 5, F(1, 3), 8)  # non-dyadic x
+@example("g", 12, F(999983, 1000003), 512)
+def test_cells_match_their_references(kind, k, x, prec):
+    # the integer cell rounds by value once, as the references do: the same
+    # midpoint, radius and precision as the Ball chain psi^(k+1) - R^(k)
+    # (H) or the Leibniz sum of the polygamma balls as Fractions (g)
+    if kind == "g":
+        cell, ref = bounds.g_derivative(k, x, prec), g_derivative_exact_sum(k, x, prec)
+    else:
+        cell, ref = bounds.h_derivative(k, x, prec), h_derivative_ball_chain(k, x, prec)
     assert (cell.mid, cell.rad, cell.prec) == (ref.mid, ref.rad, ref.prec)
 
 

@@ -176,6 +176,12 @@ class TestCmScan:
         with pytest.raises(DomainError):
             cm_scan("g", 99, SMALL_GRID)
 
+    @pytest.mark.parametrize("k_max", [True, 2.0])
+    def test_k_max_must_be_an_int(self, k_max):
+        # a bool would be reported as "k_max": true, and a float reach range()
+        with pytest.raises(DomainError, match="^k_max must be in 0..12$"):
+            cm_scan("g", k_max, SMALL_GRID)
+
     def test_verdicts_monotone_in_precision(self):
         grid = GridSpec.explicit([F(1, 16), F(4)])
         low = cm_scan("g", 1, grid, 128)
