@@ -25,13 +25,28 @@ from fractions import Fraction
 from typing import Union
 
 from .algebra import Frozen, as_fraction
+from .errors import DomainError
 
 Rat = Union[int, Fraction]
+
+#: Highest precision, in bits, of a Ball and of every numeric entry point,
+#: which all obey `check_prec`.
+MAX_PREC = 4096
 
 _RAD_BITS = 16  # mantissa bits kept for radii
 _MID_GUARD = 16  # extra mantissa bits kept for midpoints beyond prec
 
 _ZERO = Fraction(0)
+
+
+def check_prec(prec) -> None:
+    """DomainError unless prec is an int (not a bool) from 8 to MAX_PREC."""
+    if type(prec) is not int:
+        raise DomainError(f"precision {prec!r} is not an integer")
+    if prec < 8:
+        raise DomainError("precision must be at least 8 bits")
+    if prec > MAX_PREC:
+        raise DomainError(f"precision above the limit of {MAX_PREC} bits")
 
 
 def _dyadic(m: int, e: int) -> Fraction:
@@ -174,8 +189,7 @@ class Ball(Frozen):
         rad = as_fraction(rad)
         if rad < 0:
             raise ValueError("radius must be nonnegative")
-        if prec < 8:
-            raise ValueError("precision must be at least 8 bits")
+        check_prec(prec)
         object.__setattr__(self, "mid", mid)
         object.__setattr__(self, "rad", rad)
         object.__setattr__(self, "prec", prec)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra import (PartialFractionForm, _over_lcm, as_positive_fraction,
                       pfd_decompose)
-from .ball import Ball
+from .ball import MAX_PREC, Ball
 from .constants import (BOUND_DEN_FACTORS, SCALE_P, SourceConstants,
                         constants_or_default)
 from .errors import DomainError, PrecisionError
@@ -41,7 +41,7 @@ MIN_X = Fraction(1, 2 ** 20)
 MAX_DERIVATIVE_ORDER = 12
 
 #: Highest precision a retry may double up to (scan cells and g/H values).
-ESCALATION_CAP_BITS = 4096
+ESCALATION_CAP_BITS = MAX_PREC
 
 
 @lru_cache(maxsize=4)

@@ -5,10 +5,10 @@ Exit-code contract (stable for CI): 0 = pass, 1 = verification failure,
 no timestamps, sorted JSON keys, fixed decimal formatting.
 
 The default precision comes from --prec, else the CMGAMMA_PREC environment
-variable, else 128 bits (256 for scans).  To keep the cost of a run bounded,
-a precision above bounds.ESCALATION_CAP_BITS, a grid of more than
-scan.MAX_GRID_POINTS points and an exact argument, constants-file token or
-geometric grid point whose numerator or denominator has more than
+variable, else 128 bits (256 for scans), within `ball.check_prec`, the rule
+of every numeric entry point.  To keep the cost of a run bounded, a grid of
+more than scan.MAX_GRID_POINTS points and an exact argument, constants-file
+token or geometric grid point whose numerator or denominator has more than
 algebra.MAX_POINT_BITS bits are usage errors.  Exact arguments are read by
 `algebra.parse_rational`, the reader of constants-file tokens, and every
 integer of a constants file is bounded by the file's structure (see
@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from . import bounds, replay, scan
 from .algebra import parse_rational
+from .ball import check_prec
 from .constants import SCALE_P, SCALE_Q, load_constants
 from .errors import CmGammaError
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
@@ -50,11 +51,10 @@ def _default_prec(args, fallback: int) -> int:
         except ValueError:
             raise CmGammaError(f"CMGAMMA_PREC={env!r} is not an integer")
         source = f"CMGAMMA_PREC={env!r}"
-    if prec < 8:
-        raise CmGammaError(f"{source}: precision must be at least 8 bits")
-    if prec > bounds.ESCALATION_CAP_BITS:
-        raise CmGammaError(f"{source}: precision above the limit of "
-                           f"{bounds.ESCALATION_CAP_BITS} bits")
+    try:
+        check_prec(prec)
+    except CmGammaError as exc:
+        raise CmGammaError(f"{source}: {exc}") from None
     return prec
 
 
@@ -191,12 +191,7 @@ def cmd_cm_scan(args) -> int:
     consts = load_constants(args.constants)
     grid = _parse_grid(args.grid)
     report = scan.cm_scan(args.kind, args.kmax, grid, prec, consts)
-    if args.format == "json":
-        out = report.to_json()
-    elif args.format == "csv":
-        out = report.to_csv()
-    else:
-        out = report.to_text()
+    out = getattr(report, f"to_{args.format}")()  # to_text, to_json or to_csv
     if output is not None and output != "-":
         _write(output, out)
     else:

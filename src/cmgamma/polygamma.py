@@ -101,7 +101,7 @@ from itertools import repeat
 from operator import floordiv, rshift
 
 from .algebra import as_positive_fraction
-from .ball import Ball, _mpf_tuple_to_fraction
+from .ball import Ball, _mpf_tuple_to_fraction, check_prec
 from .errors import CmGammaError, DomainError, PrecisionError, QuadratureFailure
 
 MAX_ORDER = 32
@@ -282,7 +282,7 @@ def _check_order(m) -> None:
 
 def polygamma(m: int | tuple[int, ...], x, prec: int = 128) -> Ball | tuple[Ball, ...]:
     """Certified enclosure of psi^(m)(x) for integer m >= 1 and x > 0 whose
-    relative radius is at most 2^-prec (prec >= 8 bits), else PrecisionError.
+    relative radius is at most 2^-prec (`check_prec`), else PrecisionError.
 
     m may also be a nonempty tuple of orders; the result is then the tuple of
     their enclosures, all from one joint series.  x may be an exact rational
@@ -297,8 +297,7 @@ def polygamma(m: int | tuple[int, ...], x, prec: int = 128) -> Ball | tuple[Ball
         _check_order(order)
         if order > MAX_ORDER:
             raise DomainError(f"m > {MAX_ORDER} unsupported")
-    if prec < 8:
-        raise ValueError("prec must be at least 8 bits")
+    check_prec(prec)
     if isinstance(x, Ball):
         as_positive_fraction(x.lower)
         if x.is_exact():
@@ -321,6 +320,7 @@ def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
     It needs mpmath, which only the `crosscheck` and `test` extras install.
     """
     _check_order(m)
+    check_prec(prec)
     x = as_positive_fraction(x)
     try:
         from mpmath import mp

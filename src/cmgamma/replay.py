@@ -1,26 +1,27 @@
 """Exact proof replay: the expansion identities and the positivity chain.
 
 `pf_expansion_identity_check` ties p and q to the 22-term remainder
-expansion by two exact partial-fraction identities.  The chain starts from
-the Laplace-kernel numerator theta(t): rebuild it from the expansion's
-kernel image in one pass, differentiate exactly through the three stages
+expansion by two exact partial-fraction identities.  The chain has one
+derivation, from the expansion: rebuild the Laplace-kernel numerator
+theta(t) from its kernel image, differentiate it exactly through the stages
 
     theta --(10 derivatives)--> e^t * theta1
     theta1 --(10 derivatives)--> 512 e^t * theta2
     theta2 --(9 derivatives)--> bottom stage 725760*(8857350(46+3t)e^t - 1)
 
-and certify positivity bottom-up: the bottom stage is positive by an exact
-coefficient comparison (using only e^t >= 1 and t >= 0), and each lower
-derivative follows by integration from 0 with a nonnegative initial value.
-Everything numeric in the certificate is an exact integer or rational; no
-floating-point or interval evaluation enters it.  `build_chain` returns a
-plain mapping {stage: (stage, stage', ..., stage^(n))}, so theta1^(10) is
-chain["theta1"][10].  Each certificate fragment numbers its own steps from
-1, and the full replay renumbers them by position.  Every exact memo is
-keyed on the constants values it reads (the chain on theta, the kernel
-rebuild on the expansion, the identities on p, q and the expansion), so
-each is computed once per distinct value per process, in a bounded LRU
-memo; the fixture comparisons run on every call.
+and certify positivity bottom-up from that chain alone: the bottom stage is
+positive by an exact coefficient comparison (using only e^t >= 1 and
+t >= 0), and each lower derivative follows by integration from 0 with a
+nonnegative initial value.  Each transcribed display (theta, the stage
+displays, the bottom stage, the 29-value table) is read only by the step
+that compares it with the chain.  Everything numeric is an exact integer or
+rational.  `build_chain` returns {stage: (stage, stage', ..., stage^(n))},
+so theta1^(10) is chain["theta1"][10].  Each certificate fragment numbers
+its own steps from 1, and the full replay renumbers them by position.
+Every exact memo is keyed on the values it reads (the kernel rebuild on the
+expansion, the chain on the rebuilt theta, the identities on p, q and the
+expansion), so each is computed once per distinct value per process, in a
+bounded LRU memo; the fixture comparisons run on every call.
 """
 
 from __future__ import annotations
@@ -185,15 +186,17 @@ def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly
 
 def build_chain(constants: SourceConstants | None = None
                 ) -> dict[str, tuple[ExpPoly, ...]]:
-    """Differentiate the fixture theta through all three stages exactly:
-    {stage: (stage, stage', ..., stage^(n))} for theta, theta1 and theta2.
+    """Differentiate theta, rebuilt from the remainder expansion, through
+    all three stages exactly: {stage: (stage, stage', ..., stage^(n))} for
+    theta, theta1 and theta2.  No transcribed display is read.
 
     Each stage after the first is the previous stage's last derivative
     with factor * e^t divided out of its blocks of exponent >= 1, each
     shifted one exponent down; an e^0 block left over is not raised on here
     but fails the divisibility steps.
     """
-    return dict(_chain_of(constants_or_default(constants).theta))
+    expansion = constants_or_default(constants).remainder_expansion
+    return dict(_chain_of(_theta_of_kernel(expansion)))
 
 
 @lru_cache(maxsize=8)
@@ -287,7 +290,6 @@ def _numbered(fields) -> tuple[StepRecord, ...]:
 def verify_kernel_build(constants: SourceConstants | None = None
                         ) -> tuple[StepRecord, ...]:
     """Certificate fragment: the kernel rebuild reproduces the theta display."""
-    constants = constants_or_default(constants)
     try:
         build_theta_from_kernel(constants)
         ok, detail = True, "all four exponent blocks match"
@@ -385,8 +387,7 @@ def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:
     """
     if any(k not in (0, 1) for k in stage.exponents()):
         return False, [], "bottom stage is not of the form P(t)e^t + c"
-    p1 = stage.block(1)
-    p0 = stage.block(0)
+    p1, p0 = stage.block(1), stage.block(0)
     if p0.degree > 0:
         return False, [], "e^0 block is not constant"
     if any(c < 0 for c in p1.coeffs):
@@ -398,29 +399,24 @@ def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:
     return lower > 0, values, f"value >= {lower} > 0 for all t >= 0"
 
 
-def chain_positivity_certificate(chain: dict,
-                                 constants: SourceConstants | None = None
-                                 ) -> CertificateReport:
-    """The five-step positivity chain, bottom stage upward.
+def chain_positivity_certificate(chain: dict) -> CertificateReport:
+    """The five-step positivity chain, bottom stage upward, read from the
+    chain alone (its last stage and its values at t = 0).
 
     1. the bottom stage theta2^(9) is positive on [0, inf) by an exact
        coefficient comparison (only e^t >= 1 and t >= 0 are used);
-    2. integrating from 0 with the tabulated nonnegative initial values,
-       every theta2 derivative down to theta2 itself is positive on (0, inf);
+    2. integrating from 0 with nonnegative initial values, every theta2
+       derivative down to theta2 itself is positive on (0, inf);
     3. theta1^(10) = 512 e^t theta2 > 0, and the same induction over the
-       tabulated theta1 initial values gives theta1 > 0;
+       theta1 initial values gives theta1 > 0;
     4. theta^(10) = e^t theta1 > 0, the theta initial values are >= 0 and
        theta(0) = 0, so theta is increasing and positive on (0, inf);
     5. hence the kernel integrand is nonnegative, H is completely monotonic,
        and so is g(x) - g(x+1) = (2/x^2) H(x) as a product of completely
        monotonic factors; the shift induction transfers this to g itself.
     """
-    constants = constants_or_default(constants)
     steps: list[tuple] = []
-
-    # the bottom stage is taken from the transcribed display (equal to the
-    # computed one once the formula fixtures have been verified)
-    ok1, vals1, det1 = _bottom_stage_positivity(constants.theta2_d9)
+    ok1, vals1, det1 = _bottom_stage_positivity(chain["theta2"][9])
     steps.append(_step("bottom-stage-positive",
                        "theta2^(9)(t) > 0 for all t >= 0",
                        "coefficient-sign-check", vals1, ok1, det1))
@@ -428,13 +424,11 @@ def chain_positivity_certificate(chain: dict,
     ok = ok1
     for (stage, name, claim, vanishes, on_pass, on_negative,
          on_other) in _INDUCTION_STEPS:
-        table = constants.initial_values[stage]
-        orders = range(1, CHAIN_LENGTHS[stage])
-        base = chain[stage][0].eval_exact_at_zero()
-        bad = [o for o in orders if table[o] < 0]
-        ok = ok and not bad and (base == 0 if vanishes else base >= 0)
-        vals = [(f"{stage}(0)", base)]
-        vals += [(f"{stage}^({o})(0)", table[o]) for o in orders]
+        at0 = [d.eval_exact_at_zero() for d in chain[stage][:CHAIN_LENGTHS[stage]]]
+        bad = [o for o, v in enumerate(at0) if o and v < 0]
+        ok = ok and not bad and (at0[0] == 0 if vanishes else at0[0] >= 0)
+        vals = [(f"{stage}^({o})(0)" if o else f"{stage}(0)", v)
+                for o, v in enumerate(at0)]
         detail = (on_pass if ok else on_negative.format(bad=bad) if bad
                   else on_other)
         steps.append(_step(name, claim, "integration-from-zero-induction",
@@ -465,5 +459,5 @@ def replay_proof(constants: SourceConstants | None = None) -> CertificateReport:
                + verify_derivative_fixtures(chain, constants)
                + verify_initial_values(chain, constants)
                + verify_divisibility(chain)
-               + chain_positivity_certificate(chain, constants).steps)
+               + chain_positivity_certificate(chain).steps)
     return CertificateReport(_numbered(r[1:] for r in records))

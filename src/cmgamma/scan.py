@@ -74,26 +74,21 @@ class GridSpec(Frozen, key=lambda g: g.points):
     def geometric(cls, start, ratio, count: int) -> "GridSpec":
         """start * ratio^j for j = 0..count-1, exact rationals.
 
-        The numerator and denominator sizes of the points are convex in j,
-        so the first and last points are the largest; both must stay within
-        MAX_POINT_BITS, which is checked before any point is built.
+        Each point, the one before times ratio, must stay within
+        MAX_POINT_BITS; it is checked as it is built, so no larger point is
+        formed.  Sizes are convex in j: this accepts the grids whose ends fit.
         """
-        start = as_fraction(start)
-        ratio = as_fraction(ratio)
+        start, ratio = as_fraction(start), as_fraction(ratio)
+        _check_grid_size(count)
         if count < 1 or ratio <= 0:
             raise DomainError("need count >= 1 and ratio > 0")
-        _check_grid_size(count)
-        # the last point's numerator is at least rn^(count-1) / sd, and its
-        # denominator at least rd^(count-1) / sn: reject before the power
-        last_may_fit = all(
-            (count - 1) * (r.bit_length() - 1) < MAX_POINT_BITS + s.bit_length()
-            for r, s in ((ratio.numerator, start.denominator),
-                         (ratio.denominator, start.numerator)))
-        if not (fits_point_bits(start) and last_may_fit
-                and fits_point_bits(start * ratio ** (count - 1))):
-            raise DomainError(f"grid point with a numerator or denominator "
-                              f"above {MAX_POINT_BITS} bits")
-        pts = [start * ratio ** j for j in range(count)]
+        pts, point = [], start
+        for _ in range(count):
+            if not fits_point_bits(point):
+                raise DomainError(f"grid point with a numerator or denominator "
+                                  f"above {MAX_POINT_BITS} bits")
+            pts.append(point)
+            point *= ratio
         return cls.explicit(pts)
 
     @classmethod
@@ -104,19 +99,20 @@ class GridSpec(Frozen, key=lambda g: g.points):
         the nearest 24-bit dyadic rational, ties to even (the exact value is
         usually irrational); the endpoints stay exact.
         """
-        start = as_fraction(start)
-        stop = as_fraction(stop)
+        start, stop = as_fraction(start), as_fraction(stop)
         if start <= 0 or stop <= 0:
             raise DomainError("grid points must be positive")
+        _check_grid_size(count)
         if count < 1:
             raise DomainError("need count >= 1")
-        _check_grid_size(count)
         if count < 2:
             return cls.explicit([start])
         return cls.explicit([start] + _span_interior(start, stop, count) + [stop])
 
 
 def _check_grid_size(count: int) -> None:
+    if type(count) is not int:  # a bool or a float is refused too
+        raise DomainError(f"grid count {count!r} is not an integer")
     if count > MAX_GRID_POINTS:
         raise DomainError(f"grid of {count} points exceeds the limit of "
                           f"{MAX_GRID_POINTS} points")

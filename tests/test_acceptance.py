@@ -59,7 +59,7 @@ def test_criterion_2_exact_proof_replay():
     assert chain["theta2"][9].eval_exact_at_zero() == 295702274730240
     full = replay.replay_proof(consts)
     assert full.overall, full.to_text()
-    cert = replay.chain_positivity_certificate(chain, consts)
+    cert = replay.chain_positivity_certificate(chain)
     assert len(cert.steps) == 5 and cert.overall
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

@@ -1,6 +1,8 @@
 """Bound functions, their derivatives, and the exact identity checks."""
 
+import importlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +11,12 @@ from mpmath import mp
 import cmgamma
 from cmgamma import bounds
 from cmgamma.algebra import Poly, pfd_decompose, pfd_recompose
+from cmgamma.ball import MAX_PREC, Ball
 from cmgamma.cli import main
 from cmgamma.constants import load_constants
 from cmgamma.errors import DomainError, PrecisionError
-from cmgamma.scan import default_grid
+from cmgamma.polygamma import polygamma, polygamma_quadrature_crosscheck
+from cmgamma.scan import GridSpec, cm_scan, default_grid
 from oracles import contains, overlaps, rational_part_derivatives
 
 GRID = (F(1, 20), F(1, 10), F(1, 4), F(1, 2), F(1), F(2), F(5), F(10), F(50))
@@ -236,3 +240,42 @@ class TestDerivatives:
         for k in (0, 1, 2):
             ball = bounds.h_derivative(k, F(3, 2), 128)
             assert (-1) ** k * ball.sign() == 1
+
+
+# every numeric entry point that takes a precision, at x = 1
+PREC_ENTRY_POINTS = {
+    "Ball": lambda prec: Ball(1, 0, prec),
+    "polygamma": lambda prec: polygamma(1, 1, prec),
+    "quadrature": lambda prec: polygamma_quadrature_crosscheck(1, 1, prec),
+    "g_eval": lambda prec: bounds.g_eval(1, prec),
+    "h_eval": lambda prec: bounds.h_eval(1, prec),
+    "g_derivative": lambda prec: bounds.g_derivative(0, 1, prec),
+    "h_derivative": lambda prec: bounds.h_derivative(0, 1, prec),
+    "telescoping": lambda prec: bounds.telescoping_identity_check(1, prec),
+    "cm_scan": lambda prec: cm_scan("g", 1, GridSpec.explicit([1]), prec),
+}
+
+
+@pytest.mark.parametrize("prec, message", [
+    (64.0, "precision 64.0 is not an integer"),
+    (True, "precision True is not an integer"),
+    (7, "precision must be at least 8 bits"),
+    (4097, "precision above the limit of 4096 bits"),
+], ids=["float", "bool", "7", "4097"])
+@pytest.mark.parametrize("entry", PREC_ENTRY_POINTS)
+def test_one_precision_rule(monkeypatch, entry, prec, message):
+    # ball.check_prec refuses the precision before any series or quadrature
+    # runs, so a precision far above the cap costs nothing
+    def never(*args, **kwargs):
+        raise AssertionError("a series or quadrature ran")
+
+    monkeypatch.setattr(importlib.import_module("cmgamma.polygamma"),
+                        "_zeta_like_sums", never)
+    monkeypatch.setattr(mp, "quad", never)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        PREC_ENTRY_POINTS[entry](prec)
+
+
+def test_escalation_cap_is_the_precision_limit():
+    assert bounds.ESCALATION_CAP_BITS == MAX_PREC == 4096
+    assert Ball(1, 0, MAX_PREC).prec == MAX_PREC

@@ -101,6 +101,19 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("prec, env, message", [
+        ("4", None, "--prec 4: precision must be at least 8 bits"),
+        ("4097", None, "--prec 4097: precision above the limit of 4096 bits"),
+        (None, "3", "CMGAMMA_PREC='3': precision must be at least 8 bits"),
+        (None, "5000", "CMGAMMA_PREC='5000': precision above the limit of 4096 bits"),
+    ])
+    def test_precision_messages(self, capsys, monkeypatch, prec, env, message):
+        # the library's one precision rule, prefixed with where the value came from
+        if env is not None:
+            monkeypatch.setenv("CMGAMMA_PREC", env)
+        argv = ["eval", "psi1", "1"] + (["--prec", prec] if prec else [])
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_env_precision_above_cap_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("CMGAMMA_PREC", "100000")
         code, out, err = run(capsys, "eval", "g", "1")
@@ -386,8 +399,8 @@ def _constants_files(tmp_path):
     """A malformed file, a missing one, one whose p breaks the bound, thirteen
     whose pf term, scale, power or theta block is out of range or repeated,
     one with sections no constant reads and two that list an initial-value
-    order twice, as 05 and 5 (usage errors), and one whose theta^(10) keeps
-    an e^0 block (a failed replay)."""
+    order twice, as 05 and 5 (usage errors), and one whose theta display
+    gains an e^0 t^10 term (a failed replay)."""
     bad = tmp_path / "bad.txt"
     bad.write_text("[poly p]\n0 1 2 3\n")
     text = DEFAULT_CONSTANTS_PATH.read_text()

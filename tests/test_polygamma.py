@@ -145,7 +145,7 @@ def test_policy_guard_bits(monkeypatch):
     assert seen == [((2, 4, 13, 33), 64 + 32)]
     alone = [polygamma(m, F(7, 5), 64) for m in (1, 3, 12, 32)]
     assert [(b.mid, b.rad, b.prec) for b in joint] == [(b.mid, b.rad, b.prec) for b in alone]
-    with pytest.raises(ValueError, match="prec must be at least 8 bits"):
+    with pytest.raises(DomainError, match="precision must be at least 8 bits"):
         polygamma(1, 1, 4)
 
 

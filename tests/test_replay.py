@@ -145,9 +145,11 @@ def test_sweep_calls_the_traced_entry_points(monkeypatch, tmp_path):
                          "deriv": 29, "pfd_decompose": 3}
 
 
-# one mutant of each section the replay memos read, between two pristine sets
+# one mutant of each section the replay memos read (the expansion, p, q)
+# and of three displays they do not, between two pristine sets
 INTERLEAVED_SETS = (
     None,
+    (r"-251/120 1 2", "-131/120 1 2"),  # expansion
     (r"1 435456000", "1 435456001"),  # theta.e1
     (r"2 6174000", "2 6174001"),  # theta_prime.e0
     (r"0 46", "0 47"),  # theta2_d9.e1
@@ -173,21 +175,28 @@ def test_warm_memos_give_the_cold_results(mutate_constants):
         assert got == (build_chain(c), replay_proof(c).to_json(),
                        pf_expansion_identity_check(c))
     assert [json.loads(doc)["payload"]["overall"] for _, doc, _ in warm] == \
-        ["pass", "fail", "fail", "fail", "pass", "pass", "pass"]
-    assert [rep.passed for *_, rep in warm] == [True] * 4 + [False] * 2 + [True]
+        ["pass", "fail", "fail", "fail", "fail", "pass", "pass", "pass"]
+    assert [rep.passed for *_, rep in warm] == \
+        [True, False, True, True, True, False, False, True]
+    # only the expansion mutant derives a chain of its own
+    assert [chain == warm[0][0] for chain, *_ in warm] == \
+        [True, False] + [True] * 6
 
 
-def p_q_coefficient_mutants():
-    """Every single-coefficient +-1 mutant of the [poly p] and [poly q] text."""
+def coefficient_mutants(*prefixes: str):
+    """(section header, text) of every +-1 mutant of the integer of a
+    '<power> <integer>' or '<label> <integer>' line, in each section whose
+    header starts with one of prefixes."""
     lines = DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8").splitlines(keepends=True)
-    for section in ("[poly p]\n", "[poly q]\n"):
-        i = lines.index(section) + 1
-        while lines[i].strip() and not lines[i].startswith("#"):
-            power, coeff = lines[i].split()
+    header = ""
+    for i, line in enumerate(lines):
+        toks = line.split()
+        if line.startswith("["):
+            header = line.strip()
+        elif header.startswith(prefixes) and len(toks) == 2 and toks[0].isdigit():
             for delta in (1, -1):
-                yield "".join(lines[:i] + [f"{power} {int(coeff) + delta}\n"]
-                              + lines[i + 1:])
-            i += 1
+                yield header, "".join(lines[:i] + [f"{toks[0]} {int(toks[1]) + delta}\n"]
+                                      + lines[i + 1:])
 
 
 def test_p_q_mutants_reuse_one_chain_and_one_kernel_rebuild(monkeypatch, tmp_path):
@@ -199,7 +208,7 @@ def test_p_q_mutants_reuse_one_chain_and_one_kernel_rebuild(monkeypatch, tmp_pat
     monkeypatch.setattr(REPLAY_MODULE, "kernel_image_lifted",
                         counted(calls, "kernel", REPLAY_MODULE.kernel_image_lifted))
     texts = [DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8"),
-             *p_q_coefficient_mutants()]
+             *(text for _, text in coefficient_mutants("[poly p]", "[poly q]"))]
     assert len(texts) == 1 + 66
     path = tmp_path / "constants.txt"
     verdicts = []
@@ -210,6 +219,28 @@ def test_p_q_mutants_reuse_one_chain_and_one_kernel_rebuild(monkeypatch, tmp_pat
         verdicts.append(pf_expansion_identity_check(c).passed)
     assert verdicts == [True] + [False] * 66
     assert calls == {"deriv": sum(CHAIN_LENGTHS.values()), "kernel": 1}
+
+
+def test_display_mutants_leave_the_chain_and_certificate_unchanged(tmp_path):
+    # the chain derives from the expansion alone and the positivity steps
+    # read only the chain, so no mutant of a transcribed display (theta, the
+    # stage displays, the bottom stage, the three initial-value tables)
+    # changes either: each display is read only by its fixture comparison
+    pristine = build_chain()
+    certificate = chain_positivity_certificate(pristine)
+    path = tmp_path / "constants.txt"
+    mutated = Counter()
+    for header, text in coefficient_mutants("[poly theta", "[values "):
+        path.write_text(text, encoding="utf-8")
+        c = load_constants(path)
+        chain = build_chain(c)
+        assert chain == pristine
+        assert chain_positivity_certificate(chain) == certificate
+        assert not replay_proof(c).overall
+        mutated[header.strip("[]").split()[1].split(".")[0]] += 1
+    assert mutated == {"theta": 64, "theta_prime": 62, "theta1": 44,
+                       "theta1_prime": 42, "theta2": 24, "theta2_d9": 6,
+                       "theta_init": 20, "theta1_init": 20, "theta2_init": 18}
 
 
 class TestVerificationFragments:
@@ -259,47 +290,91 @@ class TestVerificationFragments:
         assert all(r.passed for r in verify_divisibility(chain))
 
 
+def replaced(chain: dict, stage: str, order: int, new: ExpPoly) -> dict:
+    """A copy of chain whose stage^(order) is new; chain itself is kept."""
+    derivs = chain[stage]
+    return {**chain, stage: derivs[:order] + (new,) + derivs[order + 1:]}
+
+
+def const(c) -> ExpPoly:
+    return ExpPoly.term(0, Poly([c]))
+
+
+def replay_fails_first_at(path, capsys, step: int, name: str) -> None:
+    """The replay of the file at path, and the CLI on it, fail first at step."""
+    first = replay_proof(load_constants(path)).first_failure()
+    assert (first.step, first.name) == (step, name)
+    assert main(["replay-proof", "--constants", str(path)]) == 1
+    assert capsys.readouterr().err == f"FAILED at step {step}: {name}\n"
+
+
 class TestCertificate:
-    def test_five_steps_pass(self, chain, consts):
-        cert = chain_positivity_certificate(chain, consts)
+    """The positivity steps on hand-modified chains: the certificate reads
+    the chain alone, so a mutated display file no longer reaches them."""
+
+    def test_five_steps_pass(self, chain):
+        cert = chain_positivity_certificate(chain)
         assert [s.step for s in cert.steps] == [1, 2, 3, 4, 5]
         assert cert.overall
         assert cert.first_failure() is None
 
-    def test_bottom_stage_values_recorded(self, chain, consts):
-        cert = chain_positivity_certificate(chain, consts)
+    def test_bottom_stage_values_recorded(self, chain):
+        cert = chain_positivity_certificate(chain)
         values = dict(cert.steps[0].exact_values_used)
         assert values["lower_bound"] == "295702274730240"
 
-    def test_bottom_stage_mutation_fails_step_one(self, chain, mutate_constants):
+    def test_bottom_stage_mutation_fails_step_one(self, chain, mutate_constants,
+                                                  capsys):
         # flip the bottom stage's e^t constant negative
-        path = mutate_constants(r"0 46", "0 -46")
-        cert = chain_positivity_certificate(chain, load_constants(path))
+        bottom = chain["theta2"][9]
+        flipped = bottom - ExpPoly.term(1, Poly([2 * bottom.block(1).coeff(0)]))
+        cert = chain_positivity_certificate(replaced(chain, "theta2", 9, flipped))
         assert not cert.steps[0].passed
         assert cert.first_failure().step == 1
+        assert cert.steps[0].detail == "e^t block has a negative coefficient"
+        # the same flip in the display file fails its fixture comparison first
+        replay_fails_first_at(mutate_constants(r"0 46", "0 -46"), capsys,
+                              6, "formula-theta2-9th")
 
-    def test_negated_theta1_init_fails_step_three(self, chain, mutate_constants):
-        path = mutate_constants(r"4 500203983121920", "4 -500203983121920")
-        cert = chain_positivity_certificate(chain, load_constants(path))
+    def test_negated_theta1_init_fails_step_three(self, chain, mutate_constants,
+                                                  capsys):
+        # theta1^(4)(0) = -500203983121920
+        shifted = chain["theta1"][4] - const(2 * 500203983121920)
+        cert = chain_positivity_certificate(replaced(chain, "theta1", 4, shifted))
         assert cert.steps[0].passed and cert.steps[1].passed
         assert not cert.steps[2].passed
         assert cert.first_failure().step == 3
         assert [s.detail for s in cert.steps[2:]] == [
             "negative initial value at orders [4]", "precondition failed",
             "positivity chain incomplete"]
+        replay_fails_first_at(
+            mutate_constants(r"4 500203983121920", "4 -500203983121920"), capsys,
+            8, "initial-value-table")
 
-    def test_theta_must_vanish_at_zero(self, mutate_constants):
+    def test_theta_must_vanish_at_zero(self, chain, mutate_constants, capsys):
         # theta(0) = 4 > 0: the derivatives, hence theta1 and theta2, are
         # unchanged, but the theta step needs theta(0) = 0 exactly
-        consts = load_constants(mutate_constants(r"0 832809600", "0 832809599"))
-        cert = chain_positivity_certificate(build_chain(consts), consts)
+        cert = chain_positivity_certificate(
+            replaced(chain, "theta", 0, chain["theta"][0] + const(4)))
         assert [s.passed for s in cert.steps] == [True, True, True, False, False]
         assert dict(cert.steps[3].exact_values_used)["theta(0)"] == "4"
         assert cert.steps[3].detail == "precondition failed"
+        replay_fails_first_at(mutate_constants(r"0 832809600", "0 832809599"),
+                              capsys, 1, "kernel-build")
 
-    def test_induction_steps_cover_all_but_the_top_order(self, chain, consts):
+    @pytest.mark.parametrize("extra, detail", [
+        (ExpPoly.term(2, Poly([1])), "bottom stage is not of the form P(t)e^t + c"),
+        (ExpPoly.term(0, Poly([0, -725760])), "e^0 block is not constant"),
+    ], ids=["e2-block", "e0-t-term"])
+    def test_bottom_stage_shape(self, chain, extra, detail):
+        bottom = chain["theta2"][9] + extra
+        cert = chain_positivity_certificate(replaced(chain, "theta2", 9, bottom))
+        assert cert.first_failure().step == 1
+        assert cert.steps[0].detail == detail
+
+    def test_induction_steps_cover_all_but_the_top_order(self, chain):
         # step i+1 integrates down from stage^(CHAIN_LENGTHS - 1)
-        cert = chain_positivity_certificate(chain, consts)
+        cert = chain_positivity_certificate(chain)
         for step, stage in zip(cert.steps[1:4], ("theta2", "theta1", "theta")):
             labels = [label for label, _ in step.exact_values_used]
             assert labels == [f"{stage}(0)"] + [
@@ -334,34 +409,41 @@ class TestFullReplay:
         first = report.first_failure()
         assert first.name in ("kernel-build", "formula-theta-prime")
 
-    @pytest.mark.parametrize("pattern, replacement, name, detail", [
-        (r"3 0", "3 1", "initial-value-table",
+    # a bottom-stage display of the wrong shape fails its fixture comparison;
+    # the shape checks themselves are TestCertificate::test_bottom_stage_shape
+    @pytest.mark.parametrize("pattern, replacement, step, name, detail", [
+        (r"3 0", "3 1", 8, "initial-value-table",
          "theta derivative orders 1..4 must vanish at 0"),
         (r"\[poly theta2_d9\.e1\]", "[poly theta2_d9.e2]\n0 1\n[poly theta2_d9.e1]",
-         "bottom-stage-positive", "bottom stage is not of the form P(t)e^t + c"),
+         6, "formula-theta2-9th", "e^2t block, t^0: computed 0, fixture 1"),
         (r"scale -725760", "scale -725760\n1 1",  # inside theta2_d9.e0
-         "bottom-stage-positive", "e^0 block is not constant"),
+         6, "formula-theta2-9th", "e^0t block, t^1: computed 0, fixture -725760"),
     ], ids=["theta-init-order-3", "theta2-d9-e2-block", "theta2-d9-e0-t-term"])
-    def test_failure_details(self, mutate_constants, pattern, replacement,
-                             name, detail):
+    def test_failure_details(self, mutate_constants, capsys, pattern, replacement,
+                             step, name, detail):
         path = mutate_constants(pattern, replacement)
         failed = {s.name: s.detail for s in replay_proof(load_constants(path)).steps
                   if not s.passed}
         assert detail in failed[name].split("; ")
+        replay_fails_first_at(path, capsys, step, name)
 
-    def test_leftover_e0_block_fails_steps_instead_of_raising(self, mutate_constants,
+    def test_leftover_e0_block_fails_steps_instead_of_raising(self, consts,
+                                                              mutate_constants,
                                                               capsys):
         # theta gains -4 t^10 in its e^0 block, so theta^(10) keeps an e^0
-        # block that e^t does not divide: the replay reports it, not raises
+        # block that e^t does not divide: the chain is built, and the
+        # divisibility step reports it, not raises
+        leftover = consts.theta + ExpPoly.term(0, Poly([0] * 10 + [-4]))
+        chain = dict(REPLAY_MODULE._chain_of(leftover))
+        records = verify_divisibility(chain)
+        assert [r.passed for r in records] == [False, True]
+        assert dict(records[0].exact_values_used)["exponents"] == "0,1,2,3"
+        # in a constants file, that theta display differs from the rebuilt one
         path = mutate_constants(r"\[poly theta\.e0\]", "[poly theta.e0]\n10 1")
         report = replay_proof(load_constants(path))
-        failed = {s.step: s.name for s in report.steps if not s.passed}
-        assert failed == {1: "kernel-build", 2: "formula-theta-prime",
-                          3: "formula-theta-10th", 8: "initial-value-table",
-                          9: "divisibility-theta10"}
-        assert dict(report.steps[8].exact_values_used)["exponents"] == "0,1,2,3"
-        assert main(["replay-proof", "--constants", str(path)]) == 1
-        assert capsys.readouterr().err == "FAILED at step 1: kernel-build\n"
+        assert {s.step: s.name for s in report.steps if not s.passed} == {
+            1: "kernel-build"}
+        replay_fails_first_at(path, capsys, 1, "kernel-build")
 
 
 class TestSpotcheck:

@@ -107,6 +107,36 @@ class TestGridSpec:
         g = GridSpec.geometric_span(1 / big, big, 10_000)
         assert len(g.points) == 10_000 and g.points[0] == 1 / big
 
+    @pytest.mark.parametrize("count", [3.0, True])
+    @pytest.mark.parametrize("make, stop", [(GridSpec.geometric, 2),
+                                            (GridSpec.geometric_span, 4)],
+                             ids=["geometric", "geometric_span"])
+    def test_count_must_be_an_int(self, make, stop, count):
+        # a float count used to fail inside the point arithmetic, and True
+        # used to give a one-point grid
+        with pytest.raises(DomainError, match=f"^grid count {count!r} is not an integer$"):
+            make(1, stop, count)
+
+    def test_geometric_accepts_the_grids_whose_ends_fit(self):
+        # point sizes are convex in j, so checking every point as it is built
+        # accepts exactly the grids whose first and last points fit
+        rng = random.Random(27)
+        outcomes = Counter()
+        for _ in range(300):
+            start, ratio = (F(rng.randint(1, 2 ** rng.randint(1, 600)),
+                              rng.randint(1, 2 ** rng.randint(1, 600))) for _ in range(2))
+            count = rng.randint(1, 40)
+            ends_fit = all(max(p.numerator.bit_length(), p.denominator.bit_length())
+                           <= MAX_POINT_BITS for p in (start, start * ratio ** (count - 1)))
+            try:
+                GridSpec.geometric(start, ratio, count)
+                outcomes[ends_fit, True] += 1
+            except DomainError as exc:
+                assert str(exc) == (f"grid point with a numerator or denominator "
+                                    f"above {MAX_POINT_BITS} bits")
+                outcomes[ends_fit, False] += 1
+        assert set(outcomes) == {(True, True), (False, False)}, outcomes
+
     def test_geometric_point_size_limit(self):
         assert GridSpec.geometric(1, 2, MAX_POINT_BITS).points[-1] == 2 ** (MAX_POINT_BITS - 1)
         # only the ends are large; the middle points reduce

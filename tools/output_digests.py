@@ -1,4 +1,5 @@
-"""Print one SHA-256 per cmgamma output of a fixed byte-identity set.
+"""Print the SHA-256 of stdout and of stderr per cmgamma output of a fixed
+byte-identity set.
 
 Run it against two source trees and compare with one diff:
 
@@ -6,10 +7,11 @@ Run it against two source trees and compare with one diff:
     PYTHONPATH=/path/to/other/src python tools/output_digests.py > old.txt
     diff old.txt new.txt
 
-Each line is `<sha256>  rc=<exit code>  <command>`.  The digest is that of
-what the command prints to stdout, followed by a NUL byte and its stderr
-when it prints any, so a report pinned elsewhere has the same digest here.
-The set is:
+Each line is `<stdout sha256>  <stderr sha256>  rc=<exit code>  <command>`,
+with `-` for an empty stderr.  The stdout digest is that of the report
+alone, so a report pinned elsewhere has the same digest here, and a diff
+shows apart a change of report text and a change of the verdict line a
+failed command prints to stderr.  The set is:
 
 - the scan reports pinned by `tests/test_scan.py::test_report_bytes_pinned`
   (JSON from `cm_scan`, and the `identity-check telescoping` plus `eval g`
@@ -26,7 +28,7 @@ The set is:
   `eval H 1/3`, which prints the rational part of H.  A mutant keeps every
   section key, so no [pf] (shift, order) key repeats.
 
-That is 1,425 digests.  Commands run in this process through
+That is 1,425 lines.  Commands run in this process through
 `cmgamma.cli.main`, one at a time; the whole set takes about 12 s
 (CPython 3.11, 2 vCPU).  CMGAMMA_PREC is cleared, so every default
 precision is the built-in one.
@@ -66,23 +68,23 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv: list[str], hide: str | None = None) -> tuple[int | str, str]:
-    """(exit code, output) of `cmgamma argv`, the output being stdout plus,
-    if there is any, NUL and stderr; an exception that escapes main is
-    reported by its type in place of the code.  hide, a path, is replaced
-    in the output, so temporary names do not show."""
+def run(argv: list[str], hide: str | None = None) -> tuple[int | str, str, str]:
+    """(exit code, stdout, stderr) of `cmgamma argv`; an exception that
+    escapes main is reported by its type in place of the code.  hide, a
+    path, is replaced in both outputs, so temporary names do not show."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc: int | str = main(argv)
         except BaseException as exc:  # noqa: BLE001 - a crash is an output too
             rc = f"raised {type(exc).__name__}"
-    text = out.getvalue() + ("\0" + err.getvalue() if err.getvalue() else "")
-    return rc, text.replace(hide, "<file>") if hide else text
+    texts = (out.getvalue(), err.getvalue())
+    return (rc, *(t.replace(hide, "<file>") if hide else t for t in texts))
 
 
-def emit(rc, text: str, label: str) -> None:
-    print(f"{digest(text)}  rc={rc}  {label}", flush=True)
+def emit(rc, out: str, err: str, label: str) -> None:
+    print(f"{digest(out)}  {digest(err) if err else '-'}  rc={rc}  {label}",
+          flush=True)
 
 
 def _bump(token: str, delta: int) -> str:
@@ -127,14 +129,14 @@ def main_digests() -> None:
     os.environ.pop("CMGAMMA_PREC", None)
     for kind, k_max, prec, points in SCAN_PINS:
         doc = cm_scan(kind, k_max, GridSpec.explicit(points), prec).to_json()
-        emit(0, doc, f"pin cm_scan {kind} k<={k_max} {prec} bits "
-                     f"{','.join(map(str, points))}")
+        emit(0, doc, "", f"pin cm_scan {kind} k<={k_max} {prec} bits "
+                         f"{','.join(map(str, points))}")
     text = ""
     for x in TELESCOPING_PIN:
         for argv in (["identity-check", "telescoping", "--x", x, "--prec", "64"],
                      ["eval", "g", x, "--prec", "64"]):
             text += run(argv)[1]
-    emit(0, text, "pin telescoping " + ",".join(TELESCOPING_PIN))
+    emit(0, text, "", "pin telescoping " + ",".join(TELESCOPING_PIN))
     emit(*run(["replay-proof", "--emit", "-"]), "replay-proof --emit -")
     for kind in "gH":
         for grid in GRIDS:
