@@ -25,9 +25,9 @@ from .errors import (CmGammaError, ConstantsFormatError, DegreeError,
                      DomainError, FixtureMismatch, PrecisionError,
                      QuadratureFailure)
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
-from .replay import (CertificateReport, build_chain, build_theta_from_kernel,
-                     chain_positivity_certificate, pf_expansion_identity_check,
-                     replay_proof, verify_derivative_fixtures, verify_initial_values)
+from .replay import (CertificateReport, build_chain, chain_positivity_certificate,
+                     pf_expansion_identity_check, replay_proof,
+                     verify_derivative_fixtures, verify_initial_values)
 from .scan import CmScanReport, GridSpec, cm_scan, default_grid
 
 __version__ = "0.1.0"
@@ -38,8 +38,7 @@ __all__ = [
     "ExpPoly", "FixtureMismatch", "GridSpec",
     "SourceConstants", "PartialFractionForm", "PartialFractionTerm", "Poly",
     "PrecisionError", "QuadratureFailure", "bound_exact",
-    "build_chain", "build_theta_from_kernel",
-    "chain_positivity_certificate", "cm_scan", "default_grid",
+    "build_chain", "chain_positivity_certificate", "cm_scan", "default_grid",
     "g_derivative", "g_eval", "h_derivative", "h_eval",
     "load_constants", "pf_expansion_identity_check",
     "pfd_decompose", "polygamma", "polygamma_quadrature_crosscheck",

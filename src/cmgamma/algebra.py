@@ -120,7 +120,9 @@ def parse_rational(text: str) -> Rat:
 
 class Frozen:
     """Base of the immutable value types: a subclass sets its slots once,
-    through object.__setattr__, and they are never rebound or deleted.
+    through object.__setattr__, and they are never rebound or deleted; a
+    derived slot, a memo of a value computed from the others, starts as
+    None and may be set once from None.
 
     A subclass that compares by value names its key once, as a class
     keyword ``class Poly(Frozen, key=...)``: a function of the instance
@@ -199,8 +201,8 @@ class Poly(Frozen, key=lambda p: (p._num, p._den)):
 
     @classmethod
     def monomial(cls, c: Rat, power: int) -> "Poly":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        if type(power) is not int or power < 0:  # a bool or a float is refused
+            raise ValueError("power must be a nonnegative integer")
         return cls((0,) * power + (c,))
 
     # -- structure ----------------------------------------------------------
@@ -276,8 +278,8 @@ class Poly(Frozen, key=lambda p: (p._num, p._den)):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
+        if type(n) is not int or n < 0:  # a bool or a float is refused
+            raise ValueError("exponent must be a nonnegative integer")
         result = Poly.const(1)
         base = self
         while n:
@@ -331,7 +333,7 @@ class ExpPoly(Frozen, key=lambda e: e.blocks()):
     """Exponential polynomial: finite sum over k >= 0 of p_k(t) * e^(k*t),
     keyed by its nonzero blocks sorted by exponent."""
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_blocks", "_at_zero")
 
     def __init__(self, blocks: Mapping[int, Poly] = ()):
         clean: dict[int, Poly] = {}
@@ -353,6 +355,7 @@ class ExpPoly(Frozen, key=lambda e: e.blocks()):
     def _set(self, blocks: dict[int, Poly]) -> None:
         object.__setattr__(self, "_blocks",
                            {k: p for k, p in blocks.items() if p._num})
+        object.__setattr__(self, "_at_zero", None)
 
     @classmethod
     def term(cls, k: int, poly: Poly | Iterable[Rat]) -> "ExpPoly":
@@ -414,11 +417,13 @@ class ExpPoly(Frozen, key=lambda e: e.blocks()):
 
     def eval_exact_at_zero(self) -> Fraction:
         """Exact value at t = 0 (every e^(k*0) is 1): the sum of the blocks'
-        constant numerators over their denominators."""
-        num, den = 0, 1
-        for p in self._blocks.values():
-            num, den = num * p._den + p._num[0] * den, den * p._den
-        return Fraction(num, den)
+        constant numerators over their denominators, formed once per value."""
+        if self._at_zero is None:
+            num, den = 0, 1
+            for p in self._blocks.values():
+                num, den = num * p._den + p._num[0] * den, den * p._den
+            object.__setattr__(self, "_at_zero", Fraction(num, den))
+        return self._at_zero
 
     def shift_exp(self, k: int) -> "ExpPoly":
         """Multiply by e^(k*t): all exponents move up by k."""

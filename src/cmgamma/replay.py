@@ -16,12 +16,13 @@ nonnegative initial value.  Each transcribed display (theta, the stage
 displays, the bottom stage, the 29-value table) is read only by the step
 that compares it with the chain.  Everything numeric is an exact integer or
 rational.  `build_chain` returns {stage: (stage, stage', ..., stage^(n))},
-so theta1^(10) is chain["theta1"][10].  Each certificate fragment numbers
-its own steps from 1, and the full replay renumbers them by position.
-Every exact memo is keyed on the values it reads (the kernel rebuild on the
-expansion, the chain on the rebuilt theta, the identities on p, q and the
-expansion), so each is computed once per distinct value per process, in a
-bounded LRU memo; the fixture comparisons run on every call.
+so theta1^(10) is chain["theta1"][10] and the rebuilt theta is
+chain["theta"][0].  Each certificate fragment numbers its own steps from 1,
+and the full replay renumbers them by position.  The whole derivation is
+one memo keyed on the expansion, and the identities one keyed on p, q and
+the expansion, so each is computed once per distinct value per process, in
+a bounded LRU memo; each chain entry forms its value at t = 0 once, and the
+fixture comparisons run on every call.
 """
 
 from __future__ import annotations
@@ -133,15 +134,6 @@ def _coeff_diff(a: dict, b: dict) -> list[tuple]:
             if a.get(key, 0) != b.get(key, 0)]
 
 
-def _exppoly_diff(a: ExpPoly, b: ExpPoly) -> str:
-    """First mismatching coefficient, in (exponent, power) order, between
-    two unequal exponential polynomials."""
-    k = _coeff_diff(dict(a.blocks()), dict(b.blocks()))[0][0]
-    pa, pb = a.block(k), b.block(k)
-    j, ca, cb = _coeff_diff(dict(enumerate(pa.coeffs)), dict(enumerate(pb.coeffs)))[0]
-    return f"e^{k}t block, t^{j}: computed {ca}, fixture {cb}"
-
-
 def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
     """The form's Laplace kernel image, multiplied through by e^(LIFT*t).
 
@@ -161,46 +153,34 @@ def kernel_image_lifted(form: PartialFractionForm) -> ExpPoly:
     return ExpPoly._make({k: Poly(cs) for k, cs in blocks.items()})
 
 
-@lru_cache(maxsize=8)
-def _theta_of_kernel(expansion: PartialFractionForm) -> ExpPoly:
-    lifted = kernel_image_lifted(expansion)
-    return KERNEL_SCALE * (ExpPoly.term(1 + KERNEL_LIFT, Poly((0, 1)))
-                           - lifted.shift_exp(1) + lifted)
-
-
-def build_theta_from_kernel(constants: SourceConstants | None = None) -> ExpPoly:
-    """Rebuild theta from the expansion's kernel and match it to the fixture.
-
-    theta = KERNEL_SCALE * e^(2t) * [t e^t - (e^t - 1) * (kernel image)]
-          = KERNEL_SCALE * [t e^(3t) - e^t L + L]  with L the lifted image;
-    raises FixtureMismatch with the first per-exponent coefficient diff if
-    the rebuilt object differs from the transcribed display.
-    """
-    constants = constants_or_default(constants)
-    built = _theta_of_kernel(constants.remainder_expansion)
-    if built != constants.theta:
-        raise FixtureMismatch("rebuilt theta differs from fixture: "
-                              + _exppoly_diff(built, constants.theta))
-    return built
-
-
 def build_chain(constants: SourceConstants | None = None
                 ) -> dict[str, tuple[ExpPoly, ...]]:
-    """Differentiate theta, rebuilt from the remainder expansion, through
-    all three stages exactly: {stage: (stage, stage', ..., stage^(n))} for
-    theta, theta1 and theta2.  No transcribed display is read.
-
-    Each stage after the first is the previous stage's last derivative
-    with factor * e^t divided out of its blocks of exponent >= 1, each
-    shifted one exponent down; an e^0 block left over is not raised on here
-    but fails the divisibility steps.
+    """Rebuild theta from the remainder expansion and differentiate it
+    through all three stages exactly: {stage: (stage, stage', ...,
+    stage^(n))} for theta, theta1 and theta2, so the rebuilt theta is
+    chain["theta"][0].  No transcribed display is read; the derivation is
+    one memo keyed on the expansion, and the dict is the caller's own.
     """
-    expansion = constants_or_default(constants).remainder_expansion
-    return dict(_chain_of(_theta_of_kernel(expansion)))
+    return dict(_derived_chain(constants_or_default(constants).remainder_expansion))
 
 
 @lru_cache(maxsize=8)
+def _derived_chain(expansion: PartialFractionForm
+                   ) -> tuple[tuple[str, tuple[ExpPoly, ...]], ...]:
+    """The chain of theta = KERNEL_SCALE * e^(2t) * [t e^t - (e^t - 1) * K]
+    = KERNEL_SCALE * [t e^(3t) - e^t L + L], with K the expansion's kernel
+    image and L its lift."""
+    lifted = kernel_image_lifted(expansion)
+    return _chain_of(KERNEL_SCALE * (ExpPoly.term(1 + KERNEL_LIFT, Poly((0, 1)))
+                                     - lifted.shift_exp(1) + lifted))
+
+
 def _chain_of(theta: ExpPoly) -> tuple[tuple[str, tuple[ExpPoly, ...]], ...]:
+    """theta's stages and their derivatives.  Each stage after the first is
+    the previous stage's last derivative with factor * e^t divided out of
+    its blocks of exponent >= 1, each shifted one exponent down; an e^0
+    block left over is not raised on here but fails the divisibility steps.
+    """
     chain, cur = [], theta
     for stage, length in CHAIN_LENGTHS.items():
         if stage in _STAGE_FIXTURE_FACTOR:
@@ -287,18 +267,31 @@ def _numbered(fields) -> tuple[StepRecord, ...]:
     return tuple(StepRecord(i, *f) for i, f in enumerate(fields, 1))
 
 
+def _display_step(name: str, claim: str, computed: ExpPoly, display: ExpPoly,
+                  values=(), on_pass: str = "", prefix: str = "") -> tuple:
+    """A step comparing a derived value with its transcribed display; a
+    failure names the first mismatching coefficient in (exponent, power)
+    order."""
+    if computed == display:
+        return _step(name, claim, "exact-exppoly-equality", values, True, on_pass)
+    k = _coeff_diff(dict(computed.blocks()), dict(display.blocks()))[0][0]
+    j, ca, cb = _coeff_diff(dict(enumerate(computed.block(k).coeffs)),
+                            dict(enumerate(display.block(k).coeffs)))[0]
+    return _step(name, claim, "exact-exppoly-equality", values, False,
+                 f"{prefix}e^{k}t block, t^{j}: computed {ca}, fixture {cb}")
+
+
 def verify_kernel_build(constants: SourceConstants | None = None
                         ) -> tuple[StepRecord, ...]:
-    """Certificate fragment: the kernel rebuild reproduces the theta display."""
-    try:
-        build_theta_from_kernel(constants)
-        ok, detail = True, "all four exponent blocks match"
-    except FixtureMismatch as exc:
-        ok, detail = False, str(exc)
-    return _numbered([_step(
+    """Certificate fragment: theta rebuilt from the expansion's kernel image
+    reproduces the theta display."""
+    c = constants_or_default(constants)
+    return _numbered([_display_step(
         "kernel-build",
         "scale * e^2t * [t e^t - (e^t - 1) * kernel(expansion)] equals theta",
-        "exact-exppoly-equality", [("kernel_scale", KERNEL_SCALE)], ok, detail)])
+        dict(_derived_chain(c.remainder_expansion))["theta"][0], c.theta,
+        [("kernel_scale", KERNEL_SCALE)], "all four exponent blocks match",
+        "rebuilt theta differs from fixture: ")])
 
 
 def verify_derivative_fixtures(chain: dict,
@@ -319,14 +312,11 @@ def verify_derivative_fixtures(chain: dict,
          _STAGE_FIXTURE_FACTOR["theta2"] * constants.theta2.shift_exp(1)),
         ("theta2-9th", chain["theta2"][9], constants.theta2_d9),
     ]
-    out = []
-    for name, computed, fixture in checks:
-        ok = computed == fixture
-        out.append(_step(f"formula-{name}",
-                         f"computed {name.replace('-', ' ')} equals the displayed fixture",
-                         "exact-exppoly-equality", [],
-                         ok, "" if ok else _exppoly_diff(computed, fixture)))
-    return _numbered(out)
+    return _numbered(
+        _display_step(f"formula-{name}",
+                      f"computed {name.replace('-', ' ')} equals the displayed fixture",
+                      computed, fixture)
+        for name, computed, fixture in checks)
 
 
 def verify_initial_values(chain: dict,
@@ -396,7 +386,8 @@ def _bottom_stage_positivity(stage: ExpPoly) -> tuple[bool, list, str]:
     lower = p1(Fraction(0)) + const
     values = [("e^t_block_at_0", p1(Fraction(0))), ("constant_block", const),
               ("lower_bound", lower)]
-    return lower > 0, values, f"value >= {lower} > 0 for all t >= 0"
+    return lower > 0, values, (f"value >= {lower} > 0 for all t >= 0" if lower > 0
+                               else f"lower bound {lower} is not > 0")
 
 
 def chain_positivity_certificate(chain: dict) -> CertificateReport:

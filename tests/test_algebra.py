@@ -225,12 +225,18 @@ class TestPartialFractions:
     lambda: ExpPoly({1.0: Poly((1,))}),
     lambda: ExpPoly.term(1, Poly((1,))).shift_exp(True),
     lambda: ExpPoly.term(1, Poly((1,))).shift_exp(-2),
+    lambda: Poly.monomial(5, True),  # was 5t
+    lambda: Poly.monomial(5, 2.0),
+    lambda: Poly((1, 1)) ** True,  # was the base
+    lambda: Poly((1, 1)) ** 2.0,
 ], ids=["pf-float-shift", "pf-float-order", "pf-bool-shift", "pf-bool-order",
         "pfd-float-order", "pfd-bool-shift", "exppoly-bool-exponent",
-        "exppoly-float-exponent", "shift-exp-bool", "shift-exp-below-zero"])
+        "exppoly-float-exponent", "shift-exp-bool", "shift-exp-below-zero",
+        "monomial-bool-power", "monomial-float-power", "pow-bool-exponent",
+        "pow-float-exponent"])
 def test_float_and_bool_indices_refused(make):
-    """Shifts, orders and exponents are ints; a float or a bool is refused,
-    never truncated by int() or printed as an exponent."""
+    """Shifts, orders, powers and exponents are ints; a float or a bool is
+    refused, never truncated by int() or printed as an exponent."""
     with pytest.raises(ValueError):
         make()
 

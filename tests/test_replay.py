@@ -13,9 +13,7 @@ import cmgamma
 from cmgamma.algebra import ExpPoly, Poly
 from cmgamma.cli import main
 from cmgamma.constants import CHAIN_LENGTHS, DEFAULT_CONSTANTS_PATH, load_constants
-from cmgamma.errors import FixtureMismatch
-from cmgamma.replay import (build_chain, build_theta_from_kernel,
-                            chain_positivity_certificate,
+from cmgamma.replay import (build_chain, chain_positivity_certificate,
                             pf_expansion_identity_check, replay_proof,
                             verify_derivative_fixtures, verify_initial_values,
                             verify_divisibility, verify_kernel_build)
@@ -31,28 +29,33 @@ def chain():
 
 
 class TestKernelBuild:
+    """The rebuilt theta is the chain's first entry; verify_kernel_build
+    compares it with the theta display."""
+
     def test_matches_fixture(self, consts):
-        built = build_theta_from_kernel(consts)
-        assert built == consts.theta
+        assert build_chain(consts)["theta"][0] == consts.theta
+        (rec,) = verify_kernel_build(consts)
+        assert rec.passed and rec.detail == "all four exponent blocks match"
 
     def test_top_block_is_displayed_linear_factor(self, consts):
-        built = build_theta_from_kernel(consts)
+        built = build_chain(consts)["theta"][0]
         assert built.block(3) == Poly([-2 * 163296000, 163296000])
 
     def test_constant_block_constant_term(self, consts):
-        built = build_theta_from_kernel(consts)
+        built = build_chain(consts)["theta"][0]
         assert built.block(0).coeff(0) == -4 * 832809600
 
     def test_value_at_zero(self, consts):
         # oracle: direct arithmetic on the displayed block constants
         assert (163296000 * -2 - 3331238400 + 6989068800 - 4 * 832809600) == 0
-        assert build_theta_from_kernel(consts).eval_exact_at_zero() == 0
+        assert build_chain(consts)["theta"][0].eval_exact_at_zero() == 0
 
-    def test_mismatch_raises_with_diff(self, mutate_constants):
+    def test_mismatch_fails_with_diff(self, mutate_constants):
         path = mutate_constants(r"1 435456000", "1 435456001")
-        with pytest.raises(FixtureMismatch) as err:
-            build_theta_from_kernel(load_constants(path))
-        assert "e^1t block, t^1" in str(err.value)
+        (rec,) = verify_kernel_build(load_constants(path))
+        assert not rec.passed
+        assert rec.detail.startswith(
+            "rebuilt theta differs from fixture: e^1t block, t^1")
 
 
 class TestChain:
@@ -108,8 +111,7 @@ REPLAY_MODULE = importlib.import_module("cmgamma.replay")
 
 
 def clear_replay_memos():
-    for memo in (REPLAY_MODULE._chain_of, REPLAY_MODULE._theta_of_kernel,
-                 REPLAY_MODULE._expansion_identity):
+    for memo in (REPLAY_MODULE._derived_chain, REPLAY_MODULE._expansion_identity):
         memo.cache_clear()
 
 
@@ -219,6 +221,26 @@ def test_p_q_mutants_reuse_one_chain_and_one_kernel_rebuild(monkeypatch, tmp_pat
         verdicts.append(pf_expansion_identity_check(c).passed)
     assert verdicts == [True] + [False] * 66
     assert calls == {"deriv": sum(CHAIN_LENGTHS.values()), "kernel": 1}
+
+
+def test_each_value_at_zero_is_formed_once_per_chain(monkeypatch, mutate_constants):
+    # the initial-value table and the three induction steps read the same
+    # chain entries at t = 0, and a display mutant shares the memoised
+    # chain: 11 + 11 + 10 entries are evaluated, each once, over two replays
+    clear_replay_memos()
+    formed = Counter()
+    evaluate = ExpPoly.eval_exact_at_zero
+
+    def counting(self):
+        formed["at_zero"] += getattr(self, "_at_zero", None) is None
+        return evaluate(self)
+
+    monkeypatch.setattr(ExpPoly, "eval_exact_at_zero", counting)
+    pristine = replay_proof(load_constants())
+    mutant = replay_proof(load_constants(
+        mutate_constants(r"5 1632960000", "5 1632960001")))  # theta_init
+    assert pristine.overall and not mutant.overall
+    assert formed == {"at_zero": 32}
 
 
 def test_display_mutants_leave_the_chain_and_certificate_unchanged(tmp_path):
@@ -361,6 +383,13 @@ class TestCertificate:
         assert cert.steps[3].detail == "precondition failed"
         replay_fails_first_at(mutate_constants(r"0 832809600", "0 832809599"),
                               capsys, 1, "kernel-build")
+
+    def test_bottom_stage_lower_bound_failure_detail(self, chain):
+        # P(0) + c <= 0 fails step 1 with a detail that does not claim > 0
+        bottom = chain["theta2"][9] - const(10 ** 18)
+        cert = chain_positivity_certificate(replaced(chain, "theta2", 9, bottom))
+        assert cert.first_failure().step == 1
+        assert cert.steps[0].detail == "lower bound -999704297725269760 is not > 0"
 
     @pytest.mark.parametrize("extra, detail", [
         (ExpPoly.term(2, Poly([1])), "bottom stage is not of the form P(t)e^t + c"),

@@ -20,16 +20,18 @@ failed command prints to stderr.  The set is:
 - `cm-scan g|H --kmax 12` in json, csv and text at 8, 16, 64, 256 and 512
   bits, on the default grid and three more;
 - `eval g|H|psi1|psi2` at four points, `identity-check telescoping` at two;
-- `replay-proof` and `identity-check expansion|remark2` on the packaged
-  constants file and on each of its 410 single-number mutants: one number
+- `replay-proof`, `replay-proof --emit -` (the JSON certificate, which
+  holds every step's `exact_values_used`, hidden by the text report) and
+  `identity-check expansion|remark2` on the packaged constants file and on
+  each of its 410 single-number mutants: one number
   changed by +1 or -1, that is the integer coefficient of a [poly] line
   (308 mutants), the numerator of a [pf remainder] coefficient (44) or the
   value of a [values *_init] line (58); each [pf] mutant also runs
   `eval H 1/3`, which prints the rational part of H.  A mutant keeps every
   section key, so no [pf] (shift, order) key repeats.
 
-That is 1,425 lines.  Commands run in this process through
-`cmgamma.cli.main`, one at a time; the whole set takes about 12 s
+That is 1,836 lines.  Commands run in this process through
+`cmgamma.cli.main`, one at a time; the whole set takes about 8 s
 (CPython 3.11, 2 vCPU).  CMGAMMA_PREC is cleared, so every default
 precision is the built-in one.
 """
@@ -158,8 +160,8 @@ def main_digests() -> None:
                 DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            commands = [["replay-proof"], ["identity-check", "expansion"],
-                        ["identity-check", "remark2"]]
+            commands = [["replay-proof"], ["replay-proof", "--emit", "-"],
+                        ["identity-check", "expansion"], ["identity-check", "remark2"]]
             if kind == "pf":
                 commands.append(["eval", "H", "1/3"])
             for command in commands:
