@@ -12,7 +12,7 @@ differentiated exactly block by block.  The public constructors check and
 coerce their input; a value derived from canonical parts (a derivative,
 a sum, an exponent shift, a scalar product, a decomposition) is built by
 the private `_make` of its class and skips that re-validation.  A shift,
-order or exponent is an int: a float or a bool raises ValueError.
+order, power or exponent is an int: a float or a bool raises ValueError.
 
 The partial-fraction machinery is restricted to denominators that are products
 of (x+a)^m with nonnegative integer shifts a, which is all the downstream
@@ -231,6 +231,8 @@ class Poly(Frozen, key=lambda p: (p._num, p._den)):
         return "Poly(" + " + ".join(parts) + ")"
 
     def coeff(self, power: int) -> Fraction:
+        if type(power) is not int:  # a bool or a float is refused
+            raise ValueError("power must be an integer")
         if 0 <= power < len(self._num):
             return Fraction(self._num[power], self._den)
         return _ZERO
@@ -366,6 +368,8 @@ class ExpPoly(Frozen, key=lambda e: e.blocks()):
         return tuple(sorted(self._blocks.items()))
 
     def block(self, k: int) -> Poly:
+        if type(k) is not int:  # a bool or a float is refused
+            raise ValueError("exponent must be an integer")
         return self._blocks.get(k, Poly.zero())
 
     def exponents(self) -> tuple[int, ...]:
@@ -497,6 +501,8 @@ class PartialFractionForm(Frozen, key=lambda f: f.terms):
         denominators of c); the shifts are combined as integer ratios and
         one Fraction is made at the end.
         """
+        if type(k) is not int or k < 0:  # a bool or a float is refused
+            raise ValueError("derivative order must be a nonnegative integer")
         x = as_fraction(x)
         n, d = x.numerator, x.denominator
         groups = self._groups()

@@ -7,18 +7,20 @@ kernel build, the derivative-chain fixtures, the initial-value table)
 reads from this one file, so a transcription error is caught by the exact
 identity tests instead of propagating silently.
 
-Every rational token goes through `algebra.parse_rational`, the reader of
-command-line arguments, so it obeys the same MAX_POINT_BITS limit.  Every
-integer token is bounded by the file's structure: a [poly] power above
-Q_DEGREE (21, the degree of q) is rejected before it sizes a coefficient
-list, a theta block exponent above MAX_BLOCK_EXPONENT (3) is rejected, and
-the remainder's (shift, order) pairs must be exactly the 22 slots of
-REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A [pf]
-(shift, order) key, like a [poly] power, appears once in its section.  A
-section that no constant reads, such as a misspelt duplicate of a table,
-is rejected.  A malformed file raises ConstantsFormatError naming the file
-and the line or section, and `constants_or_default` is the one place a
-missing constants argument becomes the packaged file.
+Each line is read once, straight into its final types.  Every rational
+token goes through `algebra.parse_rational`, the reader of command-line
+arguments, so it obeys the same MAX_POINT_BITS limit.  Every integer token
+is bounded by the file's structure: a [poly] power above Q_DEGREE (21, the
+degree of q) is rejected before it sizes a coefficient list, a block
+exponent outside 0..MAX_BLOCK_EXPONENT (3) at its header, and the
+remainder's (shift, order) pairs must be exactly the 22 slots of
+REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A
+[poly] power, a [pf] (shift, order) key and a [values] order appear once
+in their section, and a section once in the file (e00 is e0).  A section
+that no constant reads, such as a misspelt duplicate of a table, is
+rejected.  ConstantsFormatError names the file, and the line if the error
+is in one.  Only the packaged file is cached, and `constants_or_default`
+is the one place a missing constants argument becomes it.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ CHAIN_LENGTHS = {"theta": 10, "theta1": 10, "theta2": 9}
 class SourceConstants(Frozen):
     """All transcribed exact fixtures, parsed and assembled.
 
-    Immutable; equality and hash are by identity.  The loader caches one
-    instance per file; no other cache keys on it.
+    Immutable; equality and hash are by identity.  The loader caches the
+    packaged file's instance; no other cache keys on it.
     """
 
     __slots__ = ("p", "q", "remainder_expansion", "theta", "theta_prime",
@@ -87,120 +89,110 @@ class SourceConstants(Frozen):
             object.__setattr__(self, name, value)
 
 
-def _parse_rational(tok: str, path, lineno: int) -> int | Fraction:
-    """An int for an integer token, else a Fraction (see parse_rational)."""
-    try:
-        return parse_rational(tok)
-    except DomainError as exc:
-        raise ConstantsFormatError(f"{path}:{lineno}: {exc}") from None
-
-
-def _parse_int(tok: str, path, where: int | str) -> int:
-    """An integer token; ``where`` is a line number or a section name and is
-    formatted into the location only when the token is rejected."""
+def _int(tok: str, what: str = "integer") -> int:
+    """An integer token; what names it in the error."""
     try:
         return int(tok)
-    except ValueError as exc:
-        loc = f"{path}:{where}" if isinstance(where, int) else f"{path}: [{where}]"
-        raise ConstantsFormatError(f"{loc}: bad integer {tok!r}") from exc
+    except ValueError:
+        raise ConstantsFormatError(f"bad {what} {tok!r}") from None
+
+
+def _header(line: str) -> str:
+    """The canonical key of a header line: 'poly NAME', 'pf NAME' or
+    'values NAME'; a block [poly NAME.eK] is keyed 'poly NAME.eK' with K an
+    int in 0..MAX_BLOCK_EXPONENT, so e00 and e0 name one section."""
+    if not line.endswith("]"):
+        raise ConstantsFormatError("unterminated section header")
+    parts = line[1:-1].split()
+    if len(parts) != 2 or parts[0] not in ("poly", "pf", "values"):
+        raise ConstantsFormatError(f"bad section header {line!r}")
+    kind, name = parts
+    base, dot_e, exponent = name.rpartition(".e")
+    if kind == "poly" and dot_e:
+        k = _int(exponent, "block exponent")
+        if not 0 <= k <= MAX_BLOCK_EXPONENT:
+            raise ConstantsFormatError(f"block exponent outside 0..{MAX_BLOCK_EXPONENT}")
+        name = f"{base}.e{k}"
+    return f"{kind} {name}"
+
+
+def _entry(kind: str, toks: list[str], items: dict) -> None:
+    """Read one entry line of a section into items, its entries so far: a
+    [poly] power, a [pf] (shift, order) or a [values] order to its value."""
+    if kind == "poly":
+        if len(toks) != 2:
+            raise ConstantsFormatError("expected '<power> <rational>'")
+        power = _int(toks[0])
+        if power < 0 or power in items:
+            raise ConstantsFormatError(f"bad or repeated power {power}")
+        if power > Q_DEGREE:
+            raise ConstantsFormatError(f"power {power} above {Q_DEGREE}")
+        items[power] = parse_rational(toks[1])
+    elif kind == "pf":
+        if len(toks) != 3:
+            raise ConstantsFormatError("expected '<coeff> <shift> <order>'")
+        shift, order = _int(toks[1]), _int(toks[2])
+        if shift < 0 or order < 1:
+            raise ConstantsFormatError("need shift >= 0 and order >= 1")
+        if (shift, order) in items:
+            raise ConstantsFormatError(f"repeated term ({shift}, {order})")
+        items[shift, order] = (parse_rational(toks[0]), shift, order)
+    else:
+        if len(toks) != 2:
+            raise ConstantsFormatError("expected '<label> <integer>'")
+        order = _int(toks[0])
+        if order in items:  # one order under two labels, e.g. 5 and 05
+            raise ConstantsFormatError(f"repeated order {order}")
+        items[order] = _int(toks[1])
 
 
 def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
-    """Parse the documented grammar into {'poly NAME': Poly, 'pf NAME': ...}."""
-    sections: dict[str, object] = {}
-    kind = name = None
-    poly_coeffs: dict[int, int | Fraction] = {}
-    poly_scale: int | Fraction = 1
-    pf_terms: dict[tuple[int, int], tuple[int | Fraction, int, int]] = {}
-    values: dict[str, int] = {}
+    """Parse the documented grammar in one pass into {'poly NAME': Poly,
+    'pf NAME': PartialFractionForm, 'values NAME': {order: int}}.
 
-    def flush():
-        nonlocal poly_coeffs, poly_scale, pf_terms, values
-        if kind is None:
-            return
-        key = f"{kind} {name}"
-        if key in sections:
-            raise ConstantsFormatError(f"{path}: duplicate section [{key}]")
-        if kind == "poly":
-            top = max(poly_coeffs, default=-1)
-            cs = [poly_coeffs.get(i, 0) for i in range(top + 1)]
+    An error in a line is raised here, once, with the file and the line
+    number in front of the rule's message."""
+    entries: dict[str, object] = {}  # section key -> its entries, then its value
+    scales: dict[str, int | Fraction] = {}
+    kind = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        try:
+            if line.startswith("["):
+                key = _header(line)
+                if key in entries:
+                    raise ConstantsFormatError(f"duplicate section [{key}]")
+                kind, items = key.partition(" ")[0], entries.setdefault(key, {})
+            elif kind is None:
+                raise ConstantsFormatError("entry before any section")
+            elif kind == "poly" and toks[0] == "scale":
+                if len(toks) != 2:
+                    raise ConstantsFormatError("bad scale line")
+                scales[key] = parse_rational(toks[1])
+            else:
+                _entry(kind, toks, items)
+        except (ConstantsFormatError, DomainError) as exc:
+            raise ConstantsFormatError(f"{path}:{lineno}: {exc}") from None
+    for key, items in entries.items():  # each section's entries into its value
+        if key.startswith("poly "):
+            cs = [items.get(i, 0) for i in range(max(items, default=-1) + 1)]
             # integer coefficients are already the canonical numerators
             poly = Poly._make(cs) if all(type(c) is int for c in cs) else Poly(cs)
-            sections[key] = poly * poly_scale if poly_scale != 1 else poly
-        elif kind == "pf":
-            sections[key] = PartialFractionForm(pf_terms.values())
-        else:
-            sections[key] = dict(values)
-        poly_coeffs, poly_scale, pf_terms, values = {}, 1, {}, {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.partition("#")[0].split()
-        if not toks:
-            continue
-        if toks[0].startswith("["):
-            line = raw.partition("#")[0].strip()
-            if not line.endswith("]"):
-                raise ConstantsFormatError(f"{path}:{lineno}: unterminated section header")
-            flush()
-            parts = line[1:-1].split()
-            if len(parts) != 2 or parts[0] not in ("poly", "pf", "values"):
-                raise ConstantsFormatError(f"{path}:{lineno}: bad section header {line!r}")
-            kind, name = parts
-            continue
-        if kind is None:
-            raise ConstantsFormatError(f"{path}:{lineno}: entry before any section")
-        if kind == "poly":
-            if toks[0] == "scale":
-                if len(toks) != 2:
-                    raise ConstantsFormatError(f"{path}:{lineno}: bad scale line")
-                poly_scale = _parse_rational(toks[1], path, lineno)
-                continue
-            if len(toks) != 2:
-                raise ConstantsFormatError(f"{path}:{lineno}: expected '<power> <rational>'")
-            power = _parse_int(toks[0], path, lineno)
-            if power < 0 or power in poly_coeffs:
-                raise ConstantsFormatError(f"{path}:{lineno}: bad or repeated power {power}")
-            if power > Q_DEGREE:
-                raise ConstantsFormatError(
-                    f"{path}:{lineno}: power {power} above {Q_DEGREE}")
-            poly_coeffs[power] = _parse_rational(toks[1], path, lineno)
-        elif kind == "pf":
-            if len(toks) != 3:
-                raise ConstantsFormatError(f"{path}:{lineno}: expected '<coeff> <shift> <order>'")
-            shift, order = _parse_int(toks[1], path, lineno), _parse_int(toks[2], path, lineno)
-            if shift < 0 or order < 1:
-                raise ConstantsFormatError(
-                    f"{path}:{lineno}: need shift >= 0 and order >= 1")
-            if (shift, order) in pf_terms:
-                raise ConstantsFormatError(
-                    f"{path}:{lineno}: repeated term ({shift}, {order})")
-            pf_terms[shift, order] = (_parse_rational(toks[0], path, lineno),
-                                      shift, order)
-        else:
-            if len(toks) != 2:
-                raise ConstantsFormatError(f"{path}:{lineno}: expected '<label> <integer>'")
-            if toks[0] in values:
-                raise ConstantsFormatError(f"{path}:{lineno}: repeated label {toks[0]!r}")
-            values[toks[0]] = _parse_int(toks[1], path, lineno)
-    flush()
-    return sections
+            scale = scales.get(key, 1)
+            entries[key] = poly * scale if scale != 1 else poly
+        elif key.startswith("pf "):
+            entries[key] = PartialFractionForm(items.values())
+    return entries
 
 
 def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
     """The ExpPoly of the [poly BASE.eK] sections, which it takes out of
-    sections."""
-    blocks: dict[int, Poly] = {}
-    prefix = f"poly {base}.e"
-    for key in [key for key in sections if key.startswith(prefix)]:
-        k = _parse_int(key[len(prefix):], path, key)
-        if k < 0:
-            raise ConstantsFormatError(f"{path}: [{key}]: negative exponent")
-        if k > MAX_BLOCK_EXPONENT:
-            raise ConstantsFormatError(
-                f"{path}: [{key}]: exponent above {MAX_BLOCK_EXPONENT}")
-        if k in blocks:
-            raise ConstantsFormatError(f"{path}: [{key}]: repeated exponent {k}")
-        blocks[k] = sections.pop(key)
+    sections; their keys were made canonical, and K bounded, at parse."""
+    blocks = {k: sections.pop(key) for k in range(MAX_BLOCK_EXPONENT + 1)
+              if (key := f"poly {base}.e{k}") in sections}
     if not blocks:
         raise ConstantsFormatError(f"{path}: no blocks found for {base!r}")
     return ExpPoly._make(blocks)  # int exponents in 0..3, canonical Polys
@@ -216,21 +208,16 @@ def _take(sections, key: str, path):
 def load_constants(path: str | Path | None = None) -> SourceConstants:
     """Load and assemble a constants file (default: the packaged one).
 
-    Results are cached on the resolved path, so every spelling of one file
-    gives the same object.  The packaged file stays cached for the life of
-    the process; other files share a small LRU cache keyed on the path and
-    the file's text, so a file rewritten in place is parsed again.
+    The packaged file is parsed once per process, whatever spelling of its
+    path is given.  Any other file is read and parsed on every call, under
+    its resolved path: a command loads once, so a cache of other files
+    would serve only in-process tools.
     """
     if path is not None:
         resolved = Path(path).resolve()
-        if resolved != _default_resolved():
-            return _load_other(resolved, _read_text(resolved))
+        if resolved != DEFAULT_CONSTANTS_PATH.resolve():
+            return _load_file(resolved, _read_text(resolved))
     return _load_default()
-
-
-@lru_cache(maxsize=1)
-def _default_resolved() -> Path:
-    return DEFAULT_CONSTANTS_PATH.resolve()
 
 
 def constants_or_default(constants: SourceConstants | None) -> SourceConstants:
@@ -252,26 +239,14 @@ def _load_default() -> SourceConstants:
     return _load_file(DEFAULT_CONSTANTS_PATH, _read_text(DEFAULT_CONSTANTS_PATH))
 
 
-@lru_cache(maxsize=8)
-def _load_other(path: Path, text: str) -> SourceConstants:
-    return _load_file(path, text)
-
-
 def _load_file(path: Path, text: str) -> SourceConstants:
     sections = parse_constants_text(text, path)
     init: dict[str, dict[int, int]] = {}
-    for stage in CHAIN_LENGTHS:
-        section = f"values {stage}_init"
-        init[stage] = {}
-        for label, value in _take(sections, section, path).items():
-            order = _parse_int(label, path, section)
-            if order in init[stage]:  # one order under two labels, e.g. 5 and 05
-                raise ConstantsFormatError(f"{path}: [{section}]: repeated order {order}")
-            init[stage][order] = value
-        want = set(range(1, CHAIN_LENGTHS[stage] + 1))
-        if set(init[stage]) != want:
+    for stage, length in CHAIN_LENGTHS.items():
+        init[stage] = _take(sections, f"values {stage}_init", path)
+        if set(init[stage]) != set(range(1, length + 1)):
             raise ConstantsFormatError(
-                f"{path}: {stage}_init must list orders {sorted(want)}")
+                f"{path}: {stage}_init must list orders {list(range(1, length + 1))}")
     consts = SourceConstants(
         p=_take(sections, "poly p", path),
         q=_take(sections, "poly q", path),

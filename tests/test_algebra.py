@@ -229,16 +229,30 @@ class TestPartialFractions:
     lambda: Poly.monomial(5, 2.0),
     lambda: Poly((1, 1)) ** True,  # was the base
     lambda: Poly((1, 1)) ** 2.0,
+    lambda: Poly((1, 2)).coeff(True),  # was 2, the t^1 coefficient
+    lambda: Poly((1, 2)).coeff(1.5),  # was a bare TypeError
+    lambda: ExpPoly.term(1, Poly((1,))).block(True),  # was the e^t block
+    lambda: ExpPoly.term(1, Poly((1,))).block(1.0),
 ], ids=["pf-float-shift", "pf-float-order", "pf-bool-shift", "pf-bool-order",
         "pfd-float-order", "pfd-bool-shift", "exppoly-bool-exponent",
         "exppoly-float-exponent", "shift-exp-bool", "shift-exp-below-zero",
         "monomial-bool-power", "monomial-float-power", "pow-bool-exponent",
-        "pow-float-exponent"])
+        "pow-float-exponent", "coeff-bool-power", "coeff-float-power",
+        "block-bool-exponent", "block-float-exponent"])
 def test_float_and_bool_indices_refused(make):
     """Shifts, orders, powers and exponents are ints; a float or a bool is
     refused, never truncated by int() or printed as an exponent."""
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("k", [True, 1.0, -1], ids=["bool", "float", "negative"])
+def test_eval_exact_refuses_an_order_that_is_not_a_natural_number(k):
+    # True acted as k = 1, 1.0 raised a bare TypeError and -1 math.perm's error
+    form = PartialFractionForm([(F(1), 0, 1)])
+    with pytest.raises(ValueError,
+                       match="^derivative order must be a nonnegative integer$"):
+        form.eval_exact(F(1, 2), k)
 
 
 def one_term(coeff, shift, order):

@@ -291,6 +291,28 @@ class TestCmScan:
                            "--grid", "geometric:1/4:2:3", "--prec", "96")
         assert code == 0
 
+    def test_negative_cell_at_the_p0_boundary_fails(self, capsys, mutate_constants):
+        # x^4 g(x) -> 1 - p_0/900 as x -> 0, so p_0 = 900 is the largest
+        # constant term that keeps g positive near 0; 901 breaks it at k = 8
+        argv = ["cm-scan", "g", "--kmax", "8", "--prec", "128", "--grid", "1/1024",
+                "--constants", str(mutate_constants(r"0 450", "0 901"))]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out.splitlines()[1:] == [
+            "  [negative] k=8 x=1/1024 -> "
+            "-3.9078282535022934247580102130791240199e+38 +/- 0.586",
+            "negative: 1, indeterminate: 0, max k fully verified: 7", "result: FAIL"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1 and [(e["k"], e["x"], e["verdict"])
+                              for e in json.loads(out)["payload"]["entries"]
+                              if e["verdict"] != "positive"] == [(8, "1/1024", "negative")]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 1 and [line for line in out.splitlines()[1:]
+                              if not line.endswith(",positive")] == [
+            "8,1/1024,-3.9078282535022934247580102130791240199e+38,0.586,negative"]
+        argv[-1] = str(mutate_constants(r"0 450", "0 900"))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\nresult: PASS\n")
+
     def test_bad_kind_usage_error(self, capsys):
         code = main(["cm-scan", "nope"])
         capsys.readouterr()

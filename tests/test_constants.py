@@ -9,7 +9,8 @@ import pytest
 
 from cmgamma.algebra import ExpPoly, PartialFractionTerm
 from cmgamma.constants import (DEFAULT_CONSTANTS_PATH, CHAIN_LENGTHS,
-                               load_constants, parse_constants_text)
+                               SourceConstants, load_constants,
+                               parse_constants_text)
 from cmgamma.errors import ConstantsFormatError
 
 # Guards against accidental edits; substantive errors are caught by the
@@ -66,13 +67,16 @@ def test_loader_caches_on_resolved_path(consts, tmp_path):
     for spelling in (None, DEFAULT_CONSTANTS_PATH, str(DEFAULT_CONSTANTS_PATH),
                      os.path.relpath(DEFAULT_CONSTANTS_PATH)):
         assert load_constants(spelling) is consts
-    copies = []
-    for i in range(9):  # more other files than the LRU cache holds
-        copies.append(tmp_path / f"copy{i}.txt")
-        copies[-1].write_text(DEFAULT_CONSTANTS_PATH.read_text())
-        assert load_constants(copies[-1]) is load_constants(str(tmp_path / "." / copies[-1].name))
-        assert load_constants(copies[-1]) is not consts
-    assert load_constants() is consts  # the packaged file is never evicted
+    # any other file is parsed on every load, under its resolved path
+    copy = tmp_path / "copy.txt"
+    copy.write_text(DEFAULT_CONSTANTS_PATH.read_text())
+    for spelling in (copy, str(tmp_path / "." / copy.name)):
+        loaded = load_constants(spelling)
+        assert loaded is not consts and loaded.source_path == copy.resolve()
+        for name in ("p", "q", "remainder_expansion", "theta", "theta_prime",
+                     "theta1", "theta1_prime", "theta2", "theta2_d9",
+                     "initial_values"):
+            assert getattr(loaded, name) == getattr(consts, name)
 
 
 def test_loader_rereads_a_file_rewritten_in_place(mutate_constants):
@@ -82,7 +86,6 @@ def test_loader_rereads_a_file_rewritten_in_place(mutate_constants):
     assert first.source_path == second.source_path
     assert PartialFractionTerm(F(-131, 120), 1, 2) in first.remainder_expansion.terms
     assert PartialFractionTerm(F(-137, 120), 1, 2) in second.remainder_expansion.terms
-    assert load_constants(second.source_path) is second
 
 
 def test_parse_integer_and_rational_tokens():
@@ -117,7 +120,7 @@ def test_parse_pf_section():
     "[values v]\na 1/2\n",          # non-integer value
     "[weird a]\n",                  # unknown section kind
     "[poly a\n",                    # unterminated header
-    "[values v]\na 1\na 2\n",       # repeated label
+    "[values v]\na 1\na 2\n",       # non-integer label
     "[pf f]\n1/2 0 1\n1/4 0 1\n",   # repeated term
     "[poly a]\n0 1 2\n",            # wrong arity
     "[poly a]\n0 1/0\n",            # zero denominator
@@ -127,10 +130,52 @@ def test_parse_pf_section():
     "[pf f]\n1e4400 0 1\n",         # numerator above MAX_POINT_BITS bits
     "[pf f]\n1e-4400 0 1\n",        # denominator above MAX_POINT_BITS bits
     "[pf f]\n1e10000000 0 1\n",     # rejected before 10^exponent is built
+    "[values v]\n1 1\n01 2\n",      # one order under two labels
+    "[poly a.e4]\n0 1\n",           # block exponent above 3
+    "[poly a.e0]\n0 1\n[poly a.e00]\n0 1\n",  # one block under two headers
 ])
 def test_grammar_errors(text):
     with pytest.raises(ConstantsFormatError, match="<string>"):
         parse_constants_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# comment\n\n0 450\n", "3: entry before any section"),
+    ("[poly a.e-1]\n", "1: block exponent outside 0..3"),
+    ("[poly a.ex]\n", "1: bad block exponent 'x'"),
+    ("[poly q.exact]\n", "1: bad block exponent 'xact'"),  # .e starts a block
+    ("[poly a]\n0 1\n[poly a]\n", "3: duplicate section [poly a]"),
+    ("[poly a.e0]\n0 1\n[poly a.e00]\n", "3: duplicate section [poly a.e0]"),
+    ("[poly a]\nscale\n", "2: bad scale line"),
+    ("[pf f]\n1/2 0\n", "2: expected '<coeff> <shift> <order>'"),
+    ("[values v]\n5\n", "2: expected '<label> <integer>'"),
+    ("[values v]\none 1\n", "2: bad integer 'one'"),
+    ("[values v]\n5 1\n05 2\n", "3: repeated order 5"),
+])
+def test_line_errors_name_their_line(text, message):
+    with pytest.raises(ConstantsFormatError,
+                       match=re.escape(f"<string>:{message}") + "$"):
+        parse_constants_text(text)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[poly q]\n", "[poly r]\n", "missing section [poly q]"),
+    ("[poly theta2_d9.e", "[poly theta2_d8.e", "no blocks found for 'theta2_d9'"),
+    ("\n5 1632960000\n", "\n", "theta_init must list orders "
+                                 "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    ("\n10 75\n", "\n10 75\n11 1\n", "p must have degree 10 and q degree 21"),
+])
+def test_structure_errors_name_the_file(tmp_path, old, new, message):
+    path = tmp_path / "structure.txt"
+    path.write_text(DEFAULT_CONSTANTS_PATH.read_text().replace(old, new))
+    with pytest.raises(ConstantsFormatError,
+                       match=re.escape(f"{path}: {message}") + "$"):
+        load_constants(path)
+
+
+def test_source_constants_needs_every_field():
+    with pytest.raises(TypeError, match="needs exactly the fields"):
+        SourceConstants(p=None)
 
 
 @pytest.mark.parametrize("pattern, replacement", [
@@ -144,9 +189,8 @@ def test_grammar_errors(text):
 ])
 def test_non_integer_keys_raise_format_error(mutate_constants, pattern, replacement):
     path = mutate_constants(pattern, replacement)
-    # the message names the file, then the line or the section
-    with pytest.raises(ConstantsFormatError,
-                       match=re.escape(str(path)) + r"(:\d+|: \[[^]]+\]): "):
+    # the message names the file, then the line
+    with pytest.raises(ConstantsFormatError, match=re.escape(str(path)) + r":\d+: "):
         load_constants(path)
 
 
@@ -171,10 +215,11 @@ def test_unknown_section_raises_format_error(tmp_path, section):
 ])
 def test_order_listed_under_two_labels_raises_format_error(tmp_path, lines):
     path = tmp_path / "twice.txt"
-    path.write_text(DEFAULT_CONSTANTS_PATH.read_text().replace(
-        "\n5 1632960000\n", f"\n{lines}\n", 1))
+    text = DEFAULT_CONSTANTS_PATH.read_text()
+    path.write_text(text.replace("\n5 1632960000\n", f"\n{lines}\n", 1))
+    lineno = text.splitlines().index("5 1632960000") + 2  # the later line
     with pytest.raises(ConstantsFormatError, match=re.escape(
-            f"{path}: [values theta_init]: repeated order 5") + "$"):
+            f"{path}:{lineno}: repeated order 5") + "$"):
         load_constants(path)
 
 

@@ -28,9 +28,14 @@ failed command prints to stderr.  The set is:
   (308 mutants), the numerator of a [pf remainder] coefficient (44) or the
   value of a [values *_init] line (58); each [pf] mutant also runs
   `eval H 1/3`, which prints the rational part of H.  A mutant keeps every
-  section key, so no [pf] (shift, order) key repeats.
+  section key, so no [pf] (shift, order) key repeats;
+- `replay-proof` on each of 21 malformed copies of the constants file
+  (MALFORMED: bad block exponents and headers, bad or repeated [values]
+  labels, wrong arities, a duplicate, missing or unknown section, an
+  incomplete order table, a power above the degree of q), so a diff shows
+  which error messages moved.
 
-That is 1,836 lines.  Commands run in this process through
+That is 1,857 lines.  Commands run in this process through
 `cmgamma.cli.main`, one at a time; the whole set takes about 8 s
 (CPython 3.11, 2 vCPU).  CMGAMMA_PREC is cleared, so every default
 precision is the built-in one.
@@ -64,6 +69,30 @@ GRIDS = (None, "span:1/1024:4096:30", "span:1/1048576:1e6:40", "1,64,1000,1/3,2/
 SCAN_PRECS = (8, 16, 64, 256, 512)
 EVAL_POINTS = ("1/3", "1e-6", "7", "1e12")
 TELESCOPING_POINTS = ("1/3", "1000")
+# (label, old, new): the first `old` of the packaged file's text becomes `new`
+MALFORMED = [
+    ("negative block exponent", "[poly theta.e0]", "[poly theta.e-1]"),
+    ("non-integer block exponent", "[poly theta.e0]", "[poly theta.ex]"),
+    ("block exponent 4", "[poly theta.e3]", "[poly theta.e4]"),
+    ("block exponent 00", "[poly theta.e1]", "[poly theta.e00]"),
+    ("unterminated header", "[poly p]", "[poly p"),
+    ("bad header", "[poly p]", "[polynomial p]"),
+    ("name q.exact", "[poly q]", "[poly q.exact]"),
+    ("entry before any section", "[poly p]", "0 1\n[poly p]"),
+    ("label one", "\n1 31830835680000\n", "\none 31830835680000\n"),
+    ("label 05 before 5", "\n5 1632960000\n", "\n05 -1\n5 1632960000\n"),
+    ("label 05 after 5", "\n5 1632960000\n", "\n5 1632960000\n05 -1\n"),
+    ("label 5 twice", "\n5 1632960000\n", "\n5 1632960000\n5 1632960000\n"),
+    ("scale arity", "\nscale 163296000\n", "\nscale 163296000 2\n"),
+    ("[pf] arity", "\n1/2 0 1\n", "\n1/2 0\n"),
+    ("[values] arity", "\n5 1632960000\n", "\n5 1632960000 7\n"),
+    ("duplicate section", "[poly q]", "[poly p]\n0 1\n[poly q]"),
+    ("missing section", "[poly q]", "[poly r]"),
+    ("unknown section", "[poly q]", "[poly junk]\n0 1\n[poly q]"),
+    ("incomplete order table", "\n5 1632960000\n", "\n"),
+    ("power 30000", "[poly theta2_d9.e1]\n", "[poly theta2_d9.e1]\n30000 1\n"),
+    ("degree of p", "\n10 75\n", "\n10 75\n11 1\n"),
+]
 
 
 def digest(text: str) -> str:
@@ -154,10 +183,10 @@ def main_digests() -> None:
     for x in TELESCOPING_POINTS:
         argv = ["identity-check", "telescoping", "--x", x]
         emit(*run(argv), " ".join(argv))
+    source = DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(os.path.realpath(tmp), "constants.txt")
-        for label, kind, text in mutants(
-                DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")):
+        for label, kind, text in mutants(source):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             commands = [["replay-proof"], ["replay-proof", "--emit", "-"],
@@ -167,6 +196,12 @@ def main_digests() -> None:
             for command in commands:
                 emit(*run(command + ["--constants", path], hide=path),
                      f"{' '.join(command)} [{label}]")
+        for label, old, new in MALFORMED:
+            assert old in source, old
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(source.replace(old, new, 1))
+            emit(*run(["replay-proof", "--constants", path], hide=path),
+                 f"replay-proof [malformed: {label}]")
 
 
 if __name__ == "__main__":
