@@ -4,11 +4,16 @@ Exit-code contract (stable for CI): 0 = pass, 1 = verification failure,
 2 = usage or domain error.  All payloads are deterministic for fixed flags:
 no timestamps, sorted JSON keys, fixed decimal formatting.
 
-The default precision comes from --prec, else the CMGAMMA_PREC environment
-variable, else 128 bits (256 for scans), within `ball.check_prec`, the rule
-of every numeric entry point.  To keep the cost of a run bounded, a grid of
-more than scan.MAX_GRID_POINTS points and an exact argument, constants-file
-token or geometric grid point whose numerator or denominator has more than
+A command reads its settings only from its own flags.  Each default is
+declared once, on its flag, so --help states it: --prec is 128 bits for
+eval, 192 for identity-check telescoping and 256 for cm-scan, and is held
+to `ball.check_prec`, the rule of every numeric entry point, where it is
+read.  An absent --grid is `scan.cm_scan`'s default grid, and an absent
+--constants PATH the packaged constants file.
+
+To keep the cost of a run bounded, a grid of more than
+scan.MAX_GRID_POINTS points and an exact argument, constants-file token or
+geometric grid point whose numerator or denominator has more than
 algebra.MAX_POINT_BITS bits are usage errors.  Exact arguments are read by
 `algebra.parse_rational`, the reader of constants-file tokens, and every
 integer of a constants file is bounded by the file's structure (see
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -39,23 +43,13 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _default_prec(args, fallback: int) -> int:
-    prec = getattr(args, "prec", None)
-    source = f"--prec {prec}"
-    if prec is None:
-        env = os.environ.get("CMGAMMA_PREC")
-        if not env:
-            return fallback
-        try:
-            prec = int(env)
-        except ValueError:
-            raise CmGammaError(f"CMGAMMA_PREC={env!r} is not an integer")
-        source = f"CMGAMMA_PREC={env!r}"
+def _prec(args) -> int:
+    """--prec, held to the library's precision rule."""
     try:
-        check_prec(prec)
+        check_prec(args.prec)
     except CmGammaError as exc:
-        raise CmGammaError(f"{source}: {exc}") from None
-    return prec
+        raise CmGammaError(f"--prec {args.prec}: {exc}") from None
+    return args.prec
 
 
 def _write(path: str, text: str) -> None:
@@ -86,7 +80,7 @@ def _print_exact(label: str, value: Fraction) -> None:
 
 
 def cmd_eval(args) -> int:
-    prec = _default_prec(args, 128)
+    prec = _prec(args)
     consts = load_constants(args.constants)
     fn = args.function
     if fn == "polygamma" and args.order is None:
@@ -131,7 +125,7 @@ def cmd_identity_check(args) -> int:
     if which == "telescoping":
         if args.x is None:
             raise CmGammaError("identity-check telescoping requires --x")
-        prec = _default_prec(args, 192)
+        prec = _prec(args)
         rep = bounds.telescoping_identity_check(parse_rational(args.x), prec,
                                                 constants=consts)
         print(rep.detail())
@@ -166,9 +160,7 @@ def cmd_replay_proof(args) -> int:
     return 0
 
 
-def _parse_grid(text: str | None) -> scan.GridSpec:
-    if text is None:
-        return scan.default_grid()
+def _parse_grid(text: str) -> scan.GridSpec:
     if not text:
         raise CmGammaError("--grid needs points or a grid spec, not an empty string")
     for prefix, make, form in (("geometric:", scan.GridSpec.geometric, "START:RATIO:COUNT"),
@@ -186,10 +178,10 @@ def _parse_grid(text: str | None) -> scan.GridSpec:
 
 
 def cmd_cm_scan(args) -> int:
-    prec = _default_prec(args, 256)
+    prec = _prec(args)
     output = _path_flag("--output", args.output)
     consts = load_constants(args.constants)
-    grid = _parse_grid(args.grid)
+    grid = None if args.grid is None else _parse_grid(args.grid)
     report = scan.cm_scan(args.kind, args.kmax, grid, prec, consts)
     out = getattr(report, f"to_{args.format}")()  # to_text, to_json or to_csv
     if output is not None and output != "-":
@@ -209,26 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a function with a certified enclosure")
     p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
     p_eval.add_argument("x", help="evaluation point (exact rational, e.g. 1/4)")
-    p_eval.add_argument("--prec", type=int, help="target precision in bits")
+    p_eval.add_argument("--prec", type=int, default=128,
+                        help="target precision in bits (default %(default)s)")
     p_eval.add_argument("--order", type=int, help="derivative order for 'polygamma'")
     p_eval.add_argument("--crosscheck", action="store_true",
                         help="also print the non-certified quadrature estimate")
-    p_eval.add_argument("--constants", help=argparse.SUPPRESS)
     p_eval.set_defaults(func=cmd_eval)
 
     p_id = sub.add_parser("identity-check", help="exact or enclosure identity checks")
     p_id.add_argument("which", choices=("expansion", "remark2", "telescoping"))
     p_id.add_argument("--x", help="evaluation point (telescoping only)")
-    p_id.add_argument("--prec", type=int)
-    p_id.add_argument("--constants", help=argparse.SUPPRESS)
+    p_id.add_argument("--prec", type=int, default=192,
+                      help="target precision in bits, telescoping only "
+                           "(default %(default)s)")
     p_id.set_defaults(func=cmd_identity_check)
 
     p_replay = sub.add_parser("replay-proof",
                               help="replay the positivity-chain proof and emit a certificate")
     p_replay.add_argument("--emit", metavar="PATH",
                           help="write the JSON certificate to PATH ('-' for stdout)")
-    p_replay.add_argument("--constants", metavar="PATH",
-                          help="alternate constants file (testing hook)")
     p_replay.set_defaults(func=cmd_replay_proof)
 
     p_scan = sub.add_parser("cm-scan", help="grid scan of (-1)^k f^(k)(x) signs")
@@ -237,11 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--grid",
                         help="'x1,x2,...' | geometric:START:RATIO:COUNT | "
                              "span:START:STOP:COUNT (default span:1/16:64:25)")
-    p_scan.add_argument("--prec", type=int, help="target precision in bits")
+    p_scan.add_argument("--prec", type=int, default=256,
+                        help="target precision in bits (default %(default)s)")
     p_scan.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_scan.add_argument("--output", metavar="PATH", help="write report to PATH")
-    p_scan.add_argument("--constants", help=argparse.SUPPRESS)
     p_scan.set_defaults(func=cmd_cm_scan)
+
+    for p_cmd in (p_eval, p_id, p_replay, p_scan):
+        p_cmd.add_argument("--constants", metavar="PATH",
+                           help="constants file (default: the packaged one)")
     return parser
 
 
@@ -257,7 +252,3 @@ def main(argv: list[str] | None = None) -> int:
     except (CmGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,12 +15,13 @@ degree of q) is rejected before it sizes a coefficient list, a block
 exponent outside 0..MAX_BLOCK_EXPONENT (3) at its header, and the
 remainder's (shift, order) pairs must be exactly the 22 slots of
 REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A
-[poly] power, a [pf] (shift, order) key and a [values] order appear once
-in their section, and a section once in the file (e00 is e0).  A section
-that no constant reads, such as a misspelt duplicate of a table, is
-rejected.  ConstantsFormatError names the file, and the line if the error
-is in one.  Only the packaged file is cached, and `constants_or_default`
-is the one place a missing constants argument becomes it.
+[poly] power or scale line, a [pf] (shift, order) key and a [values] order
+appear at most once in their section, and a section once in the file (e00
+is e0).  A section that no constant reads, such as a misspelt duplicate of
+a table, is rejected.  ConstantsFormatError names the file, and the line
+if the error is in one.  Only the packaged file is cached, and
+`constants_or_default` is the one place a missing constants argument
+becomes it.
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
             elif kind == "poly" and toks[0] == "scale":
                 if len(toks) != 2:
                     raise ConstantsFormatError("bad scale line")
+                if key in scales:
+                    raise ConstantsFormatError("repeated scale line")
                 scales[key] = parse_rational(toks[1])
             else:
                 _entry(kind, toks, items)

@@ -213,6 +213,29 @@ class TestPartialFractions:
         form = pfd_decompose(Poly([1]), [(0, 1), (1, 1)])
         assert form.eval_exact(F(1, 2)) == F(1) / (F(1, 2) * F(3, 2))
 
+    def test_eval_exact_at_a_pole(self):
+        form = PartialFractionForm([(F(1), 0, 1), (F(1), 2, 1)])
+        with pytest.raises(DomainError, match="^evaluation at pole x = -2$"):
+            form.eval_exact(F(-2))
+
+    @pytest.mark.parametrize("term, message", [
+        ((F(1), 0, 0), "partial-fraction order must be >= 1"),
+        ((F(1), -1, 1), "shift must be a nonnegative integer"),
+    ])
+    def test_constructor_refuses_order_zero_and_negative_shift(self, term, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PartialFractionForm([term])
+
+    def test_decompose_refuses_a_repeated_shift(self):
+        with pytest.raises(ValueError,
+                           match="^denominator shifts must be pairwise distinct$"):
+            pfd_decompose(Poly([1]), [(0, 1), (0, 2)])
+
+    def test_repr(self):
+        form = PartialFractionForm([(F(-2, 3), 1, 2), (F(1), 0, 1)])
+        assert repr(form) == "PF[1/x + -2/3/(x+1)^2]"
+        assert repr(PartialFractionForm([])) == "PF[0]"
+
 
 @pytest.mark.parametrize("make", [
     lambda: PartialFractionForm([(F(1), 1.5, 2.9)]),  # was PF[1/(x+1)^2]

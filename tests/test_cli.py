@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import random
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import cmgamma
-from cmgamma.cli import _approx, main
+from cmgamma import bounds, scan
+from cmgamma.cli import _approx, build_parser, main
 from cmgamma.constants import DEFAULT_CONSTANTS_PATH
 from cmgamma.scan import MAX_POINT_BITS
 
@@ -63,10 +65,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "g", "one")
         assert code == 2
 
-    def test_env_var_precision(self, capsys, monkeypatch):
+    def test_environment_does_not_set_precision(self, capsys, monkeypatch):
+        # a command reads its settings only from its own flags
         monkeypatch.setenv("CMGAMMA_PREC", "96")
         code, out, _ = run(capsys, "eval", "psi1", "1")
-        assert code == 0 and "[96-bit target]" in out
+        assert code == 0 and "[128-bit target]" in out
 
     @pytest.mark.parametrize("prec", ["4", "0", "-3"])
     def test_precision_below_minimum_exit_two(self, capsys, prec):
@@ -94,31 +97,14 @@ class TestEval:
         assert err.startswith(f"error: {function}(") and err.count("\n") == 1
         assert "not within 2^-4096 relative at 4096 bits" in err
 
-    @pytest.mark.parametrize("prec", ["0", "-5", "3"])
-    def test_env_precision_below_minimum_exit_two(self, capsys, monkeypatch, prec):
-        monkeypatch.setenv("CMGAMMA_PREC", prec)
-        code, out, err = run(capsys, "eval", "psi1", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("prec, env, message", [
-        ("4", None, "--prec 4: precision must be at least 8 bits"),
-        ("4097", None, "--prec 4097: precision above the limit of 4096 bits"),
-        (None, "3", "CMGAMMA_PREC='3': precision must be at least 8 bits"),
-        (None, "5000", "CMGAMMA_PREC='5000': precision above the limit of 4096 bits"),
+    @pytest.mark.parametrize("prec, message", [
+        ("4", "precision must be at least 8 bits"),
+        ("4097", "precision above the limit of 4096 bits"),
     ])
-    def test_precision_messages(self, capsys, monkeypatch, prec, env, message):
-        # the library's one precision rule, prefixed with where the value came from
-        if env is not None:
-            monkeypatch.setenv("CMGAMMA_PREC", env)
-        argv = ["eval", "psi1", "1"] + (["--prec", prec] if prec else [])
-        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
-
-    def test_env_precision_above_cap_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("CMGAMMA_PREC", "100000")
-        code, out, err = run(capsys, "eval", "g", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+    def test_precision_messages(self, capsys, prec, message):
+        # the library's one precision rule, prefixed with the flag
+        assert (run(capsys, "eval", "psi1", "1", "--prec", prec)
+                == (2, "", f"error: --prec {prec}: {message}\n"))
 
     def test_crosscheck_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "psi1", "1", "--prec", "64",
@@ -399,6 +385,22 @@ def test_no_command_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, library", [
+    (["eval", "g", "1"], bounds.g_eval),
+    (["identity-check", "telescoping"], bounds.telescoping_identity_check),
+    (["cm-scan", "g"], scan.cm_scan),
+    (["replay-proof"], None),
+], ids=["eval", "identity-check", "cm-scan", "replay-proof"])
+def test_help_states_each_default(capsys, argv, library):
+    # a --prec default is the library's, and --help states it
+    code, out, _ = run(capsys, argv[0], "--help")
+    assert code == 0 and "--constants PATH" in out
+    if library is not None:
+        prec = inspect.signature(library).parameters["prec"].default
+        assert build_parser().parse_args(argv).prec == prec
+        assert f"(default {prec})" in " ".join(out.split())
+
+
 # Fuzz draws for the exit-code contract, as (valid tokens, invalid tokens).
 # Grids of <= 3 points, k <= 3 and prec <= 512 keep the fuzz to about a second.
 X = (("1", "1/3", "7/5", "64", "1/1024", "1e3", "2.5e-2"),
@@ -548,16 +550,12 @@ def _fuzz_argv(rng, files, tmp_path):
     return argv, usage_error
 
 
-def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
+def test_exit_code_contract_fuzz(capsys, tmp_path):
     rng = random.Random(20261018)
     files = _constants_files(tmp_path)
     usage_errors = 0
     for _ in range(200):
         argv, usage_error = _fuzz_argv(rng, files, tmp_path)
-        if rng.random() < 0.1:
-            monkeypatch.setenv("CMGAMMA_PREC", rng.choice(PREC[0] + PREC[1]))
-        else:
-            monkeypatch.delenv("CMGAMMA_PREC", raising=False)
         try:
             code = main(argv)
         except (Exception, SystemExit) as exc:  # main must return a code
@@ -573,11 +571,17 @@ def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
     assert usage_errors >= 40  # the draws do reach invalid tokens
 
 
-@pytest.mark.parametrize("module, argv, code", [
-    pytest.param(module, argv, code, id=name + suffix)
+def _subprocess_env() -> dict[str, str]:
+    """os.environ with this source tree first on PYTHONPATH."""
+    src = str(Path(cmgamma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.mark.parametrize("argv, code", [
     # `python -m cmgamma` runs the package's __main__
-    for module, suffix in (("cmgamma.cli", ""), ("cmgamma", "-package"))
-    for argv, code, name in [
+    pytest.param(argv, code, id=f"{name}-package") for argv, code, name in [
         (["eval", "g", "1/3"], 0, "pass"),
         # None: a mutated constants file
         (["replay-proof", "--constants", None], 1, "verification-failure"),
@@ -585,14 +589,12 @@ def test_exit_code_contract_fuzz(capsys, monkeypatch, tmp_path):
         (["eval", "psi1", "1/0"], 2, "domain-error"),
     ]
 ])
-def test_exit_code_contract_subprocess(module, argv, code, mutate_constants):
+def test_exit_code_contract_subprocess(argv, code, mutate_constants):
     argv = [str(mutate_constants(r"1 435456000", "1 435456001")) if a is None
             else a for a in argv]
-    src = str(Path(cmgamma.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "CMGAMMA_PREC"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "cmgamma", *argv],
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -614,11 +616,9 @@ print(json.dumps(loaded))
 
 
 def test_commands_load_neither_mpmath_nor_dataclasses():
-    src = str(Path(cmgamma.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "CMGAMMA_PREC"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert list(loaded) == ["import cmgamma", "replay-proof", "cm-scan g --kmax 1",

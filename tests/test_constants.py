@@ -133,6 +133,7 @@ def test_parse_pf_section():
     "[values v]\n1 1\n01 2\n",      # one order under two labels
     "[poly a.e4]\n0 1\n",           # block exponent above 3
     "[poly a.e0]\n0 1\n[poly a.e00]\n0 1\n",  # one block under two headers
+    "[poly a]\nscale 2\n0 1\nscale 3\n",  # a second scale line
 ])
 def test_grammar_errors(text):
     with pytest.raises(ConstantsFormatError, match="<string>"):
@@ -147,6 +148,7 @@ def test_grammar_errors(text):
     ("[poly a]\n0 1\n[poly a]\n", "3: duplicate section [poly a]"),
     ("[poly a.e0]\n0 1\n[poly a.e00]\n", "3: duplicate section [poly a.e0]"),
     ("[poly a]\nscale\n", "2: bad scale line"),
+    ("[poly a]\nscale 2\n0 1\nscale 3\n", "4: repeated scale line"),
     ("[pf f]\n1/2 0\n", "2: expected '<coeff> <shift> <order>'"),
     ("[values v]\n5\n", "2: expected '<label> <integer>'"),
     ("[values v]\none 1\n", "2: bad integer 'one'"),

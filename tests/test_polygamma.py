@@ -112,6 +112,22 @@ def test_ball_argument_uses_monotonicity():
                                                (polygamma(3, x, 96), ball)]
 
 
+def test_exact_ball_argument_is_one_rational_call(monkeypatch):
+    # a radius-0 Ball is its midpoint: one series, not one per endpoint
+    calls = []
+    rational = polygamma_module._polygamma_rational
+
+    def recording(orders, x, prec):
+        calls.append(x)
+        return rational(orders, x, prec)
+
+    monkeypatch.setattr(polygamma_module, "_polygamma_rational", recording)
+    got = polygamma((2, 1), Ball(F(7, 3)), 96)
+    assert calls == [F(7, 3)]
+    want = polygamma((2, 1), F(7, 3), 96)
+    assert [(b.mid, b.rad, b.prec) for b in got] == [(b.mid, b.rad, b.prec) for b in want]
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         polygamma(0, 1)

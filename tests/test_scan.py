@@ -46,6 +46,14 @@ class TestGridSpec:
         g = GridSpec.geometric(F(1, 16), F(2), 5)
         assert g.points == (F(1, 16), F(1, 8), F(1, 4), F(1, 2), F(1))
 
+    @pytest.mark.parametrize("ratio, count", [(2, 0), (0, 3), (-2, 3)])
+    def test_geometric_needs_a_point_and_a_positive_ratio(self, ratio, count):
+        with pytest.raises(DomainError, match="^need count >= 1 and ratio > 0$"):
+            GridSpec.geometric(1, ratio, count)
+
+    def test_geometric_span_of_one_point_is_its_start(self):
+        assert GridSpec.geometric_span(F(1, 3), F(64), 1).points == (F(1, 3),)
+
     def test_geometric_span_endpoints_exact(self):
         g = GridSpec.geometric_span(F(1, 16), F(64), 25)
         assert len(g.points) == 25

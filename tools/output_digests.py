@@ -29,16 +29,16 @@ failed command prints to stderr.  The set is:
   value of a [values *_init] line (58); each [pf] mutant also runs
   `eval H 1/3`, which prints the rational part of H.  A mutant keeps every
   section key, so no [pf] (shift, order) key repeats;
-- `replay-proof` on each of 21 malformed copies of the constants file
+- `replay-proof` on each of 22 malformed copies of the constants file
   (MALFORMED: bad block exponents and headers, bad or repeated [values]
   labels, wrong arities, a duplicate, missing or unknown section, an
-  incomplete order table, a power above the degree of q), so a diff shows
-  which error messages moved.
+  incomplete order table, a power above the degree of q, a repeated scale
+  line), so a diff shows which error messages moved.
 
-That is 1,857 lines.  Commands run in this process through
+That is 1,858 lines.  Commands run in this process through
 `cmgamma.cli.main`, one at a time; the whole set takes about 8 s
-(CPython 3.11, 2 vCPU).  CMGAMMA_PREC is cleared, so every default
-precision is the built-in one.
+(CPython 3.11, 2 vCPU).  A command reads only its flags, so a command
+without --prec runs at its parser's default precision.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ MALFORMED = [
     ("incomplete order table", "\n5 1632960000\n", "\n"),
     ("power 30000", "[poly theta2_d9.e1]\n", "[poly theta2_d9.e1]\n30000 1\n"),
     ("degree of p", "\n10 75\n", "\n10 75\n11 1\n"),
+    ("repeated scale line", "\nscale 163296000\n",
+     "\nscale 163296000\nscale 163296000\n"),
 ]
 
 
@@ -157,7 +159,6 @@ def mutants(text: str):
 
 
 def main_digests() -> None:
-    os.environ.pop("CMGAMMA_PREC", None)
     for kind, k_max, prec, points in SCAN_PINS:
         doc = cm_scan(kind, k_max, GridSpec.explicit(points), prec).to_json()
         emit(0, doc, "", f"pin cm_scan {kind} k<={k_max} {prec} bits "
