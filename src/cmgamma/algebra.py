@@ -178,10 +178,8 @@ class Poly(Frozen, key=lambda p: (p._num, p._den)):
 
     @classmethod
     def _make(cls, num: list, den: int = 1) -> "Poly":
-        """Poly with coefficients num[i]/den (den != 0), brought to canonical form."""
+        """Poly with coefficients num[i]/den (den > 0), brought to canonical form."""
         if den != 1:
-            if den < 0:
-                num, den = [-c for c in num], -den
             g = math.gcd(den, *num)
             if g != 1:
                 num, den = [c // g for c in num], den // g

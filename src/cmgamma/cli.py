@@ -1,8 +1,9 @@
 """Command-line front end: evaluation, identity checks, proof replay, scans.
 
 Exit-code contract (stable for CI): 0 = pass, 1 = verification failure,
-2 = usage or domain error.  All payloads are deterministic for fixed flags:
-no timestamps, sorted JSON keys, fixed decimal formatting.
+2 = usage or domain error, alike for `python -m cmgamma`, `python -m
+cmgamma.cli` and the `cmgamma` script.  All payloads are deterministic for
+fixed flags: no timestamps, sorted JSON keys, fixed decimal formatting.
 
 A command reads its settings only from its own flags.  Each default is
 declared once, on its flag, so --help states it: --prec is 128 bits for
@@ -105,13 +106,11 @@ def cmd_eval(args) -> int:
         ball = bounds.g_eval(x, prec, constants=consts)
         print(f"g({x}) = {ball}  [{prec}-bit target]")
         return 0
-    if fn == "H":
-        ball = bounds.h_eval(x, prec, constants=consts)
-        print(f"H({x}) = {ball}  [{prec}-bit target]")
-        print(f"  rational part Q(x)/({SCALE_Q} x^2 (1+x)^10 (2+x)^10) = "
-              f"{consts.remainder_expansion.eval_exact(x)}")
-        return 0
-    raise CmGammaError(f"unknown function {fn!r}")
+    ball = bounds.h_eval(x, prec, constants=consts)  # fn == "H"
+    print(f"H({x}) = {ball}  [{prec}-bit target]")
+    print(f"  rational part Q(x)/({SCALE_Q} x^2 (1+x)^10 (2+x)^10) = "
+          f"{consts.remainder_expansion.eval_exact(x)}")
+    return 0
 
 
 def cmd_identity_check(args) -> int:
@@ -122,15 +121,13 @@ def cmd_identity_check(args) -> int:
         print(rep.detail)
         ok = rep.expansion_equal if which == "expansion" else rep.remark_equal
         return 0 if ok else FAIL_EXIT
-    if which == "telescoping":
-        if args.x is None:
-            raise CmGammaError("identity-check telescoping requires --x")
-        prec = _prec(args)
-        rep = bounds.telescoping_identity_check(parse_rational(args.x), prec,
-                                                constants=consts)
-        print(rep.detail())
-        return 0 if rep.passed else FAIL_EXIT
-    raise CmGammaError(f"unknown identity {which!r}")
+    if args.x is None:  # which == "telescoping"
+        raise CmGammaError("identity-check telescoping requires --x")
+    prec = _prec(args)
+    rep = bounds.telescoping_identity_check(parse_rational(args.x), prec,
+                                            constants=consts)
+    print(rep.detail())
+    return 0 if rep.passed else FAIL_EXIT
 
 
 def _path_flag(flag: str, path: str | None) -> str | None:
@@ -252,3 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CmGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Exact algebra layer: polynomials, exponential polynomials, partial fractions."""
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction as F
@@ -81,6 +82,25 @@ class TestPoly:
         p = Poly([1, 2])
         with pytest.raises(AttributeError):
             p.coeffs = ()
+
+    def test_repr_skips_zero_coefficients(self):
+        assert repr(Poly([1, 0, F(3, 2)])) == "Poly(1 + 3/2*t^2)"
+        assert repr(Poly([0, 2])) == "Poly(2*t^1)"
+        assert repr(Poly.zero()) == "Poly(0)"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["+", "-", "*"])
+@pytest.mark.parametrize("make", [lambda: Poly([1, 2]),
+                                  lambda: ExpPoly.term(1, Poly([1])),
+                                  lambda: Ball(1, 0, 64)],
+                         ids=["Poly", "ExpPoly", "Ball"])
+def test_str_operand_is_unsupported(make, op):
+    # the operator returns NotImplemented, so Python raises its own error;
+    # str * value is str's repetition, which refuses a non-int
+    with pytest.raises(TypeError,
+                       match="unsupported operand type|can't multiply sequence"):
+        op(make(), "x")
 
 
 # a constructor and one slot of every immutable value type
@@ -334,3 +354,9 @@ def test_as_fraction_reads_strings_through_the_guarded_reader():
     # ints and Fractions a caller passes are not bounded
     assert as_fraction(10 ** 1000) == F(10 ** 1000)
     assert as_fraction(F(1, 10 ** 1000)) == F(1, 10 ** 1000)
+
+
+@pytest.mark.parametrize("value", [None, [1], 1j, Poly([1])])
+def test_as_fraction_refuses_other_types(value):
+    with pytest.raises(TypeError, match="cannot interpret .* as an exact rational"):
+        as_fraction(value)

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp
 
-from cmgamma.ball import Ball, round_nearest, round_up
+from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from oracles import contains, overlaps
 
 
@@ -113,3 +114,10 @@ def test_negative_radius_rejected():
 def test_str_shows_midpoint_and_radius():
     s = str(Ball(F(1, 3), F(1, 10 ** 12), 64))
     assert "+/-" in s and s.startswith("0.3333333")
+
+
+def test_mpf_tuple_to_fraction_zero_and_non_finite():
+    assert _mpf_tuple_to_fraction(mp.zero._mpf_) == 0
+    for value in (mp.inf, mp.ninf, mp.nan):
+        with pytest.raises(ValueError, match="non-finite mpf value"):
+            _mpf_tuple_to_fraction(value._mpf_)

@@ -300,9 +300,12 @@ class TestCmScan:
         assert code == 0 and out.endswith("\nresult: PASS\n")
 
     def test_bad_kind_usage_error(self, capsys):
-        code = main(["cm-scan", "nope"])
-        capsys.readouterr()
-        assert code == 2
+        # argparse `choices` is the one check of a command's kind
+        for argv in (["cm-scan", "nope"], ["eval", "nope", "1"],
+                     ["identity-check", "nope"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert "invalid choice: 'nope'" in err and "Traceback" not in err, argv
 
     def test_bad_grid_usage_error(self, capsys):
         code, _, err = run(capsys, "cm-scan", "g", "--grid", "geometric:1:2")
@@ -579,9 +582,18 @@ def _subprocess_env() -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("argv, code", [
-    # `python -m cmgamma` runs the package's __main__
-    pytest.param(argv, code, id=f"{name}-package") for argv, code, name in [
+# the three spellings of the command: the package's __main__, the module
+# and the `cmgamma = "cmgamma.cli:main"` script entry
+ENTRIES = {
+    "package": ["-m", "cmgamma"],
+    "module": ["-m", "cmgamma.cli"],
+    "script": ["-c", "import sys; from cmgamma.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("entry, argv, code", [
+    pytest.param(entry, argv, code, id=f"{name}-{entry}")
+    for entry in ENTRIES for argv, code, name in [
         (["eval", "g", "1/3"], 0, "pass"),
         # None: a mutated constants file
         (["replay-proof", "--constants", None], 1, "verification-failure"),
@@ -589,13 +601,14 @@ def _subprocess_env() -> dict[str, str]:
         (["eval", "psi1", "1/0"], 2, "domain-error"),
     ]
 ])
-def test_exit_code_contract_subprocess(argv, code, mutate_constants):
+def test_exit_code_contract_subprocess(entry, argv, code, mutate_constants):
     argv = [str(mutate_constants(r"1 435456000", "1 435456001")) if a is None
             else a for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "cmgamma", *argv],
+    proc = subprocess.run([sys.executable, *ENTRIES[entry], *argv],
                           env=_subprocess_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == code, proc.stderr
+    assert bool(proc.stdout) == (code != 2)  # a report, or nothing on an error
     assert "Traceback" not in proc.stderr
 
 

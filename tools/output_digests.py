@@ -1,21 +1,22 @@
 """Print the SHA-256 of stdout and of stderr per cmgamma output of a fixed
 byte-identity set.
 
-Run it against two source trees and compare with one diff:
+The output is committed as `tests/golden/output_digests.txt`, and the
+tier-1 test `tests/test_output_digests.py` regenerates it in process and
+names every command whose line differs.  A change that alters output bytes
+on purpose regenerates the file with
 
-    PYTHONPATH=src python tools/output_digests.py > new.txt
-    PYTHONPATH=/path/to/other/src python tools/output_digests.py > old.txt
-    diff old.txt new.txt
+    PYTHONPATH=src python tools/output_digests.py > tests/golden/output_digests.txt
+
+and names each changed line in CHANGES.md.
 
 Each line is `<stdout sha256>  <stderr sha256>  rc=<exit code>  <command>`,
 with `-` for an empty stderr.  The stdout digest is that of the report
-alone, so a report pinned elsewhere has the same digest here, and a diff
-shows apart a change of report text and a change of the verdict line a
-failed command prints to stderr.  The set is:
+alone, so a change of report text shows apart from a change of the verdict
+line a failed command prints to stderr.  The set is:
 
-- the scan reports pinned by `tests/test_scan.py::test_report_bytes_pinned`
-  (JSON from `cm_scan`, and the `identity-check telescoping` plus `eval g`
-  output of its telescoping case);
+- nine fixed reports: the JSON of `cm_scan` on each of SCAN_PINS, and the
+  `identity-check telescoping` plus `eval g` output at TELESCOPING_PIN;
 - `replay-proof --emit -`, the certificate;
 - `cm-scan g|H --kmax 12` in json, csv and text at 8, 16, 64, 256 and 512
   bits, on the default grid and three more;
@@ -33,7 +34,7 @@ failed command prints to stderr.  The set is:
   (MALFORMED: bad block exponents and headers, bad or repeated [values]
   labels, wrong arities, a duplicate, missing or unknown section, an
   incomplete order table, a power above the degree of q, a repeated scale
-  line), so a diff shows which error messages moved.
+  line), so a changed line shows which error message moved.
 
 That is 1,858 lines.  Commands run in this process through
 `cmgamma.cli.main`, one at a time; the whole set takes about 8 s
@@ -54,13 +55,19 @@ from cmgamma.cli import main
 from cmgamma.constants import DEFAULT_CONSTANTS_PATH
 from cmgamma.scan import GridSpec, cm_scan
 
+# (kind, k_max, prec, points) of the scan reports digested first
 SCAN_PINS = [
     ("g", 2, 64, (F(1, 3), F(5))),
     ("H", 2, 64, (F(1, 3), F(5))),
+    # the benchmark's scale: the scan_H_deep and scan_g settings
     ("H", 12, 512, (F(1, 16), F(1), F(64))),
     ("g", 8, 256, (F(1, 16), F(1), F(64))),
+    # non-dyadic points (the joint head's d^(S-s) divisor) at 8 bits;
+    # the cells at 1001/3 escalate to 16 and 32 bits
     ("g", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3))),
     ("H", 12, 8, (F(1, 1048576), F(2, 3), F(7, 5), F(1001, 3))),
+    # partial escalation: at 10^6 only g's k <= 2 and H's k = 0
+    # resolve at 128 bits, the rest of the point at 64
     ("g", 12, 64, (F(1, 3), F(10 ** 6))),
     ("H", 12, 64, (F(1, 3), F(10 ** 6))),
 ]
@@ -102,22 +109,22 @@ def digest(text: str) -> str:
 
 
 def run(argv: list[str], hide: str | None = None) -> tuple[int | str, str, str]:
-    """(exit code, stdout, stderr) of `cmgamma argv`; an exception that
-    escapes main is reported by its type in place of the code.  hide, a
-    path, is replaced in both outputs, so temporary names do not show."""
+    """(exit code, stdout, stderr) of `cmgamma argv`; an exception or exit
+    that escapes main is an output too, reported by its type in place of
+    the code, but an interrupt stops the run.  hide, a path, is replaced in
+    both outputs, so temporary names do not show."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc: int | str = main(argv)
-        except BaseException as exc:  # noqa: BLE001 - a crash is an output too
+        except (Exception, SystemExit) as exc:  # noqa: BLE001
             rc = f"raised {type(exc).__name__}"
     texts = (out.getvalue(), err.getvalue())
     return (rc, *(t.replace(hide, "<file>") if hide else t for t in texts))
 
 
-def emit(rc, out: str, err: str, label: str) -> None:
-    print(f"{digest(out)}  {digest(err) if err else '-'}  rc={rc}  {label}",
-          flush=True)
+def digest_line(rc, out: str, err: str, label: str) -> str:
+    return f"{digest(out)}  {digest(err) if err else '-'}  rc={rc}  {label}"
 
 
 def _bump(token: str, delta: int) -> str:
@@ -158,32 +165,34 @@ def mutants(text: str):
                    "".join(mutated))
 
 
-def main_digests() -> None:
+def digest_lines():
+    """The lines of the set, in order, each without its newline."""
     for kind, k_max, prec, points in SCAN_PINS:
         doc = cm_scan(kind, k_max, GridSpec.explicit(points), prec).to_json()
-        emit(0, doc, "", f"pin cm_scan {kind} k<={k_max} {prec} bits "
-                         f"{','.join(map(str, points))}")
+        yield digest_line(0, doc, "", f"pin cm_scan {kind} k<={k_max} {prec} "
+                                      f"bits {','.join(map(str, points))}")
     text = ""
     for x in TELESCOPING_PIN:
         for argv in (["identity-check", "telescoping", "--x", x, "--prec", "64"],
                      ["eval", "g", x, "--prec", "64"]):
             text += run(argv)[1]
-    emit(0, text, "", "pin telescoping " + ",".join(TELESCOPING_PIN))
-    emit(*run(["replay-proof", "--emit", "-"]), "replay-proof --emit -")
+    yield digest_line(0, text, "", "pin telescoping " + ",".join(TELESCOPING_PIN))
+    yield digest_line(*run(["replay-proof", "--emit", "-"]),
+                      "replay-proof --emit -")
     for kind in "gH":
         for grid in GRIDS:
             for prec in SCAN_PRECS:
                 for fmt in ("json", "csv", "text"):
                     argv = ["cm-scan", kind, "--kmax", "12", "--prec", str(prec),
                             "--format", fmt] + (["--grid", grid] if grid else [])
-                    emit(*run(argv), " ".join(argv))
+                    yield digest_line(*run(argv), " ".join(argv))
     for function in ("g", "H", "psi1", "psi2"):
         for x in EVAL_POINTS:
             argv = ["eval", function, x]
-            emit(*run(argv), " ".join(argv))
+            yield digest_line(*run(argv), " ".join(argv))
     for x in TELESCOPING_POINTS:
         argv = ["identity-check", "telescoping", "--x", x]
-        emit(*run(argv), " ".join(argv))
+        yield digest_line(*run(argv), " ".join(argv))
     source = DEFAULT_CONSTANTS_PATH.read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(os.path.realpath(tmp), "constants.txt")
@@ -195,15 +204,17 @@ def main_digests() -> None:
             if kind == "pf":
                 commands.append(["eval", "H", "1/3"])
             for command in commands:
-                emit(*run(command + ["--constants", path], hide=path),
-                     f"{' '.join(command)} [{label}]")
+                yield digest_line(*run(command + ["--constants", path], hide=path),
+                                  f"{' '.join(command)} [{label}]")
         for label, old, new in MALFORMED:
             assert old in source, old
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(source.replace(old, new, 1))
-            emit(*run(["replay-proof", "--constants", path], hide=path),
-                 f"replay-proof [malformed: {label}]")
+            yield digest_line(*run(["replay-proof", "--constants", path],
+                                   hide=path),
+                              f"replay-proof [malformed: {label}]")
 
 
 if __name__ == "__main__":
-    main_digests()
+    for text in digest_lines():
+        print(text, flush=True)
