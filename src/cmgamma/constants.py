@@ -7,7 +7,7 @@ kernel build, the derivative-chain fixtures, the initial-value table)
 reads from this one file, so a transcription error is caught by the exact
 identity tests instead of propagating silently.
 
-Each line is read once, straight into its final types.  Every rational
+Each line is read straight into its final types.  Every rational
 token goes through `algebra.parse_rational`, the reader of command-line
 arguments, so it obeys the same MAX_POINT_BITS limit.  Every integer token
 is bounded by the file's structure: a [poly] power above Q_DEGREE (21, the
@@ -19,14 +19,14 @@ REMAINDER_DEN_FACTORS, so no shift or order reaches an evaluation.  A
 appear at most once in their section, and a section once in the file (e00
 is e0).  A section that no constant reads, such as a misspelt duplicate of
 a table, is rejected.  ConstantsFormatError names the file, and the line
-if the error is in one.  Only the packaged file is cached, and
+if the error is in one.  The packaged file is loaded once; any other file
+is read on every load, and each section is parsed once per distinct text.
 `constants_or_default` is the one place a missing constants argument
-becomes it.
+becomes the packaged file.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -148,47 +148,62 @@ def _entry(kind: str, toks: list[str], items: dict) -> None:
 
 
 def parse_constants_text(text: str, path="<string>") -> dict[str, object]:
-    """Parse the documented grammar in one pass into {'poly NAME': Poly,
-    'pf NAME': PartialFractionForm, 'values NAME': {order: int}}.
+    """Parse the documented grammar into {'poly NAME': Poly,
+    'pf NAME': PartialFractionForm, 'values NAME': {order: int}}, each
+    section's body through `_section`.  An error in a line is raised here,
+    once, with the file and the line number in front of the rule's message."""
+    lines = text.splitlines()
+    heads = [i for i, raw in enumerate(lines)
+             if "[" in raw and raw.partition("#")[0].strip().startswith("[")]
+    sections: dict[str, object] = {}
+    for head, end in zip([-1] + heads, heads + [len(lines)]):  # -1: the preamble
+        key = kind = None
+        try:
+            if head >= 0:
+                key = _header(lines[head].partition("#")[0].strip())
+                if key in sections:
+                    raise ConstantsFormatError(f"duplicate section [{key}]")
+                kind = key.partition(" ")[0]
+            value = _section(kind, "\n".join(lines[head + 1:end]))
+        except (ConstantsFormatError, DomainError) as exc:
+            lineno = head + 1 + getattr(exc, "lineno", 0)
+            raise ConstantsFormatError(f"{path}:{lineno}: {exc}") from None
+        if key is not None:  # a [values] table is a dict, so each load copies it
+            sections[key] = dict(value) if kind == "values" else value
+    return sections
 
-    An error in a line is raised here, once, with the file and the line
-    number in front of the rule's message."""
-    entries: dict[str, object] = {}  # section key -> its entries, then its value
-    scales: dict[str, int | Fraction] = {}
-    kind = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+@lru_cache(maxsize=256)
+def _section(kind: str | None, body: str):
+    """The value of a section body of kind 'poly' (scale applied), 'pf',
+    'values', or None before any header.  Only a success is cached; an
+    error carries its line within the body as lineno."""
+    items, scale = {}, None
+    for lineno, raw in enumerate(body.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         toks = line.split()
         try:
-            if line.startswith("["):
-                key = _header(line)
-                if key in entries:
-                    raise ConstantsFormatError(f"duplicate section [{key}]")
-                kind, items = key.partition(" ")[0], entries.setdefault(key, {})
-            elif kind is None:
+            if kind is None:
                 raise ConstantsFormatError("entry before any section")
-            elif kind == "poly" and toks[0] == "scale":
+            if kind == "poly" and toks[0] == "scale":
                 if len(toks) != 2:
                     raise ConstantsFormatError("bad scale line")
-                if key in scales:
+                if scale is not None:
                     raise ConstantsFormatError("repeated scale line")
-                scales[key] = parse_rational(toks[1])
+                scale = parse_rational(toks[1])
             else:
                 _entry(kind, toks, items)
         except (ConstantsFormatError, DomainError) as exc:
-            raise ConstantsFormatError(f"{path}:{lineno}: {exc}") from None
-    for key, items in entries.items():  # each section's entries into its value
-        if key.startswith("poly "):
-            cs = [items.get(i, 0) for i in range(max(items, default=-1) + 1)]
-            # integer coefficients are already the canonical numerators
-            poly = Poly._make(cs) if all(type(c) is int for c in cs) else Poly(cs)
-            scale = scales.get(key, 1)
-            entries[key] = poly * scale if scale != 1 else poly
-        elif key.startswith("pf "):
-            entries[key] = PartialFractionForm(items.values())
-    return entries
+            exc.lineno = lineno
+            raise
+    if kind == "poly":
+        cs = [items.get(i, 0) for i in range(max(items, default=-1) + 1)]
+        # integer coefficients are already the canonical numerators
+        poly = Poly._make(cs) if all(type(c) is int for c in cs) else Poly(cs)
+        return poly if scale in (None, 1) else poly * scale
+    return PartialFractionForm(items.values()) if kind == "pf" else items
 
 
 def _assemble_exppoly(sections, base: str, path) -> ExpPoly:
@@ -211,15 +226,15 @@ def _take(sections, key: str, path):
 def load_constants(path: str | Path | None = None) -> SourceConstants:
     """Load and assemble a constants file (default: the packaged one).
 
-    The packaged file is parsed once per process, whatever spelling of its
-    path is given.  Any other file is read and parsed on every call, under
-    its resolved path: a command loads once, so a cache of other files
-    would serve only in-process tools.
+    The packaged file is loaded once per process, whatever spelling of its
+    path is given.  Any other file is read on every call through the path
+    as given (a pipe's /dev/fd/N resolves to no openable name) and known by
+    its resolved path; each section is parsed once per distinct text.
     """
     if path is not None:
         resolved = Path(path).resolve()
         if resolved != DEFAULT_CONSTANTS_PATH.resolve():
-            return _load_file(resolved, _read_text(resolved))
+            return _load_file(resolved, path)
     return _load_default()
 
 
@@ -228,10 +243,11 @@ def constants_or_default(constants: SourceConstants | None) -> SourceConstants:
     return constants if constants is not None else load_constants()
 
 
-def _read_text(path: Path) -> str:
-    """The file's text as UTF-8, whatever the locale's encoding."""
+def _read_text(source: str | Path, path: Path) -> str:
+    """The text read through source as UTF-8, whatever the locale's
+    encoding; a decoding error names the file as path."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConstantsFormatError(f"{path}: not UTF-8 text ({exc.reason} "
                                    f"at byte {exc.start})") from None
@@ -239,11 +255,11 @@ def _read_text(path: Path) -> str:
 
 @lru_cache(maxsize=1)
 def _load_default() -> SourceConstants:
-    return _load_file(DEFAULT_CONSTANTS_PATH, _read_text(DEFAULT_CONSTANTS_PATH))
+    return _load_file(DEFAULT_CONSTANTS_PATH, DEFAULT_CONSTANTS_PATH)
 
 
-def _load_file(path: Path, text: str) -> SourceConstants:
-    sections = parse_constants_text(text, path)
+def _load_file(path: Path, source: str | Path) -> SourceConstants:
+    sections = parse_constants_text(_read_text(source, path), path)
     init: dict[str, dict[int, int]] = {}
     for stage, length in CHAIN_LENGTHS.items():
         init[stage] = _take(sections, f"values {stage}_init", path)

@@ -1,15 +1,17 @@
 """Constants file: grammar, structure, and the frozen checksum."""
 
 import hashlib
+import importlib.util
 import os
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from cmgamma.algebra import ExpPoly, PartialFractionTerm
 from cmgamma.constants import (DEFAULT_CONSTANTS_PATH, CHAIN_LENGTHS,
-                               SourceConstants, load_constants,
+                               SourceConstants, _section, load_constants,
                                parse_constants_text)
 from cmgamma.errors import ConstantsFormatError
 
@@ -67,7 +69,8 @@ def test_loader_caches_on_resolved_path(consts, tmp_path):
     for spelling in (None, DEFAULT_CONSTANTS_PATH, str(DEFAULT_CONSTANTS_PATH),
                      os.path.relpath(DEFAULT_CONSTANTS_PATH)):
         assert load_constants(spelling) is consts
-    # any other file is parsed on every load, under its resolved path
+    # any other file is read on every load and known by its resolved path;
+    # its sections are parsed once per distinct text
     copy = tmp_path / "copy.txt"
     copy.write_text(DEFAULT_CONSTANTS_PATH.read_text())
     for spelling in (copy, str(tmp_path / "." / copy.name)):
@@ -77,6 +80,76 @@ def test_loader_caches_on_resolved_path(consts, tmp_path):
                      "theta1", "theta1_prime", "theta2", "theta2_d9",
                      "initial_values"):
             assert getattr(loaded, name) == getattr(consts, name)
+
+
+FIELDS = ("p", "q", "remainder_expansion", "theta", "theta_prime", "theta1",
+          "theta1_prime", "theta2", "theta2_d9", "initial_values")
+
+
+def _loaded(path):
+    """The fields that load_constants(path) gives, or its error message."""
+    try:
+        consts = load_constants(path)
+    except ConstantsFormatError as exc:
+        return str(exc)
+    return {name: getattr(consts, name) for name in FIELDS}
+
+
+def test_section_memo_gives_what_a_cold_parse_gives(tmp_path):
+    # every single-number mutant of the byte-identity set, loaded with the
+    # sections of the files before it memoised, then with an empty memo
+    tool_path = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "mutant.txt"
+    count = 0
+    for label, _, text in tool.mutants(DEFAULT_CONSTANTS_PATH.read_text()):
+        path.write_text(text)
+        warm = _loaded(path)
+        _section.cache_clear()
+        assert _loaded(path) == warm, label
+        count += 1
+    assert count == 411  # the packaged file and its 410 mutants
+
+
+def test_loaded_tables_are_not_shared(tmp_path):
+    path = tmp_path / "copy.txt"
+    path.write_text(DEFAULT_CONSTANTS_PATH.read_text())
+    load_constants(path).initial_values["theta"][5] = -1
+    assert load_constants(path).initial_values["theta"][5] == 1632960000
+
+
+def test_section_errors_name_their_own_file_and_line(tmp_path):
+    text = DEFAULT_CONSTANTS_PATH.read_text()
+    bad = "[values extra]\n1 1\n01 2\n"  # its third line repeats order 1
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text(text + bad)
+    second.write_text(text.replace("[poly q]\n", bad + "[poly q]\n", 1))
+    first_line = len(text.splitlines()) + 3
+    second_line = text.splitlines().index("[poly q]") + 3
+    for path, lineno in ((first, first_line), (second, second_line), (first, first_line)):
+        # a failed section is parsed again on every load, never memoised
+        with pytest.raises(ConstantsFormatError, match=re.escape(
+                f"{path}:{lineno}: repeated order 1") + "$"):
+            load_constants(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_loader_reads_a_pipe_through_the_path_given(consts):
+    # /dev/fd/N of a pipe resolves to a name that cannot be opened
+    read, write = os.pipe()
+    with os.fdopen(write, "wb") as fh:  # the 5 KB file fits the pipe's buffer
+        fh.write(DEFAULT_CONSTANTS_PATH.read_bytes())
+    try:
+        spelling = f"/dev/fd/{read}"
+        resolved = Path(spelling).resolve()
+        loaded = load_constants(spelling)
+    finally:
+        os.close(read)
+    assert loaded is not consts and loaded.source_path == resolved
+    for name in FIELDS:
+        assert getattr(loaded, name) == getattr(consts, name)
 
 
 def test_loader_rereads_a_file_rewritten_in_place(mutate_constants):
@@ -142,6 +215,8 @@ def test_grammar_errors(text):
 
 @pytest.mark.parametrize("text, message", [
     ("# comment\n\n0 450\n", "3: entry before any section"),
+    ("0 450\n", "1: entry before any section"),  # a file with no header
+    ("# comment\n0 450\n[poly a]\n0 1\n", "2: entry before any section"),
     ("[poly a.e-1]\n", "1: block exponent outside 0..3"),
     ("[poly a.ex]\n", "1: bad block exponent 'x'"),
     ("[poly q.exact]\n", "1: bad block exponent 'xact'"),  # .e starts a block

@@ -37,7 +37,7 @@ line a failed command prints to stderr.  The set is:
   line), so a changed line shows which error message moved.
 
 That is 1,858 lines.  Commands run in this process through
-`cmgamma.cli.main`, one at a time; the whole set takes about 8 s
+`cmgamma.cli.main`, one at a time; the whole set takes about 8.5 s
 (CPython 3.11, 2 vCPU).  A command reads only its flags, so a command
 without --prec runs at its parser's default precision.
 """
