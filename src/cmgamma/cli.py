@@ -31,7 +31,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bounds, replay, scan
+from . import replay
 from .algebra import parse_rational
 from .ball import check_prec
 from .constants import SCALE_P, SCALE_Q, load_constants
@@ -90,10 +90,6 @@ def cmd_eval(args) -> int:
     if fn in ("p", "Q"):
         _print_exact(f"{fn}({x})", (consts.p if fn == "p" else consts.q)(x))
         return 0
-    if fn == "B":
-        _print_exact(f"B({x})", bounds.bound_exact(x, consts))
-        print(f"  = p(x)/({SCALE_P} x^4 (x+1)^10)")
-        return 0
     if fn in ("psi1", "psi2", "polygamma"):
         m = {"psi1": 1, "psi2": 2}.get(fn, args.order)
         ball = polygamma(m, x, prec)
@@ -102,14 +98,16 @@ def cmd_eval(args) -> int:
             est = polygamma_quadrature_crosscheck(m, x, min(prec, 256))
             print(f"  quadrature estimate (non-certified): {est}")
         return 0
-    if fn == "g":
-        ball = bounds.g_eval(x, prec, constants=consts)
-        print(f"g({x}) = {ball}  [{prec}-bit target]")
+    from . import bounds
+    if fn == "B":
+        _print_exact(f"B({x})", bounds.bound_exact(x, consts))
+        print(f"  = p(x)/({SCALE_P} x^4 (x+1)^10)")
         return 0
-    ball = bounds.h_eval(x, prec, constants=consts)  # fn == "H"
-    print(f"H({x}) = {ball}  [{prec}-bit target]")
-    print(f"  rational part Q(x)/({SCALE_Q} x^2 (1+x)^10 (2+x)^10) = "
-          f"{consts.remainder_expansion.eval_exact(x)}")
+    ball = (bounds.g_eval if fn == "g" else bounds.h_eval)(x, prec, constants=consts)
+    print(f"{fn}({x}) = {ball}  [{prec}-bit target]")
+    if fn == "H":
+        print(f"  rational part Q(x)/({SCALE_Q} x^2 (1+x)^10 (2+x)^10) = "
+              f"{consts.remainder_expansion.eval_exact(x)}")
     return 0
 
 
@@ -124,8 +122,8 @@ def cmd_identity_check(args) -> int:
     if args.x is None:  # which == "telescoping"
         raise CmGammaError("identity-check telescoping requires --x")
     prec = _prec(args)
-    rep = bounds.telescoping_identity_check(parse_rational(args.x), prec,
-                                            constants=consts)
+    from .bounds import telescoping_identity_check
+    rep = telescoping_identity_check(parse_rational(args.x), prec, constants=consts)
     print(rep.detail())
     return 0 if rep.passed else FAIL_EXIT
 
@@ -157,11 +155,12 @@ def cmd_replay_proof(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> scan.GridSpec:
+def _parse_grid(text: str) -> GridSpec:
+    from .scan import GridSpec
     if not text:
         raise CmGammaError("--grid needs points or a grid spec, not an empty string")
-    for prefix, make, form in (("geometric:", scan.GridSpec.geometric, "START:RATIO:COUNT"),
-                               ("span:", scan.GridSpec.geometric_span, "START:STOP:COUNT")):
+    for prefix, make, form in (("geometric:", GridSpec.geometric, "START:RATIO:COUNT"),
+                               ("span:", GridSpec.geometric_span, "START:STOP:COUNT")):
         if text.startswith(prefix):
             parts = text[len(prefix):].split(":")
             if len(parts) != 3:
@@ -171,10 +170,11 @@ def _parse_grid(text: str) -> scan.GridSpec:
             except ValueError:
                 raise CmGammaError(f"grid count {parts[2]!r} is not an integer")
             return make(parse_rational(parts[0]), parse_rational(parts[1]), count)
-    return scan.GridSpec.explicit([parse_rational(tok) for tok in text.split(",")])
+    return GridSpec.explicit([parse_rational(tok) for tok in text.split(",")])
 
 
 def cmd_cm_scan(args) -> int:
+    from . import scan
     prec = _prec(args)
     output = _path_flag("--output", args.output)
     consts = load_constants(args.constants)

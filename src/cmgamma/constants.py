@@ -33,7 +33,7 @@ from pathlib import Path
 from .algebra import ExpPoly, Frozen, PartialFractionForm, Poly, parse_rational
 from .errors import ConstantsFormatError, DomainError
 
-DEFAULT_CONSTANTS_PATH = Path(__file__).parent / "data" / "source_constants.txt"
+DEFAULT_CONSTANTS_PATH = (Path(__file__).parent / "data" / "source_constants.txt").resolve()
 
 # Denominator structure of the two displayed rational functions:
 #   B(x) = p(x) / (SCALE_P * x^4 (x+1)^10)
@@ -228,12 +228,13 @@ def load_constants(path: str | Path | None = None) -> SourceConstants:
 
     The packaged file is loaded once per process, whatever spelling of its
     path is given.  Any other file is read on every call through the path
-    as given (a pipe's /dev/fd/N resolves to no openable name) and known by
-    its resolved path; each section is parsed once per distinct text.
+    as given and known by its resolved path, which its errors name unless
+    that is no regular file (a pipe's /dev/fd/N resolves to no openable
+    name); each section is parsed once per distinct text.
     """
     if path is not None:
         resolved = Path(path).resolve()
-        if resolved != DEFAULT_CONSTANTS_PATH.resolve():
+        if resolved != DEFAULT_CONSTANTS_PATH:
             return _load_file(resolved, path)
     return _load_default()
 
@@ -258,7 +259,8 @@ def _load_default() -> SourceConstants:
     return _load_file(DEFAULT_CONSTANTS_PATH, DEFAULT_CONSTANTS_PATH)
 
 
-def _load_file(path: Path, source: str | Path) -> SourceConstants:
+def _load_file(resolved: Path, source: str | Path) -> SourceConstants:
+    path = resolved if resolved.is_file() else source  # a pipe: named as given
     sections = parse_constants_text(_read_text(source, path), path)
     init: dict[str, dict[int, int]] = {}
     for stage, length in CHAIN_LENGTHS.items():
@@ -277,7 +279,7 @@ def _load_file(path: Path, source: str | Path) -> SourceConstants:
         theta2=_assemble_exppoly(sections, "theta2", path),
         theta2_d9=_assemble_exppoly(sections, "theta2_d9", path),
         initial_values=init,
-        source_path=path,
+        source_path=resolved,
     )
     if sections:  # every section read above was taken out
         raise ConstantsFormatError(f"{path}: unknown section [{next(iter(sections))}]")

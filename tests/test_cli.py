@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import functools
 import inspect
 import json
 import os
@@ -616,11 +617,15 @@ _IMPORT_PROBE = """
 import contextlib, io, json, sys
 loaded = {}
 def probe(label):
-    loaded[label] = sorted(m for m in ("mpmath", "dataclasses") if m in sys.modules)
+    loaded[label] = {
+        "modules": sorted(m for m in ("mpmath", "dataclasses", "cmgamma.bounds",
+                                      "cmgamma.scan") if m in sys.modules),
+        "polygamma": type(cmgamma.polygamma).__name__}
 import cmgamma
 probe("import cmgamma")
 from cmgamma import cli
-for argv in (["replay-proof"], ["cm-scan", "g", "--kmax", "1"], ["eval", "g", "1/3"]):
+for argv in (["replay-proof"], ["identity-check", "expansion"],
+             ["cm-scan", "g", "--kmax", "1"], ["eval", "g", "1/3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     probe(" ".join(argv))
@@ -628,15 +633,64 @@ print(json.dumps(loaded))
 """
 
 
-def test_commands_load_neither_mpmath_nor_dataclasses():
+@functools.lru_cache(maxsize=1)
+def _loaded_after_each_command() -> dict:
+    """What one fresh interpreter has loaded after `import cmgamma` and after
+    each command it then runs in turn."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           env=_subprocess_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert list(loaded) == ["import cmgamma", "replay-proof", "cm-scan g --kmax 1",
-                            "eval g 1/3"]
-    assert all(mods == [] for mods in loaded.values()), loaded
+    assert list(loaded) == ["import cmgamma", "replay-proof", "identity-check expansion",
+                            "cm-scan g --kmax 1", "eval g 1/3"]
+    return loaded
+
+
+def test_commands_load_neither_mpmath_nor_dataclasses():
+    loaded = _loaded_after_each_command()
+    for label, state in loaded.items():
+        assert not {"mpmath", "dataclasses"} & set(state["modules"]), label
+
+
+def test_replay_and_identity_check_load_neither_bounds_nor_scan():
+    # the exact side never needs them; the name `cmgamma.polygamma` stays the
+    # function although `bounds` imports the submodule of the same name
+    loaded = _loaded_after_each_command()
+    scan_side = ["cmgamma.bounds", "cmgamma.scan"]
+    first_scan = list(loaded).index("cm-scan g --kmax 1")
+    for i, (label, state) in enumerate(loaded.items()):
+        expected = scan_side if i >= first_scan else []
+        assert [m for m in state["modules"] if m in scan_side] == expected, label
+        assert state["polygamma"] == "function", label
+
+
+_API_PROBE = """
+import sys, types
+import cmgamma
+assert "cmgamma.scan" not in sys.modules and "cmgamma.bounds" not in sys.modules
+assert set(cmgamma.__all__) <= set(dir(cmgamma))
+try:
+    cmgamma.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'cmgamma' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("cmgamma.no_such_name resolved")
+from cmgamma import scan
+assert isinstance(scan, types.ModuleType) and scan.__name__ == "cmgamma.scan"
+for name in cmgamma.__all__:
+    obj = getattr(cmgamma, name)
+    assert vars(sys.modules[obj.__module__])[name] is obj, name
+"""
+
+
+def test_public_names_are_the_objects_their_modules_define():
+    # in a fresh interpreter, so the names of `bounds` and `scan` are
+    # resolved on first use here and not by an earlier test
+    proc = subprocess.run([sys.executable, "-c", _API_PROBE],
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_runtime_dependencies():

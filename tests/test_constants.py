@@ -152,6 +152,24 @@ def test_loader_reads_a_pipe_through_the_path_given(consts):
         assert getattr(loaded, name) == getattr(consts, name)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_error_names_the_path_given():
+    # the resolved name of a pipe, /proc/PID/fd/pipe:[N], is no file to open
+    lines = DEFAULT_CONSTANTS_PATH.read_text().splitlines(keepends=True)
+    lineno = lines.index("10 75\n") + 1
+    lines[lineno - 1] = "10 x\n"
+    read, write = os.pipe()
+    with os.fdopen(write, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+    try:
+        spelling = f"/dev/fd/{read}"
+        with pytest.raises(ConstantsFormatError, match=re.escape(
+                f"{spelling}:{lineno}: cannot parse 'x' as an exact rational") + "$"):
+            load_constants(spelling)
+    finally:
+        os.close(read)
+
+
 def test_loader_rereads_a_file_rewritten_in_place(mutate_constants):
     # one token changed in place: same path, same size
     first = load_constants(mutate_constants(r"-251/120 1 2", "-131/120 1 2"))

@@ -24,3 +24,5 @@ def test_public_names_resolve_once():
     assert len(set(cmgamma.__all__)) == len(cmgamma.__all__)
     for name in cmgamma.__all__:
         assert hasattr(cmgamma, name), name
+    assert set(cmgamma.__all__) <= set(dir(cmgamma))
+    assert not hasattr(cmgamma, "verify_initial_values")  # a certificate fragment
