@@ -11,12 +11,8 @@ results keep their exact rational midpoint.  `Ball.within` is the one
 relative-width test.  A Ball has no transcendental functions of its own:
 the polygamma module builds its enclosures through Ball._make.
 
-One nearest-even step, `_nearest`, rounds the enclosures and the values
-whose digits `decimal_str` prints (`Ball.decimal_str`, `radius_str`,
-`str`): mpmath 1.3's `nstr(mpf(num) / mpf(den), dps)` at prec working
-bits, without importing mpmath.  It prints what nstr prints, except where
-nstr's truncating digit path misrounds a near-tie (mpmath's own comment
-concedes that its truncation "sometimes kills some instances of ...00001").
+`decimal_str` is the package's one decimal printer: the leading digits of
+an exact rational, rounded once, half away from zero.
 """
 
 from __future__ import annotations
@@ -68,23 +64,6 @@ def _scale(n: int, d: int, bits: int) -> tuple[int, int, int]:
     return (e, n << -e, d) if e <= 0 else (e, n, d << e)
 
 
-def _nearest(n: int, d: int, bits: int) -> tuple[int, int, int]:
-    """(m, e, r): m * 2^e is n/d (n != 0, d > 0, not necessarily reduced)
-    rounded to bits mantissa bits, ties to even, and r == 0 exactly when
-    the rounding was exact.  An integer that already fits is returned as is."""
-    if d == 1:  # an integer: its low bits are cut by shifts
-        e = n.bit_length() - bits
-        if e <= 0:
-            return n, 0, 0
-        m, r, d = n >> e, n & ((1 << e) - 1), 1 << e
-    else:
-        e, n, d = _scale(n, d, bits)
-        m, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and m & 1):  # ties to even
-        m += 1
-    return m, e, r
-
-
 def round_nearest(q: Rat, bits: int, den: int = 1) -> tuple[Fraction, Fraction]:
     """Round q/den to a dyadic with <= bits mantissa bits, ties to even.
 
@@ -94,7 +73,10 @@ def round_nearest(q: Rat, bits: int, den: int = 1) -> tuple[Fraction, Fraction]:
     """
     if q == 0:
         return _ZERO, _ZERO
-    m, e, r = _nearest(q.numerator, q.denominator * den, bits)
+    e, n, d = _scale(q.numerator, q.denominator * den, bits)
+    m, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and m & 1):  # ties to even
+        m += 1
     return _dyadic(m, e), _dyadic(1, e - 1) if r else _ZERO
 
 
@@ -123,20 +105,19 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
 # -- decimal output ----------------------------------------------------------
 
 
-def _digits(man: int, exp: int, dps: int) -> tuple[str, int]:
-    """The dps leading decimal digits of man * 2^exp (man > 0), rounded half
-    away from zero, and the decimal exponent of the first one."""
+def _digits(n: int, d: int, dps: int) -> tuple[str, int]:
+    """The dps leading decimal digits of n/d (n, d > 0, not necessarily
+    reduced), rounded half away from zero, and the decimal exponent of the
+    first one."""
     top = 10 ** dps
-    # floor(log10) estimated from the bit length, corrected by comparison
-    e10 = (exp + man.bit_length() - 1) * 1233 >> 12
+    # floor(log10) estimated from the bit lengths, corrected by comparison
+    e10 = (n.bit_length() - d.bit_length()) * 1233 >> 12
     while True:
         shift = dps - 1 - e10
-        x = man * 10 ** shift if shift >= 0 else man
-        x = x << exp + 1 if exp >= -1 else x >> -exp - 1
-        if shift < 0:
-            x //= 10 ** -shift
-        # x = floor(2 v 10^shift) for v = man 2^exp (floors nest), and
-        # v 10^shift must have dps digits before the point
+        x = (2 * n * 10 ** shift // d if shift >= 0
+             else 2 * n // (d * 10 ** -shift))
+        # x = floor(2 v 10^shift) for v = n/d, and v 10^shift must have dps
+        # digits before the point
         if x >= 2 * top:
             e10 += 1
         elif x < top // 5:
@@ -150,19 +131,16 @@ def _digits(man: int, exp: int, dps: int) -> tuple[str, int]:
     return str(q), e10
 
 
-def decimal_str(num: int, den: int, prec: int, dps: int) -> str:
-    """mpmath.nstr(mpf(num) / mpf(den), dps) at prec working bits, with
-    exact digits (den > 0, dps >= 1): each integer and then the quotient are
-    rounded to nearest at prec bits, and the result has at most dps
-    significant digits, rounded half away from zero, in fixed point for
-    decimal exponents strictly between min(-(dps // 3), -5) and dps and in
-    scientific notation otherwise."""
+def decimal_str(q: Fraction, dps: int) -> str:
+    """The dps leading digits of q (dps >= 1), rounded once from its exact
+    value, half away from zero, in the layout of mpmath's nstr: trailing
+    zeros dropped but one kept after the point, fixed point for decimal
+    exponents strictly between min(-(dps // 3), -5) and dps, scientific
+    notation (`e+N`, `e-N`) otherwise."""
+    num = q.numerator
     if num == 0:
         return "0.0"
-    nman, nexp, _ = _nearest(abs(num), 1, prec)
-    dman, dexp, _ = _nearest(den, 1, prec)
-    qman, qexp, _ = _nearest(nman, dman, prec)
-    digits, exponent = _digits(qman, qexp + nexp - dexp, dps)
+    digits, exponent = _digits(abs(num), q.denominator, dps)
     split = 1
     if min(-(dps // 3), -5) < exponent < dps:
         if exponent < 0:
@@ -302,17 +280,12 @@ class Ball(Frozen):
     # -- output --------------------------------------------------------------
 
     def decimal_str(self) -> str:
-        """The midpoint to about prec bits of decimal digits (6 to 40), from
-        mpmath's value of it at max(prec, 64) + 16 working bits."""
-        digits = max(6, min(40, int(self.prec * 0.30103)))
-        return decimal_str(self.mid.numerator, self.mid.denominator,
-                           max(self.prec, 64) + _MID_GUARD, digits)
+        """The midpoint to about prec bits of decimal digits (6 to 40)."""
+        return decimal_str(self.mid, max(6, min(40, self.prec * 30103 // 100000)))
 
     def radius_str(self) -> str:
-        """The radius to 3 digits, from mpmath's value of it at 64 bits."""
-        if self.rad == 0:
-            return "0"
-        return decimal_str(self.rad.numerator, self.rad.denominator, 64, 3)
+        """The radius to 3 digits."""
+        return "0" if self.rad == 0 else decimal_str(self.rad, 3)
 
     def __str__(self) -> str:
         return f"{self.decimal_str()} +/- {self.radius_str()}"

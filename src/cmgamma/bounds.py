@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra import (PartialFractionForm, _over_lcm, as_positive_fraction,
                       pfd_decompose)
-from .ball import MAX_PREC, Ball
+from .ball import MAX_PREC, Ball, decimal_str
 from .constants import (BOUND_DEN_FACTORS, SCALE_P, SourceConstants,
                         constants_or_default)
 from .errors import DomainError, PrecisionError
@@ -188,9 +188,9 @@ class TelescopingReport(NamedTuple):
 
     def detail(self) -> str:
         verdict = "overlap" if self.passed else "DISJOINT"
+        gap, radii = decimal_str(self.gap, 4), decimal_str(self.combined_radius, 4)
         return (f"x={self.x}: g(x)-g(x+1) = {self.lhs}; (2/x^2)H(x) = {self.rhs}; "
-                f"gap {float(self.gap):.3e} vs radii {float(self.combined_radius):.3e} "
-                f"-> {verdict}")
+                f"gap {gap} vs radii {radii} -> {verdict}")
 
 
 def telescoping_identity_check(x, prec: int = 192,

@@ -3,7 +3,8 @@
 Exit-code contract (stable for CI): 0 = pass, 1 = verification failure,
 2 = usage or domain error, alike for `python -m cmgamma`, `python -m
 cmgamma.cli` and the `cmgamma` script.  All payloads are deterministic for
-fixed flags: no timestamps, sorted JSON keys, fixed decimal formatting.
+fixed flags: no timestamps, sorted JSON keys, and every decimal printed by
+`ball.decimal_str` from an exact value.
 
 A command reads its settings only from its own flags.  Each default is
 declared once, on its flag, so --help states it: --prec is 128 bits for
@@ -26,14 +27,12 @@ on int-to-str conversion, for a --constants file too.
 from __future__ import annotations
 
 import argparse
-import decimal
-import math
 import sys
 from fractions import Fraction
 
 from . import replay
 from .algebra import parse_rational
-from .ball import check_prec
+from .ball import check_prec, decimal_str
 from .constants import SCALE_P, SCALE_Q, load_constants
 from .errors import CmGammaError
 from .polygamma import polygamma, polygamma_quadrature_crosscheck
@@ -62,22 +61,8 @@ def _write(path: str, text: str) -> None:
         raise CmGammaError(f"cannot write {path}: {exc}") from None
 
 
-def _approx(q: Fraction) -> str:
-    """q as '%.12g' prints it.  A nonzero value outside the normal float
-    range is rounded from the exact rational instead (ties to even), to the
-    same 12 significant digits and exponent shape."""
-    try:
-        f = float(q)
-    except OverflowError:
-        f = math.inf
-    if q == 0 or sys.float_info.min <= abs(f) < math.inf:
-        return f"{f:.12g}"
-    ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    return format(ctx.divide(q.numerator, q.denominator).normalize(ctx), ".12g")
-
-
 def _print_exact(label: str, value: Fraction) -> None:
-    print(f"{label} = {value} (~ {_approx(value)})")
+    print(f"{label} = {value} (~ {decimal_str(value, 12)})")
 
 
 def cmd_eval(args) -> int:

@@ -6,12 +6,11 @@ timestamps, so byte-identical reruns produce byte-identical reports (CI can
 diff them).
 
 This module is only the JSON writer; the decimal digits of an enclosure
-come from `ball.decimal_str`, and it imports nothing from cmgamma.
+come from `ball.decimal_str`, and it imports nothing from cmgamma.  It
+loads `json` only when a report is serialized, so text commands never do.
 """
 
 from __future__ import annotations
-
-from json.encoder import encode_basestring_ascii
 
 SCHEMA = "cmgamma.report/1"
 
@@ -21,19 +20,21 @@ def stable_json_dumps(payload: dict, kind: str) -> str:
     separators=(",", ": "))` writes it, plus a newline.  The layout is
     written here, because `json` takes its pure-Python encoder whenever
     indent is set; strings go through json's C escaper."""
+    from json.encoder import encode_basestring_ascii
     out: list[str] = []
-    _emit({"schema": SCHEMA, "kind": kind, "payload": payload}, "\n", out)
+    _emit({"schema": SCHEMA, "kind": kind, "payload": payload}, "\n", out,
+          encode_basestring_ascii)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(value, newline: str, out: list[str]) -> None:
+def _emit(value, newline: str, out: list[str], escape) -> None:
     """Append the JSON of value to out; newline is a line break and the
-    indent of value's own line.  Takes str, int, bool, None and dicts with
-    str keys, lists and tuples of them; anything else is a TypeError, as in
-    json (reports hold no floats)."""
+    indent of value's own line, and escape is json's string escaper.  Takes
+    str, int, bool, None and dicts with str keys, lists and tuples of them;
+    anything else is a TypeError, as in json (reports hold no floats)."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(escape(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -51,8 +52,8 @@ def _emit(value, newline: str, out: list[str]) -> None:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out += (sep, encode_basestring_ascii(key), ": ")
-            _emit(value[key], inner, out)
+            out += (sep, escape(key), ": ")
+            _emit(value[key], inner, out, escape)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -63,7 +64,7 @@ def _emit(value, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _emit(item, inner, out)
+            _emit(item, inner, out, escape)
             sep = "," + inner
         out.append(newline + "]")
     else:

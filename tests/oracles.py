@@ -7,9 +7,11 @@ bits, to show that the guard polygamma uses is enough.
 """
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-from mpmath import iv
+import mpmath
+from mpmath import iv, mp
 
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
@@ -155,3 +157,14 @@ def g_derivative_exact_sum(k, x, prec, constants=None):
         rad += c * (abs(a.mid) * b.rad + a.rad * abs(b.mid) + a.rad * b.rad)
     return Ball._make(mid.numerator, mid.denominator, rad.numerator,
                       rad.denominator, prec)
+
+
+def decimal_ref(q, dps):
+    """The dps leading digits of the exact rational q, rounded half away from
+    zero by one decimal division, laid out by mpmath's nstr: what
+    `ball.decimal_str(q, dps)` must print."""
+    ctx = Context(prec=dps, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    digits = ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+    # nstr prints a dps-digit decimal, held to 4 dps + 64 bits, as itself
+    with mp.workprec(4 * dps + 64):
+        return mpmath.nstr(mp.mpf(str(digits)), dps)

@@ -14,9 +14,11 @@ import pytest
 
 import cmgamma
 from cmgamma import bounds, scan
-from cmgamma.cli import _approx, build_parser, main
+from cmgamma.ball import decimal_str
+from cmgamma.cli import build_parser, main
 from cmgamma.constants import DEFAULT_CONSTANTS_PATH
 from cmgamma.scan import MAX_POINT_BITS
+from oracles import decimal_ref
 
 
 def run(capsys, *argv):
@@ -122,46 +124,29 @@ class TestEval:
     @pytest.mark.parametrize("fn, x, approx", [
         ("Q", "1e100", "~ 1.8e+2103"),
         ("p", "1e150", "~ 7.5e+1501"),
-        ("B", "1e-100", "~ 5e+399"),
+        ("B", "1e-100", "~ 5.0e+399"),
         ("B", "1e100", "~ 8.33333333333e-402"),
-        ("B", "1/2", "~ 4.34319188772"),  # inside the float range: float's %.12g
-        ("p", "0", "~ 450"),
+        ("B", "1/2", "~ 4.34319188772"),
+        ("p", "0", "~ 450.0"),
     ])
     def test_approximation_inside_and_outside_float_range(self, capsys, fn, x, approx):
         code, out, err = run(capsys, "eval", fn, x)
         assert code == 0 and err == ""
         assert out.splitlines()[0].endswith(f"({approx})")
 
-    @staticmethod
-    def approx_ref(q):
-        """q rounded to 12 significant digits, ties to even, in integers."""
-        n, d = abs(q.numerator), q.denominator
-        e = 0  # the decimal exponent: 10^e <= n/d < 10^(e+1)
-        while n >= d * 10 ** (e + 1):
-            e += 1
-        while n * 10 ** -e < d if e < 0 else n < d * 10 ** e:
-            e -= 1
-        num, den = (n * 10 ** (11 - e), d) if e <= 11 else (n, d * 10 ** (e - 11))
-        digits, r = divmod(num, den)
-        digits += 2 * r > den or (2 * r == den and digits % 2 == 1)
-        if digits == 10 ** 12:
-            digits, e = 10 ** 11, e + 1
-        mantissa = f"{str(digits)[0]}.{str(digits)[1:]}".rstrip("0").rstrip(".")
-        return f"{'-' if q < 0 else ''}{mantissa}e{'+' if e >= 0 else '-'}{abs(e):02d}"
-
-    def test_approximation_rounds_from_the_exact_value(self):
+    def test_approximation_rounds_from_the_exact_value(self, capsys, consts):
+        # the 12 digits of the exact value, rounded once, half away from
+        # zero, inside and far outside the float range
         rng = random.Random(9)
-        # nines that carry, and exact ties at the 13th digit
-        draws = [F(10) ** 400 - 1, F(5, 10 ** 400), F(1000000000005, 10 ** 412),
-                 F(1000000000015, 10 ** 412), F(9999999999995 * 10 ** 400)]
-        for _ in range(300):
-            q = F(rng.getrandbits(rng.randint(1, 300)) + 1,
-                  rng.getrandbits(rng.randint(1, 300)) + 1)
-            draws.append(q * F(10) ** rng.choice([rng.randint(400, 1000),
-                                                  -rng.randint(400, 1000)]))
-        for q in draws:
-            assert _approx(q) == self.approx_ref(q)
-            assert _approx(-q) == self.approx_ref(-q)
+        for _ in range(20):
+            x = F(rng.getrandbits(rng.randint(1, 100)) + 1,
+                  rng.getrandbits(rng.randint(1, 100)) + 1)
+            x *= F(10) ** rng.randint(-100, 100)
+            for fn, value in (("p", consts.p(x)), ("Q", consts.q(x)),
+                              ("B", bounds.bound_exact(x, consts))):
+                code, out, _ = run(capsys, "eval", fn, str(x))
+                assert code == 0 and out.splitlines()[0] == (
+                    f"{fn}({x}) = {value} (~ {decimal_ref(value, 12)})")
 
 
 class TestIdentityCheck:
@@ -177,6 +162,15 @@ class TestIdentityCheck:
         code, out, _ = run(capsys, "identity-check", "telescoping",
                            "--x", "1", "--prec", "192")
         assert code == 0 and "overlap" in out
+
+    def test_telescoping_far_out_prints_exact_digits(self, capsys):
+        # gap and radii lie far below the float range
+        code, out, err = run(capsys, "identity-check", "telescoping", "--x", "1e150")
+        rep = bounds.telescoping_identity_check(F(10) ** 150, 192)
+        assert code == 0 and err == "" and "0.000e+00" not in out
+        assert out.endswith(f"gap {decimal_str(rep.gap, 4)} vs radii "
+                            f"{decimal_str(rep.combined_radius, 4)} -> overlap\n")
+        assert 0 < rep.gap < rep.combined_radius < F(1, 10 ** 1000)
 
     def test_telescoping_requires_x(self, capsys):
         code, _, err = run(capsys, "identity-check", "telescoping")
@@ -614,11 +608,11 @@ def test_exit_code_contract_subprocess(entry, argv, code, mutate_constants):
 
 
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 loaded = {}
 def probe(label):
     loaded[label] = {
-        "modules": sorted(m for m in ("mpmath", "dataclasses", "cmgamma.bounds",
+        "modules": sorted(m for m in ("mpmath", "dataclasses", "json", "cmgamma.bounds",
                                       "cmgamma.scan") if m in sys.modules),
         "polygamma": type(cmgamma.polygamma).__name__}
 import cmgamma
@@ -629,6 +623,7 @@ for argv in (["replay-proof"], ["identity-check", "expansion"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     probe(" ".join(argv))
+import json
 print(json.dumps(loaded))
 """
 
@@ -651,6 +646,13 @@ def test_commands_load_neither_mpmath_nor_dataclasses():
     loaded = _loaded_after_each_command()
     for label, state in loaded.items():
         assert not {"mpmath", "dataclasses"} & set(state["modules"]), label
+
+
+def test_text_commands_do_not_load_json():
+    # only a JSON report loads it, to escape its strings
+    loaded = _loaded_after_each_command()
+    for label, state in loaded.items():
+        assert "json" not in state["modules"], label
 
 
 def test_replay_and_identity_check_load_neither_bounds_nor_scan():

@@ -9,7 +9,8 @@ import pytest
 from mpmath import mp
 
 from cmgamma.ball import Ball
-from cmgamma.errors import DomainError, PrecisionError
+from cmgamma.cli import main
+from cmgamma.errors import DomainError, PrecisionError, QuadratureFailure
 from cmgamma.polygamma import MAX_ORDER, polygamma, polygamma_quadrature_crosscheck
 from oracles import contains, overlaps, polygamma_recurrence_shift
 
@@ -216,3 +217,25 @@ class TestQuadratureCrosscheck:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             polygamma_quadrature_crosscheck(1, -1, 64)
+
+    @pytest.mark.parametrize("result, message", [
+        (ZeroDivisionError("no convergence"), "no convergence"),
+        ((mp.mpf("nan"), mp.mpf(0)), "quadrature produced a non-finite result"),
+        ((mp.mpf(1), mp.mpf(1)), "estimated error 1.0 too large for {}-bit request"),
+    ], ids=["raises", "non-finite", "error-too-large"])
+    def test_failures_raise_quadrature_failure(self, monkeypatch, capsys,
+                                               result, message):
+        def quad(*args, **kwargs):
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        monkeypatch.setattr(mp, "quad", quad)
+        with pytest.raises(QuadratureFailure) as info:
+            polygamma_quadrature_crosscheck(1, 1, 64)
+        assert str(info.value) == message.format(64)
+        # the command prints its certified line, then one error line
+        assert main(["eval", "psi1", "1", "--crosscheck"]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("psi^(1)(1) = ") and out.count("\n") == 1
+        assert err == f"error: {message.format(128)}\n"
