@@ -20,7 +20,9 @@ line a failed command prints to stderr.  The set is:
 - `replay-proof --emit -`, the certificate;
 - `cm-scan g|H --kmax 12` in json, csv and text at 8, 16, 64, 256 and 512
   bits, on the default grid and three more;
-- `eval g|H|psi1|psi2` at four points, `identity-check telescoping` at two;
+- `eval g|H|psi1|psi2` at four points, `eval polygamma --order 1|13|32` at
+  128 and 4096 bits at x = 1/16, 64, 2^20 and 2^40 (POLYGAMMA_EVALS),
+  `identity-check telescoping` at two;
 - `replay-proof`, `replay-proof --emit -` (the JSON certificate, which
   holds every step's `exact_values_used`, hidden by the text report) and
   `identity-check expansion|remark2` on the packaged constants file and on
@@ -36,8 +38,8 @@ line a failed command prints to stderr.  The set is:
   incomplete order table, a power above the degree of q, a repeated scale
   line), so a changed line shows which error message moved.
 
-That is 1,858 lines.  Commands run in this process through
-`cmgamma.cli.main`, one at a time; the whole set takes about 8.5 s
+That is 1,882 lines.  Commands run in this process through
+`cmgamma.cli.main`, one at a time; the whole set takes about 10 s
 (CPython 3.11, 2 vCPU).  A command reads only its flags, so a command
 without --prec runs at its parser's default precision.
 """
@@ -75,6 +77,10 @@ TELESCOPING_PIN = ("1/3", "5")  # at 64 bits
 GRIDS = (None, "span:1/1024:4096:30", "span:1/1048576:1e6:40", "1,64,1000,1/3,2/7")
 SCAN_PRECS = (8, 16, 64, 256, 512)
 EVAL_POINTS = ("1/3", "1e-6", "7", "1e12")
+# (orders, precisions, points) of the `eval polygamma` lines: the smallest,
+# a scan's and the largest order, at the default and the largest precision
+POLYGAMMA_EVALS = (("1", "13", "32"), ("128", "4096"),
+                   ("1/16", "64", str(2 ** 20), str(2 ** 40)))
 TELESCOPING_POINTS = ("1/3", "1000")
 # (label, old, new): the first `old` of the packaged file's text becomes `new`
 MALFORMED = [
@@ -190,6 +196,12 @@ def digest_lines():
         for x in EVAL_POINTS:
             argv = ["eval", function, x]
             yield digest_line(*run(argv), " ".join(argv))
+    orders, precs, points = POLYGAMMA_EVALS
+    for order in orders:
+        for prec in precs:
+            for x in points:
+                argv = ["eval", "polygamma", x, "--order", order, "--prec", prec]
+                yield digest_line(*run(argv), " ".join(argv))
     for x in TELESCOPING_POINTS:
         argv = ["identity-check", "telescoping", "--x", x]
         yield digest_line(*run(argv), " ".join(argv))
