@@ -1,88 +1,78 @@
 """Certified enclosures for the polygamma functions psi^(m), m >= 1, x > 0.
 
-With s = m + 1 and f(t) = (x + t)^(-s),
+For x = n/d, N head terms and a = x + N = A/d, the Euler-Maclaurin
+expansion (DLMF 5.15.8; Johansson, "Rigorous high-precision computation of
+the Hurwitz zeta function and its derivatives", Numer. Algorithms 69, 2015)
+reads, with U_j = (j-1)!/a^j and beta_k = B_2k/(2k)!,
 
-    psi^(m)(x) = (-1)^(m+1) * m! * sum_{i >= 0} f(i).
+    (-1)^(m+1) psi^(m)(x) = m! sum_{i<N} (x+i)^-(m+1) + U_m + U_(m+1)/2
+                            + sum_{k=1..K} beta_k U_(m+2k) + R_K,
+    |R_K| <= 2 zeta(2K+1)/(2 pi)^(2K+1) U_(m+2K+1)
+          <= X_K = (5/2) (4/25)^(2K+1) U_(m+2K+1),
 
-The series is summed in fixed point: with x = n/d, every term is a floor
-division of integers scaled by 2^F, where F is chosen so that one unit 2^-F
-is at most 2^-(w+40) of the sum, and the working precision is
-w = prec + 32 bits for a prec-bit result, whatever the order m: the terms
-are positive, so nothing cancels, and m! scales the sum and its radius
-alike.  The head sum_{i < N} is sum floor(d^s 2^F / (n + i d)^s).  The
-tail sum_{i >= N} is enclosed by Euler-Maclaurin around a = x + N = A/d:
+weakened rationally with 2 pi > 25/4 and zeta(2K+1) <= 5/4 (K >= 1).  It
+is m! times the Euler-Maclaurin sum of (x+t)^-(m+1) over t >= N; the m!
+absorbs each derivative's rising factorial, so every order reads the same
+sequence U_j.
 
-    T = a^(-m)/m + f(N)/2
-        + sum_{k=1..K} B_{2k}/(2k)! * rising(s, 2k-1) * a^(-s-2k+1)  +  R_K,
+The sum is formed in integer fixed point at w = prec + 32 working bits for
+every order (the terms are positive, so nothing cancels).  For x < 2^e,
+one unit 2^-F_s, F_s = w + 40 + s e, is at most 2^-(w+40) of
+sum_i (x+i)^-s > 2^(-s e), s = m + 1; the tail's unit 2^-G, G = max(F_2,
+F_33), is the finest of them, so G depends on x and w alone.  The head
+sum_{i<N} floor(d^s 2^F_s / (n + i d)^s) is short by less than N units.
 
-where a^(-m)/m is the integral comparison term and the remainder satisfies
+The tail reads one table per (x, w, N): U_j 2^G as the integer interval
+[u_j, u_j + E_j], from u_1 = floor(d 2^G / A), E_1 = 1 and
 
-    |R_K| <= max|periodized B_{2K+1}| / (2K+1)! * integral of |f^(2K+1)|
-           = 2*zeta(2K+1)/(2pi)^(2K+1) * rising(s, 2K+1)/(s+2K) * a^(-s-2K).
+    u_(j+1) = floor(u_j j d / A),    E_(j+1) = ceil(E_j j d / A) + 1,
 
-We weaken that rationally with 2*pi > 25/4 and zeta(2K+1) <= 5/4 (K >= 1)
-and round it up to whole units.  Each floor division is short by less than
-one unit, so the radius is (number of divisions + remainder units) * 2^-F,
-counted exactly.  N is chosen so the Euler-Maclaurin terms can reach ~2^-w
-before diverging; small x needs no special handling because F is set from
-the size of the leading term x^(-s).
+one short multiply and one floor division per j, so E_j counts the floors
+(it grows by at most one per step while j <= a).  b_k = floor(beta_k 2^G)
+comes from the tangent numbers T_k of Brent & Harvey ("Fast computation of
+Bernoulli, Tangent and Secant numbers"), beta_k = (-1)^(k-1) T_k / (4^k
+(4^k - 1) (2k-1)!), cached per G and shifted from the floors at the next
+multiple of 1024 bits.  Order m's K terms are one dot product in C,
+S = sum_k b_k u_(m+2k) in units of 2^-2G, and in units of 2^-G the tail
+past the head is t = u_m + floor(u_(m+1)/2) + floor(S/2^G), with an error
+of at most the exact count E_m + E_(m+1) + floor(D/2^G) + 2 + ceil(X_K
+2^G): D = sum_k (|b_k| + 1) E_(m+2k) + u_(m+2k) bounds the error of the
+products of intervals (b_k is short by < 1, u_j by <= E_j), the 2 counts
+the shift and the rounding of D, and X_K is read from the upper end
+u_j + E_j, j = m + 2K + 1.  One more shift brings t and its error to the
+order's unit 2^-F_s: the sum is m! head + floor(t/2^(G-F_s)) and its
+radius N m! + floor(error/2^(G-F_s)) + 2.  So each ball is the one the
+order's own scale gives: where F_s clamps at 0 (x = 2^-20 at low
+precision), the tail is below one unit and the midpoint m! head is exact.
 
-Term k of the tail is floor(B_2k V_k) with V_k = rising(s, 2k-1) d^j 2^F /
-((2k)! A^j), j = s+2k-1.  V_k is not formed from its powers: it is carried
-as an integer mantissa interval, V_k 2^ex in [m, m + err], which each step
-multiplies by the small ratio V_k/V_(k-1) = (j-2)(j-1) d^2 / ((2k-1)(2k) A^2).
-One floor division gives the new m; the upper end (m + err) ratio is below
-floor(m ratio) + 1 + floor(err ratio) + 1, which is the new err, so err
-counts the accumulated error in units of 2^-ex.  Before a step the mantissa
-is shifted left, exactly, until 2^ex exceeds |B_2k| 2^64 (the tail's 64
-guard bits), so the interval is narrower than err 2^-64 units once
-multiplied by B_2k = num/den.  The term's floor is taken with num and the
-small den at the lower end of the interval, and at the other end only when
-that floor's remainder lies within (|num| err) >> ex of the edge the
-interval moves toward, the only place the two floors can differ
-(`_sure_floor`); only if they differ, because the term lies within the
-error of an integer, is it formed exactly from d^j, A^j and (2k)!.  So the
-sum is bit-identical to the exact floor of every term, at the cost of short
-products instead of divisions of numbers thousands of bits long.
+K is the least k >= 1 with ceil(X_k) <= the target, 2^-(w+8) of the lower
+bound m! head 2^(G-F_s) + u_m of the sum.  Each test is the exact integer
+comparison 5 (u_j + E_j) 4^(2k+1) <= 2 25^(2k+1) target, which a
+bit-length screen skips only where the bit lengths prove it false;
+`itertools.compress` scans the screen and the table's rise flags in C.
+The bound rises, X_k > X_(k-1), exactly where 16 (u_j + E_j) > 625 (u_(j-2)
++ E_(j-2)).  If it rises at some k >= 2 before any k meets the target, the
+terms have started diverging and the order tries again with a larger N,
+which grows with every attempt, until 25a/4 exceeds the indices j its
+target needs; for orders 1 to 32, working bits 0 to 752 and x from 2^-20
+to 2^40 the second N always sufficed.  No float enters a decision.
 
-The Bernoulli numbers B_2k come exactly from the tangent numbers T_k, by
-the O(k^2) integer recurrence of Brent & Harvey ("Fast computation of
-Bernoulli, Tangent and Secant numbers"), in a table that grows on demand.
-With X_k the weakened remainder bound in units, the sum stops at the first
-K with ceil(X_K) at most the target 2^-(w+8) of the sum, and gives up on
-this N when ceil(X_k) > ceil(X_(k-1)).  Both tests are exact, on integers:
-a floored lower bound low <= X_k follows the ratio X_k/X_(k-1) =
-16 (j-1) j d^2 / (625 A^2) from X_1 = V_1 64 (s+1) d / (3125 A), and the
-long division ceil(X_k) is formed only where low reaches the target, or
-where the ratio exceeds 1, the only steps where the ceilings can grow.
-The floored recurrence for low stays, one short floor division per step:
-the two division-free stop tests tried in its place were both slower at
-high precision (CPython 3.11, 2 vCPU).  Reading the stop from the term
-already formed was even on the scans but 9% slower over orders 2..33 at
-4096 bits; bounding X_k through the exact Bernoulli ratio was 1% slower
-on the scans and 27% slower at 4096 bits.
-
-Every order of one (x, prec) has the same w, so the same N and the same
-A; only F_s depends on s.  So all requested orders are summed as one
-series (`polygamma` takes a tuple of orders), in the manner of Johansson,
-"Rigorous high-precision computation of the Hurwitz zeta function and its
-derivatives" (Numer. Algorithms 69, 2015).  The head takes one long
-division per term: with W = d^S 2^H, S the largest s and H the largest F_s,
-and b = n + i d, two exact nested-floor identities give every order from it,
+Every order of one (x, w) has the same G and, at one attempt, the same N
+and table, whose entries depend on j alone, and `_heads` gives each order
+the floors its series gives alone, so all requested orders are summed as
+one series (`polygamma` takes a tuple of orders) and each order's sum is
+bit-identical to the one it gives alone.  The head takes one long division
+per term: with W = d^S 2^H, S the largest s and H the largest F_s, and
+b = n + i d, two exact nested-floor identities give every order from it,
 
     floor(floor(W/b^s) / b) = floor(W/b^(s+1)),
     floor(floor(W/b^s) / (d^(S-s) 2^(H-F_s))) = floor(d^s 2^F_s / b^s),
 
-so each higher order costs one short division by b, and each term is the
-same floor as in a series of its own; when d is a power of two, d^(S-s) is
-folded into the shift.  Each order takes one pass over all N terms, in
-`map` and `sum` over the list of the previous order's floors, so no Python
-loop runs per term.  The tail runs one loop over k that shares the B_2k
-lookup, the guard shift (ex depends on k only), q = (2k-1) 2k A^2 and
-625 A^2, while each order keeps its own mantissa interval, err, low, stop
-and divergence test.  The orders that diverge at one N retry together at
-the next; the others keep the sums they stopped with.  Every sum is
-bit-identical to the one its order's series gives alone.
+so each higher order costs one short division by b; when d is a power of
+two, d^(S-s) is folded into the shift.  Each order takes one pass over all
+N terms, in `map` and `sum` over the list of the previous order's floors,
+so no Python loop runs per term.  The orders that diverge at one N retry
+together at the next; the others keep the sums they stopped with.
 
 The integral-representation quadrature (`polygamma_quadrature_crosscheck`)
 is a heuristic cross-check only: its radius is an error *estimate* from the
@@ -97,8 +87,8 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import floordiv, rshift
+from itertools import compress, count, repeat
+from operator import add, floordiv, lt, mul, rshift
 
 from .algebra import as_positive_fraction
 from .ball import Ball, _mpf_tuple_to_fraction, check_prec
@@ -121,18 +111,33 @@ def _tangent_numbers(count: int) -> tuple[int, ...]:
     return tuple(t[1:])
 
 
+@lru_cache(maxsize=8)
+def _beta_floors(gbits: int, count: int) -> tuple[int, ...]:
+    """floor(beta_k 2^gbits) for k = 1..count, from beta_k = B_2k/(2k)! =
+    (-1)^(k-1) T_k / (4^k (4^k - 1) (2k-1)!)."""
+    tangents, floors, fact = _tangent_numbers(count), [], 1
+    for k in range(1, count + 1):
+        fact *= (2 * k - 2) * (2 * k - 1) if k > 1 else 1  # (2k-1)!
+        floors.append(((-1) ** (k - 1) * tangents[k - 1] << gbits)
+                      // ((((1 << 2 * k) - 1) * fact) << 2 * k))
+    return tuple(floors)
+
+
+@lru_cache(maxsize=64)
+def _betas(gbits: int, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(b_1..b_count, |b_1|+1..|b_count|+1), b_k = floor(beta_k 2^gbits),
+    shifted from the floors at the next multiple of 1024 bits, which the
+    nested floor floor(floor(y 2^H) / 2^(H-G)) = floor(y 2^G) allows."""
+    top = -(-gbits // 1024) * 1024
+    betas = tuple(map(rshift, _beta_floors(top, count), repeat(top - gbits)))
+    return betas, tuple(abs(b) + 1 for b in betas)
+
+
 @lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """B_n for even n >= 2: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
-
-    The tangent numbers come from a table whose size doubles on demand.
-    """
-    k = n // 2
-    t = _tangent_numbers(max(32, 1 << (k - 1).bit_length()))[k - 1]
-    return Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1))
-
-
-_TAIL_GUARD_BITS = 64  # bits of the tail mantissa below a unit of the term
+def _screens(count: int) -> tuple[int, ...]:
+    """c_k = bitlen(25^(2k+1)) - 4k - 2 for k < count: where bitlen(u_j + E_j)
+    >= bitlen(target) + c_k, the stop test's left side exceeds its right."""
+    return tuple((25 ** (2 * k + 1)).bit_length() - 4 * k - 2 for k in range(count))
 
 
 def _heads(exps: list[int], n: int, d: int, n_terms: int,
@@ -161,113 +166,108 @@ def _heads(exps: list[int], n: int, d: int, n_terms: int,
     return sums
 
 
-def _sure_floor(bm: int, num: int, err: int, ex: int, den: int) -> int | None:
-    """floor((bm >> ex) / den), the term's floor at the mantissa's lower end
-    bm = num m, or None if the floor at the other end bm + num err differs.
+class _Table:
+    """The intervals [lo_j, hi_j = lo_j + err_j] that hold U_j 2^G, j >= 1, for
+    a = A/d, grown on demand (module docstring); bits_j is the bit length of
+    hi_j and rising_j whether 16 hi_j > 625 hi_(j-2), where X_k rises."""
 
-    That floor is formed only when the first one's remainder lies within
-    reach = (|num| err) >> ex of the edge the interval moves toward: the two
-    shifted ends differ by at most reach + 1, as floor(a + b) <= floor(a) +
-    floor(b) + 1, so a farther remainder leaves both ends in one interval
-    [term den, (term + 1) den) and the floors equal."""
-    term, rest = divmod(bm >> ex, den)
-    if (den - 1 - rest if num > 0 else rest) > (abs(num) * err) >> ex:
-        return term
-    return term if term == ((bm + num * err) >> ex) // den else None
+    __slots__ = ("d", "big_a", "lo", "err", "hi", "bits", "rising")
+
+    def __init__(self, d: int, big_a: int, gbits: int):
+        lo = (d << gbits) // big_a
+        self.d, self.big_a = d, big_a
+        self.lo, self.err, self.hi = [0, lo], [0, 1], [1, lo + 1]
+        self.bits, self.rising = [1, (lo + 1).bit_length()], [False, False]
+
+    def grow(self, top: int) -> None:
+        lo, err, hi, bits = self.lo, self.err, self.hi, self.bits
+        for j in range(len(lo), top + 1):
+            step = (j - 1) * self.d
+            u = lo[-1] * step // self.big_a
+            e = -(-err[-1] * step // self.big_a) + 1
+            lo.append(u)
+            err.append(e)
+            hi.append(u + e)
+            bits.append((u + e).bit_length())
+            # 625 hi_(j-2) >= 625 2^(bits_(j-2) - 1) exceeds 16 hi_j unless
+            # bits_j > bits_(j-2) + 4
+            self.rising.append(bits[j] > bits[j - 2] + 4 and 16 * hi[j] > 625 * hi[j - 2])
 
 
-def _zeta_like_sums(orders: Iterable[int], x: Fraction,
-                    wbits: int) -> dict[int, tuple[int, int, int]]:
-    """Enclosures of sum_{i>=0} (x+i)^(-s) for each exponent s >= 2 in
-    orders, as {s: (total, radius, F)}: each sum is within radius of total,
-    both integers in units of 2^-F."""
-    n, d = x.numerator, x.denominator
-    round_bits = wbits + 24
-    # x < 2^e, so the sum exceeds 2^(-s*e) and one unit is at most
-    # 2^-(round_bits+16) of it
-    e = n.bit_length() - d.bit_length() + 1
-    pending = sorted(set(orders))
-    fbits_of = {s: max(0, round_bits + s * e + 16) for s in pending}
-    done: dict[int, tuple[int, int, int]] = {}
-    for attempt in range(4):
-        n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
-        heads = _heads(pending, n, d, n_terms, fbits_of)
-        big_a = n + n_terms * d  # a = x + N = big_a / d
-
-        def exact_bound(s: int, k: int, fbits: int) -> int:
-            """ceil of the remainder bound X_k after k terms, in units."""
-            j = s + 2 * k - 1
-            return -(-(5 * math.perm(j, 2 * k) * d ** (j + 1) << (fbits + 4 * k + 2))
-                     // (2 * 25 ** (2 * k + 1) * big_a ** (j + 1)))
-
-        d2, a2 = d * d, big_a * big_a
-        ex = _TAIL_GUARD_BITS
-        live = []
-        for s in pending:
-            fbits, head = fbits_of[s], heads[s]
-            integral = (d ** (s - 1) << fbits) // ((s - 1) * big_a ** (s - 1))
-            total = head + integral + (d ** s << fbits) // (2 * big_a ** s)
-            target = (head + integral) >> (wbits + 8)  # the sum exceeds head + integral
-            # V = rising(s, 2k-1) d^j 2^F / ((2k)! A^j), j = s+2k-1, lies in
-            # [m, m + err] 2^-ex; the term is floor(B_2k V)
-            m = (s * d ** (s + 1) << (fbits + ex)) // (2 * big_a ** (s + 1))
-            # X_1 = V_1 64 (s+1) d / (3125 A), and low <= X_k stays a lower bound
-            low = (m * 64 * (s + 1) * d // (3125 * big_a)) >> ex
-            live.append((s, fbits, target, m, 1, low, total))
-        bq = 625 * a2  # X_k / X_(k-1) = bp / bq
-        for k in range(1, 100001):
-            num, den = _bernoulli(2 * k).as_integer_ratio()
-            if k > 1:
-                # 2^ex > |B_2k| 2^guard before this step rounds
-                shift = max(0, _TAIL_GUARD_BITS + num.bit_length() - den.bit_length() + 1 - ex)
-                ex += shift
-                q = (2 * k - 1) * (2 * k) * a2
-            going = []
-            for s, fbits, target, m, err, low, total in live:
-                j = s + 2 * k - 1
-                if k > 1:
-                    p = (j - 2) * (j - 1) * d2
-                    m, err = (m << shift) * p // q, (err << shift) * p // q + 2
-                    bp = 16 * (j - 1) * j * d2
-                    low = low * bp // bq
-                bm = num * m
-                term = _sure_floor(bm, num, err, ex, den)
-                if term is None:
-                    # the floor is in doubt: form the term exactly
-                    term = ((num * math.perm(j - 1, 2 * k - 1) * d ** j << fbits)
-                            // (den * math.factorial(2 * k) * big_a ** j))
-                total += term
-                if low <= target:
-                    bound = exact_bound(s, k, fbits)
-                    if bound <= target:
-                        # each of the n_terms + 2 + k floor divisions is
-                        # short by < 1 unit
-                        done[s] = (total, n_terms + 2 + k + bound, fbits)
-                        continue
-                if k > 1 and bp > bq and exact_bound(s, k, fbits) > exact_bound(s, k - 1, fbits):
-                    continue  # the asymptotic terms started diverging; need larger N
-                going.append((s, fbits, target, m, err, low, total))
-            live = going
-            if not live:
+def _stop(table: _Table, m: int, target: int) -> int | None:
+    """K, the least k >= 1 with ceil(X_k) <= target, or None if X_k rises at
+    some k >= 2 before that.  X_k is read from hi_j, j = m + 2k + 1."""
+    reach, hi, k = target.bit_length(), table.hi, 1
+    while True:
+        j = m + 2 * k + 1
+        table.grow(j + 32)
+        top = (len(hi) - 2 - m) // 2  # the last k this stretch of the table holds
+        low = max(k, 2)
+        rise = next(compress(count(low), table.rising[m + 2 * low + 1::2]), top + 1)
+        # the k whose stop test the bit lengths cannot prove false
+        screens = _screens(1 << len(hi).bit_length())[k:]
+        for k in compress(count(k), map(lt, table.bits[j::2], map(add, screens, repeat(reach)))):
+            if k > rise:
                 break
-        pending = [s for s in pending if s not in done]
+            if 5 * hi[m + 2 * k + 1] << (4 * k + 2) <= 2 * 25 ** (2 * k + 1) * target:
+                return k
+        if rise <= top:
+            return None
+        k = top + 1
+
+
+def _psi_sums(orders: Iterable[int], x: Fraction,
+              wbits: int) -> dict[int, tuple[int, int, int]]:
+    """Enclosures of |psi^(m)(x)| for each order m >= 1 in orders, as
+    {m: (total, radius, F_s)}: |psi^(m)(x)| lies within radius of total,
+    both integers in units of 2^-F_s, s = m + 1."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length() + 1  # x < 2^e
+
+    def scale(s: int) -> int:
+        return max(0, wbits + 40 + s * e)
+
+    gbits = max(scale(2), scale(MAX_ORDER + 1))
+    pending = sorted(set(orders))
+    fbits = {m + 1: scale(m + 1) for m in pending}
+    done: dict[int, tuple[int, int, int]] = {}
+    for attempt in count():
+        n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
+        heads = _heads([m + 1 for m in pending], n, d, n_terms, fbits)
+        table = _Table(d, n + n_terms * d, gbits)
+        lo, err = table.lo, table.err  # grown in place
+        for m in pending:
+            s, fac = m + 1, math.factorial(m)
+            shift = gbits - fbits[s]
+            table.grow(m + 1)
+            k = _stop(table, m, ((fac * heads[s] << shift) + lo[m]) >> (wbits + 8))
+            if k is None:
+                continue  # the terms diverge before the target: a larger N
+            betas, weights = _betas(gbits, max(32, 1 << (k - 1).bit_length()))
+            terms = slice(m + 2, m + 2 * k + 1, 2)
+            u = lo[terms]
+            products = sum(map(mul, betas, u))
+            spread = sum(map(mul, weights, err[terms])) + sum(u)
+            rest = -(-(5 * table.hi[m + 2 * k + 1] << (4 * k + 2))
+                     // (2 * 25 ** (2 * k + 1)))
+            # the tail and its error in units of 2^-G, brought to 2^-F_s
+            tail = lo[m] + (lo[m + 1] >> 1) + (products >> gbits)
+            error = err[m] + err[m + 1] + (spread >> gbits) + 2 + rest
+            done[m] = (fac * heads[s] + (tail >> shift),
+                       n_terms * fac + (error >> shift) + 2, fbits[s])
+        pending = [m for m in pending if m not in done]
         if not pending:
             return done
-    raise PrecisionError(f"series tail for s={pending[0]}, x={x} not certifiable "
-                         f"at {wbits} working bits")
 
 
 def _polygamma_rational(orders: tuple[int, ...], x: Fraction,
                         prec: int) -> tuple[Ball, ...]:
-    wbits = prec + _BASE_GUARD_BITS
-    sums = _zeta_like_sums([m + 1 for m in orders], x, wbits)
+    sums = _psi_sums(orders, x, prec + _BASE_GUARD_BITS)
     balls = []
     for m in orders:
-        total, radius, fbits = sums[m + 1]
-        fac = math.factorial(m)
-        sign = 1 if m % 2 == 1 else -1
+        total, radius, fbits = sums[m]
         one = 1 << fbits
-        ball = Ball._make(sign * fac * total, one, fac * radius, one, prec)
+        ball = Ball._make(total if m % 2 == 1 else -total, one, radius, one, prec)
         if not ball.within(prec):
             raise PrecisionError(
                 f"polygamma({m}, {x}) enclosure wider than 2^-{prec} relative")
@@ -332,8 +332,7 @@ def polygamma_quadrature_crosscheck(m: int, x, prec: int = 64) -> Ball:
         xf = mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
         def integrand(t):
-            if t == 0:
-                return mp.mpf(1) if m == 1 else mp.mpf(0)
+            # tanh-sinh nodes stop short of an interval's ends, so t > 0
             return t ** m * mp.exp(-xf * t) / (-mp.expm1(-t))
 
         try:

@@ -16,7 +16,7 @@ from mpmath import iv, mp
 from cmgamma.ball import Ball, _mpf_tuple_to_fraction
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                SCALE_P, SCALE_Q, load_constants)
-from cmgamma.polygamma import _zeta_like_sums, polygamma
+from cmgamma.polygamma import _psi_sums, polygamma
 
 
 def contains(ball, value):
@@ -40,11 +40,9 @@ def polygamma_per_order_guard(m, x, prec, per_order=16):
     orders get more guard bits.  The ball of polygamma(m, x, prec) must
     equal it or lie inside it.
     """
-    s = m + 1
-    total, radius, fbits = _zeta_like_sums((s,), Fraction(x), prec + 32 + per_order * m)[s]
-    fac = math.factorial(m)
+    total, radius, fbits = _psi_sums((m,), Fraction(x), prec + 32 + per_order * m)[m]
     one = 1 << fbits
-    return Ball._make((-1) ** (m + 1) * fac * total, one, fac * radius, one, prec)
+    return Ball._make((-1) ** (m + 1) * total, one, radius, one, prec)
 
 
 def polygamma_recurrence_shift(m, x, k, prec=128):

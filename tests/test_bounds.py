@@ -270,7 +270,7 @@ def test_one_precision_rule(monkeypatch, entry, prec, message):
         raise AssertionError("a series or quadrature ran")
 
     monkeypatch.setattr(importlib.import_module("cmgamma.polygamma"),
-                        "_zeta_like_sums", never)
+                        "_psi_sums", never)
     monkeypatch.setattr(mp, "quad", never)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         PREC_ENTRY_POINTS[entry](prec)

@@ -147,19 +147,19 @@ def test_policy_guard_bits(monkeypatch):
     # the series for psi^(m) runs at prec + 32 working bits for every order,
     # and a tuple of orders runs as one joint series at the same bits
     seen = []
-    series = polygamma_module._zeta_like_sums
+    series = polygamma_module._psi_sums
 
     def recording(orders, x, wbits):
         seen.append((tuple(orders), wbits))
         return series(orders, x, wbits)
 
-    monkeypatch.setattr(polygamma_module, "_zeta_like_sums", recording)
+    monkeypatch.setattr(polygamma_module, "_psi_sums", recording)
     for m in (1, 3, 12, 32):
         polygamma(m, F(7, 5), 64)
-    assert seen == [((m + 1,), 64 + 32) for m in (1, 3, 12, 32)]
+    assert seen == [((m,), 64 + 32) for m in (1, 3, 12, 32)]
     seen.clear()
     joint = polygamma((1, 3, 12, 32), F(7, 5), 64)
-    assert seen == [((2, 4, 13, 33), 64 + 32)]
+    assert seen == [((1, 3, 12, 32), 64 + 32)]
     alone = [polygamma(m, F(7, 5), 64) for m in (1, 3, 12, 32)]
     assert [(b.mid, b.rad, b.prec) for b in joint] == [(b.mid, b.rad, b.prec) for b in alone]
     with pytest.raises(DomainError, match="precision must be at least 8 bits"):
@@ -168,13 +168,13 @@ def test_policy_guard_bits(monkeypatch):
 
 def test_wide_series_radius_raises(monkeypatch):
     # a series radius of the sum itself is far wider than 2^-prec relative
-    series = polygamma_module._zeta_like_sums
+    series = polygamma_module._psi_sums
 
     def widened(orders, x, wbits):
-        return {s: (total, total, fbits)
-                for s, (total, _, fbits) in series(orders, x, wbits).items()}
+        return {m: (total, total, fbits)
+                for m, (total, _, fbits) in series(orders, x, wbits).items()}
 
-    monkeypatch.setattr(polygamma_module, "_zeta_like_sums", widened)
+    monkeypatch.setattr(polygamma_module, "_psi_sums", widened)
     with pytest.raises(PrecisionError, match=r"polygamma\(2, 7/5\) enclosure "
                                              r"wider than 2\^-64 relative"):
         polygamma(2, F(7, 5), 64)

@@ -3,12 +3,11 @@
 The rounding functions and the Ball operations are checked bit for bit
 against the plain-Fraction references below; the fixed-point series, alone
 and as every order of a joint series, is checked bit for bit against a
-reference copy of one order's loop that recomputes every remainder bound
-and every term exactly, also with the tail's guard bits cut to 0-2 so
-that its exact in-doubt branch runs; the tail's mantissa
-interval is checked against the exact V_k, and its lower bound against the
-exact remainder bound, at every step, and the tail's reach test for a
-term's floor against taking the floor at both ends of the interval;
+plain-loop reference of one order that takes beta_k from mpmath's
+Bernoulli numbers and decides its stop and rise by exact Fractions at every
+k, and its radius against the exact truncated expansion and remainder
+bound; every interval of the shared U_j table is checked to hold the exact
+U_j, the stop to be the least k, and the series to make no float;
 polygamma is checked for containment
 of mpmath's psi and Hurwitz zeta at four times the precision, and its ball
 for lying inside the one the same series gives with 16 extra guard bits per
@@ -16,8 +15,8 @@ order; the derivatives of g and H are checked for containment of mpmath's
 psi plus the exact rational part at four times the precision, and each g
 and H cell, formed in integers, bit for bit against the Leibniz sum of the
 polygamma balls taken as Fractions (g) and the Ball chain psi^(k+1) - R^(k)
-(H); the Bernoulli
-numbers are checked against mpmath's; the integer partial-fraction
+(H); the floors of the Bernoulli numbers over (2k)! are checked against
+mpmath's; the integer partial-fraction
 decomposition is checked against sympy's ``apart`` and by recomposing it;
 the integer-numerator ``Poly`` and ``ExpPoly.deriv`` are checked against
 plain Fraction-tuple formulas, and every ExpPoly derived without the public
@@ -48,8 +47,7 @@ from cmgamma.ball import Ball, _mpf_tuple_to_fraction, round_nearest, round_up
 from cmgamma.constants import (BOUND_DEN_FACTORS, REMAINDER_DEN_FACTORS,
                                SourceConstants, load_constants)
 from cmgamma.errors import PrecisionError
-from cmgamma.polygamma import (MAX_ORDER, _bernoulli, _sure_floor, _zeta_like_sums,
-                               polygamma)
+from cmgamma.polygamma import MAX_ORDER, _betas, _psi_sums, _stop, _Table, polygamma
 from cmgamma.reporting import SCHEMA, stable_json_dumps
 from cmgamma.scan import GridSpec
 from oracles import (contains, g_derivative_exact_sum, h_derivative_ball_chain,
@@ -287,90 +285,144 @@ def test_cells_match_their_references(kind, k, x, prec):
 
 
 def test_bernoulli_matches_mpmath():
-    for n in range(2, 401, 2):
-        p, q = mpmath.bernfrac(n)
-        assert _bernoulli(n) == F(int(p), int(q))
+    # b_k = floor(B_2k/(2k)! 2^G), from the tangent numbers, against mpmath's
+    # Bernoulli numbers, and the weights |b_k| + 1 of the tail's error count
+    for gbits in (0, 64, 1000):
+        betas, weights = _betas(gbits, 256)
+        for k in range(1, 201):
+            p, q = mpmath.bernfrac(2 * k)
+            assert betas[k - 1] == math.floor(F(int(p), int(q)) / math.factorial(2 * k)
+                                              * 2 ** gbits)
+            assert weights[k - 1] == abs(betas[k - 1]) + 1
 
 
-def ref_zeta_like_sum(s: int, x: F, wbits: int) -> tuple[F, F]:
-    """The series with the exact remainder bound recomputed at every step."""
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length() + 1
-    fbits = max(0, wbits + 24 + s * e + 16)
+def ref_series_scale(x: F, wbits: int, s: int) -> int:
+    e = x.numerator.bit_length() - x.denominator.bit_length() + 1
+    return max(0, wbits + 40 + s * e)
+
+
+def ref_table(d: int, big_a: int, gbits: int, top: int,
+              lo: list[int] | None = None, err: list[int] | None = None):
+    """u_1..u_top and E_1..E_top (index 0 unused) by the module docstring's
+    recurrences, each ceiling taken of an exact Fraction; lo and err, if
+    given, are extended in place."""
+    if lo is None:
+        lo, err = [0, (d << gbits) // big_a], [0, 1]
+    for j in range(len(lo) - 1, top):
+        lo.append(lo[j] * j * d // big_a)
+        err.append(math.ceil(F(err[j] * j * d, big_a)) + 1)
+    return lo, err
+
+
+def ref_psi_sum(m: int, x: F, wbits: int) -> tuple[int, int, int, int, int, int]:
+    """One order's series by plain loops: the head term by term, the table by
+    its recurrences, beta_k from mpmath's Bernoulli numbers, and the stop and
+    the rise decided at every k by exact Fraction comparisons, with no
+    screen.  Returns (total, radius, F_s) as _psi_sums gives them, then K,
+    the head length N and A = d (x + N)."""
+    n, d, s = x.numerator, x.denominator, m + 1
+    fbits = ref_series_scale(x, wbits, s)
+    gbits = max(ref_series_scale(x, wbits, 2), ref_series_scale(x, wbits, MAX_ORDER + 1))
+    fac, shift = math.factorial(m), gbits - fbits
     for attempt in range(4):
         n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
-        ds = d ** s << fbits
-        head = sum(ds // (n + i * d) ** s for i in range(n_terms))
+        head = sum((d ** s << fbits) // (n + i * d) ** s for i in range(n_terms))
         big_a = n + n_terms * d
-        integral = (d ** (s - 1) << fbits) // ((s - 1) * big_a ** (s - 1))
-        total = head + integral + ds // (2 * big_a ** s)
-        floors = n_terms + 2
-        target = (head + integral) >> (wbits + 8)
-        rising = s
-        dj, aj = d ** (s + 1), big_a ** (s + 1)
-        remainder = None
-        prev_bound = None
+        lo, err = ref_table(d, big_a, gbits, m + 1)
+        target = ((fac * head << shift) + lo[m]) >> (wbits + 8)
+        previous = None
         for k in range(1, 100001):
-            if k > 1:
-                rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-                dj *= d * d
-                aj *= big_a * big_a
-            p, q = mpmath.bernfrac(2 * k)
-            total += ((int(p) * rising * dj << fbits)
-                      // (int(q) * math.factorial(2 * k) * aj))
-            floors += 1
-            bound = -(-(5 * 4 ** (2 * k + 1) * rising * (s + 2 * k - 1) * dj * d << fbits)
-                      // (2 * 25 ** (2 * k + 1) * aj * big_a))
-            if bound <= target:
-                remainder = bound
+            j = m + 2 * k + 1
+            ref_table(d, big_a, gbits, j, lo, err)
+            bound = F(5, 2) * F(4, 25) ** (2 * k + 1) * (lo[j] + err[j])
+            if bound <= target or (previous is not None and bound > previous):
                 break
-            if prev_bound is not None and bound > prev_bound:
-                break
-            prev_bound = bound
-        if remainder is not None:
-            one = 1 << fbits
-            return F(total, one), F(floors + remainder, one)
+            previous = bound
+        if bound > target:
+            continue  # the bounds rose first: the next N
+        betas = []
+        for i in range(1, k + 1):
+            p, q = mpmath.bernfrac(2 * i)
+            betas.append(math.floor(F(int(p), int(q)) / math.factorial(2 * i) * 2 ** gbits))
+        js = range(m + 2, m + 2 * k + 1, 2)
+        tail = sum(b * lo[j] for b, j in zip(betas, js))
+        spread = sum((abs(b) + 1) * err[j] + lo[j] for b, j in zip(betas, js))
+        tail = lo[m] + lo[m + 1] // 2 + math.floor(F(tail, 2 ** gbits))
+        error = (err[m] + err[m + 1] + math.floor(F(spread, 2 ** gbits)) + 2
+                 + math.ceil(bound))
+        return (fac * head + math.floor(F(tail, 2 ** shift)),
+                n_terms * fac + math.floor(F(error, 2 ** shift)) + 2, fbits,
+                k, n_terms, big_a)
     raise PrecisionError("not certifiable")
 
 
+def exact_tail(m: int, d: int, big_a: int, k: int) -> tuple[F, F]:
+    """The exact truncated expansion past the head, U_m + U_(m+1)/2 +
+    sum_{i<=k} beta_i U_(m+2i) with U_j = (j-1)! (d/A)^j, and its remainder
+    bound X_k = (5/2)(4/25)^(2k+1) U_(m+2k+1)."""
+    def u(j):
+        return math.factorial(j - 1) * F(d, big_a) ** j
+
+    value = u(m) + u(m + 1) / 2
+    for i in range(1, k + 1):
+        p, q = mpmath.bernfrac(2 * i)
+        value += F(int(p), int(q)) / math.factorial(2 * i) * u(m + 2 * i)
+    return value, F(5, 2) * F(4, 25) ** (2 * k + 1) * u(m + 2 * k + 1)
+
+
 @settings(SETTINGS, max_examples=150)
-@given(st.integers(2, 16), positive_x, st.integers(64, 1100))
-@example(16, F(1, 2 ** 20), 1100)
-@example(2, F(2 ** 20), 1100)
-@example(7, F(999983, 1000003), 64)
-@example(30, F(9), 8)  # the first N diverges: the loop retries with a larger N
-@example(33, F(12), 19)
-@example(33, F(22), 49)  # the bounds decrease slowly just before the stop
-@example(18, F(17, 2), 7)
-def test_series_matches_reference_loop(s, x, wbits):
-    total, radius, fbits = _zeta_like_sums((s,), x, wbits)[s]
-    assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+@given(st.integers(1, 15), positive_x, st.integers(64, 1100))
+@example(15, F(1, 2 ** 20), 1100)
+@example(1, F(2 ** 20), 1100)  # N = 0: no head terms
+@example(6, F(999983, 1000003), 64)
+@example(29, F(9), 8)  # the first N diverges: the loop retries with a larger N
+@example(30, F(9), 8)
+@example(32, F(12), 19)
+@example(32, F(22), 49)  # the bounds decrease slowly just before the stop
+@example(17, F(17, 2), 7)
+# the scan workloads' largest orders and working precisions: psi^(13) at
+# 752 bits (H, k <= 12, 512 bits) and psi^(10) at 448 bits (g, k <= 8,
+# 256 bits); and the largest order at 4200 bits
+@example(13, F(1, 16), 752)
+@example(10, F(64), 448)
+@example(32, F(3, 7), 4200)
+def test_series_matches_reference_loop(m, x, wbits):
+    total, radius, fbits, k, n_terms, big_a = ref_psi_sum(m, x, wbits)
+    assert _psi_sums((m,), x, wbits)[m] == (total, radius, fbits)
+    # past the head's N m! floor units, the radius covers the distance to the
+    # exact truncated expansion and the remainder bound X_K
+    value, bound = exact_tail(m, x.denominator, big_a, k)
+    head = total - (math.factorial(m) * sum((x.denominator ** (m + 1) << fbits)
+                                            // (x.numerator + i * x.denominator) ** (m + 1)
+                                            for i in range(n_terms)))
+    assert (abs(value * 2 ** fbits - head) + bound * 2 ** fbits
+            <= radius - n_terms * math.factorial(m))
 
 
 @settings(SETTINGS, max_examples=60)
-@given(st.lists(st.integers(2, 33), min_size=1, max_size=6, unique=True), positive_x,
+@given(st.lists(st.integers(1, 32), min_size=1, max_size=6, unique=True), positive_x,
        st.integers(8, 1100))
-@example([3, 2, 7], F(1, 3), 288)  # non-dyadic x, orders out of sequence
-@example([16, 2, 9], F(999983, 1000003), 1100)
-@example([2, 3, 16], F(2 ** 20), 1100)  # N = 0: no head terms
-@example([2, 10, 11], F(1, 2 ** 20), 64)
-@example([30, 2], F(9), 8)  # s = 30 diverges at the first N, s = 2 does not
+@example([2, 1, 6], F(1, 3), 288)  # non-dyadic x, orders out of sequence
+@example([15, 1, 8], F(999983, 1000003), 1100)
+@example([1, 2, 15], F(2 ** 20), 1100)  # N = 0: no head terms
+@example([1, 9, 10], F(1, 2 ** 20), 64)
+@example([29, 1], F(9), 8)  # 29 diverges at the first N, 1 does not
 # gapped orders: the head's passes run through the orders between them
-@example([2, 5, 11], F(7, 5), 448)
-@example([2, 5, 11], F(1, 3), 288)
-@example([3, 33], F(1, 2 ** 20), 200)
+@example([1, 4, 10], F(7, 5), 448)
+@example([1, 4, 10], F(1, 3), 288)
+@example([2, 32], F(1, 2 ** 20), 200)
+@example([1, 13, 32], F(2 ** 40), 4200)
 def test_joint_series_matches_reference_loop(orders, x, wbits):
     # every order of one joint series is the sum its own series gives
-    sums = _zeta_like_sums(tuple(orders), x, wbits)
+    sums = _psi_sums(tuple(orders), x, wbits)
     assert sorted(sums) == sorted(orders)
-    for s in orders:
-        total, radius, fbits = sums[s]
-        assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
+    for m in orders:
+        assert sums[m] == ref_psi_sum(m, x, wbits)[:3]
 
 
 def test_joint_series_retries_only_the_diverged_orders(monkeypatch):
-    # at x = 9 and 8 working bits the tail of s = 30 diverges at the first N
-    # while s = 2 stops there; only s = 30 runs again, at the next N
+    # at x = 9 and 8 working bits the tail of psi^(29) diverges at the first
+    # N while psi' stops there; only order 29 runs again, at the next N
     module = sys.modules["cmgamma.polygamma"]  # cmgamma.polygamma is the function
     heads = module._heads
     passes = []
@@ -380,65 +432,101 @@ def test_joint_series_retries_only_the_diverged_orders(monkeypatch):
         return heads(exps, n, d, n_terms, fbits)
 
     monkeypatch.setattr(module, "_heads", recording)
-    sums = _zeta_like_sums((30, 2), F(9), 8)
+    sums = _psi_sums((29, 1), F(9), 8)
     assert [exps for exps, _ in passes] == [[2, 30], [30]]
     assert passes[0][1] < passes[1][1]
-    for s in (2, 30):
-        total, radius, fbits = sums[s]
-        assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, F(9), 8)
+    for m in (1, 29):
+        assert sums[m] == ref_psi_sum(m, F(9), 8)[:3]
 
 
-@settings(SETTINGS, max_examples=40)
-@given(st.integers(2, 33), positive_x, st.integers(8, 1100), st.integers(0, 2),
-       st.just(0))
-# the scan workloads' largest orders and working precisions: psi^(13) at
-# 752 bits (H, k <= 12, 512 bits) and psi^(10) at 448 bits (g, k <= 8,
-# 256 bits); and the largest order at 4200 bits
-@example(14, F(1, 16), 752, 0, 10)
-@example(11, F(64), 448, 1, 10)
-@example(33, F(3, 7), 4200, 2, 10)
-def test_series_in_doubt_branch_matches_reference_loop(s, x, wbits, guard,
-                                                       min_exact):
-    # with 0-2 guard bits the mantissa often cannot decide a term's floor,
-    # so the loop forms those terms exactly: one math.factorial call each
-    exact = 0
-
-    def count(frame, event, arg):
-        nonlocal exact
-        exact += event == "c_call" and arg is math.factorial
-
+@pytest.mark.parametrize("wbits", [0, 8, 40, 752])
+def test_series_needs_at_most_two_head_lengths(monkeypatch, wbits):
+    # the retries end: every order up to 32 stops by the second N, where the
+    # module docstring says so
     module = sys.modules["cmgamma.polygamma"]  # cmgamma.polygamma is the function
-    outer = sys.getprofile()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_TAIL_GUARD_BITS", guard)
-        sys.setprofile(count)
-        try:
-            total, radius, fbits = _zeta_like_sums((s,), x, wbits)[s]
-        finally:
-            sys.setprofile(outer)
-    assert (F(total, 2 ** fbits), F(radius, 2 ** fbits)) == ref_zeta_like_sum(s, x, wbits)
-    assert exact >= min_exact
+    heads, passes = module._heads, []
+
+    def recording(exps, n, d, n_terms, fbits):
+        passes.append(n_terms)
+        return heads(exps, n, d, n_terms, fbits)
+
+    monkeypatch.setattr(module, "_heads", recording)
+    for x in (F(1, 2 ** 20), F(1, 3), F(1), F(6), F(9), F(40), F(2 ** 20), F(2 ** 40)):
+        passes.clear()
+        assert sorted(_psi_sums(tuple(range(1, MAX_ORDER + 1)), x, wbits)) == list(
+            range(1, MAX_ORDER + 1))
+        assert len(passes) <= 2, x
+
+
+@settings(SETTINGS, max_examples=80)
+@given(st.integers(1, 32), positive_x, st.integers(8, 1100), st.integers(0, 3),
+       st.integers(1, 160))
+# the scan workloads' largest orders and working precisions (see above), the
+# largest order at 4200 bits, and a small a = x + N whose U_j grow past j = a
+@example(13, F(1, 16), 752, 0, 160)
+@example(10, F(64), 448, 0, 160)
+@example(32, F(3, 7), 4200, 0, 160)
+@example(29, F(9), 8, 0, 160)
+def test_series_table_encloses_exact_u(m, x, wbits, attempt, top):
+    # every interval [lo_j, hi_j] of the table holds the exact
+    # U_j 2^G = (j-1)! d^j 2^G / A^j, its width err_j grows by at most one
+    # per step while (j-1) d <= A, and the screened bit lengths and rise
+    # flags are the exact ones
+    n, d = x.numerator, x.denominator
+    gbits = max(ref_series_scale(x, wbits, 2), ref_series_scale(x, wbits, MAX_ORDER + 1))
+    big_a = n + max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d) * d
+    table = _Table(d, big_a, gbits)
+    table.grow(top)
+    lo, err = ref_table(d, big_a, gbits, top)
+    assert (table.lo[1:], table.err[1:]) == (lo[1:], err[1:])
+    for j in range(1, top + 1):
+        exact = math.factorial(j - 1) * d ** j << gbits
+        assert lo[j] * big_a ** j <= exact <= (lo[j] + err[j]) * big_a ** j, j
+        assert table.hi[j] == lo[j] + err[j] and table.bits[j] == table.hi[j].bit_length()
+        if j > 1 and (j - 1) * d <= big_a:
+            assert err[j] <= err[j - 1] + 1
+        if j > 2:
+            assert table.rising[j] == (16 * table.hi[j] > 625 * table.hi[j - 2]), j
+
+
+def ref_stop(table, m: int, target: int) -> int | None:
+    """The least k >= 1 whose remainder bound X_k = (5/2)(4/25)^(2k+1)
+    hi_(m+2k+1) is at most target, by exact Fractions at every k, or None
+    when X_k > X_(k-1) at some k >= 2 before that."""
+    previous = None
+    for k in range(1, 100001):
+        j = m + 2 * k + 1
+        table.grow(j)
+        bound = F(5, 2) * F(4, 25) ** (2 * k + 1) * table.hi[j]
+        if bound <= target:
+            return k
+        if previous is not None and bound > previous:
+            return None
+        previous = bound
+    raise AssertionError("no stop and no rise")
 
 
 @settings(SETTINGS, max_examples=400)
-@given(st.integers(-2 ** 400, 2 ** 400), st.integers(0, 2 ** 700),
-       st.integers(0, 2 ** 20), st.integers(0, 600), st.integers(1, 2 ** 40))
-# the remainder is within reach of the edge but not next to it, so a test of
-# only rest == den - 1 (num > 0) or rest == 0 (num < 0) misses the doubt
-@example(1, 17, 5, 0, 10)
-@example(-1, 17, 5, 0, 10)
-@example(2 ** 60 + 1, 3475090062471141626, 2 ** 21, 64, 2 ** 44 + 7)  # den err > 2^64
-# the remainder exactly at reach of the edge, where the shifted ends' carry
-# still moves the floor
-@example(1, 3, 1, 1, 2)
-@example(-1, 4, 1, 1, 2)
-def test_sure_floor_matches_two_floor_reference(num, m, err, ex, den):
-    # the term's floor is sure exactly when both ends of the mantissa
-    # interval, num m and num (m + err), give it
-    bm = num * m
-    low = (bm >> ex) // den
-    sure = low if low == ((bm + num * err) >> ex) // den else None
-    assert _sure_floor(bm, num, err, ex, den) == sure
+@given(st.integers(1, 32), positive_x, st.integers(8, 1100), st.integers(0, 2),
+       st.integers(0, 24))
+@example(13, F(1, 16), 752, 0, 8)
+@example(10, F(64), 448, 0, 8)
+@example(29, F(9), 8, 0, 8)  # the bounds rise first
+@example(30, F(9), 8, 0, 8)
+@example(32, F(3, 7), 4200, 0, 8)
+@example(1, F(2 ** 20), 1100, 0, 8)
+def test_stop_is_the_least_k(m, x, wbits, attempt, cut):
+    # _stop returns ref_stop's k; the target is that of the series (at
+    # least 2^32 units), cut by 0-24 bits
+    n, d, s = x.numerator, x.denominator, m + 1
+    fbits = ref_series_scale(x, wbits, s)
+    gbits = max(ref_series_scale(x, wbits, 2), ref_series_scale(x, wbits, MAX_ORDER + 1))
+    n_terms = max(0, ((wbits + 16) * (1 + attempt)) // 3 + 1 - n // d)
+    head = sum((d ** s << fbits) // (n + i * d) ** s for i in range(n_terms))
+    table = _Table(d, n + n_terms * d, gbits)
+    table.grow(m + 1)
+    target = ((math.factorial(m) * head << gbits - fbits) + table.lo[m]) >> (wbits + 8 + cut)
+    assert _stop(table, m, target) == ref_stop(_Table(d, n + n_terms * d, gbits), m, target)
 
 
 def _line_of(func, statement: str) -> int:
@@ -448,90 +536,56 @@ def _line_of(func, statement: str) -> int:
     return hits[0]
 
 
-@settings(SETTINGS, max_examples=40)
-@given(st.integers(2, 33), positive_x, st.integers(8, 1100),
-       st.sampled_from([0, 1, 2, 64]))
-# the scan workloads' largest orders and working precisions (see above),
-# with the shipped 64 guard bits and with 0-2
-@example(14, F(1, 16), 752, 64)
-@example(11, F(64), 448, 64)
-@example(14, F(1, 16), 752, 0)
-@example(11, F(64), 448, 1)
-@example(33, F(3, 7), 4200, 2)
-# the first N diverges: near there a step's ratio V_k/V_(k-1) no longer
-# undoes the shift before it, so an error count that loses the shift shows
-@example(30, F(9), 8, 64)
-@example(33, F(12), 19, 0)
-def test_series_tail_mantissa_encloses_exact_v(s, x, wbits, guard):
-    # at every Euler-Maclaurin step, just before the term's floor is taken,
-    # the loop's interval [m, m + err] must hold the exact
-    # V_k 2^ex = rising(s, 2k-1) d^j 2^(F+ex) / ((2k)! A^j), j = s+2k-1,
-    # and low must not exceed the exact remainder bound
-    # X_k = 5 rising(s, 2k) d^(j+1) 2^(F+4k+2) / (2 25^(2k+1) A^(j+1))
-    code, line = _zeta_like_sums.__code__, _line_of(_zeta_like_sums, "bm = num * m")
-    steps = 0
+# the scan workloads' largest orders and working precisions (see above), and
+# a first N that diverges, each by its exponent s = m + 1; each series makes
+# one exact stop comparison, the screen proving the outcome at every other k
+@pytest.mark.parametrize("s, x, wbits, exact", [
+    (14, F(1, 16), 752, 1), (11, F(64), 448, 1), (30, F(9), 8, 1)])
+def test_series_tail_decides_on_integers(s, x, wbits, exact):
+    # no float is made in the series: no local of its frames and no value
+    # they return is a float, and no float function of math is called; the
+    # exact stop comparison runs once per N, where the screen cannot decide
+    module = sys.modules["cmgamma.polygamma"]  # cmgamma.polygamma is the function
+    floats, compared = [], 0
+    line = _line_of(module._stop,
+                    "if 5 * hi[m + 2 * k + 1] << (4 * k + 2) <= 2 * 25 ** (2 * k + 1) * target:")
 
     def local(frame, event, arg):
-        nonlocal steps
-        if event == "line" and frame.f_lineno == line:
-            v = frame.f_locals
-            k, j, m, err = v["k"], v["j"], v["m"], v["err"]
-            d, big_a, fbits = v["d"], v["big_a"], v["fbits"]
-            top = math.perm(j - 1, 2 * k - 1) * d ** j << (fbits + v["ex"])
-            bottom = math.factorial(2 * k) * big_a ** j
-            assert m * bottom <= top <= (m + err) * bottom, (k, m, err)
-            assert (v["low"] * (2 * 25 ** (2 * k + 1) * big_a ** (j + 1))
-                    <= 5 * math.perm(j, 2 * k) * d ** (j + 1) << (fbits + 4 * k + 2)), k
-            steps += 1
+        nonlocal compared
+        values = list(frame.f_locals.values()) + ([arg] if event == "return" else [])
+        floats.extend(v for v in values if isinstance(v, float))
+        compared += event == "line" and frame.f_code is module._stop.__code__ \
+            and frame.f_lineno == line
         return local
 
-    module = sys.modules["cmgamma.polygamma"]  # cmgamma.polygamma is the function
-    outer = sys.gettrace()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_TAIL_GUARD_BITS", guard)
-        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-        try:
-            # jointly with s = 2, which shares k and ex but stops on its own
-            _zeta_like_sums((2, s), x, wbits)
-        finally:
-            sys.settrace(outer)
-    assert steps > 0
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__module__", None) == "math" \
+                and arg.__name__ in ("log", "log2", "log10", "exp", "sqrt", "pow"):
+            floats.append(arg)
 
-
-# the scan workloads' largest orders and working precisions (see above), and
-# a first N that diverges: two ceilings compared there, then one at the stop
-@pytest.mark.parametrize("s, x, wbits, exact_bounds", [
-    (14, F(1, 16), 752, 1), (11, F(64), 448, 1), (30, F(9), 8, 3)])
-def test_series_tail_decides_on_integers(s, x, wbits, exact_bounds):
-    # no float log2 steers the stop or the divergence test, and the exact
-    # remainder bound is formed only where the lower bound reaches the target
-    # or the bound ratio exceeds 1
-    calls = {"log2": 0, "exact_bound": 0}
-
-    def count(frame, event, arg):
-        if event == "c_call" and arg is math.log2:
-            calls["log2"] += 1
-        elif event == "call" and frame.f_code.co_name == "exact_bound":
-            calls["exact_bound"] += 1
-
-    outer = sys.getprofile()
-    sys.setprofile(count)
+    outer, outer_profile = sys.gettrace(), sys.getprofile()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_globals is vars(module) else None)
+    sys.setprofile(profile)
     try:
-        _zeta_like_sums((s,), x, wbits)
+        _psi_sums((s - 1,), x, wbits)
     finally:
-        sys.setprofile(outer)
-    assert calls == {"log2": 0, "exact_bound": exact_bounds}
+        sys.settrace(outer)
+        sys.setprofile(outer_profile)
+    assert floats == [] and compared == exact
 
 
 @settings(SETTINGS, max_examples=12)
-@given(st.integers(2, 14), positive_x, st.sampled_from([64, 256, 1024]))
-def test_series_radius_covers_hurwitz_zeta(s, x, wbits):
-    # the raw series enclosure, before Ball renormalization widens it
-    total, radius, fbits = _zeta_like_sums((s,), x, wbits)[s]
+@given(st.integers(1, 13), positive_x, st.sampled_from([64, 256, 1024]))
+def test_series_radius_covers_hurwitz_zeta(m, x, wbits):
+    # the raw series enclosure of |psi^(m)(x)| = m! zeta(m+1, x), before
+    # Ball renormalization widens it, against mpmath at four times the bits
+    total, radius, fbits = _psi_sums((m,), x, wbits)[m]
     mid, rad = F(total, 2 ** fbits), F(radius, 2 ** fbits)
     assert rad <= mid / 2 ** (wbits + 4)
     with mp.workprec(4 * wbits):
-        ref = _mpf_tuple_to_fraction(mp.zeta(s, mp.mpf(x.numerator) / x.denominator)._mpf_)
+        ref = _mpf_tuple_to_fraction((math.factorial(m) * mp.zeta(
+            m + 1, mp.mpf(x.numerator) / x.denominator))._mpf_)
     assert abs(ref - mid) <= rad
 
 
